@@ -268,8 +268,8 @@ def integrate_geodesics(
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-13, 1e-3]")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"the duration T must be positive and finite, got {T}")
     starts_x = np.atleast_2d(np.asarray(starts_x, dtype=float))
     starts_v = np.atleast_2d(np.asarray(starts_v, dtype=float))
     n = field.chart.dim

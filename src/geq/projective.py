@@ -3,9 +3,9 @@
 Given a pair (g, gbar) on one chart, this module builds the compatibility
 tensor ``L = (det gbar / det g)^{1/(n+1)} gbar^{-1} g``, the adjugate
 polynomial family ``S_t = adj(L - t I)``, the quadratic-in-velocity
-integrals ``I_t = g(S_t v, v)`` together with their interlaced roots, the
-planar integral ``F``, and a finite-difference Nijenhuis torsion of the
-``L`` field.
+integrals ``I_t = g(S_t v, v)`` together with their interlaced roots (one
+batched symmetric eigen solve), the planar integral ``F``, and a
+finite-difference Nijenhuis torsion of the ``L`` field.
 """
 from __future__ import annotations
 
@@ -28,9 +28,6 @@ Array = np.ndarray
 # Eigenvalues closer than this are treated as one cluster (square root of
 # double-precision epsilon, the resolution of symmetric eigensolvers).
 CLUSTER_RADIUS = 1e-8
-
-# Absolute width at which bracket bisection stops.
-ROOT_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,13 +106,16 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
     return _l_many(pair, x[None, :], validate=True)[0]
 
 
-def _l_eigen_many(pair: MetricPair, xs: Array) -> tuple[Array, Array]:
+def _l_eigen_many(pair: MetricPair, xs: Array,
+                  vectors: bool = True) -> tuple[Array, Array | None]:
     """Batched eigenstructure of ``L``.
 
     Returns ascending eigenvalues ``(..., n)`` and eigenvector columns
     ``(..., n, n)`` orthonormal with respect to ``g`` — obtained from the
     symmetric matrix ``g L`` by congruence with the Cholesky factor of
-    ``g``, which keeps the spectrum exactly real.
+    ``g``, which keeps the spectrum exactly real.  With ``vectors=False``
+    only the eigenvalues are computed and ``None`` stands in for the
+    eigenvectors.
     """
     xs = np.asarray(xs, dtype=float)
     g = pair.g.eval(xs)
@@ -125,12 +125,12 @@ def _l_eigen_many(pair: MetricPair, xs: Array) -> tuple[Array, Array]:
         k = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("base metric is not positive definite") from exc
-    kt = np.swapaxes(k, -1, -2)
     b = np.linalg.solve(k, np.swapaxes(np.linalg.solve(k, a), -1, -2))
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
+    if not vectors:
+        return np.linalg.eigvalsh(b), None
     vals, y = np.linalg.eigh(b)
-    vecs = np.linalg.solve(kt, y)
-    return vals, vecs
+    return vals, np.linalg.solve(np.swapaxes(k, -1, -2), y)
 
 
 def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
@@ -208,90 +208,38 @@ def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
     return float(ratio ** (2.0 / 3.0) * (p.v @ gb @ p.v))
 
 
-def _reduced_poly_at(mu: Array, w: Array, t: Array) -> Array:
-    """Evaluate ``R(t) = sum_j w_j prod_{a != j} (mu_a - t)`` rowwise.
-
-    ``mu, w`` have shape ``(N, K)``; ``t`` has shape ``(N, B)``; the result
-    has shape ``(N, B)``.
-    """
-    diff = mu[:, None, :] - t[:, :, None]
-    k = mu.shape[1]
-    out = np.zeros(t.shape)
-    for j in range(k):
-        mask = np.ones(k, dtype=bool)
-        mask[j] = False
-        out += w[:, None, j] * np.prod(diff[:, :, mask], axis=-1)
-    return out
-
-
-def _interlaced_roots(mu: Array, w: Array) -> Array:
-    """Roots of the reduced polynomial inside consecutive brackets.
-
-    ``mu`` holds strictly increasing rows ``(N, K)`` and ``w`` nonnegative
-    weights; returns ``(N, K - 1)`` roots, one per bracket
-    ``[mu_j, mu_{j+1}]``, by sign-oriented bisection.  Boundary roots
-    (vanishing endpoint weight) converge to the endpoint.
-    """
-    n_rows, k = mu.shape
-    if k <= 1:
-        return np.empty((n_rows, 0))
-    lo = mu[:, :-1].copy()
-    hi = mu[:, 1:].copy()
-    orient = (-1.0) ** np.arange(k - 1)
-    for _ in range(90):
-        if np.all(hi - lo < ROOT_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        phi = orient * _reduced_poly_at(mu, w, mid)
-        go_up = phi >= 0.0
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _cluster(mu: Array) -> list[tuple[int, int]]:
-    """Consecutive index ranges of an ascending vector whose internal gaps
-    stay within :data:`CLUSTER_RADIUS`."""
-    spans = []
-    start = 0
-    for i in range(1, mu.shape[0] + 1):
-        if i == mu.shape[0] or mu[i] - mu[i - 1] > CLUSTER_RADIUS:
-            spans.append((start, i))
-            start = i
-    return spans
-
-
-def _roots_one_point(mu: Array, w: Array) -> Array:
-    """Sorted roots for one phase point, with repeated-eigenvalue pinning."""
-    spans = _cluster(mu)
-    pinned = []
-    reps = []
-    weights = []
-    for lo, hi in spans:
-        rep = float(np.mean(mu[lo:hi]))
-        reps.append(rep)
-        weights.append(float(np.sum(w[lo:hi])))
-        pinned.extend([rep] * (hi - lo - 1))
-    searched = _interlaced_roots(np.array([reps]), np.array([weights]))[0]
-    return np.sort(np.concatenate([np.asarray(pinned), searched]))
-
-
 def _roots_many(mu: Array, w: Array) -> Array:
-    """Batched root computation: vectorized bisection when all eigenvalues
-    are separated, per-point pinning otherwise."""
+    """Roots ``(N, K - 1)`` of ``R(t) = sum_j w_j prod_{a != j} (mu_a - t)``
+    for rows ``mu`` (ascending) and ``w`` (nonnegative) of shape ``(N, K)``.
+
+    They are the eigenvalues of ``D = diag(mu)`` compressed onto the
+    orthogonal complement of ``u = sqrt(w) / |sqrt(w)|`` (Golub, SIAM
+    Review 15(2), 1973).  The reflector ``H = I - 2 h h^T`` with
+    ``h = (u + e_K) / |u + e_K|`` sends ``u`` to ``-e_K``, so the
+    compression is the leading ``K - 1`` block of ``H D H``.  Cauchy
+    interlacing places root ``i`` in ``[mu_i, mu_{i+1}]`` and pins a root
+    on every repeated eigenvalue and on every eigenvalue of zero weight.
+    """
     if np.any(~np.isfinite(mu)) or np.any(~np.isfinite(w)):
         raise BracketFailure("eigenvalue or weight data is not finite")
     if np.any(w < -1e-12):
         raise BracketFailure("a squared frame coordinate came out negative")
-    gaps = np.diff(mu, axis=-1)
-    clustered = np.any(gaps <= CLUSTER_RADIUS, axis=-1)
-    out = np.empty(mu.shape[:-1] + (mu.shape[-1] - 1,))
-    plain = ~clustered
-    if np.any(plain):
-        out[plain] = _interlaced_roots(mu[plain], np.maximum(w[plain], 0.0))
-    for idx in np.nonzero(clustered)[0]:
-        out[idx] = _roots_one_point(mu[idx], np.maximum(w[idx], 0.0))
-    return out
+    u = np.sqrt(np.maximum(w, 0.0))
+    norm = np.linalg.norm(u, axis=-1)
+    if np.any(norm == 0.0):
+        raise BracketFailure("the velocity is zero, so every I_t vanishes and "
+                             "has no isolated roots")
+    h = u / norm[:, None]
+    h[:, -1] += 1.0
+    h /= np.sqrt(2.0 * h[:, -1:])  # |u + e_K|^2 = 2 (1 + u_K)
+    dh = mu * h
+    # H D H = D - 2 h (Dh)^T - 2 (Dh) h^T + 4 (h^T D h) h h^T = D + h q^T + q h^T.
+    q = 2.0 * np.sum(h * dh, axis=-1, keepdims=True) * h - 2.0 * dh
+    block = h[:, :-1, None] * q[:, None, :-1]
+    block += np.swapaxes(block, -1, -2)
+    diag = np.arange(mu.shape[-1] - 1)
+    block[:, diag, diag] += mu[:, :-1]
+    return np.linalg.eigvalsh(block)
 
 
 def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]:
@@ -306,7 +254,8 @@ def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]
 
 
 def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
-    """Roots of ``t -> I_t`` for a batch of phase points, ``(..., n - 1)``."""
+    """Roots of ``t -> I_t`` for a batch of phase points, ``(..., n - 1)``,
+    ascending; all rows in one batched eigen solve (:func:`_roots_many`)."""
     mu, w = frame_weights(pair, xs, vs)
     flat_mu = mu.reshape(-1, mu.shape[-1])
     flat_w = w.reshape(-1, w.shape[-1])
@@ -315,9 +264,10 @@ def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
 
 
 def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
-    """The ``n - 1`` real roots of ``t -> I_t`` at a phase point, found by
-    bisection inside the consecutive eigenvalue brackets (pinned without
-    search when neighboring eigenvalues coincide)."""
+    """The ``n - 1`` real roots of ``t -> I_t`` at a phase point, one in
+    each consecutive eigenvalue bracket of ``L`` (pinned on the eigenvalue
+    where neighbors coincide); see :func:`_roots_many`.  A root outside its
+    bracket raises :class:`BracketFailure`."""
     if not pair.chart.contains(p.x):
         raise OutOfChart(f"point {p.x.tolist()} outside chart box")
     mu, w = frame_weights(pair, p.x[None, :], p.v[None, :])
@@ -371,19 +321,20 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
 
 def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
     """Smallest and largest eigenvalue of ``L`` over a point sample."""
-    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float))
+    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float), vectors=False)
     return float(np.min(mu)), float(np.max(mu))
 
 
 def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     """Largest eigenvalue-cluster size of ``L`` over a point sample
     (cluster radius :data:`CLUSTER_RADIUS`)."""
-    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float))
-    flat = mu.reshape(-1, mu.shape[-1])
-    worst = 1
-    for row in flat:
-        worst = max(worst, max(hi - lo for lo, hi in _cluster(row)))
-    return worst
+    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float), vectors=False)
+    close = np.diff(mu.reshape(-1, mu.shape[-1]), axis=-1) <= CLUSTER_RADIUS
+    run = longest = np.zeros(close.shape[0], dtype=int)
+    for column in close.T:
+        run = np.where(column, run + 1, 0)
+        longest = np.maximum(longest, run)
+    return int(np.max(longest, initial=0)) + 1
 
 
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array,

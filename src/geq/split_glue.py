@@ -83,7 +83,7 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     second its companion (carrying the inverse block determinants)."""
     xs = np.asarray(xs, dtype=float)
     L = _l_many(pair, xs)
-    mu, _ = _l_eigen_many(pair, xs)
+    mu, _ = _l_eigen_many(pair, xs, vectors=False)
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -107,7 +107,7 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     if not 1 <= r < n:
         raise ValueError("the block size must satisfy 1 <= r < dim")
     grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
-    mu, _ = _l_eigen_many(pair, grid)
+    mu, _ = _l_eigen_many(pair, grid, vectors=False)
     sup_low = float(np.max(mu[..., r - 1]))
     inf_high = float(np.min(mu[..., r]))
     if sup_low >= inf_high:

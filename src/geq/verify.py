@@ -143,33 +143,35 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     rng = np.random.default_rng(seed)
     starts, vels = seeded_starts(pair, n_traj, rng)
     trajectories = integrate_geodesics(pair.g, starts, vels, duration, tol)
-    rows: list[DriftRow] = []
-    for idx, traj in enumerate(trajectories):
-        xs, vs = traj.points, traj.velocities
-        coeffs = _integral_coeffs(pair, xs, vs)
-        poly_vals = np.polynomial.polynomial.polyval(t_values, coeffs.T)
-        series: list[tuple[str, Array]] = [
-            (f"integral_t={t:.9g}", poly_vals[:, j])
-            for j, t in enumerate(t_values)
-        ]
-        roots = integral_roots_many(pair, xs, vs)
-        series.extend((f"root_{i}", roots[:, i]) for i in range(roots.shape[-1]))
-        if pair.dim == 2:
-            g = pair.g.eval(xs)
-            gb = pair.gbar.eval(xs)
-            ratio = np.linalg.det(g) / np.linalg.det(gb)
-            quad = ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)
-            series.append(("quadratic_2d", quad))
-        for integral_id, values in series:
-            start = float(values[0])
-            drift = float(np.max(np.abs(values - values[0])) / max(1.0, abs(start)))
-            rows.append(DriftRow(index=idx, integral_id=integral_id,
-                                 start_value=start, end_value=float(values[-1]),
-                                 rel_drift=drift))
+    xs = np.concatenate([t.points for t in trajectories])
+    vs = np.concatenate([t.velocities for t in trajectories])
+    coeffs = _integral_coeffs(pair, xs, vs)
+    roots = integral_roots_many(pair, xs, vs)
+    names = [f"integral_t={t:.9g}" for t in t_values]
+    names += [f"root_{i}" for i in range(roots.shape[-1])]
+    columns = [np.polynomial.polynomial.polyval(t_values, coeffs.T), roots]
+    if pair.dim == 2:
+        g = pair.g.eval(xs)
+        gb = pair.gbar.eval(xs)
+        ratio = np.linalg.det(g) / np.linalg.det(gb)
+        quad = ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)
+        columns.append(quad[:, None])
+        names.append("quadratic_2d")
+    # Columns are series; trajectory idx owns rows first[idx] to first[idx] + lengths[idx] - 1.
+    values = np.concatenate(columns, axis=1)
+    lengths = np.array([len(t.points) for t in trajectories])
+    first = np.cumsum(lengths) - lengths
+    start = values[first]
+    end = values[first + lengths - 1]
+    deviation = np.abs(values - np.repeat(start, lengths, axis=0))
+    drift = np.maximum.reduceat(deviation, first, axis=0) / np.maximum(1.0, np.abs(start))
+    rows = tuple(DriftRow(index=idx, integral_id=name, start_value=float(start[idx, j]),
+                          end_value=float(end[idx, j]), rel_drift=float(drift[idx, j]))
+                 for idx in range(n_traj) for j, name in enumerate(names))
     return ConservationReport(
         t_values=tuple(float(t) for t in t_values),
-        rows=tuple(rows),
-        max_drift=max(row.rel_drift for row in rows),
+        rows=rows,
+        max_drift=float(np.max(drift)),
         integrator_tol=tol,
         seed=seed,
     )
@@ -183,12 +185,14 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     pinned where neighboring eigenvalues coincide."""
     rng = np.random.default_rng(seed)
     if points is None:
-        pts = pair.chart.sample(rng, n_points)
+        pts = pair.chart.sample(rng, max(n_points, 0))
     else:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
     count = pts.shape[0]
+    if count < 1 or n_vectors < 1:
+        raise ValueError("at least one sample point and one velocity per point are required")
     n = pair.dim
     vecs = rng.normal(size=(count, n_vectors, n))
     xs = np.broadcast_to(pts[:, None, :], (count, n_vectors, n))

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: config validation, report
 shapes, determinism, and the exit-code contract."""
 import json
+import time
 
 import pytest
 import yaml
@@ -215,6 +216,24 @@ def test_check_equivalence_control_exits_2(runner):
     assert result.exit_code == 2
     report = json.loads(result.output)
     assert report["checks"][0]["metrics"]["max_tangential_defect"] > 1e-3
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_non_finite_duration_fails_fast(runner, duration):
+    begin = time.perf_counter()
+    result = runner.invoke(main, ["check-equivalence", "--family", "lc_nd",
+                                  "--trajectories", "2", "--duration", duration])
+    assert time.perf_counter() - begin < 10.0
+    assert result.exit_code == 1
+    assert "positive and finite" in result.stderr
+
+
+def test_empty_interlacing_scan_is_a_named_error(runner):
+    result = runner.invoke(main, ["check-interlacing", "--family", "lc_nd",
+                                  "--points", "0"])
+    assert result.exit_code == 1
+    assert "ValueError: at least one sample point" in result.stderr
+    assert "zero-size" not in result.stderr
 
 
 def test_config_flags_override(runner, tmp_path):

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from geq.charts import Chart, MetricField, PhasePoint
-from geq.errors import DimensionMismatch, OutOfChart, SingularMetric
+from geq.errors import BracketFailure, DimensionMismatch, OutOfChart, SingularMetric
 from geq.projective import (
     MetricPair,
     PolyTensor,
+    _roots_many,
     eigen_range,
     f_integral_2d,
     frame_weights,
@@ -264,6 +265,38 @@ class TestIntegralRoots:
         for i in range(15):
             rs = integral_roots(pair, PhasePoint(xs[i], vs[i]))
             assert batch[i] == pytest.approx(list(rs.roots), abs=1e-11)
+
+    def test_zero_velocity_is_a_bracket_failure(self):
+        pair = pair_with_constant_l(np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(BracketFailure, match="velocity is zero"):
+            integral_roots(pair, PhasePoint([0.0] * 3, 0.0 * np.array([1.0, 1.0, 1.0])))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_solver_interlaces_and_pins_on_random_rows(self, n):
+        rng = np.random.default_rng(40 + n)
+        rows = 2000
+        mu = np.sort(rng.uniform(-3.0, 3.0, size=(rows, n)), axis=1)
+        w = rng.uniform(0.0, 2.0, size=(rows, n)) ** 2
+        # A quarter of the rows get a repeated eigenvalue, another quarter a
+        # zero weight.
+        quarter = rows // 4
+        cut = rng.integers(0, n - 1, size=quarter)
+        mu[np.arange(quarter), cut + 1] = mu[np.arange(quarter), cut]
+        w[quarter + np.arange(quarter), rng.integers(0, n, size=quarter)] = 0.0
+        roots = _roots_many(mu, w)
+        assert roots.shape == (rows, n - 1)
+        assert np.all(roots >= mu[:, :-1] - 1e-12)
+        assert np.all(roots <= mu[:, 1:] + 1e-12)
+        pinned = mu[:, 1:] == mu[:, :-1]
+        assert np.any(pinned)
+        assert np.max(np.abs(roots - mu[:, :-1])[pinned]) < 1e-12
+        # On the separated rows with positive weights the roots are those of
+        # R(t) = sum_j w_j prod_{a != j} (mu_a - t), found independently.
+        for i in range(2 * quarter, 2 * quarter + 50):
+            poly = sum(w[i, j] * np.polynomial.polynomial.polyfromroots(np.delete(mu[i], j))
+                       for j in range(n))
+            expected = np.sort(np.polynomial.polynomial.polyroots(poly).real)
+            assert roots[i] == pytest.approx(expected, abs=1e-8)
 
     def test_roots_are_zeros_of_the_integral(self):
         pair = variable_pair()

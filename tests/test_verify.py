@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from geq.charts import Chart
+from geq.charts import Chart, integrate_geodesics
 from geq.constructions import beltrami_pair
 from geq.normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                               ScalarFunction1D, levi_civita_pair,
                               model_form_pair)
+from geq.projective import _integral_coeffs, integral_roots_many
 from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,
                         STANDARD_FAMILIES, check_conservation,
                         check_equivalence, check_interlacing,
@@ -107,6 +108,45 @@ def test_conservation_drift_scales_with_tolerance():
     coarse = check_conservation(pair, n_traj=5, duration=1.0, tol=1e-10, seed=9)
     fine = check_conservation(pair, n_traj=5, duration=1.0, tol=5e-11, seed=9)
     assert fine.max_drift <= 2.0 * coarse.max_drift + 1e-12
+
+
+def test_conservation_rows_match_a_per_trajectory_recomputation():
+    pair = lc_pair((0.5, 0.2), (1.0, 0.3))
+    report = check_conservation(pair, n_traj=8, duration=10.0, tol=1e-8, seed=5)
+    starts, vels = seeded_starts(pair, 8, np.random.default_rng(5))
+    trajectories = integrate_geodesics(pair.g, starts, vels, 10.0, 1e-8)
+    # Some trajectories hit the chart boundary, so the segments differ in length.
+    assert any(t.left_chart for t in trajectories)
+    assert len({len(t.points) for t in trajectories}) > 1
+    expected = []
+    for idx, traj in enumerate(trajectories):
+        xs, vs = traj.points, traj.velocities
+        coeffs = _integral_coeffs(pair, xs, vs)
+        series = [(f"integral_t={t:.9g}", np.polynomial.polynomial.polyval(t, coeffs.T))
+                  for t in report.t_values]
+        roots = integral_roots_many(pair, xs, vs)
+        series += [(f"root_{i}", roots[:, i]) for i in range(roots.shape[1])]
+        g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
+        ratio = np.linalg.det(g) / np.linalg.det(gb)
+        series.append(("quadratic_2d",
+                       ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)))
+        for name, values in series:
+            drift = np.max(np.abs(values - values[0])) / max(1.0, abs(values[0]))
+            expected.append((idx, name, values[0], values[-1], drift))
+    assert len(report.rows) == len(expected)
+    for row, (idx, name, start, end, drift) in zip(report.rows, expected):
+        assert (row.index, row.integral_id) == (idx, name)
+        assert row.start_value == pytest.approx(start, abs=1e-12)
+        assert row.end_value == pytest.approx(end, abs=1e-12)
+        assert row.rel_drift == pytest.approx(drift, abs=1e-12)
+    assert report.max_drift == max(row.rel_drift for row in report.rows)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3}, {"n_vectors": 0},
+                                    {"points": np.empty((0, 2))}])
+def test_interlacing_rejects_an_empty_scan(kwargs):
+    with pytest.raises(ValueError, match="at least one sample point"):
+        check_interlacing(lc_pair((0.5, 0.2), (1.0, 0.3)), **kwargs)
 
 
 def test_interlacing_scan_is_clean():
