@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 import time
 from typing import Any
 
@@ -83,17 +85,14 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
-def _expect_number(value, path: str) -> float:
+def _expect_number(value, path: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
+    if positive and not 0.0 < value < math.inf:
+        _fail(path, "must be positive and finite")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(path, "must be finite")
     return float(value)
-
-
-def _expect_positive(value, path: str) -> float:
-    number = _expect_number(value, path)
-    if number <= 0.0:
-        _fail(path, "must be positive")
-    return number
 
 
 def _expect_number_list(value, path: str, length: int | None = None) -> list[float]:
@@ -188,7 +187,7 @@ def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
             elif key == "exclude_radius":
                 merged[key] = _expect_number(value, f"{path}.{name}.{key}")
             else:
-                merged[key] = _expect_positive(value, f"{path}.{name}.{key}")
+                merged[key] = _expect_number(value, f"{path}.{name}.{key}", positive=True)
         checks[name] = merged
     return {name: checks[name] for name in CHECK_ORDER if name in checks}
 
@@ -210,7 +209,7 @@ def validate_config(data) -> SuiteConfig:
     if "family" not in top:
         _fail("family", "missing required field")
     family = _validate_family(top["family"])
-    tol = _expect_positive(top.get("tol", DEFAULT_TOL), "tol")
+    tol = _expect_number(top.get("tol", DEFAULT_TOL), "tol", positive=True)
     out = top.get("out")
     if out is not None and not isinstance(out, str):
         _fail("out", "expected a path string")
@@ -511,6 +510,7 @@ def _single_check_command(ctx, command, check_name, family, config, seed, tol,
         else:
             params = dict(CHECK_DEFAULTS[check_name])
         params.update({k: v for k, v in overrides.items() if v is not None})
+        params = _validate_checks({check_name: params})[check_name]
         pair, label = build_family(family_spec)
         begin = time.perf_counter()
         passed, metrics, csv_rows = _run_one_check(check_name, pair,
@@ -548,6 +548,8 @@ def build_cmd(ctx, family, config, grid, list_families, seed, out, fmt) -> None:
             click.echo(name)
         ctx.exit(0)
     try:
+        if grid < 1:
+            _fail("grid", "must be at least 1")
         family_spec, _ = _resolve_family(ctx, family, config)
         pair, label = build_family(family_spec)
         xs = pair.chart.grid(grid)
@@ -673,6 +675,8 @@ def glue_cmd(ctx, levels, grid, seed, out, fmt) -> None:
         values = [float(v) for v in levels.split(",") if v.strip()]
         if len(values) < 2:
             raise ValueError("need at least two comma-separated levels")
+        if grid < 1:
+            _fail("grid", "must be at least 1")
         triples = []
         for value in values:
             lam = ScalarFunction1D((value,), (-0.5, 0.5))

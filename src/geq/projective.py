@@ -83,18 +83,21 @@ class RootSet:
 # The compatibility tensor and its eigenstructure
 
 
-def _l_many(pair: MetricPair, xs: Array, validate: bool = False) -> Array:
-    """Batched tensor ``L`` of shape ``(..., n, n)``."""
-    xs = np.asarray(xs, dtype=float)
-    n = pair.dim
-    g = pair.g.eval(xs)
-    gb = pair.gbar.eval(xs)
+def _l_from(g: Array, gb: Array, validate: bool = False) -> Array:
+    """Batched tensor ``L`` of shape ``(..., n, n)`` from both metrics."""
+    n = g.shape[-1]
     detg = np.linalg.det(g)
     detgb = np.linalg.det(gb)
     if validate and (np.any(detg <= 0.0) or np.any(detgb <= 0.0)):
         raise SingularMetric("a metric determinant is not positive")
     ratio = (detgb / detg) ** (1.0 / (n + 1))
     return ratio[..., None, None] * np.linalg.solve(gb, g)
+
+
+def _l_many(pair: MetricPair, xs: Array, validate: bool = False) -> Array:
+    """Batched tensor ``L`` of shape ``(..., n, n)``."""
+    xs = np.asarray(xs, dtype=float)
+    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs), validate)
 
 
 def l_tensor(pair: MetricPair, x: Array) -> Array:
@@ -108,7 +111,14 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
 
 def _l_eigen_many(pair: MetricPair, xs: Array,
                   vectors: bool = True) -> tuple[Array, Array | None]:
-    """Batched eigenstructure of ``L``.
+    """Batched eigenstructure of ``L``; see :func:`_eigen_from`."""
+    xs = np.asarray(xs, dtype=float)
+    g = pair.g.eval(xs)
+    return _eigen_from(g, _l_from(g, pair.gbar.eval(xs)), vectors)
+
+
+def _eigen_from(g: Array, L: Array, vectors: bool = True) -> tuple[Array, Array | None]:
+    """Eigenstructure of ``L`` from the base metric ``g`` and ``L`` itself.
 
     Returns ascending eigenvalues ``(..., n)`` and eigenvector columns
     ``(..., n, n)`` orthonormal with respect to ``g`` — obtained from the
@@ -117,9 +127,8 @@ def _l_eigen_many(pair: MetricPair, xs: Array,
     only the eigenvalues are computed and ``None`` stands in for the
     eigenvectors.
     """
-    xs = np.asarray(xs, dtype=float)
-    g = pair.g.eval(xs)
-    a = g @ _l_many(pair, xs)
+    a = g @ L
+    del L  # a caller's temporary L is freed before the solves
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     try:
         k = np.linalg.cholesky(g)
@@ -186,7 +195,7 @@ def _integral_coeffs(pair: MetricPair, xs: Array, vs: Array) -> Array:
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
     g = pair.g.eval(xs)
-    _, adj = _char_and_adjugate(_l_many(pair, xs))
+    _, adj = _char_and_adjugate(_l_from(g, pair.gbar.eval(xs)))
     return np.einsum("...i,...ij,...kjl,...l->...k", vs, g, adj, vs)
 
 
@@ -243,19 +252,20 @@ def _roots_many(mu: Array, w: Array) -> Array:
 
 
 def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]:
-    """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v``
-    in the orthonormal eigenframe, batched."""
+    """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
+    orthonormal eigenframe; ``xs`` and ``vs`` broadcast, one eigen solve per point."""
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    mu, vecs = _l_eigen_many(pair, xs)
     g = pair.g.eval(xs)
-    xi = np.einsum("...ji,...jk,...k->...i", vecs, g, vs)
-    return mu, xi**2
+    mu, vecs = _eigen_from(g, _l_from(g, pair.gbar.eval(xs)))
+    w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
+    return np.broadcast_to(mu, w.shape), w
 
 
 def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
     """Roots of ``t -> I_t`` for a batch of phase points, ``(..., n - 1)``,
-    ascending; all rows in one batched eigen solve (:func:`_roots_many`)."""
+    ascending, in one batched eigen solve (:func:`_roots_many`); ``xs`` and
+    ``vs`` broadcast as in :func:`frame_weights`."""
     mu, w = frame_weights(pair, xs, vs)
     flat_mu = mu.reshape(-1, mu.shape[-1])
     flat_w = w.reshape(-1, w.shape[-1])

@@ -5,6 +5,7 @@ The splitting rebuilds, from the characteristic polynomials of the two
 eigenvalue blocks of the compatibility tensor, a pair of block-diagonal
 metrics whose blocks each depend only on their own coordinates; the gluing
 is the exact inverse construction, and ``oplus`` is its associative fold.
+Both fields of a split or glued pair come from one joint evaluation per point batch.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from .charts import Chart, MetricField, positivity_grid_size
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import MetricPair, _char_and_adjugate, _l_eigen_many, _l_many, eigen_range
+from .projective import (MetricPair, _char_and_adjugate, _eigen_from, _l_eigen_many,
+                         _l_from, eigen_range)
 
 Array = np.ndarray
 
@@ -77,13 +79,12 @@ def _matrix_poly(coeffs: Array, L: Array) -> Array:
     return out
 
 
-def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
-    """The block-recombination tensors of the splitting at a batch of
-    points: the first converts the base metric into the block form, the
-    second its companion (carrying the inverse block determinants)."""
+def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Array]:
+    """Both metrics at a batch of points and the two tensors of :func:`split_tensors`."""
     xs = np.asarray(xs, dtype=float)
-    L = _l_many(pair, xs)
-    mu, _ = _l_eigen_many(pair, xs, vectors=False)
+    g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
+    L = _l_from(g, gb)
+    mu, _ = _eigen_from(g, L, vectors=False)
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -93,7 +94,34 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     det1 = c1[..., 0]
     det2 = c2[..., 0]
     conv_bar = (sign / det1)[..., None, None] * chi1 + (1.0 / det2)[..., None, None] * chi2
-    return conv, conv_bar
+    return g, gb, conv, conv_bar
+
+
+def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
+    """The block-recombination tensors of the splitting at a batch of
+    points: the first converts the base metric into the block form, the
+    second its companion (carrying the inverse block determinants)."""
+    return _split(pair, xs, r)[2:]
+
+
+def _twin_fields(chart: Chart, joint, tag: str) -> tuple[MetricField, MetricField]:
+    """Two metric fields fed by one evaluator ``joint(xs) -> (m, mbar)``: a read
+    evaluates both and keeps the partner's matrix in a single slot keyed by a copy
+    of the points, which the partner's next read at identical points pops."""
+    slot: dict = {}
+
+    def read(which: int, xs: Array) -> Array:
+        xs = np.asarray(xs, dtype=float)
+        key = (which, xs.shape, xs.tobytes())
+        if key in slot:
+            return slot.pop(key)
+        both = joint(xs)
+        slot.clear()
+        slot[(1 - which,) + key[1:]] = both[1 - which]
+        return both[which]
+
+    return (MetricField(chart=chart, eval=lambda xs: read(0, xs), provenance=tag),
+            MetricField(chart=chart, eval=lambda xs: read(1, xs), provenance=tag + "/companion"))
 
 
 def split_pair(pair: MetricPair, r: int) -> SplitResult:
@@ -114,25 +142,15 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
         raise GapViolated(
             f"eigenvalue ranges overlap across the cut: sup {sup_low} >= inf {inf_high}")
 
-    def h_eval(xs: Array) -> Array:
-        conv, _ = split_tensors(pair, xs, r)
-        g = pair.g.eval(np.asarray(xs, dtype=float))
-        out = np.linalg.solve(np.swapaxes(conv, -1, -2), g)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+    def joint(xs: Array) -> tuple[Array, Array]:
+        g, gb, conv, conv_bar = _split(pair, xs, r)
+        h = np.linalg.solve(np.swapaxes(conv, -1, -2), g)
+        hbar = np.linalg.solve(np.swapaxes(conv_bar, -1, -2), gb)
+        return 0.5 * (h + np.swapaxes(h, -1, -2)), 0.5 * (hbar + np.swapaxes(hbar, -1, -2))
 
-    def hbar_eval(xs: Array) -> Array:
-        _, conv_bar = split_tensors(pair, xs, r)
-        gb = pair.gbar.eval(np.asarray(xs, dtype=float))
-        out = np.linalg.solve(np.swapaxes(conv_bar, -1, -2), gb)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-    tag = f"split(r={r}, {pair.provenance})"
-    return SplitResult(
-        r=r,
-        h=MetricField(chart=pair.chart, eval=h_eval, provenance=tag),
-        hbar=MetricField(chart=pair.chart, eval=hbar_eval, provenance=tag + "/companion"),
-        index_split=(tuple(range(r)), tuple(range(r, n))),
-    )
+    h, hbar = _twin_fields(pair.chart, joint, f"split(r={r}, {pair.provenance})")
+    return SplitResult(r=r, h=h, hbar=hbar,
+                       index_split=(tuple(range(r)), tuple(range(r, n))))
 
 
 def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array,
@@ -170,6 +188,12 @@ def split_factors(split: SplitResult) -> tuple[EquivTriple, EquivTriple]:
     return triples[0], triples[1]
 
 
+def _converted(conv: Array, m: Array) -> Array:
+    """The symmetric part of ``conv^T m``."""
+    m = np.swapaxes(conv, -1, -2) @ m
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     """Glue two factor triples into a compatible pair on the product chart.
 
@@ -188,46 +212,29 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     chart = Chart(n, p1.chart.box + p2.chart.box)
     sign = (-1.0) ** r
 
-    def blocks(xs: Array):
+    def joint(xs: Array) -> tuple[Array, Array]:
         xs = np.asarray(xs, dtype=float)
         x1 = xs[..., :r]
         x2 = xs[..., r:]
-        l1 = _l_many(p1, x1)
-        l2 = _l_many(p2, x2)
+        g1, gb1 = p1.g.eval(x1), p1.gbar.eval(x1)
+        g2, gb2 = p2.g.eval(x2), p2.gbar.eval(x2)
+        l1 = _l_from(g1, gb1)
+        l2 = _l_from(g2, gb2)
         c1, _ = _char_and_adjugate(l1)
         c2, _ = _char_and_adjugate(l2)
         conv1 = _matrix_poly(c2, l1)
         cross = _matrix_poly(c1, l2)
-        conv2 = sign * cross
         bar1 = (1.0 / c2[..., 0])[..., None, None] * conv1
         bar2 = (sign / c1[..., 0])[..., None, None] * cross
-        return x1, x2, conv1, conv2, bar1, bar2
-
-    def assemble(xs: Array, use_companion: bool) -> Array:
-        x1, x2, conv1, conv2, bar1, bar2 = blocks(xs)
-        if use_companion:
-            b1 = p1.gbar.eval(x1)
-            b2 = p2.gbar.eval(x2)
-            m1 = np.swapaxes(bar1, -1, -2) @ b1
-            m2 = np.swapaxes(bar2, -1, -2) @ b2
-        else:
-            b1 = p1.g.eval(x1)
-            b2 = p2.g.eval(x2)
-            m1 = np.swapaxes(conv1, -1, -2) @ b1
-            m2 = np.swapaxes(conv2, -1, -2) @ b2
-        out = np.zeros(np.asarray(xs, dtype=float).shape[:-1] + (n, n))
-        out[..., :r, :r] = 0.5 * (m1 + np.swapaxes(m1, -1, -2))
-        out[..., r:, r:] = 0.5 * (m2 + np.swapaxes(m2, -1, -2))
-        return out
+        g = np.zeros(xs.shape[:-1] + (n, n))
+        gbar = np.zeros_like(g)
+        g[..., :r, :r], g[..., r:, r:] = _converted(conv1, g1), _converted(sign * cross, g2)
+        gbar[..., :r, :r], gbar[..., r:, r:] = _converted(bar1, gb1), _converted(bar2, gb2)
+        return g, gbar
 
     tag = f"glue({p1.provenance}, {p2.provenance})"
-    pair = MetricPair(
-        g=MetricField(chart=chart, eval=lambda xs: assemble(xs, False), provenance=tag),
-        gbar=MetricField(chart=chart, eval=lambda xs: assemble(xs, True),
-                         provenance=tag + "/companion"),
-        provenance=tag,
-    )
-    return EquivTriple(pair=pair, eigen_range=(lo1, hi2))
+    g, gbar = _twin_fields(chart, joint, tag)
+    return EquivTriple(pair=MetricPair(g=g, gbar=gbar, provenance=tag), eigen_range=(lo1, hi2))
 
 
 def oplus(triples: list[EquivTriple]) -> EquivTriple:

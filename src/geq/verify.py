@@ -193,11 +193,9 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     count = pts.shape[0]
     if count < 1 or n_vectors < 1:
         raise ValueError("at least one sample point and one velocity per point are required")
-    n = pair.dim
-    vecs = rng.normal(size=(count, n_vectors, n))
-    xs = np.broadcast_to(pts[:, None, :], (count, n_vectors, n))
-    mu, _ = _l_eigen_many(pair, pts)
-    roots = integral_roots_many(pair, xs, vecs)
+    vecs = rng.normal(size=(count, n_vectors, pair.dim))
+    mu, _ = _l_eigen_many(pair, pts, vectors=False)
+    roots = integral_roots_many(pair, pts[:, None, :], vecs)
     lo = mu[:, None, :-1]
     hi = mu[:, None, 1:]
     excess = np.maximum(lo - roots - epsilon, roots - hi - epsilon)

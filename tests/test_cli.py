@@ -232,8 +232,34 @@ def test_empty_interlacing_scan_is_a_named_error(runner):
     result = runner.invoke(main, ["check-interlacing", "--family", "lc_nd",
                                   "--points", "0"])
     assert result.exit_code == 1
-    assert "ValueError: at least one sample point" in result.stderr
+    assert "SchemaError: checks.interlacing.points: must be at least 1" in result.stderr
     assert "zero-size" not in result.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["check-equivalence", "--threshold", "-1"],
+     "checks.equivalence.threshold: must be positive"),
+    (["check-interlacing", "--epsilon", "nan"],
+     "checks.interlacing.epsilon: must be positive and finite"),
+    (["roundtrip", "--points", "0"], "checks.roundtrip.points: must be at least 1"),
+], ids=["negative-threshold", "nan-epsilon", "zero-roundtrip-points"])
+def test_flag_overrides_go_through_the_schema(runner, args, message):
+    result = runner.invoke(main, args + ["--family", "lc_nd"])
+    assert result.exit_code == 1
+    assert f"SchemaError: {message}" in result.stderr
+    assert result.stdout == ""  # no report, so no bare NaN in it
+    assert "zero-size" not in result.stderr
+
+
+def test_non_finite_config_numbers_are_schema_errors():
+    with pytest.raises(SchemaError, match="exclude_radius: must be finite"):
+        validate_config(minimal_config(
+            checks={"normal_form": {"exclude_radius": float("nan")}}))
+    with pytest.raises(SchemaError, match=r"profiles\[0\]\[0\]: must be finite"):
+        validate_config(minimal_config(
+            family={"lc": {"profiles": [[float("inf")]]}}))
+    with pytest.raises(SchemaError, match="epsilon: must be finite"):
+        validate_config(minimal_config(checks={"interlacing": {"epsilon": 10**400}}))
 
 
 def test_config_flags_override(runner, tmp_path):
@@ -255,6 +281,17 @@ def test_build_emits_grid_values(runner):
     assert report["data"]["dim"] == 2
     assert len(report["data"]["points"]) == 4
     assert len(report["data"]["g"]) == 4
+
+
+@pytest.mark.parametrize("args", [
+    ["build", "--family", "lc_nd", "--grid", "0"],
+    ["glue", "--levels", "1,2", "--grid", "0"],
+], ids=["build", "glue"])
+def test_empty_grid_is_a_schema_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "SchemaError: grid: must be at least 1" in result.stderr
+    assert result.stdout == ""
 
 
 def test_split_and_glue_commands(runner):

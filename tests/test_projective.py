@@ -266,6 +266,19 @@ class TestIntegralRoots:
             rs = integral_roots(pair, PhasePoint(xs[i], vs[i]))
             assert batch[i] == pytest.approx(list(rs.roots), abs=1e-11)
 
+    def test_points_broadcast_against_their_velocities(self):
+        pair = variable_pair()
+        rng = np.random.default_rng(9)
+        pts = pair.chart.sample(rng, 12)
+        vs = rng.normal(size=(12, 5, 2))
+        full = np.broadcast_to(pts[:, None, :], vs.shape)
+        roots = integral_roots_many(pair, pts[:, None, :], vs)
+        assert roots.shape == (12, 5, 1)
+        assert np.array_equal(roots, integral_roots_many(pair, full, vs))
+        for got, expected in zip(frame_weights(pair, pts[:, None, :], vs),
+                                 frame_weights(pair, full, vs)):
+            assert np.array_equal(got, expected)
+
     def test_zero_velocity_is_a_bracket_failure(self):
         pair = pair_with_constant_l(np.array([1.0, 2.0, 4.0]))
         with pytest.raises(BracketFailure, match="velocity is zero"):

@@ -191,6 +191,67 @@ def test_split_then_glue_roundtrip(r):
     assert glued.pair.gbar.eval(xs) == pytest.approx(pair.gbar.eval(xs), abs=1e-12)
 
 
+def counted(pair):
+    """The pair with evaluation counters on both metrics."""
+    counts = {"g": 0, "gbar": 0}
+
+    def wrap(field, key):
+        def eval_fn(xs):
+            counts[key] += 1
+            return field.eval(xs)
+        return MetricField(chart=field.chart, eval=eval_fn, partials=field.partials)
+
+    return MetricPair(g=wrap(pair.g, "g"), gbar=wrap(pair.gbar, "gbar")), counts
+
+
+def test_each_point_batch_evaluates_the_base_pair_once():
+    pair, counts = counted(lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)))
+    res = split_pair(pair, 1)
+    assert counts == {"g": 1, "gbar": 1}  # the gap scan
+    f1, f2 = split_factors(res)
+    assert counts == {"g": 3, "gbar": 3}  # one per leaf grid
+    glued = glue_pair(f1, f2).pair
+    xs = pair.chart.sample(np.random.default_rng(2), 50)
+    glued.g.eval(xs)
+    glued.gbar.eval(xs)
+    assert counts == {"g": 5, "gbar": 5}  # one per leaf at xs
+
+
+def split_fields(pair):
+    res = split_pair(pair, 1)
+    return res.h, res.hbar
+
+
+def glued_fields(pair):
+    glued = glue_pair(*split_factors(split_pair(pair, 1))).pair
+    return glued.g, glued.gbar
+
+
+READ_ORDERS = {
+    "companion-first": [(1, "a"), (0, "a")],
+    "base-twice": [(0, "a"), (0, "a"), (1, "a")],
+    "interleaved": [(0, "a"), (0, "b"), (1, "a"), (1, "b")],
+    "mutated-points": [(0, "a"), "mutate", (1, "a"), (0, "a")],
+}
+
+
+@pytest.mark.parametrize("build", [split_fields, glued_fields], ids=["split", "glue"])
+@pytest.mark.parametrize("reads", READ_ORDERS.values(), ids=READ_ORDERS.keys())
+def test_twin_fields_never_serve_a_stale_matrix(build, reads):
+    # Each read must equal the same read on freshly built fields.
+    pair = lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4))
+    rng = np.random.default_rng(5)
+    points = {"a": pair.chart.sample(rng, 20), "b": pair.chart.sample(rng, 20)}
+    fields = build(pair)
+    for read in reads:
+        if read == "mutate":
+            points["a"][3] += 0.01  # in place, after the read that filled the slot
+            continue
+        which, name = read
+        got = fields[which].eval(points[name])
+        assert np.array_equal(got, build(pair)[which].eval(points[name].copy()))
+
+
 def test_oplus_is_associative():
     a = lc_triple((1.0,))
     b = lc_triple((2.0,))
