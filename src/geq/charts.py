@@ -214,11 +214,6 @@ class Trajectory:
     stepper_stats: StepperStats
 
     @property
-    def samples(self) -> list[tuple[float, PhasePoint]]:
-        return [(float(t), PhasePoint(x, v))
-                for t, x, v in zip(self.times, self.points, self.velocities)]
-
-    @property
     def end(self) -> PhasePoint:
         return PhasePoint(self.points[-1], self.velocities[-1])
 
@@ -257,14 +252,12 @@ def integrate_geodesics(
     starts_v: Array,
     T: float,
     tol: float,
-    fixed_steps: Optional[int] = None,
 ) -> list[Trajectory]:
     """Integrate a batch of geodesics of ``field`` up to time ``T``.
 
     Adaptive embedded Runge-Kutta 5(4) with per-trajectory step control and
-    first-same-as-last stage reuse; ``fixed_steps`` switches to a uniform
-    step count for bitwise reproducibility studies.  Trajectories that reach
-    the chart boundary are truncated and flagged.
+    first-same-as-last stage reuse.  Trajectories that reach the chart
+    boundary are truncated and flagged.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-13, 1e-3]")
@@ -281,9 +274,6 @@ def integrate_geodesics(
     if not np.all(np.isfinite(starts_v)) or np.any(np.all(starts_v == 0.0, axis=1)):
         raise ValueError("trajectory start velocities must be finite and nonzero")
 
-    if fixed_steps is not None:
-        return _integrate_fixed(field, starts_x, starts_v, T, tol, fixed_steps)
-
     y = np.concatenate([starts_x, starts_v], axis=1)
     t = np.zeros(B)
     dt = np.full(B, min(0.05, T / 4.0))
@@ -291,9 +281,8 @@ def integrate_geodesics(
     left = np.zeros(B, dtype=bool)
     accepted = np.zeros(B, dtype=int)
     rejected = np.zeros(B, dtype=int)
-    times: list[list[float]] = [[0.0] for _ in range(B)]
-    xs: list[list[Array]] = [[starts_x[b].copy()] for b in range(B)]
-    vs: list[list[Array]] = [[starts_v[b].copy()] for b in range(B)]
+    # Kept samples, one (owner, t, state) block per step.
+    owners, ts, ys = [np.arange(B)], [t.copy()], [y.copy()]
 
     k1 = _geodesic_rhs(field, y)
     total_steps = 0
@@ -318,87 +307,42 @@ def integrate_geodesics(
         factor = np.where(err > 0, 0.9 * err ** -0.2, 5.0)
         factor = np.clip(np.where(np.isfinite(factor), factor, 0.2), 0.2, 5.0)
 
-        for local, b in enumerate(idx):
-            if ok[local]:
-                accepted[b] += 1
-                t[b] += dta[local]
-                y[b] = y5[local]
-                k1[b] = k[6, local]
-                if field.chart.contains(y[b, :n]):
-                    times[b].append(t[b])
-                    xs[b].append(y[b, :n].copy())
-                    vs[b].append(y[b, n:].copy())
-                    if t[b] >= T - 1e-14:
-                        active[b] = False
-                else:
-                    left[b] = True
-                    active[b] = False
-            else:
-                rejected[b] += 1
-            dt[b] = dta[local] * factor[local]
-            if active[b] and dt[b] < 1e-14 * max(T, 1.0):
-                raise StepFailure(f"step size underflow in trajectory {b}")
+        stepped = idx[ok]
+        accepted[stepped] += 1
+        rejected[idx[~ok]] += 1
+        t[stepped] += dta[ok]
+        y[stepped] = y5[ok]
+        k1[stepped] = k[6, ok]
+        inside = field.chart.contains(y[stepped, :n])
+        kept, out = stepped[inside], stepped[~inside]
+        owners.append(kept)
+        ts.append(t[kept])
+        ys.append(y[kept])
+        active[kept[t[kept] >= T - 1e-14]] = False
+        left[out] = True
+        active[out] = False
+        dt[idx] = dta * factor
+        small = idx[active[idx] & (dt[idx] < 1e-14 * max(T, 1.0))]
+        if small.size:
+            raise StepFailure(f"step size underflow in trajectory {small[0]}")
 
+    # A stable sort keeps each trajectory's samples in step order.
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    cuts = np.cumsum(np.bincount(owner, minlength=B))[:-1]
+    states = np.concatenate(ys)
     return [
         Trajectory(
-            times=np.array(times[b]),
-            points=np.array(xs[b]),
-            velocities=np.array(vs[b]),
+            times=times,
+            points=points,
+            velocities=velocities,
             left_chart=bool(left[b]),
             stepper_stats=StepperStats(int(accepted[b]), int(rejected[b]), tol),
         )
-        for b in range(B)
-    ]
-
-
-def _integrate_fixed(
-    field: MetricField,
-    starts_x: Array,
-    starts_v: Array,
-    T: float,
-    tol: float,
-    steps: int,
-) -> list[Trajectory]:
-    if steps < 1:
-        raise ValueError("fixed_steps must be >= 1")
-    n = field.chart.dim
-    B = starts_x.shape[0]
-    y = np.concatenate([starts_x, starts_v], axis=1)
-    dt = T / steps
-    active = np.ones(B, dtype=bool)
-    left = np.zeros(B, dtype=bool)
-    times = [[0.0] for _ in range(B)]
-    xs = [[starts_x[b].copy()] for b in range(B)]
-    vs = [[starts_v[b].copy()] for b in range(B)]
-    for step in range(1, steps + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        ya = y[idx]
-        k = np.empty((7, len(idx), 2 * n))
-        k[0] = _geodesic_rhs(field, ya)
-        for s in range(1, 7):
-            incr = np.tensordot(_DP_A[s], k[:s], axes=(0, 0))
-            k[s] = _geodesic_rhs(field, ya + dt * incr)
-        y5 = ya + dt * np.tensordot(_DP_B5, k, axes=(0, 0))
-        for local, b in enumerate(idx):
-            y[b] = y5[local]
-            if field.chart.contains(y[b, :n]):
-                times[b].append(step * dt)
-                xs[b].append(y[b, :n].copy())
-                vs[b].append(y[b, n:].copy())
-            else:
-                left[b] = True
-                active[b] = False
-    return [
-        Trajectory(
-            times=np.array(times[b]),
-            points=np.array(xs[b]),
-            velocities=np.array(vs[b]),
-            left_chart=bool(left[b]),
-            stepper_stats=StepperStats(len(times[b]) - 1, 0, tol),
-        )
-        for b in range(B)
+        for b, (times, points, velocities) in enumerate(zip(
+            np.split(np.concatenate(ts)[order], cuts),
+            np.split(states[order, :n], cuts),
+            np.split(states[order, n:], cuts)))
     ]
 
 
@@ -407,12 +351,10 @@ def integrate_geodesic(
     start: PhasePoint,
     T: float,
     tol: float,
-    fixed_steps: Optional[int] = None,
 ) -> Trajectory:
     """Single-trajectory convenience wrapper around
     :func:`integrate_geodesics`."""
-    return integrate_geodesics(field, start.x[None, :], start.v[None, :], T, tol,
-                               fixed_steps=fixed_steps)[0]
+    return integrate_geodesics(field, start.x[None, :], start.v[None, :], T, tol)[0]
 
 
 @dataclasses.dataclass(frozen=True)

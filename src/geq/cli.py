@@ -103,6 +103,19 @@ def _expect_number_list(value, path: str, length: int | None = None) -> list[flo
     return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _flag_numbers(text: str, path: str) -> list[float]:
+    """A comma-separated number list from a flag; each entry ``path[i]``
+    must be a finite number, as in a config file."""
+    values = []
+    for i, item in enumerate(v.strip() for v in text.split(",") if v.strip()):
+        try:
+            value = float(item)
+        except ValueError:
+            _fail(f"{path}[{i}]", f"expected a number, got {item!r}")
+        values.append(_expect_number(value, f"{path}[{i}]"))
+    return values
+
+
 def _validate_sphere_factor(raw, path: str) -> dict:
     factor = _expect_mapping(raw, path)
     allowed = {"dim", "diag", "pole"}
@@ -511,6 +524,7 @@ def _single_check_command(ctx, command, check_name, family, config, seed, tol,
             params = dict(CHECK_DEFAULTS[check_name])
         params.update({k: v for k, v in overrides.items() if v is not None})
         params = _validate_checks({check_name: params})[check_name]
+        tol = _expect_number(tol, "tol", positive=True)
         pair, label = build_family(family_spec)
         begin = time.perf_counter()
         passed, metrics, csv_rows = _run_one_check(check_name, pair,
@@ -672,7 +686,7 @@ def split_cmd(ctx, family, config, block, seed, out, fmt) -> None:
 def glue_cmd(ctx, levels, grid, seed, out, fmt) -> None:
     """Glue constant one-dimensional factors into a product pair."""
     try:
-        values = [float(v) for v in levels.split(",") if v.strip()]
+        values = _flag_numbers(levels, "levels")
         if len(values) < 2:
             raise ValueError("need at least two comma-separated levels")
         if grid < 1:
@@ -742,9 +756,12 @@ def beltrami_cmd(ctx, dim, diag, circles, planarity_threshold, seed, tol, out,
     """Build a sphere pair and probe great-circle planarity before and
     after the ambient map."""
     try:
+        if circles < 1:
+            _fail("circles", "must be at least 1")
+        planarity_threshold = _expect_number(planarity_threshold, "planarity-threshold",
+                                             positive=True)
         if diag is not None:
-            values = [float(v) for v in diag.split(",") if v.strip()]
-            a_map = LinearMap.diagonal(values)
+            a_map = LinearMap.diagonal(_flag_numbers(diag, "diag"))
             if a_map.ambient_dim != dim + 1:
                 raise ValueError(f"--diag needs {dim + 1} entries for dim {dim}")
         else:
@@ -787,13 +804,13 @@ def product_cmd(ctx, factors, seed, out, fmt) -> None:
     """Assemble a product of spheres and report its eigenvalue layout."""
     try:
         parsed = []
-        for chunk in factors.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+        for i, chunk in enumerate(c.strip() for c in factors.split(";") if c.strip()):
             dim_text, _, diag_text = chunk.partition(":")
-            dim = int(dim_text)
-            diag_values = [float(v) for v in diag_text.split(",") if v.strip()]
+            try:
+                dim = int(dim_text)
+            except ValueError:
+                _fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
+            diag_values = _flag_numbers(diag_text, f"factors[{i}].diag")
             a_map = LinearMap.diagonal(diag_values) if diag_values else None
             parsed.append((dim, a_map))
         if not parsed:
@@ -834,7 +851,7 @@ def suite_cmd(ctx, config, seed, tol, out, fmt) -> None:
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=seed)
         if tol is not None:
-            cfg = dataclasses.replace(cfg, tol=tol)
+            cfg = dataclasses.replace(cfg, tol=_expect_number(tol, "tol", positive=True))
         if out is not None:
             cfg = dataclasses.replace(cfg, out=out)
     except (ParseError, SchemaError, GeqError) as exc:

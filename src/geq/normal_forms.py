@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Optional
 
 import numpy as np
@@ -137,12 +138,10 @@ class ModelFormParams:
 # Separable block-diagonal model
 
 
-def _profile_tables(data: LeviCivitaData, xs: Array) -> tuple[Array, Array]:
+def _profile_values(lambdas: tuple[ScalarFunction1D, ...], xs: Array) -> Array:
+    """``out[..., i]`` is ``lambdas[i]`` at coordinate ``i`` of ``xs``."""
     xs = np.asarray(xs, dtype=float)
-    vals = np.stack([lam(xs[..., i]) for i, lam in enumerate(data.lambdas)], axis=-1)
-    ders = np.stack([lam.derivative()(xs[..., i])
-                     for i, lam in enumerate(data.lambdas)], axis=-1)
-    return vals, ders
+    return np.stack([lam(xs[..., i]) for i, lam in enumerate(lambdas)], axis=-1)
 
 
 def _pi_factors(vals: Array) -> Array:
@@ -170,17 +169,23 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     n = data.chart.dim
     idx = np.arange(n)
 
+    @functools.cache
+    def slopes() -> tuple[ScalarFunction1D, ...]:
+        # Built on the first partials call, not with the pair: callers that
+        # only evaluate the metrics never need them.
+        return tuple(lam.derivative() for lam in data.lambdas)
+
     def diag_embed(d: Array) -> Array:
         out = np.zeros(d.shape[:-1] + (n, n))
         out[..., idx, idx] = d
         return out
 
     def g_eval(xs: Array) -> Array:
-        vals, _ = _profile_tables(data, xs)
+        vals = _profile_values(data.lambdas, xs)
         return diag_embed(_pi_factors(vals))
 
     def gbar_eval(xs: Array) -> Array:
-        vals, _ = _profile_tables(data, xs)
+        vals = _profile_values(data.lambdas, xs)
         rho = 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
         return diag_embed(rho * _pi_factors(vals))
 
@@ -198,7 +203,8 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         return out
 
     def g_partials(xs: Array) -> Array:
-        vals, ders = _profile_tables(data, xs)
+        vals = _profile_values(data.lambdas, xs)
+        ders = _profile_values(slopes(), xs)
         pi = _pi_factors(vals)
         grad = _log_pi_grad(vals, ders)
         d = np.zeros(vals.shape[:-1] + (n, n, n))
@@ -206,7 +212,8 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         return d
 
     def gbar_partials(xs: Array) -> Array:
-        vals, ders = _profile_tables(data, xs)
+        vals = _profile_values(data.lambdas, xs)
+        ders = _profile_values(slopes(), xs)
         pi = _pi_factors(vals)
         rho = 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
         grad = _log_pi_grad(vals, ders)

@@ -242,13 +242,46 @@ def test_empty_interlacing_scan_is_a_named_error(runner):
     (["check-interlacing", "--epsilon", "nan"],
      "checks.interlacing.epsilon: must be positive and finite"),
     (["roundtrip", "--points", "0"], "checks.roundtrip.points: must be at least 1"),
-], ids=["negative-threshold", "nan-epsilon", "zero-roundtrip-points"])
-def test_flag_overrides_go_through_the_schema(runner, args, message):
-    result = runner.invoke(main, args + ["--family", "lc_nd"])
+    (["suite", "--tol", "nan"], "tol: must be positive and finite"),
+    (["suite", "--tol", "-1"], "tol: must be positive and finite"),
+    (["check-interlacing", "--tol", "nan"], "tol: must be positive and finite"),
+    (["check-equivalence", "--tol", "-1"], "tol: must be positive and finite"),
+    (["check-conservation", "--tol", "inf"], "tol: must be positive and finite"),
+    (["roundtrip", "--tol", "nan"], "tol: must be positive and finite"),
+], ids=["negative-threshold", "nan-epsilon", "zero-roundtrip-points", "suite-nan-tol",
+        "suite-negative-tol", "interlacing-nan-tol", "equivalence-negative-tol",
+        "conservation-inf-tol", "roundtrip-nan-tol"])
+def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
+    # An interlacing-only config: no check of it reads tol.
+    config = write_config(tmp_path, minimal_config(checks={
+        "interlacing": {"points": 2, "vectors": 2}}))
+    result = runner.invoke(main, args + ["--config", config])
     assert result.exit_code == 1
     assert f"SchemaError: {message}" in result.stderr
     assert result.stdout == ""  # no report, so no bare NaN in it
     assert "zero-size" not in result.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["glue", "--levels", "2,nan"], "levels[1]: must be finite"),
+    (["glue", "--levels", "2,inf"], "levels[1]: must be finite"),
+    (["beltrami", "--diag", "1,nan,3"], "diag[1]: must be finite"),
+    (["product", "--factors", "1:;x:"], "factors[1].dim: expected an integer, got 'x'"),
+    (["product", "--factors", "1:1,nan"], "factors[0].diag[1]: must be finite"),
+    (["beltrami", "--circles", "0"], "circles: must be at least 1"),
+    (["beltrami", "--circles", "-1"], "circles: must be at least 1"),
+    (["beltrami", "--planarity-threshold", "nan"],
+     "planarity-threshold: must be positive and finite"),
+    (["beltrami", "--planarity-threshold", "-1"],
+     "planarity-threshold: must be positive and finite"),
+], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
+        "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
+        "beltrami-nan-threshold", "beltrami-negative-threshold"])
+def test_command_flags_are_schema_errors(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert f"SchemaError: {message}" in result.stderr
+    assert result.stdout == ""
 
 
 def test_non_finite_config_numbers_are_schema_errors():
