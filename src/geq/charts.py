@@ -25,6 +25,8 @@ Array = np.ndarray
 
 # Relative finite-difference step (scaled by the per-axis box width).
 FD_STEP = 1e-5
+# The integrator tolerances accepted by the library and by config/flag schemas.
+TOL_RANGE = (1e-13, 1e-3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,43 +124,59 @@ def metric_at(field: MetricField, x: Array) -> Array:
     return m
 
 
+def _stencil(x: Array, h: Array) -> Array:
+    """The points ``x + h_k e_k`` and ``x - h_k e_k`` for every axis ``k``,
+    stacked in that order on a new leading axis of length ``2 dim``."""
+    n = h.shape[0]
+    steps = np.stack([np.diag(h), -np.diag(h)], axis=1)
+    return x + steps.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,))
+
+
+def _central(values: Array, h: Array) -> Array:
+    """Central difference quotients ``(f(x + h_k e_k) - f(x - h_k e_k)) / 2 h_k``
+    from the values at a :func:`_stencil`, with the axis ``k`` leading."""
+    scale = (2.0 * h).reshape((-1,) + (1,) * (values.ndim - 1))
+    return (values[0::2] - values[1::2]) / scale
+
+
+def _eval_with_fd_partials(field: MetricField, x: Array, step: float = FD_STEP
+                           ) -> tuple[Array, Array]:
+    """The metric and its central differences from one ``field.eval`` call
+    on the centre and the full- and half-step stencils, stacked."""
+    h = step * field.chart.widths
+    m = field.eval(np.concatenate([x[None], _stencil(x, h), _stencil(x, 0.5 * h)]))
+    n = field.chart.dim
+    d_full = _central(m[1:2 * n + 1], h)
+    d_half = _central(m[2 * n + 1:], 0.5 * h)
+    mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
+    d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
+    return m[0], np.moveaxis(d, 0, -3)
+
+
 def fd_partials(field: MetricField, x: Array, step: float = FD_STEP) -> Array:
-    """Central finite differences of the metric, batched.
+    """Central finite differences of the metric, batched, from one
+    ``field.eval`` call per batch.
 
     Returns ``(..., dim, dim, dim)`` with axis ``-3`` indexing the
     differentiation direction.  Each derivative is cross-checked against a
     half-step estimate; where the two disagree by more than ``1e-4``
     relative, the Richardson-extrapolated combination is used instead.
     """
-    x = np.asarray(x, dtype=float)
-    n = field.chart.dim
-    h = step * field.chart.widths
-    out = np.empty(x.shape[:-1] + (n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h[k]
-        d_full = (field.eval(x + e) - field.eval(x - e)) / (2.0 * h[k])
-        d_half = (field.eval(x + 0.5 * e) - field.eval(x - 0.5 * e)) / h[k]
-        mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
-        d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
-        out[..., k, :, :] = d
-    return out
-
-
-def metric_partials(field: MetricField, x: Array) -> Array:
-    """Analytic partials when available, central differences otherwise."""
-    if field.partials is not None:
-        return field.partials(np.asarray(x, dtype=float))
-    return fd_partials(field, x)
+    return _eval_with_fd_partials(field, np.asarray(x, dtype=float), step)[1]
 
 
 def christoffel(field: MetricField, x: Array) -> Array:
     """Batched Christoffel symbols ``Gamma^k_ij`` of shape
-    ``(..., dim, dim, dim)`` with the upper index first."""
+    ``(..., dim, dim, dim)`` with the upper index first.
+
+    A field without analytic partials is evaluated once per batch, on the
+    point batch and its finite-difference stencil together."""
     x = np.asarray(x, dtype=float)
     n = field.chart.dim
-    g = field.eval(x)
-    dg = metric_partials(field, x)
+    if field.partials is None:
+        g, dg = _eval_with_fd_partials(field, x)
+    else:
+        g, dg = field.eval(x), field.partials(x)
     # T_{l i j} = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     t = (np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))
          + np.moveaxis(dg, (-3, -2, -1), (-1, -2, -3))
@@ -259,8 +277,8 @@ def integrate_geodesics(
     first-same-as-last stage reuse.  Trajectories that reach the chart
     boundary are truncated and flagged.
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValueError("tol must lie in [1e-13, 1e-3]")
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"the duration T must be positive and finite, got {T}")
     starts_x = np.atleast_2d(np.asarray(starts_x, dtype=float))
@@ -380,12 +398,7 @@ class ChartMap:
         if self.jacobian is not None:
             return self.jacobian(y)
         h = FD_STEP * self.source.widths
-        cols = []
-        for k in range(self.source.dim):
-            e = np.zeros(self.source.dim)
-            e[k] = h[k]
-            cols.append((self.forward(y + e) - self.forward(y - e)) / (2.0 * h[k]))
-        return np.stack(cols, axis=-1)
+        return np.moveaxis(_central(self.forward(_stencil(y, h)), h), 0, -1)
 
     def inverted(self) -> "ChartMap":
         if self.inverse is None or self.inverse_source is None:

@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .charts import Chart
+from .charts import TOL_RANGE, Chart
 from .constructions import (LinearMap, beltrami_pair, circle_planarity,
                             sphere_chart, spheres_product)
 from .errors import GeqError, ParseError, SchemaError
@@ -93,6 +93,13 @@ def _expect_number(value, path: str, positive: bool = False) -> float:
     if not -sys.float_info.max <= value <= sys.float_info.max:
         _fail(path, "must be finite")
     return float(value)
+
+
+def _expect_tol(value) -> float:
+    tol = _expect_number(value, "tol", positive=True)
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        _fail("tol", f"must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+    return tol
 
 
 def _expect_number_list(value, path: str, length: int | None = None) -> list[float]:
@@ -222,7 +229,7 @@ def validate_config(data) -> SuiteConfig:
     if "family" not in top:
         _fail("family", "missing required field")
     family = _validate_family(top["family"])
-    tol = _expect_number(top.get("tol", DEFAULT_TOL), "tol", positive=True)
+    tol = _expect_tol(top.get("tol", DEFAULT_TOL))
     out = top.get("out")
     if out is not None and not isinstance(out, str):
         _fail("out", "expected a path string")
@@ -524,7 +531,7 @@ def _single_check_command(ctx, command, check_name, family, config, seed, tol,
             params = dict(CHECK_DEFAULTS[check_name])
         params.update({k: v for k, v in overrides.items() if v is not None})
         params = _validate_checks({check_name: params})[check_name]
-        tol = _expect_number(tol, "tol", positive=True)
+        tol = _expect_tol(tol)
         pair, label = build_family(family_spec)
         begin = time.perf_counter()
         passed, metrics, csv_rows = _run_one_check(check_name, pair,
@@ -760,6 +767,7 @@ def beltrami_cmd(ctx, dim, diag, circles, planarity_threshold, seed, tol, out,
             _fail("circles", "must be at least 1")
         planarity_threshold = _expect_number(planarity_threshold, "planarity-threshold",
                                              positive=True)
+        tol = _expect_tol(tol)
         if diag is not None:
             a_map = LinearMap.diagonal(_flag_numbers(diag, "diag"))
             if a_map.ambient_dim != dim + 1:
@@ -851,7 +859,7 @@ def suite_cmd(ctx, config, seed, tol, out, fmt) -> None:
         if seed is not None:
             cfg = dataclasses.replace(cfg, seed=seed)
         if tol is not None:
-            cfg = dataclasses.replace(cfg, tol=_expect_number(tol, "tol", positive=True))
+            cfg = dataclasses.replace(cfg, tol=_expect_tol(tol))
         if out is not None:
             cfg = dataclasses.replace(cfg, out=out)
     except (ParseError, SchemaError, GeqError) as exc:

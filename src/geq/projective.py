@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import FD_STEP, MetricField, PhasePoint, metric_at
+from .charts import FD_STEP, MetricField, PhasePoint, _central, _stencil, metric_at
 from .errors import (
     BracketFailure,
     DimensionMismatch,
@@ -299,15 +299,8 @@ def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
 def _l_partials(pair: MetricPair, x: Array) -> Array:
     """Central differences of the ``L`` field: ``(..., k, i, j)`` holds
     the derivative of ``L^i_j`` along coordinate ``k``."""
-    x = np.asarray(x, dtype=float)
-    n = pair.dim
     h = FD_STEP * pair.chart.widths
-    out = np.empty(x.shape[:-1] + (n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h[k]
-        out[..., k, :, :] = (_l_many(pair, x + e) - _l_many(pair, x - e)) / (2.0 * h[k])
-    return out
+    return np.moveaxis(_central(_l_many(pair, _stencil(x, h)), h), 0, -3)
 
 
 def nijenhuis_at(pair: MetricPair, x: Array) -> Array:

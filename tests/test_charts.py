@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 
 from geq.charts import (
+    FD_STEP,
     Chart,
     ChartMap,
     MetricField,
     PhasePoint,
+    christoffel,
     christoffel_at,
     compose_maps,
     fd_partials,
@@ -100,6 +102,49 @@ class TestMetricAt:
             metric_at(bad, np.zeros(2))
 
 
+def coupled_field() -> MetricField:
+    """A 3-D metric with off-diagonal coupling, unequal box widths and a kink
+    in ``g_22`` along ``x_2 = 0.1``; evaluated entry by entry, so a stacked
+    batch gives the same bits as separate calls."""
+    chart = Chart(3, ((-1.0, 1.0), (-2.0, 3.0), (-0.5, 0.5)))
+
+    def eval_fn(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (3, 3))
+        g[..., 0, 0] = 2.0 + np.sin(x[..., 0]) * x[..., 1] ** 2 / 10.0
+        g[..., 1, 1] = 3.0 + np.exp(0.2 * x[..., 0] * x[..., 2])
+        g[..., 2, 2] = 4.0 + np.abs(x[..., 2] - 0.1)
+        g[..., 0, 1] = g[..., 1, 0] = 0.3 * x[..., 0] * x[..., 2]
+        g[..., 1, 2] = g[..., 2, 1] = 0.2 * np.cos(x[..., 1])
+        return g
+
+    return MetricField(chart=chart, eval=eval_fn, provenance="coupled")
+
+
+def reference_fd_partials(field: MetricField, x: np.ndarray) -> np.ndarray:
+    """One axis at a time: full- and half-step central differences, with
+    the Richardson combination where they disagree."""
+    n = field.chart.dim
+    h = FD_STEP * field.chart.widths
+    out = np.empty(x.shape[:-1] + (n, n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h[k]
+        d_full = (field.eval(x + e) - field.eval(x - e)) / (2.0 * h[k])
+        d_half = (field.eval(x + 0.5 * e) - field.eval(x - 0.5 * e)) / h[k]
+        mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
+        out[..., k, :, :] = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
+    return out
+
+
+def points_across_the_kink(field: MetricField, shape: tuple, seed: int) -> np.ndarray:
+    """Interior points of :func:`coupled_field`, the first one close enough
+    to the kink that its full-step stencil straddles it."""
+    pts = field.chart.sample(np.random.default_rng(seed), int(np.prod(shape)), shrink=0.8)
+    pts[0, 2] = 0.1 + 0.75 * FD_STEP * field.chart.widths[2]
+    return pts.reshape(shape + (3,))
+
+
 class TestPartialsAndChristoffel:
     def test_fd_matches_analytic(self):
         chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
@@ -123,6 +168,46 @@ class TestPartialsAndChristoffel:
         fd = fd_partials(field, pts)
         exact = partials_fn(pts)
         assert np.max(np.abs(fd - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 4)])
+    def test_fd_matches_a_per_axis_loop(self, shape):
+        field = coupled_field()
+        pts = points_across_the_kink(field, shape, seed=6)
+        got = fd_partials(field, pts)
+        assert got.shape == shape + (3, 3, 3)
+        assert np.array_equal(got, reference_fd_partials(field, pts))
+
+    def test_richardson_fallback_at_a_kink(self):
+        field = coupled_field()
+        h = FD_STEP * field.chart.widths[2]
+        # The full-step stencil straddles the kink, the half-step one does not.
+        x = np.array([[0.3, 0.4, 0.1 + 0.75 * h], [0.3, 0.4, 0.3]])
+        e = np.array([0.0, 0.0, h])
+        d_full = (field.eval(x + e) - field.eval(x - e))[:, 2, 2] / (2.0 * h)
+        d_half = (field.eval(x + 0.5 * e) - field.eval(x - 0.5 * e))[:, 2, 2] / h
+        got = fd_partials(field, x)[:, 2, 2, 2]
+        assert got[0] == (4.0 * d_half[0] - d_full[0]) / 3.0
+        assert got[0] == pytest.approx(13.0 / 12.0)
+        assert got[1] == d_half[1]
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3)])
+    def test_christoffel_evaluates_once_per_batch(self, shape):
+        base = coupled_field()
+        seen = []
+
+        def counted(x):
+            seen.append(np.shape(x))
+            return base.eval(x)
+
+        field = MetricField(chart=base.chart, eval=counted)
+        pts = points_across_the_kink(base, shape, seed=8)
+        gamma = christoffel(field, pts)
+        assert seen == [(13,) + shape + (3,)]
+        # The same symbols from separate evaluations of the metric and its
+        # per-axis differences, handed in as analytic partials.
+        separate = MetricField(chart=base.chart, eval=base.eval,
+                               partials=lambda x: reference_fd_partials(base, x))
+        assert np.array_equal(gamma, christoffel(separate, pts))
 
     def test_flat_christoffel_zero(self):
         got = christoffel_at(flat_field(), np.array([0.1, 0.2]))
@@ -276,6 +361,27 @@ class TestPushforward:
         pts = fd_map.source.sample(np.random.default_rng(5), 20)
         expected = np.exp(2 * pts[:, 0])[:, None, None] * np.eye(2)
         assert np.allclose(pushed.eval(pts), expected, atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
+    def test_finite_difference_jacobian_is_one_stacked_call(self, shape):
+        analytic = polar_map()
+        seen = []
+
+        def counted(y):
+            seen.append(np.shape(y))
+            return analytic.forward(y)
+
+        fd_map = ChartMap(source=analytic.source, forward=counted)
+        pts = fd_map.source.sample(np.random.default_rng(9), int(np.prod(shape)))
+        pts = pts.reshape(shape + (2,))
+        got = fd_map.jacobian_at(pts)
+        assert seen == [(4,) + shape + (2,)]
+        h = FD_STEP * fd_map.source.widths
+        for k in range(2):
+            e = np.zeros(2)
+            e[k] = h[k]
+            column = (analytic.forward(pts + e) - analytic.forward(pts - e)) / (2.0 * h[k])
+            assert np.array_equal(got[..., k], column)
 
     def test_functoriality(self):
         flat = Chart(2, ((-3.0, 3.0), (-3.0, 3.0)))

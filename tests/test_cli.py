@@ -248,9 +248,13 @@ def test_empty_interlacing_scan_is_a_named_error(runner):
     (["check-equivalence", "--tol", "-1"], "tol: must be positive and finite"),
     (["check-conservation", "--tol", "inf"], "tol: must be positive and finite"),
     (["roundtrip", "--tol", "nan"], "tol: must be positive and finite"),
+    (["check-interlacing", "--tol", "0.5"], "tol: must lie in [1e-13, 0.001]"),
+    (["check-equivalence", "--tol", "0.5"], "tol: must lie in [1e-13, 0.001]"),
+    (["suite", "--tol", "1e-14"], "tol: must lie in [1e-13, 0.001]"),
 ], ids=["negative-threshold", "nan-epsilon", "zero-roundtrip-points", "suite-nan-tol",
         "suite-negative-tol", "interlacing-nan-tol", "equivalence-negative-tol",
-        "conservation-inf-tol", "roundtrip-nan-tol"])
+        "conservation-inf-tol", "roundtrip-nan-tol", "interlacing-coarse-tol",
+        "equivalence-coarse-tol", "suite-fine-tol"])
 def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     # An interlacing-only config: no check of it reads tol.
     config = write_config(tmp_path, minimal_config(checks={
@@ -274,13 +278,25 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
      "planarity-threshold: must be positive and finite"),
     (["beltrami", "--planarity-threshold", "-1"],
      "planarity-threshold: must be positive and finite"),
+    (["beltrami", "--tol", "0.5"], "tol: must lie in [1e-13, 0.001]"),
 ], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
         "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
-        "beltrami-nan-threshold", "beltrami-negative-threshold"])
+        "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol"])
 def test_command_flags_are_schema_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert f"SchemaError: {message}" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check-interlacing", "suite"])
+def test_config_tol_outside_the_integrator_range_is_a_schema_error(runner, tmp_path,
+                                                                    command):
+    config = write_config(tmp_path, minimal_config(tol=0.5, checks={
+        "interlacing": {"points": 2, "vectors": 2}}))
+    result = runner.invoke(main, [command, "--config", config])
+    assert result.exit_code == 1
+    assert "SchemaError: tol: must lie in [1e-13, 0.001]" in result.stderr
     assert result.stdout == ""
 
 
