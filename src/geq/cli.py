@@ -9,12 +9,13 @@ separate sidecar file so the main report stays byte-stable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from typing import Any
+from typing import Any, NamedTuple
 
 import click
 import numpy as np
@@ -22,8 +23,8 @@ import yaml
 
 from . import __version__
 from .charts import TOL_RANGE, Chart
-from .constructions import (LinearMap, beltrami_pair, circle_planarity,
-                            sphere_chart, spheres_product)
+from .constructions import (LinearMap, SphereChart, beltrami_pair,
+                            circle_planarity, sphere_chart, spheres_product)
 from .errors import GeqError, ParseError, SchemaError
 from .normal_forms import (FormKind, LeviCivitaData, ScalarFunction1D,
                            levi_civita_pair, model_eigenvalues)
@@ -79,9 +80,11 @@ def _expect_mapping(value, path: str) -> dict:
     return value
 
 
-def _expect_int(value, path: str) -> int:
+def _expect_int(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer")
+    if minimum is not None and value < minimum:
+        _fail(path, f"must be at least {minimum}")
     return value
 
 
@@ -124,21 +127,20 @@ def _flag_numbers(text: str, path: str) -> list[float]:
 
 
 def _validate_sphere_factor(raw, path: str) -> dict:
+    """One sphere factor ``{dim, diag?, pole?}``; ``path`` is its dotted
+    prefix in error messages, empty when the fields are top-level flags."""
     factor = _expect_mapping(raw, path)
-    allowed = {"dim", "diag", "pole"}
+    at = f"{path}." if path else ""
     for key in factor:
-        if key not in allowed:
-            _fail(f"{path}.{key}", "unknown field")
+        if key not in ("dim", "diag", "pole"):
+            _fail(f"{at}{key}", "unknown field")
     if "dim" not in factor:
-        _fail(f"{path}.dim", "missing required field")
-    dim = _expect_int(factor["dim"], f"{path}.dim")
-    if dim < 1:
-        _fail(f"{path}.dim", "must be at least 1")
+        _fail(f"{at}dim", "missing required field")
+    dim = _expect_int(factor["dim"], f"{at}dim", 1)
     out: dict[str, Any] = {"dim": dim}
-    if "diag" in factor:
-        out["diag"] = _expect_number_list(factor["diag"], f"{path}.diag", dim + 1)
-    if "pole" in factor:
-        out["pole"] = _expect_number_list(factor["pole"], f"{path}.pole", dim + 1)
+    for key in ("diag", "pole"):
+        if key in factor:
+            out[key] = _expect_number_list(factor[key], f"{at}{key}", dim + 1)
     return out
 
 
@@ -201,9 +203,7 @@ def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
             if key not in merged:
                 _fail(f"{path}.{name}.{key}", "unknown field")
             if key in ("trajectories", "points", "vectors", "block"):
-                merged[key] = _expect_int(value, f"{path}.{name}.{key}")
-                if merged[key] < 1:
-                    _fail(f"{path}.{name}.{key}", "must be at least 1")
+                merged[key] = _expect_int(value, f"{path}.{name}.{key}", 1)
             elif key == "exclude_radius":
                 merged[key] = _expect_number(value, f"{path}.{name}.{key}")
             else:
@@ -225,7 +225,7 @@ def validate_config(data) -> SuiteConfig:
         _fail("schema_version", f"unsupported version {version}; expected {SCHEMA_VERSION}")
     if "seed" not in top:
         _fail("seed", "missing required field")
-    seed = _expect_int(top["seed"], "seed")
+    seed = _expect_int(top["seed"], "seed", 0)
     if "family" not in top:
         _fail("family", "missing required field")
     family = _validate_family(top["family"])
@@ -264,28 +264,39 @@ def _lc_data_from_recipe(body: dict) -> LeviCivitaData:
                           chart=Chart(len(lams), (interval,) * len(lams)))
 
 
-def _sphere_factor_parts(body: dict):
+def _sphere_factor(body: dict) -> tuple[int, LinearMap, SphereChart]:
+    """(dim, ambient map, chart) of a validated sphere factor; the map
+    defaults to the identity and the pole to the last axis."""
     dim = body["dim"]
-    a_map = LinearMap.diagonal(body["diag"]) if "diag" in body else None
-    sphere = None
-    if "pole" in body:
-        sphere = sphere_chart(dim, pole=np.asarray(body["pole"], dtype=float))
-    return dim, a_map, sphere
+    a_map = (LinearMap.diagonal(body["diag"]) if "diag" in body
+             else LinearMap.identity(dim + 1))
+    pole = np.asarray(body["pole"], dtype=float) if "pole" in body else None
+    return dim, a_map, sphere_chart(dim, pole=pole)
 
 
-def build_family(family) -> tuple[MetricPair, str]:
-    """Build the configured family; returns the pair and a short label."""
+def build_family(family) -> MetricPair:
+    """Build the configured family (a registry name or a validated recipe)."""
     if isinstance(family, str):
-        return standard_pair(family), family
+        return standard_pair(family)
     kind, body = next(iter(family.items()))
     if kind == "lc":
-        return levi_civita_pair(_lc_data_from_recipe(body)), f"lc({len(body['profiles'])}d)"
+        return levi_civita_pair(_lc_data_from_recipe(body))
     if kind == "beltrami":
-        dim, a_map, sphere = _sphere_factor_parts(body)
-        return beltrami_pair(dim, a_map, sphere).pair, f"beltrami({dim}d)"
-    factors = [_sphere_factor_parts(f) for f in body["factors"]]
-    dims = "x".join(str(f[0]) for f in factors)
-    return spheres_product(factors).pair, f"product({dims})"
+        return beltrami_pair(*_sphere_factor(body)).pair
+    return spheres_product([_sphere_factor(f) for f in body["factors"]]).pair
+
+
+def family_label(family) -> str:
+    """Short report label: the registry name, or the recipe kind with its
+    dimensions (``lc(3d)``, ``beltrami(2d)``, ``product(1x2)``)."""
+    if isinstance(family, str):
+        return family
+    kind, body = next(iter(family.items()))
+    if kind == "lc":
+        return f"lc({len(body['profiles'])}d)"
+    if kind == "beltrami":
+        return f"beltrami({body['dim']}d)"
+    return f"product({'x'.join(str(f['dim']) for f in body['factors'])})"
 
 
 def _form_spec_for(family):
@@ -388,28 +399,15 @@ def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
     by the caller even when a check fails or a build error interrupts the
     run (partial report, exit code 1).
     """
-    canonical = config.canonical()
-    config_hash = hashlib.sha256(
-        json.dumps(canonical, sort_keys=True).encode("utf-8")).hexdigest()
     checks: list[dict] = []
     csv_rows: list = []
     timings: dict[str, float] = {}
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config_hash": config_hash,
-        "checks": checks,
-        "provenance": {
-            "package": "artifact",
-            "version": __version__,
-            "command": "suite",
-            "family": _family_label(config.family),
-            "seed": config.seed,
-        },
-    }
+    report = _report("suite", family_label(config.family), config.seed,
+                     config.canonical(), checks)
     exit_code = 0
     try:
         begin = time.perf_counter()
-        pair, _ = build_family(config.family)
+        pair = build_family(config.family)
         timings["build"] = time.perf_counter() - begin
         for name, params in config.checks.items():
             begin = time.perf_counter()
@@ -426,28 +424,15 @@ def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
     return report, csv_rows, timings, exit_code
 
 
-def _family_label(family) -> str:
-    if isinstance(family, str):
-        return family
-    kind, body = next(iter(family.items()))
-    if kind == "product":
-        return f"product({'x'.join(str(f['dim']) for f in body['factors'])})"
-    return f"{kind}"
-
-
 # --- Report output ---------------------------------------------------------
 
 
 CSV_HEADER = "index,t_value_or_integral_id,start_value,end_value,rel_drift"
 
 
-def _render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def _write_outputs(out_dir: str | None, stem: str, report: dict,
                    timings: dict[str, float], fmt: str, csv_rows: list) -> None:
-    text = _render_json(report)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_dir is None:
         click.echo(text, nl=False)
         return
@@ -466,10 +451,12 @@ def _write_outputs(out_dir: str | None, stem: str, report: dict,
                                                  encoding="utf-8")
 
 
-def _single_check_report(command: str, family_label: str, seed: int,
-                         arg_fingerprint: dict, checks: list[dict]) -> dict:
+def _report(command: str, label: str, seed: int, fingerprint: dict,
+            checks: list[dict]) -> dict:
+    """The report skeleton; ``config_hash`` is the SHA-256 of the
+    key-sorted JSON of ``fingerprint``."""
     config_hash = hashlib.sha256(
-        json.dumps(arg_fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
+        json.dumps(fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
     return {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config_hash,
@@ -478,7 +465,7 @@ def _single_check_report(command: str, family_label: str, seed: int,
             "package": "artifact",
             "version": __version__,
             "command": command,
-            "family": family_label,
+            "family": label,
             "seed": seed,
         },
     }
@@ -493,14 +480,17 @@ def _echo_error(exc: Exception) -> None:
 
 _FAMILY_OPT = click.option("--family", default="lc_nd", show_default=True,
                            help="Registry family name (see `geq build --list`).")
-_SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
 _TOL_OPT = click.option("--tol", type=float, default=DEFAULT_TOL,
                         show_default=True, help="Integrator tolerance.")
-_OUT_OPT = click.option("--out", type=click.Path(file_okay=False), default=None,
-                        help="Report directory (default: print JSON to stdout).")
 _FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                            default="json", show_default=True,
                            help="csv additionally writes per-trajectory drift rows.")
+_COMMON_OPTS = (
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--out", type=click.Path(file_okay=False), default=None,
+                 help="Report directory (default: print JSON to stdout)."),
+    _FORMAT_OPT,
+)
 
 
 @click.group()
@@ -510,7 +500,53 @@ def main() -> None:
     their properties numerically."""
 
 
-def _resolve_family(ctx, family: str, config: str | None):
+class _Run(NamedTuple):
+    """What a command body hands to the runner."""
+
+    label: str
+    seed: int
+    fingerprint: dict  # hashed into the report's config_hash
+    checks: list[dict]
+    out: str | None
+    timings: dict[str, float] = {}
+    csv_rows: list = []
+    data: dict | None = None
+
+
+def _command(name: str):
+    """Register a command whose body returns a :class:`_Run`.
+
+    The runner adds ``--seed`` (at least 0), ``--out`` and ``--format``,
+    and owns what every command but ``suite`` shares: an error prints
+    ``error: <Type>: <msg>`` and exits 1 with stdout empty; otherwise the
+    report is written and the exit code is 0, or 2 when a check failed.
+    """
+
+    def register(body):
+        def callback(ctx, seed, fmt, **kwargs):
+            try:
+                run = body(seed=_expect_int(seed, "seed", 0), **kwargs)
+                report = _report(name, run.label, run.seed, run.fingerprint,
+                                 run.checks)
+                if run.data is not None:
+                    report["data"] = run.data
+                _write_outputs(run.out, name.replace("-", "_"), report,
+                               run.timings, fmt, run.csv_rows)
+            except (GeqError, ValueError, OSError) as exc:
+                _echo_error(exc)
+                ctx.exit(1)
+            ctx.exit(0 if all(check["pass"] for check in run.checks) else 2)
+
+        command = main.command(name)(
+            click.pass_context(functools.update_wrapper(callback, body)))
+        for option in _COMMON_OPTS:  # appended after the body's own options
+            option(command)
+        return command
+
+    return register
+
+
+def _resolve_family(family: str, config: str | None):
     """Family and defaults from --config when given, else the flag."""
     if config is None:
         return _validate_family(family), None
@@ -518,39 +554,59 @@ def _resolve_family(ctx, family: str, config: str | None):
     return cfg.family, cfg
 
 
-def _single_check_command(ctx, command, check_name, family, config, seed, tol,
-                          out, fmt, overrides):
-    try:
-        family_spec, cfg = _resolve_family(ctx, family, config)
+def _check_command(name: str, command: str, help_text: str):
+    """A command that runs the check ``name`` alone. Each parameter of the
+    check in ``CHECK_DEFAULTS`` is a flag, typed like its default."""
+
+    def body(family, config, seed, tol, out, **overrides):
+        family, cfg = _resolve_family(family, config)
+        params = dict(CHECK_DEFAULTS[name])
         if cfg is not None:
-            seed = seed if ctx.get_parameter_source("seed").name != "DEFAULT" else cfg.seed
-            tol = tol if ctx.get_parameter_source("tol").name != "DEFAULT" else cfg.tol
+            source = click.get_current_context().get_parameter_source
+            seed = seed if source("seed").name != "DEFAULT" else cfg.seed
+            tol = tol if source("tol").name != "DEFAULT" else cfg.tol
             out = out or cfg.out
-            params = dict(cfg.checks.get(check_name, CHECK_DEFAULTS[check_name]))
-        else:
-            params = dict(CHECK_DEFAULTS[check_name])
+            params = dict(cfg.checks.get(name, params))
         params.update({k: v for k, v in overrides.items() if v is not None})
-        params = _validate_checks({check_name: params})[check_name]
+        params = _validate_checks({name: params})[name]
         tol = _expect_tol(tol)
-        pair, label = build_family(family_spec)
+        pair = build_family(family)
         begin = time.perf_counter()
-        passed, metrics, csv_rows = _run_one_check(check_name, pair,
-                                                   family_spec, params, seed, tol)
-        timings = {check_name: time.perf_counter() - begin}
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    fingerprint = {"command": command, "family": _family_label(family_spec),
-                   "seed": seed, "tol": tol, "params": params}
-    report = _single_check_report(command, _family_label(family_spec), seed,
-                                  fingerprint,
-                                  [{"name": check_name, "pass": passed,
-                                    "metrics": metrics}])
-    _write_outputs(out, command.replace("-", "_"), report, timings, fmt, csv_rows)
-    ctx.exit(0 if passed else 2)
+        passed, metrics, csv_rows = _run_one_check(name, pair, family, params,
+                                                   seed, tol)
+        timings = {name: time.perf_counter() - begin}
+        label = family_label(family)
+        fingerprint = {"command": command, "family": label, "seed": seed,
+                       "tol": tol, "params": params}
+        return _Run(label, seed, fingerprint,
+                    [{"name": name, "pass": passed, "metrics": metrics}],
+                    out, timings, csv_rows)
+
+    body.__doc__ = help_text
+    body = _TOL_OPT(body)
+    for key, default in reversed(CHECK_DEFAULTS[name].items()):
+        body = click.option(f"--{key}", type=type(default), default=None,
+                            help=f"[default: {default}]")(body)
+    body = _FAMILY_OPT(click.option(
+        "--config", type=click.Path(), default=None,
+        help="Defaults from a config file (flags override).")(body))
+    return _command(command)(body)
 
 
-@main.command("build")
+_check_command("equivalence", "check-equivalence",
+               "Unparametrized-geodesic test: the companion residual must "
+               "stay parallel to the velocity.")
+_check_command("conservation", "check-conservation",
+               "Drift of the polynomial integral family, its roots, and (2D) "
+               "the quadratic integral.")
+_check_command("interlacing", "check-interlacing",
+               "Eigenvalue bracketing of the integral roots over random phase "
+               "samples.")
+_check_command("roundtrip", "roundtrip",
+               "Split a pair and glue the factors back; report the worst error.")
+
+
+@_command("build")
 @_FAMILY_OPT
 @click.option("--config", type=click.Path(), default=None,
               help="Take the family from a config file instead.")
@@ -558,193 +614,83 @@ def _single_check_command(ctx, command, check_name, family, config, seed, tol,
               help="Grid points per axis.")
 @click.option("--list", "list_families", is_flag=True,
               help="List registry family names and exit.")
-@_SEED_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def build_cmd(ctx, family, config, grid, list_families, seed, out, fmt) -> None:
+def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
     """Emit both metric matrices of a family on a chart grid."""
     if list_families:
-        for name in STANDARD_FAMILIES:
-            click.echo(name)
-        ctx.exit(0)
-    try:
-        if grid < 1:
-            _fail("grid", "must be at least 1")
-        family_spec, _ = _resolve_family(ctx, family, config)
-        pair, label = build_family(family_spec)
-        xs = pair.chart.grid(grid)
-        data = {
-            "dim": pair.dim,
-            "box": [list(interval) for interval in pair.chart.box],
-            "points": xs.tolist(),
-            "g": pair.g.eval(xs).tolist(),
-            "gbar": pair.gbar.eval(xs).tolist(),
-        }
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    fingerprint = {"command": "build", "family": label, "grid": grid}
-    report = _single_check_report("build", label, seed, fingerprint, [])
-    report["data"] = data
-    _write_outputs(out, "build", report, {}, fmt, [])
-    ctx.exit(0)
+        click.echo("\n".join(STANDARD_FAMILIES))
+        click.get_current_context().exit(0)
+    grid = _expect_int(grid, "grid", 1)
+    family, _ = _resolve_family(family, config)
+    pair = build_family(family)
+    xs = pair.chart.grid(grid)
+    data = {
+        "dim": pair.dim,
+        "box": [list(interval) for interval in pair.chart.box],
+        "points": xs.tolist(),
+        "g": pair.g.eval(xs).tolist(),
+        "gbar": pair.gbar.eval(xs).tolist(),
+    }
+    label = family_label(family)
+    return _Run(label, seed, {"command": "build", "family": label, "grid": grid},
+                [], out, data=data)
 
 
-def _check_command(name: str, command: str, extra_options: list):
-    """Factory for the three check-* commands."""
-
-    def callback(ctx, family, config, seed, tol, out, fmt, **overrides):
-        _single_check_command(ctx, command, name, family, config, seed, tol,
-                              out, fmt, overrides)
-
-    callback.__name__ = command.replace("-", "_")
-    wrapped = click.pass_context(callback)
-    for option in reversed(extra_options):
-        wrapped = option(wrapped)
-    wrapped = _FORMAT_OPT(_OUT_OPT(_TOL_OPT(_SEED_OPT(
-        click.option("--config", type=click.Path(), default=None,
-                     help="Defaults from a config file (flags override).")(
-            _FAMILY_OPT(wrapped))))))
-    return main.command(command)(wrapped)
-
-
-check_equivalence_cmd = _check_command("equivalence", "check-equivalence", [
-    click.option("--trajectories", type=int, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['equivalence']['trajectories']}]"),
-    click.option("--duration", type=float, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['equivalence']['duration']}]"),
-    click.option("--threshold", type=float, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['equivalence']['threshold']}]"),
-])
-check_equivalence_cmd.help = ("Unparametrized-geodesic test: the companion "
-                              "residual must stay parallel to the velocity.")
-
-check_conservation_cmd = _check_command("conservation", "check-conservation", [
-    click.option("--trajectories", type=int, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['conservation']['trajectories']}]"),
-    click.option("--duration", type=float, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['conservation']['duration']}]"),
-    click.option("--threshold", type=float, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['conservation']['threshold']}]"),
-])
-check_conservation_cmd.help = ("Drift of the polynomial integral family, its "
-                               "roots, and (2D) the quadratic integral.")
-
-check_interlacing_cmd = _check_command("interlacing", "check-interlacing", [
-    click.option("--points", type=int, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['interlacing']['points']}]"),
-    click.option("--vectors", type=int, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['interlacing']['vectors']}]"),
-    click.option("--epsilon", type=float, default=None,
-                 help=f"[default: {CHECK_DEFAULTS['interlacing']['epsilon']}]"),
-])
-check_interlacing_cmd.help = ("Eigenvalue bracketing of the integral roots "
-                              "over random phase samples.")
-
-
-@main.command("split")
+@_command("split")
 @_FAMILY_OPT
 @click.option("--config", type=click.Path(), default=None)
 @click.option("--block", type=int, default=1, show_default=True,
               help="Size of the leading eigenvalue block.")
-@_SEED_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def split_cmd(ctx, family, config, block, seed, out, fmt) -> None:
+def split_cmd(family, config, block, seed, out) -> _Run:
     """Split a pair along an eigenvalue gap into block-diagonal factors."""
-    try:
-        family_spec, _ = _resolve_family(ctx, family, config)
-        pair, label = build_family(family_spec)
-        result = split_pair(pair, block)
-        rng = np.random.default_rng(seed)
-        xs = pair.chart.sample(rng, 200)
-        h = result.h.eval(xs)
-        hbar = result.hbar.eval(xs)
-        r = result.r
-        off = max(float(np.max(np.abs(h[:, :r, r:]))),
-                  float(np.max(np.abs(hbar[:, :r, r:]))))
-        factor1, factor2 = split_factors(result)
-        metrics = {
-            "block": r,
-            "index_split": [list(result.index_split[0]), list(result.index_split[1])],
-            "max_off_block": off,
-            "factor_ranges": [list(factor1.eigen_range), list(factor2.eigen_range)],
-        }
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    fingerprint = {"command": "split", "family": label, "block": block, "seed": seed}
-    report = _single_check_report("split", label, seed, fingerprint,
-                                  [{"name": "split", "pass": True, "metrics": metrics}])
-    _write_outputs(out, "split", report, {}, fmt, [])
-    ctx.exit(0)
+    block = _expect_int(block, "block", 1)
+    family, _ = _resolve_family(family, config)
+    pair = build_family(family)
+    result = split_pair(pair, block)
+    xs = pair.chart.sample(np.random.default_rng(seed), 200)
+    h = result.h.eval(xs)
+    hbar = result.hbar.eval(xs)
+    r = result.r
+    off = max(float(np.max(np.abs(h[:, :r, r:]))),
+              float(np.max(np.abs(hbar[:, :r, r:]))))
+    factor1, factor2 = split_factors(result)
+    metrics = {
+        "block": r,
+        "index_split": [list(result.index_split[0]), list(result.index_split[1])],
+        "max_off_block": off,
+        "factor_ranges": [list(factor1.eigen_range), list(factor2.eigen_range)],
+    }
+    label = family_label(family)
+    return _Run(label, seed,
+                {"command": "split", "family": label, "block": block, "seed": seed},
+                [{"name": "split", "pass": True, "metrics": metrics}], out)
 
 
-@main.command("glue")
+@_command("glue")
 @click.option("--levels", default="2,3", show_default=True,
               help="Comma-separated constant eigenvalues, one 1D factor each.")
 @click.option("--grid", type=int, default=3, show_default=True)
-@_SEED_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def glue_cmd(ctx, levels, grid, seed, out, fmt) -> None:
+def glue_cmd(levels, grid, seed, out) -> _Run:
     """Glue constant one-dimensional factors into a product pair."""
-    try:
-        values = _flag_numbers(levels, "levels")
-        if len(values) < 2:
-            raise ValueError("need at least two comma-separated levels")
-        if grid < 1:
-            _fail("grid", "must be at least 1")
-        triples = []
-        for value in values:
-            lam = ScalarFunction1D((value,), (-0.5, 0.5))
-            data = LeviCivitaData(lambdas=(lam,), chart=Chart(1, ((-0.5, 0.5),)))
-            triples.append(make_triple(levi_civita_pair(data)))
-        glued = oplus(triples)
-        xs = glued.pair.chart.grid(grid)
-        metrics = {
-            "dim": glued.pair.dim,
-            "eigen_range": list(glued.eigen_range),
-            "g_center": glued.pair.g.eval(glued.pair.chart.center).tolist(),
-            "gbar_center": glued.pair.gbar.eval(glued.pair.chart.center).tolist(),
-            "points": int(xs.shape[0]),
-        }
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    fingerprint = {"command": "glue", "levels": values, "grid": grid}
-    report = _single_check_report("glue", f"glue({levels})", seed, fingerprint,
-                                  [{"name": "glue", "pass": True, "metrics": metrics}])
-    _write_outputs(out, "glue", report, {}, fmt, [])
-    ctx.exit(0)
+    values = _flag_numbers(levels, "levels")
+    if len(values) < 2:
+        raise ValueError("need at least two comma-separated levels")
+    grid = _expect_int(grid, "grid", 1)
+    glued = oplus([make_triple(levi_civita_pair(_lc_data_from_recipe(
+        {"profiles": [[value]], "interval": [-0.5, 0.5]}))) for value in values])
+    xs = glued.pair.chart.grid(grid)
+    metrics = {
+        "dim": glued.pair.dim,
+        "eigen_range": list(glued.eigen_range),
+        "g_center": glued.pair.g.eval(glued.pair.chart.center).tolist(),
+        "gbar_center": glued.pair.gbar.eval(glued.pair.chart.center).tolist(),
+        "points": int(xs.shape[0]),
+    }
+    return _Run(f"glue({levels})", seed,
+                {"command": "glue", "levels": values, "grid": grid},
+                [{"name": "glue", "pass": True, "metrics": metrics}], out)
 
 
-@main.command("roundtrip")
-@_FAMILY_OPT
-@click.option("--config", type=click.Path(), default=None)
-@click.option("--block", type=int, default=None,
-              help=f"[default: {CHECK_DEFAULTS['roundtrip']['block']}]")
-@click.option("--points", type=int, default=None,
-              help=f"[default: {CHECK_DEFAULTS['roundtrip']['points']}]")
-@click.option("--threshold", type=float, default=None,
-              help=f"[default: {CHECK_DEFAULTS['roundtrip']['threshold']}]")
-@_SEED_OPT
-@_TOL_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def roundtrip_cmd(ctx, family, config, block, points, threshold, seed, tol,
-                  out, fmt) -> None:
-    """Split a pair and glue the factors back; report the worst error."""
-    _single_check_command(ctx, "roundtrip", "roundtrip", family, config, seed,
-                          tol, out, fmt,
-                          {"block": block, "points": points, "threshold": threshold})
-
-
-@main.command("beltrami")
+@_command("beltrami")
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--diag", default=None,
               help="Comma-separated diagonal of the ambient map "
@@ -753,95 +699,67 @@ def roundtrip_cmd(ctx, family, config, block, points, threshold, seed, tol,
               help="Geodesics for the planarity probe.")
 @click.option("--planarity-threshold", type=float, default=1e-9,
               show_default=True)
-@_SEED_OPT
 @_TOL_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def beltrami_cmd(ctx, dim, diag, circles, planarity_threshold, seed, tol, out,
-                 fmt) -> None:
+def beltrami_cmd(dim, diag, circles, planarity_threshold, seed, tol, out) -> _Run:
     """Build a sphere pair and probe great-circle planarity before and
     after the ambient map."""
-    try:
-        if circles < 1:
-            _fail("circles", "must be at least 1")
-        planarity_threshold = _expect_number(planarity_threshold, "planarity-threshold",
-                                             positive=True)
-        tol = _expect_tol(tol)
-        if diag is not None:
-            a_map = LinearMap.diagonal(_flag_numbers(diag, "diag"))
-            if a_map.ambient_dim != dim + 1:
-                raise ValueError(f"--diag needs {dim + 1} entries for dim {dim}")
-        else:
-            a_map = LinearMap.identity(dim + 1)
-        sphere = sphere_chart(dim)
-        triple = beltrami_pair(dim, a_map, sphere)
-        before, after = circle_planarity(sphere, a_map, circles, seed, tol=tol)
-        passed = before < planarity_threshold and after < planarity_threshold
-        metrics = {
-            "dim": dim,
-            "eigen_range": list(triple.eigen_range),
-            "circles": circles,
-            "planarity_before": before,
-            "planarity_after": after,
-            "threshold": planarity_threshold,
-            "integrator_tol": tol,
-        }
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    label = f"beltrami({dim}d)"
+    circles = _expect_int(circles, "circles", 1)
+    planarity_threshold = _expect_number(planarity_threshold, "planarity-threshold",
+                                         positive=True)
+    tol = _expect_tol(tol)
+    recipe = {"dim": dim}
+    if diag is not None:
+        recipe["diag"] = _flag_numbers(diag, "diag")
+    recipe = _validate_sphere_factor(recipe, "")
+    dim, a_map, sphere = _sphere_factor(recipe)
+    triple = beltrami_pair(dim, a_map, sphere)
+    before, after = circle_planarity(sphere, a_map, circles, seed, tol=tol)
+    passed = before < planarity_threshold and after < planarity_threshold
+    metrics = {
+        "dim": dim,
+        "eigen_range": list(triple.eigen_range),
+        "circles": circles,
+        "planarity_before": before,
+        "planarity_after": after,
+        "threshold": planarity_threshold,
+        "integrator_tol": tol,
+    }
     fingerprint = {"command": "beltrami", "dim": dim, "diag": diag,
                    "circles": circles, "seed": seed, "tol": tol}
-    report = _single_check_report("beltrami", label, seed, fingerprint,
-                                  [{"name": "planarity", "pass": passed,
-                                    "metrics": metrics}])
-    _write_outputs(out, "beltrami", report, {}, fmt, [])
-    ctx.exit(0 if passed else 2)
+    return _Run(family_label({"beltrami": recipe}), seed, fingerprint,
+                [{"name": "planarity", "pass": passed, "metrics": metrics}], out)
 
 
-@main.command("product")
+@_command("product")
 @click.option("--factors", default="1:;2:1,2,3", show_default=True,
               help="Semicolon-separated factors, each 'dim:diag' with an "
                    "optional comma-separated diagonal.")
-@_SEED_OPT
-@_OUT_OPT
-@_FORMAT_OPT
-@click.pass_context
-def product_cmd(ctx, factors, seed, out, fmt) -> None:
+def product_cmd(factors, seed, out) -> _Run:
     """Assemble a product of spheres and report its eigenvalue layout."""
-    try:
-        parsed = []
-        for i, chunk in enumerate(c.strip() for c in factors.split(";") if c.strip()):
-            dim_text, _, diag_text = chunk.partition(":")
-            try:
-                dim = int(dim_text)
-            except ValueError:
-                _fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
-            diag_values = _flag_numbers(diag_text, f"factors[{i}].diag")
-            a_map = LinearMap.diagonal(diag_values) if diag_values else None
-            parsed.append((dim, a_map))
-        if not parsed:
-            raise ValueError("no factors given")
-        triple = spheres_product(parsed)
-        rng = np.random.default_rng(seed)
-        xs = triple.pair.chart.sample(rng, 100)
-        metrics = {
-            "dim": triple.pair.dim,
-            "eigen_range": list(triple.eigen_range),
-            "max_multiplicity": max_eigen_multiplicity(triple.pair, xs),
-            "factors": [dim for dim, _ in parsed],
-        }
-    except (GeqError, ValueError, OSError) as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    label = f"product({'x'.join(str(d) for d, _ in parsed)})"
-    fingerprint = {"command": "product", "factors": factors, "seed": seed}
-    report = _single_check_report("product", label, seed, fingerprint,
-                                  [{"name": "product", "pass": True,
-                                    "metrics": metrics}])
-    _write_outputs(out, "product", report, {}, fmt, [])
-    ctx.exit(0)
+    recipe = []
+    for i, chunk in enumerate(c.strip() for c in factors.split(";") if c.strip()):
+        dim_text, _, diag_text = chunk.partition(":")
+        try:
+            factor = {"dim": int(dim_text)}
+        except ValueError:
+            _fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
+        diag = _flag_numbers(diag_text, f"factors[{i}].diag")
+        if diag:
+            factor["diag"] = diag
+        recipe.append(_validate_sphere_factor(factor, f"factors[{i}]"))
+    if not recipe:
+        raise ValueError("no factors given")
+    triple = spheres_product([_sphere_factor(f) for f in recipe])
+    xs = triple.pair.chart.sample(np.random.default_rng(seed), 100)
+    metrics = {
+        "dim": triple.pair.dim,
+        "eigen_range": list(triple.eigen_range),
+        "max_multiplicity": max_eigen_multiplicity(triple.pair, xs),
+        "factors": [f["dim"] for f in recipe],
+    }
+    return _Run(family_label({"product": {"factors": recipe}}), seed,
+                {"command": "product", "factors": factors, "seed": seed},
+                [{"name": "product", "pass": True, "metrics": metrics}], out)
 
 
 @main.command("suite")
@@ -857,12 +775,12 @@ def suite_cmd(ctx, config, seed, tol, out, fmt) -> None:
     try:
         cfg = load_config(config)
         if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
+            cfg = dataclasses.replace(cfg, seed=_expect_int(seed, "seed", 0))
         if tol is not None:
             cfg = dataclasses.replace(cfg, tol=_expect_tol(tol))
         if out is not None:
             cfg = dataclasses.replace(cfg, out=out)
-    except (ParseError, SchemaError, GeqError) as exc:
+    except GeqError as exc:
         _echo_error(exc)
         ctx.exit(1)
     report, csv_rows, timings, exit_code = run_suite(cfg)

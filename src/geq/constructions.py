@@ -266,7 +266,8 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     the normalized linear self-map.
 
     Returns the largest third singular value of the centered point matrix
-    over all circles, for the original points and for their images.
+    over all circles, for the original points and for their images; 0.0
+    on a circle (ambient R^2), where every curve lies in one plane.
     """
     triple = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere)
     field = triple.pair.g
@@ -277,14 +278,17 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     norms = np.sqrt(np.einsum("bi,bij,bj->b", vels, g0, vels))
     vels = vels / norms[:, None]
     trajectories = integrate_geodesics(field, starts, vels, duration, tol)
+
+    def off_plane(points: Array) -> float:
+        sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        return float(np.max(sv[2:], initial=0.0))
+
     worst_before = 0.0
     worst_after = 0.0
     for traj in trajectories:
         points = sphere.embed(traj.points)
-        centered = points - points.mean(axis=0)
-        worst_before = max(worst_before, float(np.linalg.svd(centered, compute_uv=False)[2]))
+        worst_before = max(worst_before, off_plane(points))
         mapped = a_map.apply(points)
-        mapped = mapped / np.linalg.norm(mapped, axis=-1, keepdims=True)
-        centered = mapped - mapped.mean(axis=0)
-        worst_after = max(worst_after, float(np.linalg.svd(centered, compute_uv=False)[2]))
+        worst_after = max(worst_after, off_plane(
+            mapped / np.linalg.norm(mapped, axis=-1, keepdims=True)))
     return worst_before, worst_after

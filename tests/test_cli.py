@@ -7,8 +7,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from geq.cli import (SCHEMA_VERSION, SuiteConfig, build_family, load_config,
-                     main, run_suite, validate_config)
+from geq.cli import (SCHEMA_VERSION, SuiteConfig, build_family, family_label,
+                     load_config, main, run_suite, validate_config)
 from geq.errors import ParseError, SchemaError
 
 
@@ -96,12 +96,15 @@ def test_parse_error_reports_position(tmp_path):
 
 
 def test_recipe_families_build():
-    pair, label = build_family({"lc": {"profiles": [[0.5, 0.2], [1.0, 0.3]],
-                                       "interval": [-0.5, 0.5]}})
+    def build(family):
+        return build_family(family), family_label(family)
+
+    pair, label = build({"lc": {"profiles": [[0.5, 0.2], [1.0, 0.3]],
+                                "interval": [-0.5, 0.5]}})
     assert pair.dim == 2 and label.startswith("lc")
-    pair, label = build_family({"beltrami": {"dim": 2, "diag": [1.0, 2.0, 3.0]}})
+    pair, label = build({"beltrami": {"dim": 2, "diag": [1.0, 2.0, 3.0]}})
     assert pair.dim == 2 and label.startswith("beltrami")
-    pair, label = build_family(
+    pair, label = build(
         {"product": {"factors": [{"dim": 1}, {"dim": 2, "diag": [1.0, 2.0, 3.0]}]}})
     assert pair.dim == 3 and label == "product(1x2)"
 
@@ -279,9 +282,17 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     (["beltrami", "--planarity-threshold", "-1"],
      "planarity-threshold: must be positive and finite"),
     (["beltrami", "--tol", "0.5"], "tol: must lie in [1e-13, 0.001]"),
+    (["product", "--factors", "-1:"], "factors[0].dim: must be at least 1"),
+    (["product", "--factors", "1:;0:"], "factors[1].dim: must be at least 1"),
+    (["beltrami", "--dim", "-2"], "dim: must be at least 1"),
+    (["beltrami", "--dim", "0"], "dim: must be at least 1"),
+    (["beltrami", "--diag", "1,2"], "diag: expected exactly 3 entries"),
+    (["split", "--block", "0"], "block: must be at least 1"),
 ], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
         "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
-        "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol"])
+        "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol",
+        "product-negative-dim", "product-zero-dim", "beltrami-negative-dim",
+        "beltrami-zero-dim", "beltrami-short-diag", "split-zero-block"])
 def test_command_flags_are_schema_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
@@ -298,6 +309,65 @@ def test_config_tol_outside_the_integrator_range_is_a_schema_error(runner, tmp_p
     assert result.exit_code == 1
     assert "SchemaError: tol: must lie in [1e-13, 0.001]" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_negative_seed_is_a_schema_error(runner, tmp_path, command):
+    # Parametrized over the command table, so a new command is covered too.
+    config = write_config(tmp_path, minimal_config(checks={
+        "interlacing": {"points": 2, "vectors": 2}}))
+    args = [command, "--seed", "-1"]
+    if command == "suite":
+        args += ["--config", config]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "SchemaError: seed: must be at least 0" in result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+def test_negative_config_seed_is_a_schema_error(runner, tmp_path):
+    with pytest.raises(SchemaError, match="seed: must be at least 0"):
+        validate_config(minimal_config(seed=-3))
+    result = runner.invoke(main, ["suite", "--config", write_config(
+        tmp_path, minimal_config(seed=-3))])
+    assert result.exit_code == 1
+    assert "SchemaError: seed: must be at least 0" in result.stderr
+    assert result.stdout == ""
+
+
+# The config_hash of each command at default flags: the fingerprint that
+# the hash covers is part of the report format.
+DEFAULT_CONFIG_HASHES = {
+    "build": "db598efd91a86d198a2a85a66e673929221ec3c5c0c516f9d87794f3346a1b11",
+    "split": "d8547390fbf51ccd864917157626d8fe55dca5a0f19ba095d11f2004913a82e3",
+    "glue": "5d50588fe93746c32146ef1c550c095d778cbcef3a05195ea1a4eaedb1f48b4c",
+    "beltrami": "7363e3f6b4cb457867926377689d032689cebda44fb40fd89391997165370987",
+    "product": "d124a98ad4da0a2df1cd75b7d99dd3a5c69518a4fae431deb9eeb92ef23d8e3a",
+    "check-equivalence":
+        "6ecf11b1677bdc173db9809a7e8a35c088f724e9b3b9d4777f225f0f46b05a96",
+    "check-conservation":
+        "6ec4f102cf5937a644d39d9ff4be3bf488dcfacebb50d07ef31af7c4549c636f",
+    "check-interlacing":
+        "594199dce438cddf9f3b49062f2ef280017ed69b5973b1f1b3bb5058123a8a5e",
+    "roundtrip": "02b491781f962b45b70d42ee7460745b2431f0dd9014d07623e9b001a08e0f52",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_CONFIG_HASHES))
+def test_default_flag_config_hashes_are_pinned(runner, command):
+    result = runner.invoke(main, [command])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["config_hash"] == DEFAULT_CONFIG_HASHES[command]
+    assert report["provenance"]["command"] == command
+
+
+def test_beltrami_on_a_circle(runner):
+    result = runner.invoke(main, ["beltrami", "--dim", "1", "--diag", "1,2"])
+    assert result.exit_code == 0, result.output
+    metrics = json.loads(result.stdout)["checks"][0]["metrics"]
+    assert metrics["planarity_before"] == metrics["planarity_after"] == 0.0
 
 
 def test_non_finite_config_numbers_are_schema_errors():

@@ -108,6 +108,12 @@ def test_great_circles_stay_planar_under_the_sphere_map():
     assert after < 1e-10
 
 
+def test_every_curve_on_a_circle_is_planar():
+    # Ambient R^2 has no third singular value: the probe reads 0.
+    assert circle_planarity(sphere_chart(1), LinearMap.diagonal([1.0, 2.0]),
+                            n_circles=3, seed=2) == (0.0, 0.0)
+
+
 def test_scale_triple_examples():
     t1 = lc_triple((2.0,))
     assert scale_triple(t1, 1.0) is t1
