@@ -28,7 +28,7 @@ from .constructions import (LinearMap, SphereChart, beltrami_pair,
 from .errors import GeqError, ParseError, SchemaError
 from .normal_forms import (FormKind, LeviCivitaData, ScalarFunction1D,
                            levi_civita_pair, model_eigenvalues)
-from .projective import MetricPair, _l_eigen_many, max_eigen_multiplicity
+from .projective import MetricPair, _l_values, max_eigen_multiplicity
 from .split_glue import glue_pair, make_triple, oplus, split_factors, split_pair
 from .verify import (STANDARD_FAMILIES, check_conservation, check_equivalence,
                      check_interlacing, standard_form_spec, standard_pair)
@@ -381,7 +381,7 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
             keep = np.linalg.norm(xs[:, 1:], axis=1) >= params["exclude_radius"]
             xs = xs[keep]
         predicted = model_eigenvalues(kind, form_params, xs)
-        actual, _ = _l_eigen_many(pair, xs, vectors=False)
+        actual = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
         mismatch = float(np.max(np.abs(predicted - actual)))
         passed = mismatch < params["threshold"]
         return passed, {
@@ -547,11 +547,13 @@ def _command(name: str):
 
 
 def _resolve_family(family: str, config: str | None):
-    """Family and defaults from --config when given, else the flag."""
+    """Family and defaults from --config when given; an explicit --family
+    overrides the config's family."""
     if config is None:
         return _validate_family(family), None
     cfg = load_config(config)
-    return cfg.family, cfg
+    source = click.get_current_context().get_parameter_source("family")
+    return (cfg.family if source.name == "DEFAULT" else _validate_family(family)), cfg
 
 
 def _check_command(name: str, command: str, help_text: str):
@@ -609,7 +611,7 @@ _check_command("roundtrip", "roundtrip",
 @_command("build")
 @_FAMILY_OPT
 @click.option("--config", type=click.Path(), default=None,
-              help="Take the family from a config file instead.")
+              help="Take the family from a config file (--family overrides).")
 @click.option("--grid", type=int, default=3, show_default=True,
               help="Grid points per axis.")
 @click.option("--list", "list_families", is_flag=True,

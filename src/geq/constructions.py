@@ -15,7 +15,7 @@ import numpy as np
 
 from .charts import Chart, MetricField, integrate_geodesics
 from .errors import DegenerateMap, EigenOrderViolated, NotPositive
-from .projective import MetricPair, _l_eigen_many
+from .projective import MetricPair, _l_values
 from .split_glue import EquivTriple, make_triple, oplus
 
 Array = np.ndarray
@@ -204,8 +204,8 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     out = EquivTriple(pair=scaled, eigen_range=(lo * eig_scale, hi * eig_scale))
     # Spot-check the scaling relation on the actual tensor eigenvalues.
     probe = pair.chart.grid(2)
-    before = _l_eigen_many(pair, probe, vectors=False)[0]
-    after = _l_eigen_many(scaled, probe, vectors=False)[0]
+    before = _l_values(pair.g.eval(probe), pair.gbar.eval(probe))
+    after = _l_values(scaled.g.eval(probe), scaled.gbar.eval(probe))
     if not np.allclose(after, eig_scale * before, rtol=1e-8, atol=1e-10):
         raise AssertionError("eigenvalue scaling relation failed")
     return out

@@ -109,23 +109,13 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
     return _l_many(pair, x[None, :], validate=True)[0]
 
 
-def _l_eigen_many(pair: MetricPair, xs: Array,
-                  vectors: bool = True) -> tuple[Array, Array | None]:
-    """Batched eigenstructure of ``L``; see :func:`_eigen_from`."""
-    xs = np.asarray(xs, dtype=float)
-    g = pair.g.eval(xs)
-    return _eigen_from(g, _l_from(g, pair.gbar.eval(xs)), vectors)
-
-
-def _eigen_from(g: Array, L: Array, vectors: bool = True) -> tuple[Array, Array | None]:
+def _eigen_from(g: Array, L: Array) -> tuple[Array, Array]:
     """Eigenstructure of ``L`` from the base metric ``g`` and ``L`` itself.
 
     Returns ascending eigenvalues ``(..., n)`` and eigenvector columns
     ``(..., n, n)`` orthonormal with respect to ``g`` — obtained from the
     symmetric matrix ``g L`` by congruence with the Cholesky factor of
-    ``g``, which keeps the spectrum exactly real.  With ``vectors=False``
-    only the eigenvalues are computed and ``None`` stands in for the
-    eigenvectors.
+    ``g``, which keeps the spectrum exactly real.
     """
     a = g @ L
     del L  # a caller's temporary L is freed before the solves
@@ -136,10 +126,32 @@ def _eigen_from(g: Array, L: Array, vectors: bool = True) -> tuple[Array, Array 
         raise NotPositiveDefinite("base metric is not positive definite") from exc
     b = np.linalg.solve(k, np.swapaxes(np.linalg.solve(k, a), -1, -2))
     b = 0.5 * (b + np.swapaxes(b, -1, -2))
-    if not vectors:
-        return np.linalg.eigvalsh(b), None
     vals, y = np.linalg.eigh(b)
     return vals, np.linalg.solve(np.swapaxes(k, -1, -2), y)
+
+
+def _l_values(g: Array, gb: Array) -> Array:
+    """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
+    forming ``L``: with ``gb = K K^T`` (Cholesky), ``L`` is similar to
+    ``ratio K^-1 g K^-T``, whose eigenvalues ``nu`` multiply to
+    ``det g / det gb``, so ``mu = (prod nu)^(-1/(n+1)) nu``.  Congruence keeps
+    the inertia of ``g``, so an indefinite base metric gives ``nu[..., 0] <= 0``.
+    """
+    try:
+        k_inv = np.linalg.inv(np.linalg.cholesky(gb))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("companion metric is not positive definite") from exc
+    b = k_inv @ g @ np.swapaxes(k_inv, -1, -2)
+    del k_inv  # freed before the eigen solve
+    b += np.swapaxes(b, -1, -2)  # twice the symmetric part, in place
+    try:
+        nu = 0.5 * np.linalg.eigvalsh(b)
+    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigvalsh
+        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    if not np.all(nu[..., 0] > 0.0):
+        raise NotPositiveDefinite("base metric is not positive definite")
+    ratio = np.prod(nu, axis=-1) ** (-1.0 / (g.shape[-1] + 1))
+    return ratio[..., None] * nu
 
 
 def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
@@ -148,7 +160,9 @@ def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     x = np.asarray(x, dtype=float)
     if not pair.chart.contains(x):
         raise OutOfChart(f"point {x.tolist()} outside chart box")
-    vals, vecs = _l_eigen_many(pair, x[None, :])
+    xs = x[None, :]
+    g = pair.g.eval(xs)
+    vals, vecs = _eigen_from(g, _l_from(g, pair.gbar.eval(xs)))
     return vals[0], vecs[0]
 
 
@@ -324,14 +338,16 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
 
 def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
     """Smallest and largest eigenvalue of ``L`` over a point sample."""
-    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float), vectors=False)
+    xs = np.asarray(xs, dtype=float)
+    mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     return float(np.min(mu)), float(np.max(mu))
 
 
 def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     """Largest eigenvalue-cluster size of ``L`` over a point sample
     (cluster radius :data:`CLUSTER_RADIUS`)."""
-    mu, _ = _l_eigen_many(pair, np.asarray(xs, dtype=float), vectors=False)
+    xs = np.asarray(xs, dtype=float)
+    mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     close = np.diff(mu.reshape(-1, mu.shape[-1]), axis=-1) <= CLUSTER_RADIUS
     run = longest = np.zeros(close.shape[0], dtype=int)
     for column in close.T:

@@ -15,8 +15,7 @@ import numpy as np
 
 from .charts import Chart, MetricField, positivity_grid_size
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import (MetricPair, _char_and_adjugate, _eigen_from, _l_eigen_many,
-                         _l_from, eigen_range)
+from .projective import MetricPair, _char_and_adjugate, _l_from, _l_values, eigen_range
 
 Array = np.ndarray
 
@@ -24,12 +23,14 @@ Array = np.ndarray
 @dataclasses.dataclass(frozen=True)
 class SplitResult:
     """Block factorization of a pair: block size, the two block-diagonal
-    metrics, and the coordinate-index partition."""
+    metrics, the coordinate-index partition, and each block's eigenvalue
+    range over the gap scan's grid."""
 
     r: int
     h: MetricField
     hbar: MetricField
     index_split: tuple[tuple[int, ...], tuple[int, ...]]
+    factor_ranges: tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +85,7 @@ def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Ar
     xs = np.asarray(xs, dtype=float)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
     L = _l_from(g, gb)
-    mu, _ = _eigen_from(g, L, vectors=False)
+    mu = _l_values(g, gb)
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -129,18 +130,20 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     eigenvalue gap after position ``r``.
 
     Raises :class:`GapViolated` when the sampled eigenvalue ranges on the
-    two sides of the cut overlap.
+    two sides of the cut overlap.  The scan also gives each block's range:
+    by the splitting lemma a block's eigenvalues depend only on its own
+    coordinates.
     """
     n = pair.dim
     if not 1 <= r < n:
         raise ValueError("the block size must satisfy 1 <= r < dim")
     grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
-    mu, _ = _l_eigen_many(pair, grid, vectors=False)
-    sup_low = float(np.max(mu[..., r - 1]))
-    inf_high = float(np.min(mu[..., r]))
-    if sup_low >= inf_high:
+    mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
+    low = (float(np.min(mu[..., 0])), float(np.max(mu[..., r - 1])))
+    high = (float(np.min(mu[..., r])), float(np.max(mu[..., -1])))
+    if low[1] >= high[0]:
         raise GapViolated(
-            f"eigenvalue ranges overlap across the cut: sup {sup_low} >= inf {inf_high}")
+            f"eigenvalue ranges overlap across the cut: sup {low[1]} >= inf {high[0]}")
 
     def joint(xs: Array) -> tuple[Array, Array]:
         g, gb, conv, conv_bar = _split(pair, xs, r)
@@ -150,7 +153,8 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
 
     h, hbar = _twin_fields(pair.chart, joint, f"split(r={r}, {pair.provenance})")
     return SplitResult(r=r, h=h, hbar=hbar,
-                       index_split=(tuple(range(r)), tuple(range(r, n))))
+                       index_split=(tuple(range(r)), tuple(range(r, n))),
+                       factor_ranges=(low, high))
 
 
 def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array,
@@ -174,17 +178,18 @@ def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array,
 
 def split_factors(split: SplitResult) -> tuple[EquivTriple, EquivTriple]:
     """The two factor triples of a splitting, each living on its own
-    coordinate leaf through the chart center."""
+    coordinate leaf through the chart center, with the split's
+    ``factor_ranges`` as their eigenvalue ranges."""
     center = split.h.chart.center
     triples = []
-    for indices in split.index_split:
+    for indices, eig_range in zip(split.index_split, split.factor_ranges):
         tag = split.h.provenance + f"/leaf{indices}"
         factor = MetricPair(
             g=_leaf_field(split.h, indices, center, tag),
             gbar=_leaf_field(split.hbar, indices, center, tag + "/companion"),
             provenance=tag,
         )
-        triples.append(make_triple(factor))
+        triples.append(EquivTriple(pair=factor, eigen_range=eig_range))
     return triples[0], triples[1]
 
 

@@ -17,12 +17,11 @@ import dataclasses
 
 import numpy as np
 
-from .charts import Chart, MetricField, christoffel, integrate_geodesics, positivity_grid_size
+from .charts import Chart, MetricField, christoffel, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
-from .projective import (CLUSTER_RADIUS, MetricPair, _integral_coeffs,
-                         _l_eigen_many, eigen_range, integral_roots_many,
-                         poisson_bracket_fd)
+from .projective import (CLUSTER_RADIUS, MetricPair, _integral_coeffs, _l_values,
+                         eigen_range, integral_roots_many, poisson_bracket_fd)
 
 Array = np.ndarray
 
@@ -120,12 +119,6 @@ def check_equivalence(pair: MetricPair, n_traj: int = 100, duration: float = 1.0
     )
 
 
-def _sample_eigen_range(pair: MetricPair) -> tuple[float, float]:
-    grid = pair.chart.grid(positivity_grid_size(pair.dim, per_axis_cap=16,
-                                                total_cap=20_000))
-    return eigen_range(pair, grid)
-
-
 def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0,
                        tol: float = 1e-10, seed: int = 0,
                        n_t_values: int = 5) -> ConservationReport:
@@ -133,18 +126,20 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     the polynomial integral at sampled parameter values, of each of its
     roots, and (in dimension two) of the quadratic integral.
 
-    The drift of a series is ``max_j |s_j - s_0| / max(1, |s_0|)`` over
-    the stored samples; start and end values are reported alongside.
+    The parameter values span one unit beyond the eigenvalue range of
+    ``L`` over the stored trajectory samples.  The drift of a series is
+    ``max_j |s_j - s_0| / max(1, |s_0|)`` over the stored samples; start
+    and end values are reported alongside.
     """
     if n_traj < 1:
         raise ValueError("at least one trajectory is required")
-    lo, hi = _sample_eigen_range(pair)
-    t_values = np.linspace(lo - 1.0, hi + 1.0, n_t_values)
     rng = np.random.default_rng(seed)
     starts, vels = seeded_starts(pair, n_traj, rng)
     trajectories = integrate_geodesics(pair.g, starts, vels, duration, tol)
     xs = np.concatenate([t.points for t in trajectories])
     vs = np.concatenate([t.velocities for t in trajectories])
+    lo, hi = eigen_range(pair, xs)
+    t_values = np.linspace(lo - 1.0, hi + 1.0, n_t_values)
     coeffs = _integral_coeffs(pair, xs, vs)
     roots = integral_roots_many(pair, xs, vs)
     names = [f"integral_t={t:.9g}" for t in t_values]
@@ -194,7 +189,7 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     if count < 1 or n_vectors < 1:
         raise ValueError("at least one sample point and one velocity per point are required")
     vecs = rng.normal(size=(count, n_vectors, pair.dim))
-    mu, _ = _l_eigen_many(pair, pts, vectors=False)
+    mu = _l_values(pair.g.eval(pts), pair.gbar.eval(pts))
     roots = integral_roots_many(pair, pts[:, None, :], vecs)
     lo = mu[:, None, :-1]
     hi = mu[:, None, 1:]

@@ -392,6 +392,21 @@ def test_config_flags_override(runner, tmp_path):
     assert report["provenance"]["seed"] == 5  # from the config file
 
 
+@pytest.mark.parametrize("command", ["check-interlacing", "build"])
+def test_explicit_family_overrides_the_config(runner, tmp_path, command):
+    config = write_config(tmp_path, minimal_config(checks={
+        "interlacing": {"points": 2, "vectors": 2}}))
+    for extra, family, dim in (([], "lc_nd", 3), (["--family", "beltrami_2"], "beltrami_2", 2)):
+        result = runner.invoke(main, [command, "--config", config] + extra)
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["provenance"]["family"] == family
+        if command == "build":
+            assert report["data"]["dim"] == dim
+        else:
+            assert report["provenance"]["seed"] == 5  # still from the config file
+
+
 def test_build_emits_grid_values(runner):
     result = runner.invoke(main, ["build", "--family", "two_d_polar_plus",
                                   "--grid", "2"])

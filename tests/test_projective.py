@@ -3,10 +3,15 @@ import numpy as np
 import pytest
 
 from geq.charts import Chart, MetricField, PhasePoint
-from geq.errors import BracketFailure, DimensionMismatch, OutOfChart, SingularMetric
+from geq.errors import (BracketFailure, DimensionMismatch, NotPositiveDefinite, OutOfChart,
+                        SingularMetric)
+from geq.normal_forms import levi_civita_pair, random_levi_civita_data
 from geq.projective import (
     MetricPair,
     PolyTensor,
+    _eigen_from,
+    _l_from,
+    _l_values,
     _roots_many,
     eigen_range,
     f_integral_2d,
@@ -134,6 +139,31 @@ class TestLEigen:
             assert np.max(np.abs(dense.imag)) < 1e-9
             vals, _ = l_eigen(pair, p)
             assert np.allclose(np.sort(dense.real), vals, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_value_only_path_matches_the_eigenframe(self, n):
+        rng = np.random.default_rng(40 + n)
+        pair = levi_civita_pair(random_levi_civita_data(n, rng))
+        xs = pair.chart.sample(rng, 200)
+        # A linear change of coordinates makes both metrics non-diagonal.
+        a = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(0.5, 2.0, size=n)
+        g = a.T @ pair.g.eval(xs) @ a
+        gb = a.T @ pair.gbar.eval(xs) @ a
+        mu = _l_values(g, gb)
+        ref, _ = _eigen_from(g, _l_from(g, gb))
+        assert np.all(np.diff(mu, axis=-1) > 0.0)
+        assert np.max(np.abs(mu - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("which", ["base", "companion"])
+    def test_value_only_path_names_an_indefinite_metric(self, which):
+        indefinite, flat = np.diag([1.0, -2.0, 3.0]), np.eye(3)
+        mats = (indefinite, flat) if which == "base" else (flat, indefinite)
+        pair = constant_pair(*mats)
+        for call in (lambda: _l_values(mats[0][None], mats[1][None]),
+                     lambda: eigen_range(pair, np.zeros((4, 3)))):
+            with pytest.raises(NotPositiveDefinite, match=f"^{which} metric is not") as info:
+                call()
+            assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 class TestAdjugatePolynomial:

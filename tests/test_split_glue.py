@@ -191,6 +191,19 @@ def test_split_then_glue_roundtrip(r):
     assert glued.pair.gbar.eval(xs) == pytest.approx(pair.gbar.eval(xs), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_ranges_match_the_leaf_triples(n):
+    # Monotone profiles take their extremes at the box corners, which both
+    # the gap scan's grid and each leaf's grid contain.
+    pair = lc_pair(*((0.5 * (k + 1), 0.2) for k in range(n)))
+    for r in range(1, n):
+        res = split_pair(pair, r)
+        for factor, eig_range in zip(split_factors(res), res.factor_ranges):
+            assert factor.eigen_range == eig_range
+            assert eig_range == pytest.approx(make_triple(factor.pair).eigen_range,
+                                              rel=0.0, abs=1e-12)
+
+
 def counted(pair):
     """The pair with evaluation counters on both metrics."""
     counts = {"g": 0, "gbar": 0}
@@ -209,12 +222,12 @@ def test_each_point_batch_evaluates_the_base_pair_once():
     res = split_pair(pair, 1)
     assert counts == {"g": 1, "gbar": 1}  # the gap scan
     f1, f2 = split_factors(res)
-    assert counts == {"g": 3, "gbar": 3}  # one per leaf grid
+    assert counts == {"g": 1, "gbar": 1}  # the ranges come from the gap scan
     glued = glue_pair(f1, f2).pair
     xs = pair.chart.sample(np.random.default_rng(2), 50)
     glued.g.eval(xs)
     glued.gbar.eval(xs)
-    assert counts == {"g": 5, "gbar": 5}  # one per leaf at xs
+    assert counts == {"g": 3, "gbar": 3}  # one per leaf at xs
 
 
 def split_fields(pair):

@@ -7,7 +7,7 @@ from geq.constructions import beltrami_pair
 from geq.normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                               ScalarFunction1D, levi_civita_pair,
                               model_form_pair)
-from geq.projective import _integral_coeffs, integral_roots_many
+from geq.projective import _integral_coeffs, eigen_range, integral_roots_many
 from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,
                         STANDARD_FAMILIES, check_conservation,
                         check_equivalence, check_interlacing,
@@ -78,9 +78,14 @@ def test_conservation_on_a_constructed_pair():
     report = check_conservation(pair, n_traj=10, duration=1.0, tol=1e-10, seed=6)
     assert report.max_drift < 1e-6
     assert len(report.t_values) == 5
-    # The parameter values span one unit beyond the eigenvalue range.
-    assert report.t_values[0] == pytest.approx(0.4 - 1.0, abs=1e-9)
-    assert report.t_values[-1] == pytest.approx(2.2 + 1.0, abs=1e-9)
+    # The parameter values span one unit beyond the eigenvalue range over
+    # the same trajectories' samples, which lies inside the box's [0.4, 2.2].
+    starts, vels = seeded_starts(pair, 10, np.random.default_rng(6))
+    trajectories = integrate_geodesics(pair.g, starts, vels, 1.0, 1e-10)
+    lo, hi = eigen_range(pair, np.concatenate([t.points for t in trajectories]))
+    assert report.t_values[0] == lo - 1.0
+    assert report.t_values[-1] == hi + 1.0
+    assert 0.4 <= lo < hi <= 2.2
     # Five parameter values plus two roots per trajectory, no planar row.
     assert len(report.rows) == 10 * 7
     ids = {row.integral_id for row in report.rows}
