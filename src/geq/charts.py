@@ -80,11 +80,6 @@ class Chart:
         half = 0.5 * shrink * self.widths
         return rng.uniform(self.center - half, self.center + half, size=(count, self.dim))
 
-    def shrunk(self, factor: float) -> "Chart":
-        half = 0.5 * factor * self.widths
-        c = self.center
-        return Chart(self.dim, tuple((c[i] - half[i], c[i] + half[i]) for i in range(self.dim)))
-
 
 def positivity_grid_size(dim: int, per_axis_cap: int = 64, total_cap: int = 100_000) -> int:
     """Points per axis for dense positivity sampling: ``per_axis_cap`` per

@@ -4,8 +4,10 @@ A stereographic chart carries the round metric of the unit sphere; pulling
 the round metric back through the sphere self-map ``w -> A w / |A w|``
 (which maps planes through the origin to planes through the origin, hence
 great circles to great circles) produces a second metric with the same
-unparametrized geodesics.  Rescaling the base metric shifts the eigenvalue
-range, which lets products of spheres be assembled with ``oplus``.
+unparametrized geodesics.  Multiplying the base metric by a constant
+scales the eigenvalue range, by a closed-form factor that orders the
+ranges of consecutive factors, which lets products of spheres be
+assembled with ``oplus``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from .charts import Chart, MetricField, integrate_geodesics
-from .errors import DegenerateMap, EigenOrderViolated, NotPositive
+from .errors import DegenerateMap, NotPositive
 from .projective import MetricPair, _l_values
 from .split_glue import EquivTriple, make_triple, oplus
 
@@ -22,7 +24,6 @@ Array = np.ndarray
 
 MIN_POLE_DISTANCE = 0.1
 RELATIVE_GAP = 0.1
-MAX_DOUBLINGS = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,9 +213,14 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
 
 
 def spheres_product(factors: list[tuple]) -> EquivTriple:
-    """Assemble a product of spheres: one Beltrami triple per factor,
-    rescaled so consecutive eigenvalue ranges are strictly ordered with a
-    relative gap, then folded with ``oplus``.
+    """Assemble a product of spheres: one Beltrami triple per factor, then
+    folded with ``oplus``.
+
+    A factor of dimension ``k`` whose range starts at ``lo``, after a
+    previous range ending at ``hi``, has its base metric multiplied by
+    ``c = max(1, (1 + RELATIVE_GAP) hi / lo)^(k + 1)``; the eigenvalues
+    scale by ``c^(1/(k+1))``, so its range then starts at
+    ``(1 + RELATIVE_GAP) hi`` or above.
 
     Each factor is ``(dim, a_map)`` or ``(dim, a_map, sphere_chart)``.
     """
@@ -226,34 +232,8 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
         triples.append(beltrami_pair(dim, a_map, rest[0] if rest else None))
     scaled = [triples[0]]
     for triple in triples[1:]:
-        prev_hi = scaled[-1].eigen_range[1]
-        target = prev_hi * (1.0 + RELATIVE_GAP)
-        lo = triple.eigen_range[0]
-        k = triple.pair.dim
-
-        def gap_ok(c: float) -> bool:
-            return lo * c ** (1.0 / (k + 1)) >= target
-
-        if gap_ok(1.0):
-            scaled.append(triple)
-            continue
-        c_hi = 1.0
-        for _ in range(MAX_DOUBLINGS):
-            c_hi *= 2.0
-            if gap_ok(c_hi):
-                break
-        else:
-            raise EigenOrderViolated(
-                "auto-scaling failed to order the factor ranges within the "
-                f"doubling cap ({MAX_DOUBLINGS})")
-        c_lo = c_hi / 2.0
-        for _ in range(50):
-            mid = 0.5 * (c_lo + c_hi)
-            if gap_ok(mid):
-                c_hi = mid
-            else:
-                c_lo = mid
-        scaled.append(scale_triple(triple, c_hi))
+        ratio = (1.0 + RELATIVE_GAP) * scaled[-1].eigen_range[1] / triple.eigen_range[0]
+        scaled.append(scale_triple(triple, max(1.0, ratio) ** (triple.pair.dim + 1)))
     return oplus(scaled)
 
 

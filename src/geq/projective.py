@@ -1,7 +1,8 @@
 """Tensor machinery for metric pairs sharing unparameterized geodesics.
 
 Given a pair (g, gbar) on one chart, this module builds the compatibility
-tensor ``L = (det gbar / det g)^{1/(n+1)} gbar^{-1} g``, the adjugate
+tensor ``L = (det gbar / det g)^{1/(n+1)} gbar^{-1} g`` and its eigenframe
+(one congruence of ``g`` by the Cholesky factor of ``gbar``), the adjugate
 polynomial family ``S_t = adj(L - t I)``, the quadratic-in-velocity
 integrals ``I_t = g(S_t v, v)`` together with their interlaced roots (one
 batched symmetric eigen solve), the planar integral ``F``, and a
@@ -83,21 +84,22 @@ class RootSet:
 # The compatibility tensor and its eigenstructure
 
 
-def _l_from(g: Array, gb: Array, validate: bool = False) -> Array:
-    """Batched tensor ``L`` of shape ``(..., n, n)`` from both metrics."""
+def _l_from(g: Array, gb: Array) -> Array:
+    """Batched tensor ``L`` of shape ``(..., n, n)`` from both metrics;
+    a determinant that is not positive raises :class:`SingularMetric`."""
     n = g.shape[-1]
     detg = np.linalg.det(g)
     detgb = np.linalg.det(gb)
-    if validate and (np.any(detg <= 0.0) or np.any(detgb <= 0.0)):
+    if not (np.all(detg > 0.0) and np.all(detgb > 0.0)):
         raise SingularMetric("a metric determinant is not positive")
     ratio = (detgb / detg) ** (1.0 / (n + 1))
     return ratio[..., None, None] * np.linalg.solve(gb, g)
 
 
-def _l_many(pair: MetricPair, xs: Array, validate: bool = False) -> Array:
+def _l_many(pair: MetricPair, xs: Array) -> Array:
     """Batched tensor ``L`` of shape ``(..., n, n)``."""
     xs = np.asarray(xs, dtype=float)
-    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs), validate)
+    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))
 
 
 def l_tensor(pair: MetricPair, x: Array) -> Array:
@@ -106,63 +108,67 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
     x = np.asarray(x, dtype=float)
     if not pair.chart.contains(x):
         raise OutOfChart(f"point {x.tolist()} outside chart box")
-    return _l_many(pair, x[None, :], validate=True)[0]
+    return _l_many(pair, x[None, :])[0]
 
 
-def _eigen_from(g: Array, L: Array) -> tuple[Array, Array]:
-    """Eigenstructure of ``L`` from the base metric ``g`` and ``L`` itself.
-
-    Returns ascending eigenvalues ``(..., n)`` and eigenvector columns
-    ``(..., n, n)`` orthonormal with respect to ``g`` — obtained from the
-    symmetric matrix ``g L`` by congruence with the Cholesky factor of
-    ``g``, which keeps the spectrum exactly real.
-    """
-    a = g @ L
-    del L  # a caller's temporary L is freed before the solves
-    a = 0.5 * (a + np.swapaxes(a, -1, -2))
-    try:
-        k = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("base metric is not positive definite") from exc
-    b = np.linalg.solve(k, np.swapaxes(np.linalg.solve(k, a), -1, -2))
-    b = 0.5 * (b + np.swapaxes(b, -1, -2))
-    vals, y = np.linalg.eigh(b)
-    return vals, np.linalg.solve(np.swapaxes(k, -1, -2), y)
-
-
-def _l_values(g: Array, gb: Array) -> Array:
-    """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
-    forming ``L``: with ``gb = K K^T`` (Cholesky), ``L`` is similar to
-    ``ratio K^-1 g K^-T``, whose eigenvalues ``nu`` multiply to
-    ``det g / det gb``, so ``mu = (prod nu)^(-1/(n+1)) nu``.  Congruence keeps
-    the inertia of ``g``, so an indefinite base metric gives ``nu[..., 0] <= 0``.
-    """
+def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
+    """``K^-1`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
+    (Cholesky).  ``gb^-1 g = K^-T B K^T``, so ``L`` is similar to
+    ``ratio B``, and congruence keeps the inertia of ``g``."""
     try:
         k_inv = np.linalg.inv(np.linalg.cholesky(gb))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("companion metric is not positive definite") from exc
     b = k_inv @ g @ np.swapaxes(k_inv, -1, -2)
-    del k_inv  # freed before the eigen solve
-    b += np.swapaxes(b, -1, -2)  # twice the symmetric part, in place
-    try:
-        nu = 0.5 * np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigvalsh
-        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    b += np.swapaxes(b, -1, -2)
+    b *= 0.5
+    return k_inv, b
+
+
+def _l_scale(nu: Array) -> Array:
+    """The factor ``ratio = (prod nu)^(-1/(n+1))`` that takes the eigenvalues
+    ``nu`` of ``B`` (ascending, ``prod nu = det g / det gb``) to those of ``L``;
+    ``nu[..., 0] <= 0`` means an indefinite base metric."""
     if not np.all(nu[..., 0] > 0.0):
         raise NotPositiveDefinite("base metric is not positive definite")
-    ratio = np.prod(nu, axis=-1) ** (-1.0 / (g.shape[-1] + 1))
-    return ratio[..., None] * nu
+    return np.prod(nu, axis=-1) ** (-1.0 / (nu.shape[-1] + 1))
+
+
+def _l_values(g: Array, gb: Array) -> Array:
+    """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
+    forming ``L``: ``mu = ratio nu`` (:func:`_congruence`, :func:`_l_scale`)."""
+    b = _congruence(g, gb)[1]
+    try:
+        nu = np.linalg.eigvalsh(b)
+    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigvalsh
+        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    return _l_scale(nu)[..., None] * nu
+
+
+def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
+    """Ascending eigenvalues ``(..., n)`` of ``L`` and eigenvector columns
+    ``(..., n, n)`` orthonormal in ``g``: with ``B y = nu y`` (:func:`_congruence`),
+    ``v = K^-T y / sqrt(nu)`` has ``L v = ratio nu v`` and ``g(v, v) = 1``."""
+    k_inv, b = _congruence(g, gb)
+    try:
+        nu, y = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigh
+        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    ratio = _l_scale(nu)
+    vecs = (np.swapaxes(k_inv, -1, -2) @ y) / np.sqrt(nu)[..., None, :]
+    return ratio[..., None] * nu, vecs
 
 
 def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     """Eigenvalues (ascending) and eigenvector columns of ``L`` at one
-    point; the eigenvectors are orthonormal in the ``g`` inner product."""
+    point, from one congruence of the base metric by the Cholesky factor
+    of the companion (:func:`_l_frame`); the eigenvectors are orthonormal
+    in the ``g`` inner product."""
     x = np.asarray(x, dtype=float)
     if not pair.chart.contains(x):
         raise OutOfChart(f"point {x.tolist()} outside chart box")
     xs = x[None, :]
-    g = pair.g.eval(xs)
-    vals, vecs = _eigen_from(g, _l_from(g, pair.gbar.eval(xs)))
+    vals, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
     return vals[0], vecs[0]
 
 
@@ -232,8 +238,8 @@ def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
 
 
 def _roots_many(mu: Array, w: Array) -> Array:
-    """Roots ``(N, K - 1)`` of ``R(t) = sum_j w_j prod_{a != j} (mu_a - t)``
-    for rows ``mu`` (ascending) and ``w`` (nonnegative) of shape ``(N, K)``.
+    """Roots ``(..., K - 1)`` of ``R(t) = sum_j w_j prod_{a != j} (mu_a - t)``
+    for rows ``mu`` (ascending) and ``w`` (nonnegative) of shape ``(..., K)``.
 
     They are the eigenvalues of ``D = diag(mu)`` compressed onto the
     orthogonal complement of ``u = sqrt(w) / |sqrt(w)|`` (Golub, SIAM
@@ -252,26 +258,27 @@ def _roots_many(mu: Array, w: Array) -> Array:
     if np.any(norm == 0.0):
         raise BracketFailure("the velocity is zero, so every I_t vanishes and "
                              "has no isolated roots")
-    h = u / norm[:, None]
-    h[:, -1] += 1.0
-    h /= np.sqrt(2.0 * h[:, -1:])  # |u + e_K|^2 = 2 (1 + u_K)
+    h = u / norm[..., None]
+    h[..., -1] += 1.0
+    h /= np.sqrt(2.0 * h[..., -1:])  # |u + e_K|^2 = 2 (1 + u_K)
     dh = mu * h
     # H D H = D - 2 h (Dh)^T - 2 (Dh) h^T + 4 (h^T D h) h h^T = D + h q^T + q h^T.
     q = 2.0 * np.sum(h * dh, axis=-1, keepdims=True) * h - 2.0 * dh
-    block = h[:, :-1, None] * q[:, None, :-1]
+    block = h[..., :-1, None] * q[..., None, :-1]
     block += np.swapaxes(block, -1, -2)
     diag = np.arange(mu.shape[-1] - 1)
-    block[:, diag, diag] += mu[:, :-1]
+    block[..., diag, diag] += mu[..., :-1]
     return np.linalg.eigvalsh(block)
 
 
 def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]:
     """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
-    orthonormal eigenframe; ``xs`` and ``vs`` broadcast, one eigen solve per point."""
+    ``g``-orthonormal eigenframe of :func:`_l_frame`; ``xs`` and ``vs`` broadcast,
+    one eigen solve per point."""
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
     g = pair.g.eval(xs)
-    mu, vecs = _eigen_from(g, _l_from(g, pair.gbar.eval(xs)))
+    mu, vecs = _l_frame(g, pair.gbar.eval(xs))
     w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
     return np.broadcast_to(mu, w.shape), w
 
@@ -280,11 +287,7 @@ def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
     """Roots of ``t -> I_t`` for a batch of phase points, ``(..., n - 1)``,
     ascending, in one batched eigen solve (:func:`_roots_many`); ``xs`` and
     ``vs`` broadcast as in :func:`frame_weights`."""
-    mu, w = frame_weights(pair, xs, vs)
-    flat_mu = mu.reshape(-1, mu.shape[-1])
-    flat_w = w.reshape(-1, w.shape[-1])
-    roots = _roots_many(flat_mu, flat_w)
-    return roots.reshape(mu.shape[:-1] + (mu.shape[-1] - 1,))
+    return _roots_many(*frame_weights(pair, xs, vs))
 
 
 def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:

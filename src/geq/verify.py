@@ -20,8 +20,9 @@ import numpy as np
 from .charts import Chart, MetricField, christoffel, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
-from .projective import (CLUSTER_RADIUS, MetricPair, _integral_coeffs, _l_values,
-                         eigen_range, integral_roots_many, poisson_bracket_fd)
+from .projective import (CLUSTER_RADIUS, MetricPair, _integral_coeffs, _roots_many,
+                         eigen_range, frame_weights, integral_roots_many,
+                         poisson_bracket_fd)
 
 Array = np.ndarray
 
@@ -189,14 +190,14 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     if count < 1 or n_vectors < 1:
         raise ValueError("at least one sample point and one velocity per point are required")
     vecs = rng.normal(size=(count, n_vectors, pair.dim))
-    mu = _l_values(pair.g.eval(pts), pair.gbar.eval(pts))
-    roots = integral_roots_many(pair, pts[:, None, :], vecs)
-    lo = mu[:, None, :-1]
-    hi = mu[:, None, 1:]
+    mu, w = frame_weights(pair, pts[:, None, :], vecs)
+    roots = _roots_many(mu, w)
+    lo = mu[..., :-1]
+    hi = mu[..., 1:]
     excess = np.maximum(lo - roots - epsilon, roots - hi - epsilon)
     violations = int(np.count_nonzero(excess > 0.0))
     max_excess = float(np.max(np.maximum(excess + epsilon, 0.0)))
-    pinned = np.broadcast_to((hi - lo) < CLUSTER_RADIUS, roots.shape)
+    pinned = (hi - lo) < CLUSTER_RADIUS
     if np.any(pinned):
         deviation = np.minimum(np.abs(roots - lo), np.abs(roots - hi))
         max_pin = float(np.max(deviation[pinned]))

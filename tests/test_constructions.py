@@ -8,7 +8,7 @@ from geq.charts import Chart, PhasePoint, integrate_geodesic
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
-from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive
+from geq.errors import DegenerateMap, NotPositive
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import l_eigen, max_eigen_multiplicity
 from geq.split_glue import make_triple
@@ -183,10 +183,17 @@ def test_sphere_times_sphere_requires_and_survives_rescaling():
     assert lo > 0.0 and hi > lo
 
 
-def test_product_scaling_cap_raises(monkeypatch):
-    monkeypatch.setattr(constructions, "MAX_DOUBLINGS", 0)
-    with pytest.raises(EigenOrderViolated):
-        spheres_product([(1, None), (1, None)])
+@pytest.mark.parametrize("factors", [
+    [(1, None), (2, LinearMap.diagonal([1.0, 2.0, 3.0]))],
+    [(2, LinearMap.diagonal([1.0, 2.0, 3.0]))] * 2,
+], ids=["product_s1_s2", "product_s2_s2"])
+def test_product_scaling_places_the_second_range_at_the_gap(monkeypatch, factors):
+    folded = []
+    monkeypatch.setattr(constructions, "oplus", folded.extend)
+    spheres_product(factors)
+    first, second = folded
+    target = (1.0 + constructions.RELATIVE_GAP) * first.eigen_range[1]
+    assert second.eigen_range[0] == pytest.approx(target, rel=1e-12)
 
 
 def test_product_requires_a_factor():

@@ -9,7 +9,8 @@ from geq.normal_forms import levi_civita_pair, random_levi_civita_data
 from geq.projective import (
     MetricPair,
     PolyTensor,
-    _eigen_from,
+    _integral_coeffs,
+    _l_frame,
     _l_from,
     _l_values,
     _roots_many,
@@ -26,6 +27,7 @@ from geq.projective import (
     poisson_bracket_fd,
     s_t,
 )
+from geq.verify import STANDARD_FAMILIES, standard_pair
 
 
 def constant_pair(g_mat, gbar_mat, half=2.0) -> MetricPair:
@@ -140,19 +142,36 @@ class TestLEigen:
             vals, _ = l_eigen(pair, p)
             assert np.allclose(np.sort(dense.real), vals, atol=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_value_only_path_matches_the_eigenframe(self, n):
+    @staticmethod
+    def changed_separable_metrics(n):
+        """Both metrics of a random separable pair at 200 points, made
+        non-diagonal by a random linear change of coordinates."""
         rng = np.random.default_rng(40 + n)
         pair = levi_civita_pair(random_levi_civita_data(n, rng))
         xs = pair.chart.sample(rng, 200)
-        # A linear change of coordinates makes both metrics non-diagonal.
         a = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(0.5, 2.0, size=n)
-        g = a.T @ pair.g.eval(xs) @ a
-        gb = a.T @ pair.gbar.eval(xs) @ a
+        return a.T @ pair.g.eval(xs) @ a, a.T @ pair.gbar.eval(xs) @ a
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_value_only_path_matches_the_eigenframe(self, n):
+        g, gb = self.changed_separable_metrics(n)
         mu = _l_values(g, gb)
-        ref, _ = _eigen_from(g, _l_from(g, gb))
+        # Independent reference: the general eigen solver on L itself.
+        dense = np.linalg.eigvals(_l_from(g, gb))
+        ref = np.sort(dense.real, axis=-1)
+        assert np.max(np.abs(dense.imag) / np.abs(ref)) < 1e-13
         assert np.all(np.diff(mu, axis=-1) > 0.0)
         assert np.max(np.abs(mu - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_eigenframe_diagonalizes_and_is_orthonormal(self, n):
+        g, gb = self.changed_separable_metrics(n)
+        mu, vecs = _l_frame(g, gb)
+        residual = _l_from(g, gb) @ vecs - vecs * mu[..., None, :]
+        scale = np.abs(mu) * np.linalg.norm(vecs, axis=-2)
+        assert np.max(np.linalg.norm(residual, axis=-2) / scale) < 1e-12
+        gram = np.swapaxes(vecs, -1, -2) @ g @ vecs
+        assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
     @pytest.mark.parametrize("which", ["base", "companion"])
     def test_value_only_path_names_an_indefinite_metric(self, which):
@@ -235,6 +254,11 @@ class TestIntegrals:
         p = PhasePoint([0.0, 0.0], [0.7, -0.4])
         expected_sign = -1.0  # (-1)^(n-1) with n = 2
         assert np.sign(i_t(pair, p, 1e6)) == expected_sign
+
+    def test_indefinite_metric_is_singular(self):
+        pair = constant_pair(np.diag([1.0, -2.0, 3.0]), np.eye(3))
+        with pytest.raises(SingularMetric):
+            i_t(pair, PhasePoint([0.0] * 3, [1.0, 1.0, 1.0]), 0.5)
 
     def test_planar_integral_equal_metrics(self):
         pair = constant_pair(np.diag([2.0, 5.0]), np.diag([2.0, 5.0]))
@@ -350,6 +374,18 @@ class TestIntegralRoots:
             p = PhasePoint(xs[i], vs[i])
             for r in integral_roots(pair, p).roots:
                 assert abs(i_t(pair, p, r)) < 1e-8
+        # On every registry family, the batched roots (eigenframe path) are
+        # zeros of the adjugate polynomial (L path), relative to the size of
+        # its terms at the root.
+        for name in STANDARD_FAMILIES:
+            pair = standard_pair(name)
+            xs = pair.chart.sample(rng, 200)
+            vs = rng.normal(size=(200, pair.dim))
+            roots = integral_roots_many(pair, xs, vs)
+            coeffs = _integral_coeffs(pair, xs, vs)[:, None, :]
+            terms = coeffs * roots[..., None] ** np.arange(pair.dim)
+            residual = np.abs(np.sum(terms, axis=-1)) / np.sum(np.abs(terms), axis=-1)
+            assert np.max(residual) < 1e-12, name
 
 
 class TestNijenhuis:
