@@ -160,6 +160,21 @@ def fd_partials(field: MetricField, x: Array, step: float = FD_STEP) -> Array:
     return _eval_with_fd_partials(field, np.asarray(x, dtype=float), step)[1]
 
 
+def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
+    """The metric and its partials at a point batch: the analytic partials
+    when the field has them, else one stacked finite-difference evaluation."""
+    if field.partials is None:
+        return _eval_with_fd_partials(field, x)
+    return field.eval(x), field.partials(x)
+
+
+def _solve(g: Array, rhs: Array) -> Array:
+    try:
+        return np.linalg.solve(g, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric("metric inversion failed while forming Christoffel symbols") from exc
+
+
 def christoffel(field: MetricField, x: Array) -> Array:
     """Batched Christoffel symbols ``Gamma^k_ij`` of shape
     ``(..., dim, dim, dim)`` with the upper index first.
@@ -168,20 +183,24 @@ def christoffel(field: MetricField, x: Array) -> Array:
     point batch and its finite-difference stencil together."""
     x = np.asarray(x, dtype=float)
     n = field.chart.dim
-    if field.partials is None:
-        g, dg = _eval_with_fd_partials(field, x)
-    else:
-        g, dg = field.eval(x), field.partials(x)
+    g, dg = _metric_and_partials(field, x)
     # T_{l i j} = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     t = (np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))
          + np.moveaxis(dg, (-3, -2, -1), (-1, -2, -3))
          - dg)
-    flat = t.reshape(t.shape[:-2] + (n * n,))
-    try:
-        gamma = 0.5 * np.linalg.solve(g, flat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric("metric inversion failed while forming Christoffel symbols") from exc
+    gamma = 0.5 * _solve(g, t.reshape(t.shape[:-2] + (n * n,)))
     return gamma.reshape(t.shape)
+
+
+def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
+    """The metric and the contraction ``Gamma^k_ij v^i v^j`` on batches
+    ``(B, dim)`` of points and velocities, from one solve with a single
+    right-hand side per point."""
+    g, dg = _metric_and_partials(field, x)
+    # T_l = 2 v^k v^j d_k g_{jl} - v^i v^j d_l g_{ij}
+    dgv = np.einsum("bkij,bj->bki", dg, v)
+    t = 2.0 * np.einsum("bk,bki->bi", v, dgv) - np.einsum("bki,bi->bk", dgv, v)
+    return g, 0.5 * _solve(g, t[..., None])[..., 0]
 
 
 def christoffel_at(field: MetricField, x: Array) -> Array:
@@ -216,13 +235,16 @@ class StepperStats:
 class Trajectory:
     """A geodesic trajectory: sample arrays plus integrator bookkeeping.
 
-    ``left_chart`` is set when integration stopped at the box boundary; the
-    stored samples all lie inside the box.
+    ``accelerations`` holds ``-Gamma(v, v)`` at each stored sample: the
+    integrator's first-same-as-last stage there, so reading it costs no
+    evaluation.  ``left_chart`` is set when integration stopped at the box
+    boundary; the stored samples all lie inside the box.
     """
 
     times: Array
     points: Array
     velocities: Array
+    accelerations: Array
     left_chart: bool
     stepper_stats: StepperStats
 
@@ -253,10 +275,8 @@ def _geodesic_rhs(field: MetricField, y: Array) -> Array:
     """Right-hand side of the first-order geodesic system on states
     ``y = (x, v)`` of shape ``(B, 2 dim)``."""
     n = field.chart.dim
-    x, v = y[:, :n], y[:, n:]
-    gamma = christoffel(field, x)
-    acc = -np.einsum("bkij,bi,bj->bk", gamma, v, v)
-    return np.concatenate([v, acc], axis=1)
+    v = y[:, n:]
+    return np.concatenate([v, -_spray(field, y[:, :n], v)[1]], axis=1)
 
 
 def integrate_geodesics(
@@ -294,10 +314,9 @@ def integrate_geodesics(
     left = np.zeros(B, dtype=bool)
     accepted = np.zeros(B, dtype=int)
     rejected = np.zeros(B, dtype=int)
-    # Kept samples, one (owner, t, state) block per step.
-    owners, ts, ys = [np.arange(B)], [t.copy()], [y.copy()]
-
     k1 = _geodesic_rhs(field, y)
+    # Kept samples, one (owner, t, state, acceleration) block per step.
+    owners, ts, ys, ks = [np.arange(B)], [t.copy()], [y.copy()], [k1[:, n:].copy()]
     total_steps = 0
     while active.any():
         total_steps += 1
@@ -331,6 +350,7 @@ def integrate_geodesics(
         owners.append(kept)
         ts.append(t[kept])
         ys.append(y[kept])
+        ks.append(k1[kept, n:])
         active[kept[t[kept] >= T - 1e-14]] = False
         left[out] = True
         active[out] = False
@@ -349,13 +369,15 @@ def integrate_geodesics(
             times=times,
             points=points,
             velocities=velocities,
+            accelerations=accelerations,
             left_chart=bool(left[b]),
             stepper_stats=StepperStats(int(accepted[b]), int(rejected[b]), tol),
         )
-        for b, (times, points, velocities) in enumerate(zip(
+        for b, (times, points, velocities, accelerations) in enumerate(zip(
             np.split(np.concatenate(ts)[order], cuts),
             np.split(states[order, :n], cuts),
-            np.split(states[order, n:], cuts)))
+            np.split(states[order, n:], cuts),
+            np.split(np.concatenate(ks)[order], cuts)))
     ]
 
 

@@ -135,7 +135,8 @@ def sphere_chart(dim: int, half_width: float = 0.75, pole=None) -> SphereChart:
 def beltrami_pair(dim: int, a_map: LinearMap | None = None,
                   sphere: SphereChart | None = None) -> EquivTriple:
     """Round metric on a sphere chart paired with its pull-back under the
-    normalized linear self-map of the sphere."""
+    normalized linear self-map of the sphere; the round metric carries
+    closed-form partials."""
     if sphere is None:
         sphere = sphere_chart(dim)
     if a_map is None:
@@ -150,6 +151,12 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         d = 1.0 + np.sum(ys * ys, axis=-1)
         scale = 4.0 / (d * d)
         return scale[..., None, None] * np.eye(dim)
+
+    def g_partials(ys: Array) -> Array:
+        # d_k g_ij = -16 y_k / (1 + |y|^2)^3 delta_ij
+        ys = np.asarray(ys, dtype=float)
+        d = 1.0 + np.sum(ys * ys, axis=-1, keepdims=True)
+        return (-16.0 * ys / d ** 3)[..., None, None] * np.eye(dim)
 
     a = a_map.matrix
 
@@ -166,7 +173,7 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
 
     tag = f"beltrami(dim={dim})"
     pair = MetricPair(
-        g=MetricField(chart=sphere.chart, eval=g_eval, provenance=tag),
+        g=MetricField(chart=sphere.chart, eval=g_eval, partials=g_partials, provenance=tag),
         gbar=MetricField(chart=sphere.chart, eval=gbar_eval,
                          provenance=tag + "/companion"),
         provenance=tag,

@@ -8,6 +8,7 @@ from geq.charts import (
     ChartMap,
     MetricField,
     PhasePoint,
+    _spray,
     christoffel,
     christoffel_at,
     compose_maps,
@@ -22,6 +23,7 @@ from geq.errors import (
     NotPositiveDefinite,
     OutOfChart,
 )
+from geq.verify import standard_pair
 
 
 def constant_field(chart: Chart, matrix: np.ndarray) -> MetricField:
@@ -234,6 +236,44 @@ class TestPartialsAndChristoffel:
             christoffel_at(field, np.array([0.2, 0.0]))
 
 
+def contracted(field: MetricField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``Gamma^k_ij v^i v^j`` from the full symbols of :func:`christoffel`."""
+    return np.einsum("bkij,bi,bj->bk", christoffel(field, x), v, v)
+
+
+def assert_rows_close(got: np.ndarray, ref: np.ndarray, rel: float = 1e-12) -> None:
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= rel * scale)
+
+
+# Analytic partials, finite differences, and a glued field.
+SPRAY_FAMILIES = ["lc_nd", "three_d_axial", "product_s1_s2"]
+
+
+class TestSpray:
+    @pytest.mark.parametrize("name", SPRAY_FAMILIES)
+    def test_spray_is_the_contracted_christoffel_symbols(self, name):
+        pair = standard_pair(name)
+        rng = np.random.default_rng(11)
+        x = pair.chart.sample(rng, 40, shrink=0.8)
+        v = rng.normal(size=x.shape)
+        for field in (pair.g, pair.gbar):
+            g, spray = _spray(field, x, v)
+            assert np.array_equal(g, field.eval(x))
+            assert_rows_close(spray, contracted(field, x, v))
+
+    @pytest.mark.parametrize("name", SPRAY_FAMILIES)
+    def test_accelerations_are_the_spray_at_the_stored_samples(self, name):
+        field = standard_pair(name).g
+        rng = np.random.default_rng(12)
+        x = field.chart.sample(rng, 4, shrink=0.6)
+        v = rng.normal(size=x.shape)
+        for traj in integrate_geodesics(field, x, v, T=0.5, tol=1e-9):
+            assert traj.accelerations.shape == traj.velocities.shape
+            assert_rows_close(traj.accelerations,
+                              -contracted(field, traj.points, traj.velocities))
+
+
 class TestIntegrateGeodesic:
     def test_flat_straight_line(self):
         field = flat_field()
@@ -291,6 +331,7 @@ class TestIntegrateGeodesic:
             assert np.array_equal(single.times, batch[b].times)
             assert np.array_equal(single.points, batch[b].points)
             assert np.array_equal(single.velocities, batch[b].velocities)
+            assert np.array_equal(single.accelerations, batch[b].accelerations)
             assert single.left_chart == batch[b].left_chart
             assert single.stepper_stats == batch[b].stepper_stats
 

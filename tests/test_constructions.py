@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import geq.constructions as constructions
-from geq.charts import Chart, PhasePoint, integrate_geodesic
+from geq.charts import Chart, MetricField, PhasePoint, fd_partials, integrate_geodesic
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
@@ -86,6 +86,17 @@ def test_identity_map_reproduces_the_round_metric(dim):
     gbar = triple.pair.gbar.eval(xs)
     assert np.max(np.abs(g - gbar)) < 1e-14
     assert triple.eigen_range == pytest.approx((1.0, 1.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_round_metric_partials_match_finite_differences(dim):
+    triple = beltrami_pair(dim)
+    g = triple.pair.g
+    xs = g.chart.sample(np.random.default_rng(3), 50, shrink=0.9)
+    bare = MetricField(chart=g.chart, eval=g.eval)
+    assert np.max(np.abs(g.partials(xs) - fd_partials(bare, xs))) < 1e-8
+    scaled = scale_triple(triple, 5.0)
+    assert np.allclose(scaled.pair.g.partials(xs), 5.0 * g.partials(xs), rtol=1e-15, atol=0.0)
 
 
 def test_diagonal_map_gives_distinct_eigenvalues():

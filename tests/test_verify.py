@@ -1,6 +1,10 @@
 """Tests for the verification procedures and the family registry."""
+import dataclasses
+
 import numpy as np
 import pytest
+
+import geq.verify as verify
 
 from geq.charts import Chart, integrate_geodesics
 from geq.constructions import beltrami_pair
@@ -71,6 +75,51 @@ def test_equivalence_counts_truncated_trajectories():
 def test_equivalence_validates_trajectory_count():
     with pytest.raises(ValueError):
         check_equivalence(lc_pair((1.0,), (2.0,)), n_traj=0)
+
+
+def counted(field, log: list, name: str):
+    """``field`` with every evaluator call logged as ``(name, kind, rows)``."""
+    def wrap(fn, kind):
+        def inner(xs):
+            log.append((name, kind, int(np.prod(np.shape(xs)[:-1]))))
+            return fn(xs)
+        return inner
+
+    return dataclasses.replace(
+        field, eval=wrap(field.eval, "eval"),
+        partials=None if field.partials is None else wrap(field.partials, "partials"))
+
+
+@pytest.mark.parametrize("name", ["beltrami_2", "three_d_axial", "product_s1_s2"])
+def test_equivalence_reads_the_base_metric_only_to_integrate(monkeypatch, name):
+    pair = standard_pair(name)
+    log = []
+    pair = dataclasses.replace(pair, g=counted(pair.g, log, "g"),
+                               gbar=counted(pair.gbar, log, "gbar"))
+    integrate = verify.integrate_geodesics
+    samples = []
+
+    def integrate_then_mark(*args):
+        trajectories = integrate(*args)
+        samples.append(sum(len(t.points) for t in trajectories))
+        log.append("integrated")
+        return trajectories
+
+    monkeypatch.setattr(verify, "integrate_geodesics", integrate_then_mark)
+    report = check_equivalence(pair, n_traj=6, duration=0.5, tol=1e-9, seed=3)
+    assert report.max_tangential_defect < 1e-6
+    # After the integrator, only the companion is read: once, on the
+    # samples and their (4n + 1)-point stencil stacked.
+    after = log[log.index("integrated") + 1:]
+    assert after == [("gbar", "eval", (4 * pair.dim + 1) * samples[0])]
+    assert [entry for entry in log if entry[0] == "gbar"] == after
+
+
+def test_conservation_validates_parameter_value_count():
+    pair = lc_pair((1.0,), (2.0,))
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            check_conservation(pair, n_traj=2, n_t_values=count)
 
 
 def test_conservation_on_a_constructed_pair():
