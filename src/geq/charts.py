@@ -9,6 +9,7 @@ per-trajectory adaptive steps.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,12 @@ class Chart:
         for lo, hi in self.box:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate interval ({lo}, {hi})")
+
+    @functools.cached_property
+    def _fd_stencil(self) -> tuple[Array, Array]:
+        """The read-only finite-difference stencil of this chart at the
+        default step (:func:`_fd_offsets`), built on first use."""
+        return _build_fd_offsets(self, FD_STEP)
 
     @property
     def lows(self) -> Array:
@@ -119,30 +126,70 @@ def metric_at(field: MetricField, x: Array) -> Array:
     return m
 
 
-def _stencil(x: Array, h: Array) -> Array:
-    """The points ``x + h_k e_k`` and ``x - h_k e_k`` for every axis ``k``,
-    stacked in that order on a new leading axis of length ``2 dim``."""
-    n = h.shape[0]
-    steps = np.stack([np.diag(h), -np.diag(h)], axis=1)
-    return x + steps.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,))
+def _build_fd_offsets(chart: Chart, step: float) -> tuple[Array, Array]:
+    n = chart.dim
+    h = step * chart.widths
+    axes = [np.stack([np.diag(d), -np.diag(d)], axis=1).reshape(2 * n, n)
+            for d in (h, 0.5 * h)]
+    offsets = np.concatenate([np.full((1, n), -0.0)] + axes)
+    divisors = 2.0 * np.concatenate([h, 0.5 * h])
+    offsets.flags.writeable = divisors.flags.writeable = False
+    return offsets, divisors
 
 
-def _central(values: Array, h: Array) -> Array:
-    """Central difference quotients ``(f(x + h_k e_k) - f(x - h_k e_k)) / 2 h_k``
-    from the values at a :func:`_stencil`, with the axis ``k`` leading."""
-    scale = (2.0 * h).reshape((-1,) + (1,) * (values.ndim - 1))
-    return (values[0::2] - values[1::2]) / scale
+def _fd_offsets(chart: Chart, step: float) -> tuple[Array, Array]:
+    """The finite-difference stencil of ``chart`` at relative ``step``,
+    read-only: offsets ``(4 dim + 1, dim)`` (the centre, ``+-h_k e_k`` for
+    every axis ``k`` in that order, then the same at ``h / 2``) and the
+    divisors ``(2 dim,)`` of their central differences.
+
+    The stencil at the default :data:`FD_STEP` is built once per chart; any
+    other step builds it per call.  The centre offset is ``-0.0``, which
+    leaves every coordinate bitwise as it is."""
+    return chart._fd_stencil if step == FD_STEP else _build_fd_offsets(chart, step)
+
+
+def _on_stencil(x: Array, offsets: Array) -> Array:
+    """The points ``x + offsets[s]`` stacked on a new leading axis, in one
+    broadcast add."""
+    return x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:])
+
+
+def _differences(values: Array, divisors: Array) -> Array:
+    """Central difference quotients of values stacked as ``(+, -)`` pairs on
+    the leading axis, one per pair, in one subtraction."""
+    return (values[0::2] - values[1::2]) / divisors.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def _full_step_differences(fn: Callable[[Array], Array], chart: Chart, x: Array,
+                           centre: bool = False) -> Array:
+    """Central differences of ``fn`` at ``x`` along every axis of ``chart``,
+    axis leading, from one call of ``fn`` on the full-step stencil.
+
+    With ``centre`` the unshifted point leads the stack and its row is
+    dropped: a glued field then sees which slices leave each factor's
+    coordinates as they are, and evaluates each factor on those only."""
+    offsets, divisors = _fd_offsets(chart, FD_STEP)
+    first = 0 if centre else 1
+    values = fn(_on_stencil(x, offsets[first:2 * chart.dim + 1]))
+    return _differences(values[1 - first:], divisors[:chart.dim])
 
 
 def _eval_with_fd_partials(field: MetricField, x: Array, step: float = FD_STEP
                            ) -> tuple[Array, Array]:
     """The metric and its central differences from one ``field.eval`` call
-    on the centre and the full- and half-step stencils, stacked."""
-    h = step * field.chart.widths
-    m = field.eval(np.concatenate([x[None], _stencil(x, h), _stencil(x, 0.5 * h)]))
+    on the centre and the full- and half-step stencils, stacked.
+
+    The stencil is the centre plus the cached offsets of :func:`_fd_offsets`
+    in one broadcast add, and the full- and half-step differences come from
+    one subtraction of its ``(+, -)`` pairs.  Where the two estimates
+    disagree by more than ``1e-4`` relative, the Richardson combination
+    replaces the half-step one."""
+    offsets, divisors = _fd_offsets(field.chart, step)
+    m = field.eval(_on_stencil(x, offsets))
     n = field.chart.dim
-    d_full = _central(m[1:2 * n + 1], h)
-    d_half = _central(m[2 * n + 1:], 0.5 * h)
+    d = _differences(m[1:], divisors)
+    d_full, d_half = d[:n], d[n:]
     mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
     d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
     return m[0], np.moveaxis(d, 0, -3)
@@ -325,12 +372,13 @@ def integrate_geodesics(
         idx = np.nonzero(active)[0]
         ya, dta, k1a = y[idx], np.minimum(dt[idx], T - t[idx]), k1[idx]
         k = np.empty((7, len(idx), ya.shape[1]))
+        stages = k.reshape(7, -1)  # a view: the stage sums are one matrix product each
         k[0] = k1a
         for s in range(1, 7):
-            incr = np.tensordot(_DP_A[s], k[:s], axes=(0, 0))
+            incr = (_DP_A[s] @ stages[:s]).reshape(ya.shape)
             k[s] = _geodesic_rhs(field, ya + dta[:, None] * incr)
-        y5 = ya + dta[:, None] * np.tensordot(_DP_B5, k, axes=(0, 0))
-        err_vec = dta[:, None] * np.tensordot(_DP_E, k, axes=(0, 0))
+        y5 = ya + dta[:, None] * (_DP_B5 @ stages).reshape(ya.shape)
+        err_vec = dta[:, None] * (_DP_E @ stages).reshape(ya.shape)
         scale = tol + tol * np.maximum(np.abs(ya), np.abs(y5))
         err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
         err = np.where(np.isfinite(err), err, np.inf)
@@ -414,8 +462,7 @@ class ChartMap:
         y = np.asarray(y, dtype=float)
         if self.jacobian is not None:
             return self.jacobian(y)
-        h = FD_STEP * self.source.widths
-        return np.moveaxis(_central(self.forward(_stencil(y, h)), h), 0, -1)
+        return np.moveaxis(_full_step_differences(self.forward, self.source, y), 0, -1)
 
     def inverted(self) -> "ChartMap":
         if self.inverse is None or self.inverse_source is None:

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 
 from .charts import Chart, MetricField, integrate_geodesics
-from .errors import DegenerateMap, NotPositive
+from .errors import DegenerateMap, EigenOrderViolated, NotPositive
 from .projective import MetricPair, _l_values
 from .split_glue import EquivTriple, make_triple, oplus
 
@@ -219,6 +219,39 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     return out
 
 
+def _chart_eigen_bounds(a_map: LinearMap, sphere: SphereChart) -> tuple[float, float]:
+    """Bounds on the eigenvalues of ``L`` of :func:`beltrami_pair` over the
+    chart of ``sphere``.
+
+    With ``M = A^T A`` and ``s = det(M)^(1/(n+1))``, ``L`` at a unit point
+    ``x`` has the eigenvalues of ``s M^-1`` compressed to ``x^perp``.  A unit
+    ``v`` orthogonal to ``x`` has ``(v.e)^2 <= 1 - (x.e)^2``, so the least
+    eigenvalue is at least ``s (b_1 + (b_2 - b_1) (x.e_1)^2)`` for the two
+    least eigenvalues ``b_1 <= b_2`` of ``M^-1`` and the eigenvector ``e_1``
+    of ``b_1``, and the greatest is bounded the same way from above.  Over
+    the chart, ``(x.e)^2`` is at least ``sin^2`` of the angle by which the
+    cap holding the chart (the image of the box's circumscribed ball) clears
+    the great sphere ``e^perp``; where the cap reaches it, the bound is that
+    of the whole sphere.  On a circle both bounds are exact.
+    """
+    m, vecs = np.linalg.eigh(a_map.matrix.T @ a_map.matrix)
+    b, s = 1.0 / m, np.prod(m) ** (1.0 / m.size)
+    chart = sphere.chart
+    dist, rho = np.linalg.norm(chart.center), 0.5 * np.linalg.norm(chart.widths)
+    axis = chart.center / dist if dist > 0.0 else np.eye(sphere.dim)[0]
+    # The ball's points on the line through 0 and its centre sit at angles
+    # 2 arctan(t) from the chart centre along one great circle.
+    near, far = np.arctan(dist - rho), np.arctan(dist + rho)
+    centre = np.append(np.sin(near + far) * axis, -np.cos(near + far)) @ sphere._reflection.T
+
+    def clearance(e: Array) -> float:
+        alpha = np.arcsin(min(1.0, abs(float(centre @ e))))
+        return np.sin(max(0.0, alpha - (far - near))) ** 2
+
+    return (s * (b[-1] + (b[-2] - b[-1]) * clearance(vecs[:, -1])),
+            s * (b[0] - (b[0] - b[1]) * clearance(vecs[:, 0])))
+
+
 def spheres_product(factors: list[tuple]) -> EquivTriple:
     """Assemble a product of spheres: one Beltrami triple per factor, then
     folded with ``oplus``.
@@ -229,18 +262,37 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
     scale by ``c^(1/(k+1))``, so its range then starts at
     ``(1 + RELATIVE_GAP) hi`` or above.
 
+    The ranges are sampled on a grid, which can miss a steep eigenvalue's
+    extremes; gluing is then invalid although the sampled ranges are
+    ordered.  So the scaled factor must also clear the previous one on the
+    closed-form chart bounds of :func:`_chart_eigen_bounds`, or
+    :class:`EigenOrderViolated` names both ranges and ``c``.
+
     Each factor is ``(dim, a_map)`` or ``(dim, a_map, sphere_chart)``.
     """
     if not factors:
         raise ValueError("at least one factor is required")
-    triples = []
+    triples, bounds = [], []
     for factor in factors:
         dim, a_map, *rest = factor
-        triples.append(beltrami_pair(dim, a_map, rest[0] if rest else None))
+        a_map = LinearMap.identity(dim + 1) if a_map is None else a_map
+        sphere = rest[0] if rest else sphere_chart(dim)
+        triples.append(beltrami_pair(dim, a_map, sphere))
+        bounds.append(_chart_eigen_bounds(a_map, sphere))
     scaled = [triples[0]]
-    for triple in triples[1:]:
-        ratio = (1.0 + RELATIVE_GAP) * scaled[-1].eigen_range[1] / triple.eigen_range[0]
-        scaled.append(scale_triple(triple, max(1.0, ratio) ** (triple.pair.dim + 1)))
+    top = bounds[0][1]
+    for i, (triple, (low, high)) in enumerate(zip(triples[1:], bounds[1:]), start=1):
+        ratio = max(1.0, (1.0 + RELATIVE_GAP) * scaled[-1].eigen_range[1]
+                    / triple.eigen_range[0])
+        c = ratio ** (triple.pair.dim + 1)
+        if low * ratio <= top:
+            raise EigenOrderViolated(
+                f"factor {i} (sampled eigenvalue range {list(triple.eigen_range)}) scaled by "
+                f"c = {c:.6g} to start above factor {i - 1} (range "
+                f"{list(scaled[-1].eigen_range)}) can have eigenvalues down to "
+                f"{low * ratio:.6g} on its chart, and factor {i - 1} up to {top:.6g}")
+        scaled.append(scale_triple(triple, c))
+        top = high * ratio
     return oplus(scaled)
 
 

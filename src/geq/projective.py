@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import FD_STEP, MetricField, PhasePoint, _central, _stencil, metric_at
+from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
 from .errors import (
     BracketFailure,
     DimensionMismatch,
@@ -315,9 +315,10 @@ def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
 
 def _l_partials(pair: MetricPair, x: Array) -> Array:
     """Central differences of the ``L`` field: ``(..., k, i, j)`` holds
-    the derivative of ``L^i_j`` along coordinate ``k``."""
-    h = FD_STEP * pair.chart.widths
-    return np.moveaxis(_central(_l_many(pair, _stencil(x, h)), h), 0, -3)
+    the derivative of ``L^i_j`` along coordinate ``k``, from one ``_l_many``
+    call on the centre and the full-step stencil."""
+    return np.moveaxis(_full_step_differences(lambda xs: _l_many(pair, xs), pair.chart, x,
+                                              centre=True), 0, -3)
 
 
 def nijenhuis_at(pair: MetricPair, x: Array) -> Array:

@@ -5,7 +5,10 @@ The splitting rebuilds, from the characteristic polynomials of the two
 eigenvalue blocks of the compatibility tensor, a pair of block-diagonal
 metrics whose blocks each depend only on their own coordinates; the gluing
 is the exact inverse construction, and ``oplus`` is its associative fold.
-Both fields of a split or glued pair come from one joint evaluation per point batch.
+Both fields of a split or glued pair share one evaluation of their
+intermediates per point batch, and each field's matrix is assembled only when
+that field is read; a glued pair evaluates each factor only on the slices of
+a stacked batch that move the factor's coordinates.
 """
 from __future__ import annotations
 
@@ -105,21 +108,27 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     return _split(pair, xs, r)[2:]
 
 
-def _twin_fields(chart: Chart, joint, tag: str) -> tuple[MetricField, MetricField]:
-    """Two metric fields fed by one evaluator ``joint(xs) -> (m, mbar)``: a read
-    evaluates both and keeps the partner's matrix in a single slot keyed by a copy
-    of the points, which the partner's next read at identical points pops."""
+def _twin_fields(chart: Chart, shared, assemble, tag: str) -> tuple[MetricField, MetricField]:
+    """Two metric fields fed by one evaluation ``shared(xs)`` of the
+    intermediates both need; ``assemble(which, state)`` builds the matrix of
+    field ``which`` (0 the base, 1 the companion) from them.
+
+    A read assembles only its own field's matrix, so reading only the base
+    metric (as the integrator does) never builds a companion.  It keeps the
+    intermediates in a single slot keyed by the partner field and a copy of
+    the points, which the partner's next read at identical points pops; any
+    other read replaces them."""
     slot: dict = {}
 
     def read(which: int, xs: Array) -> Array:
         xs = np.asarray(xs, dtype=float)
         key = (which, xs.shape, xs.tobytes())
-        if key in slot:
-            return slot.pop(key)
-        both = joint(xs)
-        slot.clear()
-        slot[(1 - which,) + key[1:]] = both[1 - which]
-        return both[which]
+        state = slot.pop(key, None)
+        if state is None:
+            state = shared(xs)
+            slot.clear()
+            slot[(1 - which,) + key[1:]] = state
+        return assemble(which, state)
 
     return (MetricField(chart=chart, eval=lambda xs: read(0, xs), provenance=tag),
             MetricField(chart=chart, eval=lambda xs: read(1, xs), provenance=tag + "/companion"))
@@ -145,13 +154,14 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
         raise GapViolated(
             f"eigenvalue ranges overlap across the cut: sup {low[1]} >= inf {high[0]}")
 
-    def joint(xs: Array) -> tuple[Array, Array]:
-        g, gb, conv, conv_bar = _split(pair, xs, r)
-        h = np.linalg.solve(np.swapaxes(conv, -1, -2), g)
-        hbar = np.linalg.solve(np.swapaxes(conv_bar, -1, -2), gb)
-        return 0.5 * (h + np.swapaxes(h, -1, -2)), 0.5 * (hbar + np.swapaxes(hbar, -1, -2))
+    def assemble(which: int, state: tuple) -> Array:
+        g, gb, conv, conv_bar = state
+        m, c = (g, conv) if which == 0 else (gb, conv_bar)
+        m = np.linalg.solve(np.swapaxes(c, -1, -2), m)
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-    h, hbar = _twin_fields(pair.chart, joint, f"split(r={r}, {pair.provenance})")
+    h, hbar = _twin_fields(pair.chart, lambda xs: _split(pair, xs, r), assemble,
+                           f"split(r={r}, {pair.provenance})")
     return SplitResult(r=r, h=h, hbar=hbar,
                        index_split=(tuple(range(r)), tuple(range(r, n))),
                        factor_ranges=(low, high))
@@ -199,12 +209,54 @@ def _converted(conv: Array, m: Array) -> Array:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _block_diagonal(a: Array, b: Array) -> Array:
+    r = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (r + b.shape[-1],) * 2)
+    out[..., :r, :r], out[..., r:, r:] = a, b
+    return out
+
+
+def _moving_slices(x: Array) -> tuple[list, Array] | None:
+    """For a stack ``x`` of shape ``(S, ..., k)``: the slices that differ
+    bitwise from slice 0, slice 0 first, and for every slice the position
+    among those of the slice with identical bits; None when every slice
+    differs or ``x`` is a plain point batch."""
+    if x.ndim < 3 or len(x) < 2:
+        return None
+    bits = x.reshape(len(x), -1).view(np.int64)
+    moved = [True] + np.any(bits[1:] != bits[0], axis=1).tolist()
+    if all(moved):
+        return None
+    return ([s for s, m in enumerate(moved) if m],
+            np.where(moved, np.cumsum(moved) - 1, 0))
+
+
+def _factor_values(pair: MetricPair, x: Array) -> tuple[Array, ...]:
+    """A factor's two metrics, its ``L`` and the characteristic coefficients
+    of ``L`` at ``x``.  On a stack such as a finite-difference stencil, only
+    the slices that move this factor's coordinates away from slice 0 are
+    evaluated; the others take slice 0's values, which are the same bits."""
+    plan = _moving_slices(x)
+    if plan is not None:
+        x = x[plan[0]]
+    g, gb = pair.g.eval(x), pair.gbar.eval(x)
+    L = _l_from(g, gb)
+    values = (g, gb, L, _char_and_adjugate(L)[0])
+    return values if plan is None else tuple(v[plan[1]] for v in values)
+
+
 def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     """Glue two factor triples into a compatible pair on the product chart.
 
     Requires the eigenvalue range of the first factor to lie strictly
     below that of the second (:class:`EigenOrderViolated` otherwise); the
     eigenvalues of the result are the union of the factors'.
+
+    A read of either glued field evaluates each factor on its own
+    coordinates (:func:`_factor_values`): on a finite-difference stencil of
+    the product chart, a ``k``-dimensional factor is evaluated on ``4k + 1``
+    of its ``4n + 1`` slices.  The base metric's blocks and the companion's
+    are assembled only for the field that is read (:func:`_twin_fields`).
     """
     lo1, hi1 = factor1.eigen_range
     lo2, hi2 = factor2.eigen_range
@@ -217,28 +269,22 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     chart = Chart(n, p1.chart.box + p2.chart.box)
     sign = (-1.0) ** r
 
-    def joint(xs: Array) -> tuple[Array, Array]:
-        xs = np.asarray(xs, dtype=float)
-        x1 = xs[..., :r]
-        x2 = xs[..., r:]
-        g1, gb1 = p1.g.eval(x1), p1.gbar.eval(x1)
-        g2, gb2 = p2.g.eval(x2), p2.gbar.eval(x2)
-        l1 = _l_from(g1, gb1)
-        l2 = _l_from(g2, gb2)
-        c1, _ = _char_and_adjugate(l1)
-        c2, _ = _char_and_adjugate(l2)
-        conv1 = _matrix_poly(c2, l1)
-        cross = _matrix_poly(c1, l2)
-        bar1 = (1.0 / c2[..., 0])[..., None, None] * conv1
-        bar2 = (sign / c1[..., 0])[..., None, None] * cross
-        g = np.zeros(xs.shape[:-1] + (n, n))
-        gbar = np.zeros_like(g)
-        g[..., :r, :r], g[..., r:, r:] = _converted(conv1, g1), _converted(sign * cross, g2)
-        gbar[..., :r, :r], gbar[..., r:, r:] = _converted(bar1, gb1), _converted(bar2, gb2)
-        return g, gbar
+    def shared(xs: Array) -> tuple:
+        g1, gb1, l1, c1 = _factor_values(p1, xs[..., :r])
+        g2, gb2, l2, c2 = _factor_values(p2, xs[..., r:])
+        return (g1, gb1, c1[..., 0], _matrix_poly(c2, l1),
+                g2, gb2, c2[..., 0], _matrix_poly(c1, l2))
+
+    def assemble(which: int, state: tuple) -> Array:
+        g1, gb1, det1, conv1, g2, gb2, det2, cross = state
+        if which == 0:
+            return _block_diagonal(_converted(conv1, g1), _converted(sign * cross, g2))
+        bar1 = (1.0 / det2)[..., None, None] * conv1
+        bar2 = (sign / det1)[..., None, None] * cross
+        return _block_diagonal(_converted(bar1, gb1), _converted(bar2, gb2))
 
     tag = f"glue({p1.provenance}, {p2.provenance})"
-    g, gbar = _twin_fields(chart, joint, tag)
+    g, gbar = _twin_fields(chart, shared, assemble, tag)
     return EquivTriple(pair=MetricPair(g=g, gbar=gbar, provenance=tag), eigen_range=(lo1, hi2))
 
 

@@ -8,6 +8,8 @@ from geq.charts import (
     ChartMap,
     MetricField,
     PhasePoint,
+    _eval_with_fd_partials,
+    _fd_offsets,
     _spray,
     christoffel,
     christoffel_at,
@@ -272,6 +274,71 @@ class TestSpray:
             assert traj.accelerations.shape == traj.velocities.shape
             assert_rows_close(traj.accelerations,
                               -contracted(field, traj.points, traj.velocities))
+
+
+def stencil_reference(field: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The metric and its partials from a stencil built on every call: the
+    centre, then the +-h and +-h/2 points of each axis, concatenated, and
+    each step's central differences taken by their own subtraction."""
+    n = field.chart.dim
+    h = FD_STEP * field.chart.widths
+
+    def stencil(d):
+        steps = np.stack([np.diag(d), -np.diag(d)], axis=1)
+        return x + steps.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,))
+
+    def central(values, d):
+        return (values[0::2] - values[1::2]) / (2.0 * d).reshape((-1,) + (1,) * (values.ndim - 1))
+
+    m = field.eval(np.concatenate([x[None], stencil(h), stencil(0.5 * h)]))
+    d_full = central(m[1:2 * n + 1], h)
+    d_half = central(m[2 * n + 1:], 0.5 * h)
+    mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
+    d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
+    return m[0], np.moveaxis(d, 0, -3)
+
+
+# A finite-difference base metric, a finite-difference companion next to
+# closed-form base partials, and both fields of a glued pair.
+STENCIL_FIELDS = [("three_d_axial", "g"), ("beltrami_3", "gbar"),
+                  ("product_s1_s2", "g"), ("product_s1_s2", "gbar")]
+
+
+class TestCachedStencil:
+    @pytest.mark.parametrize("name, which", STENCIL_FIELDS)
+    def test_partials_and_spray_equal_a_per_call_stencil(self, name, which):
+        field = getattr(standard_pair(name), which)
+        rng = np.random.default_rng(13)
+        x = field.chart.sample(rng, 30, shrink=0.8)
+        v = rng.normal(size=x.shape)
+        g, dg = stencil_reference(field, x)
+        assert np.array_equal(fd_partials(field, x), dg)
+        # The contraction of _spray, fed the reference partials.
+        dgv = np.einsum("bkij,bj->bki", dg, v)
+        t = 2.0 * np.einsum("bk,bki->bi", v, dgv) - np.einsum("bki,bi->bk", dgv, v)
+        got_g, got_spray = _spray(field, x, v)
+        assert np.array_equal(got_g, g)
+        assert np.array_equal(got_spray, 0.5 * np.linalg.solve(g, t[..., None])[..., 0])
+
+    def test_offsets_are_cached_read_only_and_keep_the_centre(self):
+        chart = Chart(2, ((-1.0, 1.0), (0.0, 4.0)))
+        offsets, divisors = _fd_offsets(chart, FD_STEP)
+        assert offsets.shape == (9, 2) and divisors.shape == (4,)
+        again = _fd_offsets(chart, FD_STEP)
+        assert again[0] is offsets and again[1] is divisors
+        other = _fd_offsets(chart, 2.0 * FD_STEP)
+        assert np.array_equal(other[1], 2.0 * divisors)
+        for array in (offsets, divisors) + other:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # The centre is -0.0, so even a -0.0 coordinate reaches eval unchanged.
+        seen = []
+        field = constant_field(chart, np.eye(2))
+        counted = MetricField(chart=chart, eval=lambda xs: seen.append(xs) or field.eval(xs))
+        x = np.array([[-0.0, 1.0], [0.5, 2.0]])
+        _eval_with_fd_partials(counted, x)
+        assert seen[0][0].tobytes() == x.tobytes()
 
 
 class TestIntegrateGeodesic:

@@ -300,6 +300,24 @@ def test_command_flags_are_schema_errors(runner, args, message):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("factors, message", [
+    ("1:;2:1,1e5,1e10", "factor 1 (sampled eigenvalue range [9.99292822101"),
+    ("2:1,1e3,1e6;2:1,1e3,1e6", "factor 1 (sampled eigenvalue range [0.000100989823"),
+], ids=["circle-then-steep-sphere", "steep-spheres"])
+def test_product_whose_factors_cannot_be_ordered_names_them(runner, factors, message):
+    result = runner.invoke(main, ["product", "--factors", factors])
+    assert result.exit_code == 1
+    assert f"error: EigenOrderViolated: {message}" in result.stderr
+    assert "scaled by c = " in result.stderr and "factor 0 (range [" in result.stderr
+    assert result.stdout == ""
+
+
+def test_product_with_a_steep_circle_off_its_chart_builds(runner):
+    result = runner.invoke(main, ["product", "--factors", "1:;1:1,10"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["checks"][0]["metrics"]["dim"] == 2
+
+
 @pytest.mark.parametrize("command", ["check-interlacing", "suite"])
 def test_config_tol_outside_the_integrator_range_is_a_schema_error(runner, tmp_path,
                                                                     command):

@@ -8,9 +8,9 @@ from geq.charts import Chart, MetricField, PhasePoint, fd_partials, integrate_ge
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
-from geq.errors import DegenerateMap, NotPositive
+from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
-from geq.projective import l_eigen, max_eigen_multiplicity
+from geq.projective import _l_values, l_eigen, max_eigen_multiplicity
 from geq.split_glue import make_triple
 
 INTERVAL = (-0.5, 0.5)
@@ -205,6 +205,56 @@ def test_product_scaling_places_the_second_range_at_the_gap(monkeypatch, factors
     first, second = folded
     target = (1.0 + constructions.RELATIVE_GAP) * first.eigen_range[1]
     assert second.eigen_range[0] == pytest.approx(target, rel=1e-12)
+
+
+def _random_sphere_chart(rng, dim):
+    centre, half = rng.uniform(-0.5, 0.5, size=dim), rng.uniform(0.05, 0.6, size=dim)
+    box = tuple((c - h, c + h) for c, h in zip(centre, half))
+    return SphereChart(dim=dim, chart=Chart(dim, box), pole=rng.normal(size=dim + 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_chart_eigen_bounds_enclose_the_sampled_spectrum(dim):
+    rng = np.random.default_rng(dim)
+    for sphere in [sphere_chart(dim)] + [_random_sphere_chart(rng, dim) for _ in range(4)]:
+        a_map = LinearMap(rng.normal(size=(dim + 1, dim + 1)))
+        pair = beltrami_pair(dim, a_map, sphere).pair
+        xs = pair.chart.sample(rng, 2000)
+        mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
+        low, high = constructions._chart_eigen_bounds(a_map, sphere)
+        assert low * (1.0 - 1e-9) <= np.min(mu) and np.max(mu) <= high * (1.0 + 1e-9)
+
+
+def test_chart_eigen_bounds_are_the_range_on_a_circle():
+    rng = np.random.default_rng(5)
+    for sphere in [sphere_chart(1)] + [_random_sphere_chart(rng, 1) for _ in range(4)]:
+        a_map = LinearMap(rng.normal(size=(2, 2)))
+        pair = beltrami_pair(1, a_map, sphere).pair
+        xs = pair.chart.grid(20_001)
+        mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
+        low, high = constructions._chart_eigen_bounds(a_map, sphere)
+        assert low == pytest.approx(np.min(mu), rel=1e-6)
+        assert high == pytest.approx(np.max(mu), rel=1e-6)
+
+
+def test_product_with_a_steep_circle_off_its_chart_still_builds():
+    # On the whole circle the second factor reaches 0.1, below the first
+    # factor's 1; on its chart it stays within [0.876, 10], which the
+    # scaling lifts clear.
+    product = spheres_product([(1, None), (1, LinearMap.diagonal([1.0, 10.0]))])
+    xs = product.pair.chart.grid(64)
+    mu = _l_values(product.pair.g.eval(xs), product.pair.gbar.eval(xs))
+    assert np.max(mu[..., 0]) < np.min(mu[..., 1])
+
+
+def test_product_whose_scaled_factor_can_reach_below_the_previous_is_refused():
+    # The grid samples the steep second factor's range from 2.0e-4, but on
+    # the sphere it reaches 1e-4, so c = (1.1 / 2.0e-4)^3 does not clear the
+    # circle's eigenvalue 1 and the glued companion would be indefinite.
+    factors = [(1, None), (2, LinearMap.diagonal([1.0, 1e2, 1e4]))]
+    with pytest.raises(EigenOrderViolated, match=r"factor 1 \(sampled eigenvalue range "
+                       r"\[0\.0001999.*c = 1\.66444e\+11.*factor 0 \(range \[0\.99999"):
+        spheres_product(factors)
 
 
 def test_product_requires_a_factor():

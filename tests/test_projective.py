@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from geq.charts import Chart, MetricField, PhasePoint
+from geq.charts import FD_STEP, Chart, MetricField, PhasePoint
 from geq.errors import (BracketFailure, DimensionMismatch, NotPositiveDefinite, OutOfChart,
                         SingularMetric)
 from geq.normal_forms import levi_civita_pair, random_levi_civita_data
@@ -12,6 +12,8 @@ from geq.projective import (
     _integral_coeffs,
     _l_frame,
     _l_from,
+    _l_many,
+    _l_partials,
     _l_values,
     _roots_many,
     eigen_range,
@@ -389,6 +391,18 @@ class TestIntegralRoots:
 
 
 class TestNijenhuis:
+    @pytest.mark.parametrize("name", ["three_d_full", "product_s1_s2", "control_torsion"])
+    def test_l_partials_are_one_stacked_call_equal_to_a_per_axis_loop(self, name):
+        pair = standard_pair(name)
+        x = pair.chart.sample(np.random.default_rng(14), 6, shrink=0.8)
+        got = _l_partials(pair, x)
+        h = FD_STEP * pair.chart.widths
+        for k in range(pair.dim):
+            e = np.zeros(pair.dim)
+            e[k] = h[k]
+            column = (_l_many(pair, x + e) - _l_many(pair, x - e)) / (2.0 * h[k])
+            assert np.array_equal(got[..., k, :, :], column)
+
     def test_constant_proportional_pair_vanishes(self):
         pair = constant_pair(np.eye(2), 3.0 * np.eye(2))
         n = nijenhuis_at(pair, np.array([0.3, 0.4]))

@@ -2,12 +2,14 @@
 import numpy as np
 import pytest
 
-from geq.charts import Chart, MetricField
+from geq import split_glue
+from geq.charts import FD_STEP, Chart, MetricField, _fd_offsets, _on_stencil, _spray
 from geq.errors import EigenOrderViolated, GapViolated, NotPositive
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
-from geq.projective import MetricPair, l_eigen, l_tensor
+from geq.projective import MetricPair, _l_partials, l_eigen, l_tensor
 from geq.split_glue import (EquivTriple, glue_pair, make_triple, oplus,
                             split_factors, split_pair, split_tensors)
+from geq.verify import standard_pair
 
 INTERVAL = (-0.5, 0.5)
 
@@ -263,6 +265,78 @@ def test_twin_fields_never_serve_a_stale_matrix(build, reads):
         which, name = read
         got = fields[which].eval(points[name])
         assert np.array_equal(got, build(pair)[which].eval(points[name].copy()))
+
+
+GLUED_PAIRS = {
+    "product_s1_s2": lambda: standard_pair("product_s1_s2"),
+    "product_s2_s2": lambda: standard_pair("product_s2_s2"),
+    "split-lc": lambda: glue_pair(*split_factors(split_pair(
+        lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)), 1))).pair,
+}
+
+
+@pytest.mark.parametrize("build", GLUED_PAIRS.values(), ids=GLUED_PAIRS.keys())
+def test_a_glued_stencil_read_equals_its_per_slice_reads(build):
+    # The stacked read evaluates each factor only on the slices that move
+    # its coordinates; every slice must still carry the bits of its own read.
+    pair = build()
+    x = pair.chart.sample(np.random.default_rng(8), 25, shrink=0.8)
+    stack = _on_stencil(x, _fd_offsets(pair.chart, FD_STEP)[0])
+    for field in (pair.g, pair.gbar):
+        got = field.eval(stack)
+        for s, points in enumerate(stack):
+            assert np.array_equal(got[s], field.eval(points.copy()))
+
+
+def _count_factor_rows(monkeypatch) -> dict:
+    """Patch gluing so that every factor read records its row count by
+    factor and field."""
+    rows = {}
+
+    def counted_triple(triple, tag):
+        def wrap(field, key):
+            def eval_fn(xs):
+                rows.setdefault((tag, key), []).append(int(np.prod(np.shape(xs)[:-1])))
+                return field.eval(xs)
+            return MetricField(chart=field.chart, eval=eval_fn, partials=field.partials)
+        pair = triple.pair
+        return EquivTriple(pair=MetricPair(g=wrap(pair.g, "g"), gbar=wrap(pair.gbar, "gbar")),
+                           eigen_range=triple.eigen_range)
+
+    glue = split_glue.glue_pair
+    monkeypatch.setattr(split_glue, "glue_pair", lambda f1, f2: glue(
+        counted_triple(f1, "factor1"), counted_triple(f2, "factor2")))
+    return rows
+
+
+def test_a_spray_of_the_glued_base_evaluates_each_factor_on_its_own_slices(monkeypatch):
+    rows = _count_factor_rows(monkeypatch)
+    pair = standard_pair("product_s2_s2")
+    assembled = []
+    converted = split_glue._converted
+    monkeypatch.setattr(split_glue, "_converted",
+                        lambda conv, m: assembled.append(m.shape) or converted(conv, m))
+    B = 11
+    rng = np.random.default_rng(9)
+    x = pair.chart.sample(rng, B, shrink=0.8)
+    _spray(pair.g, x, rng.normal(size=x.shape))
+    # A 2-dimensional factor of the 4-dimensional product moves on 4 * 2 + 1
+    # of the 4 * 4 + 1 stencil slices.
+    assert rows == {(tag, key): [9 * B] for tag in ("factor1", "factor2")
+                    for key in ("g", "gbar")}
+    assert len(assembled) == 2  # the two blocks of g, no companion block
+
+
+def test_l_partials_of_a_glued_pair_evaluate_each_factor_on_its_own_slices(monkeypatch):
+    rows = _count_factor_rows(monkeypatch)
+    pair = standard_pair("product_s2_s2")
+    B = 7
+    x = pair.chart.sample(np.random.default_rng(10), B, shrink=0.8)
+    _l_partials(pair, x)
+    # The centre leads the full-step stencil, so a 2-dimensional factor
+    # moves on 2 * 2 + 1 of its 2 * 4 + 1 slices.
+    assert rows == {(tag, key): [5 * B] for tag in ("factor1", "factor2")
+                    for key in ("g", "gbar")}
 
 
 def test_oplus_is_associative():
