@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._validate import expect_finite, expect_int, expect_interval, expect_number, expect_tol, fail
 from .errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
@@ -26,8 +27,6 @@ Array = np.ndarray
 
 # Relative finite-difference step (scaled by the per-axis box width).
 FD_STEP = 1e-5
-# The integrator tolerances accepted by the library and by config/flag schemas.
-TOL_RANGE = (1e-13, 1e-3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,19 +37,27 @@ class Chart:
     box: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("chart dimension must be >= 1")
+        expect_int(self.dim, "dim", 1)
         if len(self.box) != self.dim:
-            raise ValueError("box must list one interval per dimension")
-        for lo, hi in self.box:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"degenerate interval ({lo}, {hi})")
+            fail("box", f"expected {self.dim} intervals, one per dimension")
+        for i, (lo, hi) in enumerate(self.box):
+            expect_interval(lo, hi, f"box[{i}]")
 
     @functools.cached_property
     def _fd_stencil(self) -> tuple[Array, Array]:
-        """The read-only finite-difference stencil of this chart at the
-        default step (:func:`_fd_offsets`), built on first use."""
-        return _build_fd_offsets(self, FD_STEP)
+        """The read-only finite-difference stencil, built on first use: offsets
+        ``(4 dim + 1, dim)`` (the centre ``-0.0``, which leaves coordinates
+        bitwise as they are, ``+-h_k e_k`` for every axis ``k``, then the same
+        at ``h / 2``; ``h =`` :data:`FD_STEP` times the box widths) and the
+        divisors ``(2 dim,)`` of their central differences."""
+        n = self.dim
+        h = FD_STEP * self.widths
+        axes = [np.stack([np.diag(d), -np.diag(d)], axis=1).reshape(2 * n, n)
+                for d in (h, 0.5 * h)]
+        offsets = np.concatenate([np.full((1, n), -0.0)] + axes)
+        divisors = 2.0 * np.concatenate([h, 0.5 * h])
+        offsets.flags.writeable = divisors.flags.writeable = False
+        return offsets, divisors
 
     @property
     def lows(self) -> Array:
@@ -74,6 +81,17 @@ class Chart:
         x = np.asarray(x, dtype=float)
         pad = margin * self.widths
         return np.all((x >= self.lows + pad) & (x <= self.highs - pad), axis=-1)
+
+    def point(self, x: Array, margin: float = 0.0) -> Array:
+        """``x`` as one float point of this chart; :class:`OutOfChart` unless it
+        lies in the box shrunk by ``margin`` (:meth:`contains`), as NaN never does."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            fail("x", f"expected a point of dimension {self.dim}")
+        if not self.contains(x, margin):
+            raise OutOfChart(f"point {x.tolist()} is not {'strictly ' if margin else ''}"
+                             "inside the chart box")
+        return x
 
     def grid(self, per_axis: int) -> Array:
         """Regular grid of shape ``(per_axis**dim, dim)``."""
@@ -114,39 +132,12 @@ def metric_at(field: MetricField, x: Array) -> Array:
     """Metric matrix at a single point, symmetrized; raises
     :class:`OutOfChart` outside the box and :class:`NotPositiveDefinite`
     when the minimum eigenvalue is not positive."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.chart.dim,):
-        raise ValueError(f"expected a point of dimension {field.chart.dim}")
-    if not field.chart.contains(x):
-        raise OutOfChart(f"point {x.tolist()} outside chart box")
+    x = field.chart.point(x)
     m = field.eval(x[None, :])[0]
     m = 0.5 * (m + m.T)
     if np.linalg.eigvalsh(m)[0] <= 0.0:
         raise NotPositiveDefinite(f"metric not positive definite at {x.tolist()}")
     return m
-
-
-def _build_fd_offsets(chart: Chart, step: float) -> tuple[Array, Array]:
-    n = chart.dim
-    h = step * chart.widths
-    axes = [np.stack([np.diag(d), -np.diag(d)], axis=1).reshape(2 * n, n)
-            for d in (h, 0.5 * h)]
-    offsets = np.concatenate([np.full((1, n), -0.0)] + axes)
-    divisors = 2.0 * np.concatenate([h, 0.5 * h])
-    offsets.flags.writeable = divisors.flags.writeable = False
-    return offsets, divisors
-
-
-def _fd_offsets(chart: Chart, step: float) -> tuple[Array, Array]:
-    """The finite-difference stencil of ``chart`` at relative ``step``,
-    read-only: offsets ``(4 dim + 1, dim)`` (the centre, ``+-h_k e_k`` for
-    every axis ``k`` in that order, then the same at ``h / 2``) and the
-    divisors ``(2 dim,)`` of their central differences.
-
-    The stencil at the default :data:`FD_STEP` is built once per chart; any
-    other step builds it per call.  The centre offset is ``-0.0``, which
-    leaves every coordinate bitwise as it is."""
-    return chart._fd_stencil if step == FD_STEP else _build_fd_offsets(chart, step)
 
 
 def _on_stencil(x: Array, offsets: Array) -> Array:
@@ -161,31 +152,28 @@ def _differences(values: Array, divisors: Array) -> Array:
     return (values[0::2] - values[1::2]) / divisors.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def _full_step_differences(fn: Callable[[Array], Array], chart: Chart, x: Array,
-                           centre: bool = False) -> Array:
+def _full_step_differences(fn: Callable[[Array], Array], chart: Chart, x: Array) -> Array:
     """Central differences of ``fn`` at ``x`` along every axis of ``chart``,
     axis leading, from one call of ``fn`` on the full-step stencil.
 
-    With ``centre`` the unshifted point leads the stack and its row is
-    dropped: a glued field then sees which slices leave each factor's
-    coordinates as they are, and evaluates each factor on those only."""
-    offsets, divisors = _fd_offsets(chart, FD_STEP)
-    first = 0 if centre else 1
-    values = fn(_on_stencil(x, offsets[first:2 * chart.dim + 1]))
-    return _differences(values[1 - first:], divisors[:chart.dim])
+    The unshifted point leads the stack and its row is dropped: a glued
+    field then sees which slices leave each factor's coordinates as they
+    are, and evaluates each factor on those only."""
+    offsets, divisors = chart._fd_stencil
+    values = fn(_on_stencil(x, offsets[:2 * chart.dim + 1]))
+    return _differences(values[1:], divisors[:chart.dim])
 
 
-def _eval_with_fd_partials(field: MetricField, x: Array, step: float = FD_STEP
-                           ) -> tuple[Array, Array]:
+def _eval_with_fd_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
     """The metric and its central differences from one ``field.eval`` call
     on the centre and the full- and half-step stencils, stacked.
 
-    The stencil is the centre plus the cached offsets of :func:`_fd_offsets`
-    in one broadcast add, and the full- and half-step differences come from
-    one subtraction of its ``(+, -)`` pairs.  Where the two estimates
-    disagree by more than ``1e-4`` relative, the Richardson combination
-    replaces the half-step one."""
-    offsets, divisors = _fd_offsets(field.chart, step)
+    The stencil is the centre plus the cached offsets of
+    :attr:`Chart._fd_stencil` in one broadcast add, and the full- and
+    half-step differences come from one subtraction of its ``(+, -)`` pairs.
+    Where the two estimates disagree by more than ``1e-4`` relative, the
+    Richardson combination replaces the half-step one."""
+    offsets, divisors = field.chart._fd_stencil
     m = field.eval(_on_stencil(x, offsets))
     n = field.chart.dim
     d = _differences(m[1:], divisors)
@@ -195,7 +183,7 @@ def _eval_with_fd_partials(field: MetricField, x: Array, step: float = FD_STEP
     return m[0], np.moveaxis(d, 0, -3)
 
 
-def fd_partials(field: MetricField, x: Array, step: float = FD_STEP) -> Array:
+def fd_partials(field: MetricField, x: Array) -> Array:
     """Central finite differences of the metric, batched, from one
     ``field.eval`` call per batch.
 
@@ -204,7 +192,7 @@ def fd_partials(field: MetricField, x: Array, step: float = FD_STEP) -> Array:
     half-step estimate; where the two disagree by more than ``1e-4``
     relative, the Richardson-extrapolated combination is used instead.
     """
-    return _eval_with_fd_partials(field, np.asarray(x, dtype=float), step)[1]
+    return _eval_with_fd_partials(field, np.asarray(x, dtype=float))[1]
 
 
 def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
@@ -251,12 +239,9 @@ def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
 
 
 def christoffel_at(field: MetricField, x: Array) -> Array:
-    """Christoffel symbols at a single strictly interior point."""
-    x = np.asarray(x, dtype=float)
-    if not field.chart.contains(x, margin=2.0 * FD_STEP):
-        raise OutOfChart(
-            f"point {x.tolist()} is not strictly interior (finite-difference stencil must fit)")
-    return christoffel(field, x[None, :])[0]
+    """Christoffel symbols at a single point strictly inside the box, where
+    the finite-difference stencil fits."""
+    return christoffel(field, field.chart.point(x, margin=2.0 * FD_STEP)[None, :])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -339,20 +324,18 @@ def integrate_geodesics(
     first-same-as-last stage reuse.  Trajectories that reach the chart
     boundary are truncated and flagged.
     """
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise ValueError(f"tol must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"the duration T must be positive and finite, got {T}")
+    tol = expect_tol(tol)
+    T = expect_number(T, "T", positive=True)
     starts_x = np.atleast_2d(np.asarray(starts_x, dtype=float))
-    starts_v = np.atleast_2d(np.asarray(starts_v, dtype=float))
+    starts_v = np.atleast_2d(expect_finite(starts_v, "starts_v"))
     n = field.chart.dim
     B = starts_x.shape[0]
     if starts_x.shape != (B, n) or starts_v.shape != (B, n):
-        raise ValueError("start arrays must have shape (batch, dim)")
+        fail("starts_x", f"expected shape (batch, {n}) for both start arrays")
     if not bool(np.all(field.chart.contains(starts_x))):
         raise OutOfChart("a trajectory start lies outside the chart box")
-    if not np.all(np.isfinite(starts_v)) or np.any(np.all(starts_v == 0.0, axis=1)):
-        raise ValueError("trajectory start velocities must be finite and nonzero")
+    if np.any(np.all(starts_v == 0.0, axis=1)):
+        fail("starts_v", "every start velocity must be nonzero")
 
     y = np.concatenate([starts_x, starts_v], axis=1)
     t = np.zeros(B)
@@ -466,7 +449,7 @@ class ChartMap:
 
     def inverted(self) -> "ChartMap":
         if self.inverse is None or self.inverse_source is None:
-            raise ValueError("this chart map does not carry an inverse")
+            fail("inverse", "this chart map does not carry one")
         return ChartMap(
             source=self.inverse_source,
             forward=self.inverse,

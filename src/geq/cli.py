@@ -12,8 +12,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
-import sys
 import time
 from typing import Any, NamedTuple
 
@@ -22,10 +20,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .charts import TOL_RANGE, Chart
+from ._validate import (expect_int, expect_interval, expect_number, expect_numbers,
+                        expect_tol, fail)
+from .charts import Chart
 from .constructions import (LinearMap, SphereChart, beltrami_pair,
                             circle_planarity, sphere_chart, spheres_product)
-from .errors import GeqError, ParseError, SchemaError
+from .errors import GeqError, ParseError
 from .normal_forms import (FormKind, LeviCivitaData, ScalarFunction1D,
                            levi_civita_pair, model_eigenvalues)
 from .projective import MetricPair, _l_values, max_eigen_multiplicity
@@ -70,47 +70,26 @@ class SuiteConfig:
         }
 
 
-def _fail(path: str, message: str) -> None:
-    raise SchemaError(f"{path}: {message}")
-
-
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
-        _fail(path, "expected a mapping")
+        fail(path, "expected a mapping")
     return value
 
 
-def _expect_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected an integer")
-    if minimum is not None and value < minimum:
-        _fail(path, f"must be at least {minimum}")
-    return value
+def _expect_fields(raw, at: str, allowed) -> dict:
+    """A mapping whose keys all lie in ``allowed``; ``at`` is the dotted
+    prefix of its keys in error messages, empty at the top level."""
+    body = _expect_mapping(raw, at[:-1] or "top-level")
+    for key in body:
+        if key not in allowed:
+            fail(f"{at}{key}", "unknown field")
+    return body
 
 
-def _expect_number(value, path: str, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, "expected a number")
-    if positive and not 0.0 < value < math.inf:
-        _fail(path, "must be positive and finite")
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        _fail(path, "must be finite")
-    return float(value)
-
-
-def _expect_tol(value) -> float:
-    tol = _expect_number(value, "tol", positive=True)
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        _fail("tol", f"must lie in [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-    return tol
-
-
-def _expect_number_list(value, path: str, length: int | None = None) -> list[float]:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a non-empty list of numbers")
-    if length is not None and len(value) != length:
-        _fail(path, f"expected exactly {length} entries")
-    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _required(body: dict, key: str, at: str = ""):
+    if key not in body:
+        fail(f"{at}{key}", "missing required field")
+    return body[key]
 
 
 def _flag_numbers(text: str, path: str) -> list[float]:
@@ -121,67 +100,52 @@ def _flag_numbers(text: str, path: str) -> list[float]:
         try:
             value = float(item)
         except ValueError:
-            _fail(f"{path}[{i}]", f"expected a number, got {item!r}")
-        values.append(_expect_number(value, f"{path}[{i}]"))
+            fail(f"{path}[{i}]", f"expected a number, got {item!r}")
+        values.append(expect_number(value, f"{path}[{i}]"))
     return values
 
 
 def _validate_sphere_factor(raw, path: str) -> dict:
     """One sphere factor ``{dim, diag?, pole?}``; ``path`` is its dotted
     prefix in error messages, empty when the fields are top-level flags."""
-    factor = _expect_mapping(raw, path)
     at = f"{path}." if path else ""
-    for key in factor:
-        if key not in ("dim", "diag", "pole"):
-            _fail(f"{at}{key}", "unknown field")
-    if "dim" not in factor:
-        _fail(f"{at}dim", "missing required field")
-    dim = _expect_int(factor["dim"], f"{at}dim", 1)
+    factor = _expect_fields(raw, at, ("dim", "diag", "pole"))
+    dim = expect_int(_required(factor, "dim", at), f"{at}dim", 1)
     out: dict[str, Any] = {"dim": dim}
     for key in ("diag", "pole"):
         if key in factor:
-            out[key] = _expect_number_list(factor[key], f"{at}{key}", dim + 1)
+            out[key] = expect_numbers(factor[key], f"{at}{key}", dim + 1)
     return out
 
 
 def _validate_family(raw, path: str = "family"):
     if isinstance(raw, str):
         if raw not in STANDARD_FAMILIES:
-            _fail(path, f"unknown family {raw!r}; known: {', '.join(STANDARD_FAMILIES)}")
+            fail(path, f"unknown family {raw!r}; known: {', '.join(STANDARD_FAMILIES)}")
         return raw
     spec = _expect_mapping(raw, path)
     if len(spec) != 1 or next(iter(spec)) not in _FAMILY_KINDS:
-        _fail(path, f"expected a name or one recipe key of {sorted(_FAMILY_KINDS)}")
+        fail(path, f"expected a name or one recipe key of {sorted(_FAMILY_KINDS)}")
     kind, body = next(iter(spec.items()))
     body = _expect_mapping(body, f"{path}.{kind}")
     if kind == "lc":
-        allowed = {"profiles", "interval"}
-        for key in body:
-            if key not in allowed:
-                _fail(f"{path}.lc.{key}", "unknown field")
-        if "profiles" not in body:
-            _fail(f"{path}.lc.profiles", "missing required field")
-        profiles = body["profiles"]
+        _expect_fields(body, f"{path}.lc.", ("profiles", "interval"))
+        profiles = _required(body, "profiles", f"{path}.lc.")
         if not isinstance(profiles, list) or not profiles:
-            _fail(f"{path}.lc.profiles", "expected a non-empty list of coefficient lists")
-        rows = [_expect_number_list(row, f"{path}.lc.profiles[{i}]")
+            fail(f"{path}.lc.profiles", "expected a non-empty list of coefficient lists")
+        rows = [expect_numbers(row, f"{path}.lc.profiles[{i}]")
                 for i, row in enumerate(profiles)]
         for i, row in enumerate(rows):
             if len(row) > 4:
-                _fail(f"{path}.lc.profiles[{i}]", "profiles have degree at most 3")
-        interval = _expect_number_list(body.get("interval", [-0.5, 0.5]),
-                                       f"{path}.lc.interval", 2)
-        if interval[0] >= interval[1]:
-            _fail(f"{path}.lc.interval", "lower bound must be below upper bound")
+                fail(f"{path}.lc.profiles[{i}]", "profiles have degree at most 3")
+        interval = expect_numbers(body.get("interval", [-0.5, 0.5]), f"{path}.lc.interval", 2)
+        expect_interval(*interval, f"{path}.lc.interval")
         return {"lc": {"profiles": rows, "interval": interval}}
     if kind == "beltrami":
         return {"beltrami": _validate_sphere_factor(body, f"{path}.beltrami")}
-    factors = body.get("factors")
-    for key in body:
-        if key != "factors":
-            _fail(f"{path}.product.{key}", "unknown field")
+    factors = _expect_fields(body, f"{path}.product.", ("factors",)).get("factors")
     if not isinstance(factors, list) or not factors:
-        _fail(f"{path}.product.factors", "expected a non-empty list")
+        fail(f"{path}.product.factors", "expected a non-empty list")
     return {"product": {"factors": [
         _validate_sphere_factor(f, f"{path}.product.factors[{i}]")
         for i, f in enumerate(factors)]}}
@@ -196,46 +160,37 @@ def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
     checks: dict[str, dict[str, Any]] = {}
     for name, body in requested.items():
         if name not in CHECK_DEFAULTS:
-            _fail(f"{path}.{name}", f"unknown check; known: {', '.join(CHECK_ORDER)}")
+            fail(f"{path}.{name}", f"unknown check; known: {', '.join(CHECK_ORDER)}")
         merged = dict(CHECK_DEFAULTS[name])
         body = _expect_mapping(body if body is not None else {}, f"{path}.{name}")
         for key, value in body.items():
             if key not in merged:
-                _fail(f"{path}.{name}.{key}", "unknown field")
+                fail(f"{path}.{name}.{key}", "unknown field")
             if key in ("trajectories", "points", "vectors", "block"):
-                merged[key] = _expect_int(value, f"{path}.{name}.{key}", 1)
+                merged[key] = expect_int(value, f"{path}.{name}.{key}", 1)
             elif key == "exclude_radius":
-                merged[key] = _expect_number(value, f"{path}.{name}.{key}")
+                merged[key] = expect_number(value, f"{path}.{name}.{key}")
             else:
-                merged[key] = _expect_number(value, f"{path}.{name}.{key}", positive=True)
+                merged[key] = expect_number(value, f"{path}.{name}.{key}", positive=True)
         checks[name] = merged
     return {name: checks[name] for name in CHECK_ORDER if name in checks}
 
 
 def validate_config(data) -> SuiteConfig:
     """Validate a parsed config mapping into a :class:`SuiteConfig`."""
-    top = _expect_mapping(data, "top-level")
-    for key in top:
-        if key not in _TOP_FIELDS:
-            _fail(key, "unknown field")
-    if "schema_version" not in top:
-        _fail("schema_version", "missing required field")
-    version = _expect_int(top["schema_version"], "schema_version")
+    top = _expect_fields(data, "", _TOP_FIELDS)
+    version = expect_int(_required(top, "schema_version"), "schema_version")
     if version != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {version}; expected {SCHEMA_VERSION}")
-    if "seed" not in top:
-        _fail("seed", "missing required field")
-    seed = _expect_int(top["seed"], "seed", 0)
-    if "family" not in top:
-        _fail("family", "missing required field")
-    family = _validate_family(top["family"])
-    tol = _expect_tol(top.get("tol", DEFAULT_TOL))
+        fail("schema_version", f"unsupported version {version}; expected {SCHEMA_VERSION}")
+    seed = expect_int(_required(top, "seed"), "seed", 0)
+    family = _validate_family(_required(top, "family"))
+    tol = expect_tol(top.get("tol", DEFAULT_TOL))
     out = top.get("out")
     if out is not None and not isinstance(out, str):
-        _fail("out", "expected a path string")
+        fail("out", "expected a path string")
     checks = _validate_checks(top.get("checks"))
     if "normal_form" in checks and _form_spec_for(family) is None:
-        _fail("checks.normal_form",
+        fail("checks.normal_form",
               "the configured family has no closed-form eigenvalue model")
     return SuiteConfig(schema_version=version, seed=seed, family=family,
                        tol=tol, out=out, checks=checks)
@@ -314,26 +269,23 @@ def _form_spec_for(family):
 def _run_one_check(name: str, pair: MetricPair, family, params: dict,
                    seed: int, tol: float) -> tuple[bool, dict[str, Any], list]:
     """Run a single named check; returns (passed, metrics, csv_rows)."""
-    csv_rows: list = []
     if name == "equivalence":
         rep = check_equivalence(pair, n_traj=params["trajectories"],
                                 duration=params["duration"], tol=tol, seed=seed)
-        passed = rep.max_tangential_defect < params["threshold"]
-        return passed, {
+        return rep.max_tangential_defect < params["threshold"], {
             "trajectories": rep.trajectories,
             "truncated": rep.truncated,
             "max_tangential_defect": rep.max_tangential_defect,
             "defect_histogram": list(rep.defect_histogram),
             "threshold": params["threshold"],
             "integrator_tol": tol,
-        }, csv_rows
+        }, []
     if name == "conservation":
         rep = check_conservation(pair, n_traj=params["trajectories"],
                                  duration=params["duration"], tol=tol, seed=seed)
-        passed = rep.max_drift < params["threshold"]
         csv_rows = [(row.index, row.integral_id, row.start_value,
                      row.end_value, row.rel_drift) for row in rep.rows]
-        return passed, {
+        return rep.max_drift < params["threshold"], {
             "max_drift": rep.max_drift,
             "t_values": list(rep.t_values),
             "rows": len(rep.rows),
@@ -344,52 +296,37 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
         rep = check_interlacing(pair, n_points=params["points"],
                                 n_vectors=params["vectors"], seed=seed,
                                 epsilon=params["epsilon"])
-        passed = rep.violations == 0
-        return passed, {
+        return rep.violations == 0, {
             "samples": rep.samples,
             "violations": rep.violations,
             "max_excess": rep.max_excess,
             "max_pin_deviation": rep.max_pin_deviation,
             "epsilon": rep.epsilon,
-        }, csv_rows
+        }, []
     if name == "roundtrip":
-        result = split_pair(pair, params["block"])
-        factor1, factor2 = split_factors(result)
-        glued = glue_pair(factor1, factor2)
-        rng = np.random.default_rng(seed)
-        xs = pair.chart.sample(rng, params["points"])
-        err = max(
-            float(np.max(np.abs(glued.pair.g.eval(xs) - pair.g.eval(xs)))),
-            float(np.max(np.abs(glued.pair.gbar.eval(xs) - pair.gbar.eval(xs)))),
-        )
-        passed = err < params["threshold"]
-        return passed, {
+        glued = glue_pair(*split_factors(split_pair(pair, params["block"]))).pair
+        xs = pair.chart.sample(np.random.default_rng(seed), params["points"])
+        err = max(float(np.max(np.abs(glued.g.eval(xs) - pair.g.eval(xs)))),
+                  float(np.max(np.abs(glued.gbar.eval(xs) - pair.gbar.eval(xs)))))
+        return err < params["threshold"], {
             "block": params["block"],
             "points": params["points"],
             "max_error": err,
             "threshold": params["threshold"],
-        }, csv_rows
-    if name == "normal_form":
-        spec = _form_spec_for(family)
-        if spec is None:
-            raise SchemaError(
-                "checks.normal_form: the family has no closed-form eigenvalue model")
-        kind, form_params = spec
-        rng = np.random.default_rng(seed)
-        xs = pair.chart.sample(rng, params["points"])
-        if kind is FormKind.THREE_D_FULL and params["exclude_radius"] > 0.0:
-            keep = np.linalg.norm(xs[:, 1:], axis=1) >= params["exclude_radius"]
-            xs = xs[keep]
-        predicted = model_eigenvalues(kind, form_params, xs)
-        actual = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
-        mismatch = float(np.max(np.abs(predicted - actual)))
-        passed = mismatch < params["threshold"]
-        return passed, {
-            "points": int(xs.shape[0]),
-            "max_eigen_mismatch": mismatch,
-            "threshold": params["threshold"],
-        }, csv_rows
-    raise ValueError(f"unknown check {name!r}")
+        }, []
+    # normal_form: validate_config admits it only for a family with a model.
+    kind, form_params = _form_spec_for(family)
+    xs = pair.chart.sample(np.random.default_rng(seed), params["points"])
+    if kind is FormKind.THREE_D_FULL and params["exclude_radius"] > 0.0:
+        xs = xs[np.linalg.norm(xs[:, 1:], axis=1) >= params["exclude_radius"]]
+    predicted = model_eigenvalues(kind, form_params, xs)
+    actual = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
+    mismatch = float(np.max(np.abs(predicted - actual)))
+    return mismatch < params["threshold"], {
+        "points": int(xs.shape[0]),
+        "max_eigen_mismatch": mismatch,
+        "threshold": params["threshold"],
+    }, []
 
 
 def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
@@ -418,7 +355,7 @@ def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
             csv_rows.extend(rows)
             if not passed:
                 exit_code = 2
-    except (GeqError, ValueError) as exc:
+    except GeqError as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         exit_code = 1
     return report, csv_rows, timings, exit_code
@@ -525,14 +462,14 @@ def _command(name: str):
     def register(body):
         def callback(ctx, seed, fmt, **kwargs):
             try:
-                run = body(seed=_expect_int(seed, "seed", 0), **kwargs)
+                run = body(seed=expect_int(seed, "seed", 0), **kwargs)
                 report = _report(name, run.label, run.seed, run.fingerprint,
                                  run.checks)
                 if run.data is not None:
                     report["data"] = run.data
                 _write_outputs(run.out, name.replace("-", "_"), report,
                                run.timings, fmt, run.csv_rows)
-            except (GeqError, ValueError, OSError) as exc:
+            except (GeqError, OSError) as exc:
                 _echo_error(exc)
                 ctx.exit(1)
             ctx.exit(0 if all(check["pass"] for check in run.checks) else 2)
@@ -571,7 +508,7 @@ def _check_command(name: str, command: str, help_text: str):
             params = dict(cfg.checks.get(name, params))
         params.update({k: v for k, v in overrides.items() if v is not None})
         params = _validate_checks({name: params})[name]
-        tol = _expect_tol(tol)
+        tol = expect_tol(tol)
         pair = build_family(family)
         begin = time.perf_counter()
         passed, metrics, csv_rows = _run_one_check(name, pair, family, params,
@@ -621,7 +558,7 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
     if list_families:
         click.echo("\n".join(STANDARD_FAMILIES))
         click.get_current_context().exit(0)
-    grid = _expect_int(grid, "grid", 1)
+    grid = expect_int(grid, "grid", 1)
     family, _ = _resolve_family(family, config)
     pair = build_family(family)
     xs = pair.chart.grid(grid)
@@ -644,7 +581,7 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
               help="Size of the leading eigenvalue block.")
 def split_cmd(family, config, block, seed, out) -> _Run:
     """Split a pair along an eigenvalue gap into block-diagonal factors."""
-    block = _expect_int(block, "block", 1)
+    block = expect_int(block, "block", 1)
     family, _ = _resolve_family(family, config)
     pair = build_family(family)
     result = split_pair(pair, block)
@@ -675,8 +612,8 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
     """Glue constant one-dimensional factors into a product pair."""
     values = _flag_numbers(levels, "levels")
     if len(values) < 2:
-        raise ValueError("need at least two comma-separated levels")
-    grid = _expect_int(grid, "grid", 1)
+        fail("levels", "expected at least two comma-separated numbers")
+    grid = expect_int(grid, "grid", 1)
     glued = oplus([make_triple(levi_civita_pair(_lc_data_from_recipe(
         {"profiles": [[value]], "interval": [-0.5, 0.5]}))) for value in values])
     xs = glued.pair.chart.grid(grid)
@@ -705,10 +642,10 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
 def beltrami_cmd(dim, diag, circles, planarity_threshold, seed, tol, out) -> _Run:
     """Build a sphere pair and probe great-circle planarity before and
     after the ambient map."""
-    circles = _expect_int(circles, "circles", 1)
-    planarity_threshold = _expect_number(planarity_threshold, "planarity-threshold",
+    circles = expect_int(circles, "circles", 1)
+    planarity_threshold = expect_number(planarity_threshold, "planarity-threshold",
                                          positive=True)
-    tol = _expect_tol(tol)
+    tol = expect_tol(tol)
     recipe = {"dim": dim}
     if diag is not None:
         recipe["diag"] = _flag_numbers(diag, "diag")
@@ -744,13 +681,13 @@ def product_cmd(factors, seed, out) -> _Run:
         try:
             factor = {"dim": int(dim_text)}
         except ValueError:
-            _fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
+            fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
         diag = _flag_numbers(diag_text, f"factors[{i}].diag")
         if diag:
             factor["diag"] = diag
         recipe.append(_validate_sphere_factor(factor, f"factors[{i}]"))
     if not recipe:
-        raise ValueError("no factors given")
+        fail("factors", "expected at least one factor")
     triple = spheres_product([_sphere_factor(f) for f in recipe])
     xs = triple.pair.chart.sample(np.random.default_rng(seed), 100)
     metrics = {
@@ -777,9 +714,9 @@ def suite_cmd(ctx, config, seed, tol, out, fmt) -> None:
     try:
         cfg = load_config(config)
         if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=_expect_int(seed, "seed", 0))
+            cfg = dataclasses.replace(cfg, seed=expect_int(seed, "seed", 0))
         if tol is not None:
-            cfg = dataclasses.replace(cfg, tol=_expect_tol(tol))
+            cfg = dataclasses.replace(cfg, tol=expect_tol(tol))
         if out is not None:
             cfg = dataclasses.replace(cfg, out=out)
     except GeqError as exc:

@@ -15,8 +15,9 @@ import dataclasses
 
 import numpy as np
 
+from ._validate import expect_finite, expect_int, expect_number, fail
 from .charts import Chart, MetricField, integrate_geodesics
-from .errors import DegenerateMap, EigenOrderViolated, NotPositive
+from .errors import DegenerateMap, EigenOrderViolated, GeqError, NotPositive
 from .projective import MetricPair, _l_values
 from .split_glue import EquivTriple, make_triple, oplus
 
@@ -33,9 +34,9 @@ class LinearMap:
     matrix: Array
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = expect_finite(self.matrix, "matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("the matrix must be square")
+            fail("matrix", "expected a square matrix")
         if abs(np.linalg.det(m)) <= 1e-12:
             raise DegenerateMap("the transformation matrix is singular")
         object.__setattr__(self, "matrix", m)
@@ -73,20 +74,19 @@ class SphereChart:
 
     def __post_init__(self) -> None:
         if self.chart.dim != self.dim:
-            raise ValueError("chart dimension mismatch")
-        pole = np.asarray(self.pole, dtype=float)
+            fail("chart", f"expected a chart of dimension {self.dim}")
+        pole = expect_finite(self.pole, "pole")
         if pole.shape != (self.dim + 1,):
-            raise ValueError("the pole must be an ambient-space vector")
+            fail("pole", f"expected an ambient-space vector of length {self.dim + 1}")
         norm = np.linalg.norm(pole)
         if norm < 1e-12:
-            raise ValueError("the pole must be nonzero")
+            fail("pole", "must be nonzero")
         pole = pole / norm
         object.__setattr__(self, "pole", pole)
         max_sq = sum(max(lo * lo, hi * hi) for lo, hi in self.chart.box)
         # Chart points sit at distance 2 / sqrt(1 + |y|^2) from the pole.
         if 2.0 / np.sqrt(1.0 + max_sq) < MIN_POLE_DISTANCE:
-            raise ValueError(
-                "the chart box reaches closer than the minimum distance to the pole")
+            fail("chart", f"the box reaches closer than {MIN_POLE_DISTANCE:g} to the pole")
         object.__setattr__(self, "_reflection", self._make_reflection(pole))
 
     @staticmethod
@@ -125,6 +125,7 @@ class SphereChart:
 def sphere_chart(dim: int, half_width: float = 0.75, pole=None) -> SphereChart:
     """Default stereographic chart: a centered box, projected from the
     last-axis pole (which the embedding image never approaches)."""
+    dim = expect_int(dim, "dim", 1)
     if pole is None:
         pole = np.zeros(dim + 1)
         pole[-1] = 1.0
@@ -137,14 +138,15 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
     """Round metric on a sphere chart paired with its pull-back under the
     normalized linear self-map of the sphere; the round metric carries
     closed-form partials."""
+    dim = expect_int(dim, "dim", 1)
     if sphere is None:
         sphere = sphere_chart(dim)
     if a_map is None:
         a_map = LinearMap.identity(dim + 1)
     if sphere.dim != dim:
-        raise ValueError("sphere chart dimension mismatch")
+        fail("sphere", f"expected a sphere chart of dimension {dim}")
     if a_map.ambient_dim != dim + 1:
-        raise ValueError("the linear map must act on the ambient space")
+        fail("a_map", f"expected a map of the ambient space R^{dim + 1}")
 
     def g_eval(ys: Array) -> Array:
         ys = np.asarray(ys, dtype=float)
@@ -184,7 +186,7 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
 def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     """Multiply the base metric by a positive constant; the companion is
     unchanged and the eigenvalue range scales by ``factor**(1/(dim+1))``."""
-    if factor <= 0.0:
+    if expect_number(factor, "factor") <= 0.0:
         raise NotPositive("the scaling constant must be positive")
     if factor == 1.0:
         return triple
@@ -215,7 +217,7 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     before = _l_values(pair.g.eval(probe), pair.gbar.eval(probe))
     after = _l_values(scaled.g.eval(probe), scaled.gbar.eval(probe))
     if not np.allclose(after, eig_scale * before, rtol=1e-8, atol=1e-10):
-        raise AssertionError("eigenvalue scaling relation failed")
+        raise GeqError(f"factor: the eigenvalues of L did not scale by {eig_scale:g}")
     return out
 
 
@@ -271,7 +273,7 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
     Each factor is ``(dim, a_map)`` or ``(dim, a_map, sphere_chart)``.
     """
     if not factors:
-        raise ValueError("at least one factor is required")
+        fail("factors", "expected at least one factor")
     triples, bounds = [], []
     for factor in factors:
         dim, a_map, *rest = factor
@@ -308,9 +310,11 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     over all circles, for the original points and for their images; 0.0
     on a circle (ambient R^2), where every curve lies in one plane.
     """
+    n_circles = expect_int(n_circles, "n_circles", 1)
+    duration = expect_number(duration, "duration", positive=True)
     triple = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere)
     field = triple.pair.g
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(expect_int(seed, "seed", 0))
     starts = sphere.chart.sample(rng, n_circles, shrink=0.6)
     vels = rng.normal(size=(n_circles, sphere.dim))
     g0 = field.eval(starts)

@@ -1,8 +1,8 @@
 """Exception taxonomy for the geodesic-equivalence toolkit.
 
-Every error raised by the library derives from :class:`GeqError`, so callers
-can catch the whole family with one clause while tests pin down the precise
-failure mode.
+Every error raised by the library derives from :class:`GeqError` (no module
+raises a builtin exception class), so callers can catch the whole family with
+one clause while tests pin down the precise failure mode.
 """
 
 
@@ -70,8 +70,10 @@ class ParseError(GeqError):
     """A configuration file could not be parsed."""
 
 
-class SchemaError(GeqError):
-    """A configuration file parsed but violates the schema.
+class SchemaError(GeqError, ValueError):
+    """A value violates its schema: a config field, a command-line flag or a
+    library argument.
 
-    The message begins with the offending field's dotted path.
+    The message begins with the config field's dotted path, the flag or the
+    argument name.  The rules live in ``geq._validate``.
     """

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._validate import expect_int, expect_interval, expect_number, expect_numbers, fail
 from .charts import Chart, ChartMap, MetricField, positivity_grid_size
 from .errors import NotPositive, NotRealizable, SeparationViolated
 from .projective import MetricPair
@@ -36,12 +37,8 @@ class ScalarFunction1D:
     interval: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        lo, hi = self.interval
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError("interval must be a finite nondegenerate (lo, hi)")
-        if not self.coeffs:
-            raise ValueError("at least one coefficient is required")
+        object.__setattr__(self, "coeffs", tuple(expect_numbers(list(self.coeffs), "coeffs")))
+        expect_interval(*self.interval, "interval")
 
     def __call__(self, s: Array | float) -> Array:
         return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float),
@@ -92,7 +89,7 @@ class LeviCivitaData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if len(self.lambdas) != self.chart.dim:
-            raise ValueError("need exactly one profile per chart dimension")
+            fail("lambdas", f"expected {self.chart.dim} profiles, one per chart dimension")
         ranges = [lam.range_on(*self.chart.box[i], samples=64)
                   for i, lam in enumerate(self.lambdas)]
         if ranges[0][0] <= 0.0:
@@ -237,7 +234,7 @@ def random_levi_civita_data(n: int, rng: np.random.Generator,
                             half: float = 0.5) -> LeviCivitaData:
     """Seeded random model data: degree-3 profiles whose sampled ranges are
     separated by construction (unit base gaps, perturbations below 0.27)."""
-    chart = Chart(n, tuple((-half, half) for _ in range(n)))
+    chart = Chart(expect_int(n, "n", 1), tuple((-half, half) for _ in range(n)))
     lambdas = []
     level = 1.0 + rng.uniform(0.0, 1.0)
     for _ in range(n):
@@ -434,21 +431,21 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
     """
     if kind is FormKind.LC_ND:
         if not isinstance(params, LeviCivitaData):
-            raise ValueError("the separable family takes LeviCivitaData parameters")
+            fail("params", "the separable family takes LeviCivitaData parameters")
         return levi_civita_pair(params)
     if not isinstance(params, ModelFormParams):
-        raise ValueError("bifurcation families take ModelFormParams")
+        fail("params", "bifurcation families take ModelFormParams")
 
     if kind is FormKind.TWO_D_ELLIPTIC:
         if params.lam is None:
-            raise ValueError("TWO_D_ELLIPTIC requires the profile lam")
+            fail("params.lam", "TWO_D_ELLIPTIC requires the profile lam")
         lam = params.lam
         return _realize_on_box(kind, lambda: _elliptic_fields(lam), 2, params.box_half)
 
     if kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
         if params.f is None or params.lam_const is None:
-            raise ValueError(f"{kind.name} requires the profile f and lam_const")
-        if params.lam_const <= 0:
+            fail("params", f"{kind.name} requires the profile f and lam_const")
+        if expect_number(params.lam_const, "lam_const") <= 0:
             raise NotPositive("the constant eigenvalue must be positive")
         f, lam_const = params.f, params.lam_const
         minus = kind is FormKind.TWO_D_POLAR_MINUS
@@ -465,7 +462,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
 
     if kind is FormKind.THREE_D_AXIAL:
         if params.lam is None or params.f is None:
-            raise ValueError("THREE_D_AXIAL requires the profiles lam and f")
+            fail("params", "THREE_D_AXIAL requires the profiles lam and f")
         lam, f = params.lam, params.f
 
         def extra(grid: Array) -> bool:
@@ -478,8 +475,8 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
 
     if kind is FormKind.THREE_D_FULL:
         if params.lam is None or params.c is None:
-            raise ValueError("THREE_D_FULL requires the profile lam and the constant c")
-        if params.c <= 0:
+            fail("params", "THREE_D_FULL requires the profile lam and the constant c")
+        if expect_number(params.c, "c") <= 0:
             raise NotPositive("the angular constant must be positive")
         lam, c = params.lam, params.c
         dlam0 = float(lam.derivative()(0.0))
@@ -487,7 +484,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
             raise NotRealizable("the profile must be strictly increasing at 0")
         return _realize_on_box(kind, lambda: _full_fields(lam, c), 3, params.box_half)
 
-    raise ValueError(f"unknown family {kind}")
+    fail("kind", f"unknown family {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +496,7 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
     tensor at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
     if kind is FormKind.LC_ND:
-        vals = np.stack([lam(x[..., i]) for i, lam in enumerate(params.lambdas)], axis=-1)
-        return np.sort(vals, axis=-1)
+        return np.sort(_profile_values(params.lambdas, x), axis=-1)
     if kind is FormKind.TWO_D_ELLIPTIC:
         u, v = x[..., 0], x[..., 1]
         rho = np.hypot(u, v)
@@ -527,7 +523,7 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
         mid = np.broadcast_to(params.lam(0.0), u0.shape)
         return np.sort(np.stack([params.lam(u0 - rho), mid, params.lam(u0 + rho)],
                                 axis=-1), axis=-1)
-    raise ValueError(f"unknown family {kind}")
+    fail("kind", f"unknown family {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -690,4 +686,4 @@ def canonical_chart_map(kind: FormKind, c: float = 1.0) -> ChartMap:
         return _log_polar_map()
     if kind is FormKind.THREE_D_FULL:
         return _cylindrical_elliptic_map(c)
-    raise ValueError(f"no canonical singular coordinate map for {kind}")
+    fail("kind", f"no canonical singular coordinate map for {kind}")

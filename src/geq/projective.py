@@ -15,12 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
+from ._validate import expect_points, fail
 from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
 from .errors import (
     BracketFailure,
     DimensionMismatch,
     NotPositiveDefinite,
-    OutOfChart,
     SingularMetric,
 )
 
@@ -42,7 +42,7 @@ class MetricPair:
 
     def __post_init__(self) -> None:
         if self.g.chart != self.gbar.chart:
-            raise ValueError("both metrics of a pair must live on the identical chart")
+            fail("gbar", "must live on the chart of g")
 
     @property
     def chart(self):
@@ -62,7 +62,7 @@ class PolyTensor:
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient list must have degree + 1 entries")
+            fail("coeffs", f"expected degree + 1 = {self.degree + 1} entries")
 
     def at(self, t: float) -> Array:
         out = np.zeros_like(self.coeffs[0])
@@ -105,10 +105,7 @@ def _l_many(pair: MetricPair, xs: Array) -> Array:
 def l_tensor(pair: MetricPair, x: Array) -> Array:
     """The tensor ``L`` at a single point, as a matrix in chart
     coordinates."""
-    x = np.asarray(x, dtype=float)
-    if not pair.chart.contains(x):
-        raise OutOfChart(f"point {x.tolist()} outside chart box")
-    return _l_many(pair, x[None, :])[0]
+    return _l_many(pair, pair.chart.point(x)[None, :])[0]
 
 
 def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
@@ -164,10 +161,7 @@ def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     point, from one congruence of the base metric by the Cholesky factor
     of the companion (:func:`_l_frame`); the eigenvectors are orthonormal
     in the ``g`` inner product."""
-    x = np.asarray(x, dtype=float)
-    if not pair.chart.contains(x):
-        raise OutOfChart(f"point {x.tolist()} outside chart box")
-    xs = x[None, :]
+    xs = pair.chart.point(x)[None, :]
     vals, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
     return vals[0], vecs[0]
 
@@ -221,8 +215,7 @@ def _integral_coeffs(pair: MetricPair, xs: Array, vs: Array) -> Array:
 
 def i_t(pair: MetricPair, p: PhasePoint, t: float) -> float:
     """The integral ``I_t = g(S_t v, v)`` at a phase point."""
-    if not pair.chart.contains(p.x):
-        raise OutOfChart(f"point {p.x.tolist()} outside chart box")
+    pair.chart.point(p.x)
     coeffs = _integral_coeffs(pair, p.x[None, :], p.v[None, :])[0]
     return float(np.polynomial.polynomial.polyval(t, coeffs))
 
@@ -275,8 +268,8 @@ def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]
     """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
     ``g``-orthonormal eigenframe of :func:`_l_frame`; ``xs`` and ``vs`` broadcast,
     one eigen solve per point."""
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    xs = expect_points(xs, pair.dim, "xs")
+    vs = expect_points(vs, pair.dim, "vs")
     g = pair.g.eval(xs)
     mu, vecs = _l_frame(g, pair.gbar.eval(xs))
     w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
@@ -295,8 +288,7 @@ def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
     each consecutive eigenvalue bracket of ``L`` (pinned on the eigenvalue
     where neighbors coincide); see :func:`_roots_many`.  A root outside its
     bracket raises :class:`BracketFailure`."""
-    if not pair.chart.contains(p.x):
-        raise OutOfChart(f"point {p.x.tolist()} outside chart box")
+    pair.chart.point(p.x)
     mu, w = frame_weights(pair, p.x[None, :], p.v[None, :])
     roots = _roots_many(mu, w)[0]
     mu = mu[0]
@@ -317,16 +309,14 @@ def _l_partials(pair: MetricPair, x: Array) -> Array:
     """Central differences of the ``L`` field: ``(..., k, i, j)`` holds
     the derivative of ``L^i_j`` along coordinate ``k``, from one ``_l_many``
     call on the centre and the full-step stencil."""
-    return np.moveaxis(_full_step_differences(lambda xs: _l_many(pair, xs), pair.chart, x,
-                                              centre=True), 0, -3)
+    return np.moveaxis(_full_step_differences(lambda xs: _l_many(pair, xs), pair.chart, x),
+                       0, -3)
 
 
 def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
     """The Nijenhuis torsion ``N^k_{ij}`` of the ``L`` field at one point,
     computed from finite differences of ``L``; antisymmetric in ``(i, j)``."""
-    x = np.asarray(x, dtype=float)
-    if not pair.chart.contains(x, margin=2.0 * FD_STEP):
-        raise OutOfChart(f"point {x.tolist()} is not strictly interior")
+    x = pair.chart.point(x, margin=2.0 * FD_STEP)
     L = l_tensor(pair, x)
     dL = _l_partials(pair, x[None, :])[0]
     term1 = np.einsum("mi,mkj->kij", L, dL)
@@ -342,7 +332,7 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
 
 def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
     """Smallest and largest eigenvalue of ``L`` over a point sample."""
-    xs = np.asarray(xs, dtype=float)
+    xs = expect_points(xs, pair.dim, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     return float(np.min(mu)), float(np.max(mu))
 
@@ -350,14 +340,14 @@ def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
 def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     """Largest eigenvalue-cluster size of ``L`` over a point sample
     (cluster radius :data:`CLUSTER_RADIUS`)."""
-    xs = np.asarray(xs, dtype=float)
+    xs = expect_points(xs, pair.dim, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     close = np.diff(mu.reshape(-1, mu.shape[-1]), axis=-1) <= CLUSTER_RADIUS
     run = longest = np.zeros(close.shape[0], dtype=int)
     for column in close.T:
         run = np.where(column, run + 1, 0)
         longest = np.maximum(longest, run)
-    return int(np.max(longest, initial=0)) + 1
+    return int(np.max(longest)) + 1
 
 
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array,

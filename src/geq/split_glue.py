@@ -16,6 +16,7 @@ import dataclasses
 
 import numpy as np
 
+from ._validate import expect_int, fail
 from .charts import Chart, MetricField, positivity_grid_size
 from .errors import EigenOrderViolated, GapViolated, NotPositive
 from .projective import MetricPair, _char_and_adjugate, _l_from, _l_values, eigen_range
@@ -114,20 +115,22 @@ def _twin_fields(chart: Chart, shared, assemble, tag: str) -> tuple[MetricField,
     field ``which`` (0 the base, 1 the companion) from them.
 
     A read assembles only its own field's matrix, so reading only the base
-    metric (as the integrator does) never builds a companion.  It keeps the
-    intermediates in a single slot keyed by the partner field and a copy of
-    the points, which the partner's next read at identical points pops; any
-    other read replaces them."""
+    metric (as the integrator does) never builds a companion.  A base read
+    keeps the intermediates in a single slot keyed by a copy of the points,
+    which the companion's next read at identical points pops; any other read
+    empties the slot, so a companion read leaves nothing held.  Every caller
+    that reads both fields reads the base first."""
     slot: dict = {}
 
     def read(which: int, xs: Array) -> Array:
         xs = np.asarray(xs, dtype=float)
-        key = (which, xs.shape, xs.tobytes())
-        state = slot.pop(key, None)
+        key = (xs.shape, xs.tobytes())
+        state = slot.pop(key, None) if which == 1 else None
+        slot.clear()
         if state is None:
             state = shared(xs)
-            slot.clear()
-            slot[(1 - which,) + key[1:]] = state
+            if which == 0:
+                slot[key] = state
         return assemble(which, state)
 
     return (MetricField(chart=chart, eval=lambda xs: read(0, xs), provenance=tag),
@@ -144,8 +147,7 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     coordinates.
     """
     n = pair.dim
-    if not 1 <= r < n:
-        raise ValueError("the block size must satisfy 1 <= r < dim")
+    r = expect_int(r, "r", 1, n - 1)
     grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
     mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
     low = (float(np.min(mu[..., 0])), float(np.max(mu[..., r - 1])))
@@ -291,7 +293,7 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
 def oplus(triples: list[EquivTriple]) -> EquivTriple:
     """Left fold of :func:`glue_pair` over an ordered factor list."""
     if not triples:
-        raise ValueError("at least one factor is required")
+        fail("triples", "expected at least one factor")
     out = triples[0]
     for i, nxt in enumerate(triples[1:], start=1):
         try:

@@ -19,6 +19,7 @@ import dataclasses
 
 import numpy as np
 
+from ._validate import expect_int, expect_number, expect_points, fail
 from .charts import Chart, MetricField, _spray, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
@@ -90,19 +91,26 @@ def seeded_starts(pair: MetricPair, count: int, rng: np.random.Generator
     return starts, vels / speed[:, None]
 
 
+def _geodesic_samples(pair: MetricPair, n_traj, duration, tol, seed
+                      ) -> tuple[list, Array, Array]:
+    """Validate a check's run arguments, integrate ``n_traj`` seeded geodesics
+    of the base metric, and stack their stored points and velocities."""
+    n_traj = expect_int(n_traj, "n_traj", 1)
+    duration = expect_number(duration, "duration", positive=True)
+    rng = np.random.default_rng(expect_int(seed, "seed", 0))
+    starts, vels = seeded_starts(pair, n_traj, rng)
+    trajectories = integrate_geodesics(pair.g, starts, vels, duration, tol)
+    return (trajectories, np.concatenate([t.points for t in trajectories]),
+            np.concatenate([t.velocities for t in trajectories]))
+
+
 def check_equivalence(pair: MetricPair, n_traj: int = 100, duration: float = 1.0,
                       tol: float = 1e-10, seed: int = 0) -> EquivalenceReport:
     """Integrate geodesics of the base metric and measure the worst
     tangential defect of the companion metric's geodesic residual
     ``Gbar(v, v)`` plus the integrator's acceleration at each sample; the
     base metric is not read once the integrator returns."""
-    if n_traj < 1:
-        raise ValueError("at least one trajectory is required")
-    rng = np.random.default_rng(seed)
-    starts, vels = seeded_starts(pair, n_traj, rng)
-    trajectories = integrate_geodesics(pair.g, starts, vels, duration, tol)
-    xs = np.concatenate([t.points for t in trajectories])
-    vs = np.concatenate([t.velocities for t in trajectories])
+    trajectories, xs, vs = _geodesic_samples(pair, n_traj, duration, tol, seed)
     gb, spray_bar = _spray(pair.gbar, xs, vs)
     w = spray_bar + np.concatenate([t.accelerations for t in trajectories])
     gvv = np.einsum("bi,bij,bj->b", vs, gb, vs)
@@ -134,15 +142,8 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     ``max_j |s_j - s_0| / max(1, |s_0|)`` over the stored samples; start
     and end values are reported alongside.
     """
-    if n_traj < 1:
-        raise ValueError("at least one trajectory is required")
-    if n_t_values < 1:
-        raise ValueError("at least one parameter value is required")
-    rng = np.random.default_rng(seed)
-    starts, vels = seeded_starts(pair, n_traj, rng)
-    trajectories = integrate_geodesics(pair.g, starts, vels, duration, tol)
-    xs = np.concatenate([t.points for t in trajectories])
-    vs = np.concatenate([t.velocities for t in trajectories])
+    n_t_values = expect_int(n_t_values, "n_t_values", 1)
+    trajectories, xs, vs = _geodesic_samples(pair, n_traj, duration, tol, seed)
     lo, hi = eigen_range(pair, xs)
     t_values = np.linspace(lo - 1.0, hi + 1.0, n_t_values)
     coeffs = _integral_coeffs(pair, xs, vs)
@@ -183,16 +184,14 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     """Scan random phase samples for violations of the eigenvalue
     bracketing of the integral roots, and measure how exactly roots are
     pinned where neighboring eigenvalues coincide."""
-    rng = np.random.default_rng(seed)
+    n_vectors = expect_int(n_vectors, "n_vectors", 1)
+    epsilon = expect_number(epsilon, "epsilon", positive=True)
+    rng = np.random.default_rng(expect_int(seed, "seed", 0))
     if points is None:
-        pts = pair.chart.sample(rng, max(n_points, 0))
+        pts = pair.chart.sample(rng, expect_int(n_points, "n_points", 1))
     else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+        pts = expect_points(np.atleast_2d(points), pair.dim, "points")
     count = pts.shape[0]
-    if count < 1 or n_vectors < 1:
-        raise ValueError("at least one sample point and one velocity per point are required")
     vecs = rng.normal(size=(count, n_vectors, pair.dim))
     mu, w = frame_weights(pair, pts[:, None, :], vecs)
     roots = _roots_many(mu, w)
@@ -337,4 +336,4 @@ def standard_pair(name: str) -> MetricPair:
         return control_conformal_pair()
     if name == "control_torsion":
         return nijenhuis_control_pair()
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(STANDARD_FAMILIES)}")
+    fail("name", f"unknown family {name!r}; known: {', '.join(STANDARD_FAMILIES)}")

@@ -9,7 +9,6 @@ from geq.charts import (
     MetricField,
     PhasePoint,
     _eval_with_fd_partials,
-    _fd_offsets,
     _spray,
     christoffel,
     christoffel_at,
@@ -322,13 +321,13 @@ class TestCachedStencil:
 
     def test_offsets_are_cached_read_only_and_keep_the_centre(self):
         chart = Chart(2, ((-1.0, 1.0), (0.0, 4.0)))
-        offsets, divisors = _fd_offsets(chart, FD_STEP)
+        offsets, divisors = chart._fd_stencil
         assert offsets.shape == (9, 2) and divisors.shape == (4,)
-        again = _fd_offsets(chart, FD_STEP)
+        again = chart._fd_stencil
         assert again[0] is offsets and again[1] is divisors
-        other = _fd_offsets(chart, 2.0 * FD_STEP)
-        assert np.array_equal(other[1], 2.0 * divisors)
-        for array in (offsets, divisors) + other:
+        h = FD_STEP * chart.widths
+        assert np.array_equal(divisors, 2.0 * np.concatenate([h, 0.5 * h]))
+        for array in (offsets, divisors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
@@ -483,7 +482,7 @@ class TestPushforward:
         pts = fd_map.source.sample(np.random.default_rng(9), int(np.prod(shape)))
         pts = pts.reshape(shape + (2,))
         got = fd_map.jacobian_at(pts)
-        assert seen == [(4,) + shape + (2,)]
+        assert seen == [(5,) + shape + (2,)]  # the centre, then +-h_k e_k
         h = FD_STEP * fd_map.source.widths
         for k in range(2):
             e = np.zeros(2)

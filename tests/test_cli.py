@@ -288,11 +288,14 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     (["beltrami", "--dim", "0"], "dim: must be at least 1"),
     (["beltrami", "--diag", "1,2"], "diag: expected exactly 3 entries"),
     (["split", "--block", "0"], "block: must be at least 1"),
+    (["glue", "--levels", "3"], "levels: expected at least two comma-separated numbers"),
+    (["product", "--factors", ";"], "factors: expected at least one factor"),
 ], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
         "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
         "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol",
         "product-negative-dim", "product-zero-dim", "beltrami-negative-dim",
-        "beltrami-zero-dim", "beltrami-short-diag", "split-zero-block"])
+        "beltrami-zero-dim", "beltrami-short-diag", "split-zero-block", "glue-one-level",
+        "product-no-factor"])
 def test_command_flags_are_schema_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1

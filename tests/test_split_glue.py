@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from geq import split_glue
-from geq.charts import FD_STEP, Chart, MetricField, _fd_offsets, _on_stencil, _spray
+from geq.charts import Chart, MetricField, _on_stencil, _spray
 from geq.errors import EigenOrderViolated, GapViolated, NotPositive
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import MetricPair, _l_partials, l_eigen, l_tensor
@@ -267,6 +267,26 @@ def test_twin_fields_never_serve_a_stale_matrix(build, reads):
         assert np.array_equal(got, build(pair)[which].eval(points[name].copy()))
 
 
+@pytest.mark.parametrize("build, evaluator, per_read",
+                         [(split_fields, "_split", 1), (glued_fields, "_factor_values", 2)],
+                         ids=["split", "glued"])
+def test_only_a_base_read_keeps_the_intermediates_for_its_partner(monkeypatch, build,
+                                                                 evaluator, per_read):
+    pair = lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4))
+    g, gbar = build(pair)
+    calls = []
+    evaluate = getattr(split_glue, evaluator)
+    monkeypatch.setattr(split_glue, evaluator, lambda *args: calls.append(1) or evaluate(*args))
+    xs = pair.chart.sample(np.random.default_rng(6), 20)
+    g.eval(xs)
+    gbar.eval(xs)
+    assert len(calls) == per_read  # the companion read pops what the base read kept
+    calls.clear()
+    gbar.eval(xs)
+    g.eval(xs)
+    assert len(calls) == 2 * per_read  # a companion read keeps nothing
+
+
 GLUED_PAIRS = {
     "product_s1_s2": lambda: standard_pair("product_s1_s2"),
     "product_s2_s2": lambda: standard_pair("product_s2_s2"),
@@ -281,7 +301,7 @@ def test_a_glued_stencil_read_equals_its_per_slice_reads(build):
     # its coordinates; every slice must still carry the bits of its own read.
     pair = build()
     x = pair.chart.sample(np.random.default_rng(8), 25, shrink=0.8)
-    stack = _on_stencil(x, _fd_offsets(pair.chart, FD_STEP)[0])
+    stack = _on_stencil(x, pair.chart._fd_stencil[0])
     for field in (pair.g, pair.gbar):
         got = field.eval(stack)
         for s, points in enumerate(stack):

@@ -1,0 +1,108 @@
+"""One validation path: every bad argument of the public API raises a named
+:class:`GeqError` that is also a ``ValueError`` and names the argument, and no
+module of the package raises a builtin exception class."""
+import ast
+import time
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import geq
+from geq import (LeviCivitaData, LinearMap, ScalarFunction1D, check_conservation,
+                 check_equivalence, check_interlacing, circle_planarity, eigen_range,
+                 max_eigen_multiplicity, oplus, random_levi_civita_data, sphere_chart,
+                 split_pair, spheres_product, standard_pair)
+from geq.charts import Chart
+from geq.errors import GeqError
+
+NAN, INF = float("nan"), float("inf")
+INTERVAL = (-0.5, 0.5)
+
+
+def run_cases(prefix, check):
+    """Cases shared by the checks that integrate geodesics."""
+    bad = {"zero-traj": ("n_traj", {"n_traj": 0}),
+           "negative-traj": ("n_traj", {"n_traj": -3}),
+           "fractional-traj": ("n_traj", {"n_traj": 2.5}),
+           "nan-duration": ("duration", {"duration": NAN}),
+           "inf-duration": ("duration", {"duration": INF}),
+           "negative-duration": ("duration", {"duration": -1.0}),
+           "nan-tol": ("tol", {"tol": NAN})}
+    return {f"{prefix}-{case}": (name, lambda pair, kwargs=kwargs: check(
+        pair, **{"n_traj": 2, **kwargs})) for case, (name, kwargs) in bad.items()}
+
+
+CASES = {
+    "interlacing-nan-epsilon": ("epsilon", lambda pair: check_interlacing(pair, epsilon=NAN)),
+    "interlacing-inf-epsilon": ("epsilon", lambda pair: check_interlacing(pair, epsilon=INF)),
+    "interlacing-negative-epsilon": ("epsilon",
+                                     lambda pair: check_interlacing(pair, epsilon=-1.0)),
+    "interlacing-fractional-vectors": ("n_vectors",
+                                       lambda pair: check_interlacing(pair, n_vectors=2.5)),
+    "interlacing-nan-points": ("points", lambda pair: check_interlacing(
+        pair, points=np.full((2, 3), NAN))),
+    "interlacing-zero-points": ("points", lambda pair: check_interlacing(
+        pair, points=np.empty((0, 3)))),
+    **run_cases("equivalence", check_equivalence),
+    **run_cases("conservation", check_conservation),
+    "conservation-zero-t-values": ("n_t_values", lambda pair: check_conservation(
+        pair, n_traj=2, n_t_values=0)),
+    "profile-nan-coefficient": ("coeffs[1]",
+                                lambda pair: ScalarFunction1D((1.0, NAN), INTERVAL)),
+    "lc-data-nan-profile": ("coeffs[0]", lambda pair: LeviCivitaData(
+        lambdas=(ScalarFunction1D((NAN,), INTERVAL),), chart=Chart(1, (INTERVAL,)))),
+    "random-lc-fractional-dim": ("n", lambda pair: random_levi_civita_data(
+        2.5, np.random.default_rng(0))),
+    "eigen-range-zero-points": ("xs", lambda pair: eigen_range(pair, np.empty((0, 3)))),
+    "multiplicity-zero-points": ("xs", lambda pair: max_eigen_multiplicity(
+        pair, np.empty((0, 3)))),
+    "planarity-zero-circles": ("n_circles", lambda pair: circle_planarity(
+        sphere_chart(2), LinearMap.identity(3), 0, seed=0)),
+    "linear-map-nan-entry": ("matrix", lambda pair: LinearMap(np.array([[1.0, NAN],
+                                                                        [0.0, 1.0]]))),
+    "split-zero-block": ("r", lambda pair: split_pair(pair, 0)),
+    "split-whole-block": ("r", lambda pair: split_pair(pair, pair.dim)),
+    "oplus-no-factor": ("triples", lambda pair: oplus([])),
+    "product-no-factor": ("factors", lambda pair: spheres_product([])),
+}
+
+
+@pytest.fixture(scope="module")
+def lc_nd():
+    return standard_pair("lc_nd")
+
+
+@pytest.mark.parametrize("name, call", CASES.values(), ids=CASES.keys())
+def test_bad_input_raises_a_named_error(lc_nd, name, call):
+    begin = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GeqError) as info:
+            call(lc_nd)
+    assert time.perf_counter() - begin < 5.0
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith(f"{name}: ")
+
+
+def test_integer_counts_accept_numpy_integers(lc_nd):
+    report = check_interlacing(lc_nd, n_points=np.int64(3), n_vectors=np.int32(2))
+    assert report.samples == 6 and type(report.samples) is int
+
+
+BUILTIN_ERRORS = {"ValueError", "TypeError", "IndexError", "KeyError", "RuntimeError",
+                  "AssertionError"}
+
+
+def test_the_package_raises_no_builtin_exception():
+    offenders = []
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+                    offenders.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert offenders == []

@@ -199,7 +199,7 @@ def test_conservation_rows_match_a_per_trajectory_recomputation():
 @pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3}, {"n_vectors": 0},
                                     {"points": np.empty((0, 2))}])
 def test_interlacing_rejects_an_empty_scan(kwargs):
-    with pytest.raises(ValueError, match="at least one sample point"):
+    with pytest.raises(ValueError, match=r"^(n_points|n_vectors|points): "):
         check_interlacing(lc_pair((0.5, 0.2), (1.0, 0.3)), **kwargs)
 
 
