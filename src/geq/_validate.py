@@ -64,13 +64,24 @@ def expect_tol(value, path: str = "tol") -> float:
     return tol
 
 
-def expect_interval(lo, hi, path: str) -> None:
-    if expect_number(lo, f"{path}[0]") >= expect_number(hi, f"{path}[1]"):
+def expect_interval(value, path: str) -> None:
+    """A pair ``(lo, hi)`` of finite numbers with ``lo < hi``."""
+    if not isinstance(value, (tuple, list, np.ndarray)) or len(value) != 2:
+        fail(path, "expected an interval (lo, hi)")
+    if expect_number(value[0], f"{path}[0]") >= expect_number(value[1], f"{path}[1]"):
         fail(path, "lower bound must be below upper bound")
 
 
+def as_floats(value, path: str) -> np.ndarray:
+    """``value`` as a float array; ragged or non-numeric input fails on ``path``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        fail(path, "expected an array of numbers")
+
+
 def expect_finite(value, path: str) -> np.ndarray:
-    array = np.asarray(value, dtype=float)
+    array = as_floats(value, path)
     if not np.all(np.isfinite(array)):
         fail(path, "must be finite")
     return array
@@ -78,7 +89,7 @@ def expect_finite(value, path: str) -> np.ndarray:
 
 def expect_points(value, dim: int, path: str) -> np.ndarray:
     """A non-empty batch ``(..., dim)`` of finite points."""
-    points = np.asarray(value, dtype=float)
+    points = as_floats(value, path)
     if points.ndim == 0 or points.shape[-1] != dim:
         fail(path, f"expected points of dimension {dim}")
     if points.size == 0:

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._validate import expect_finite, expect_int, expect_interval, expect_number, expect_tol, fail
+from ._validate import (as_floats, expect_finite, expect_int, expect_interval, expect_number,
+                        expect_tol, fail)
 from .errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
@@ -38,10 +39,10 @@ class Chart:
 
     def __post_init__(self) -> None:
         expect_int(self.dim, "dim", 1)
-        if len(self.box) != self.dim:
+        if not isinstance(self.box, (tuple, list)) or len(self.box) != self.dim:
             fail("box", f"expected {self.dim} intervals, one per dimension")
-        for i, (lo, hi) in enumerate(self.box):
-            expect_interval(lo, hi, f"box[{i}]")
+        for i, interval in enumerate(self.box):
+            expect_interval(interval, f"box[{i}]")
 
     @functools.cached_property
     def _fd_stencil(self) -> tuple[Array, Array]:
@@ -85,7 +86,7 @@ class Chart:
     def point(self, x: Array, margin: float = 0.0) -> Array:
         """``x`` as one float point of this chart; :class:`OutOfChart` unless it
         lies in the box shrunk by ``margin`` (:meth:`contains`), as NaN never does."""
-        x = np.asarray(x, dtype=float)
+        x = as_floats(x, "x")
         if x.shape != (self.dim,):
             fail("x", f"expected a point of dimension {self.dim}")
         if not self.contains(x, margin):
@@ -117,14 +118,15 @@ class MetricField:
     """A chart-local Riemannian metric.
 
     ``eval`` maps points ``(..., dim)`` to symmetric matrices
-    ``(..., dim, dim)``; ``partials``, when present, maps points to
-    ``(..., dim, dim, dim)`` arrays whose ``[k, i, j]`` entry is
-    ``d g_ij / d x_k``.
+    ``(..., dim, dim)``.  ``jet``, where a builder can share work, maps points to
+    ``(value, partials)``: ``value`` bitwise equal to ``eval``, ``partials[..., k, i, j]``
+    equal to ``d g_ij / d x_k``.  A field without one is differentiated by
+    finite differences (:func:`fd_partials`).
     """
 
     chart: Chart
     eval: Callable[[Array], Array]
-    partials: Optional[Callable[[Array], Array]] = None
+    jet: Optional[Callable[[Array], tuple[Array, Array]]] = None
     provenance: str = ""
 
 
@@ -196,11 +198,10 @@ def fd_partials(field: MetricField, x: Array) -> Array:
 
 
 def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
-    """The metric and its partials at a point batch: the analytic partials
-    when the field has them, else one stacked finite-difference evaluation."""
-    if field.partials is None:
+    """The metric and its partials: one ``field.jet`` call, else one stacked FD evaluation."""
+    if field.jet is None:
         return _eval_with_fd_partials(field, x)
-    return field.eval(x), field.partials(x)
+    return field.jet(x)
 
 
 def _solve(g: Array, rhs: Array) -> Array:
@@ -214,7 +215,7 @@ def christoffel(field: MetricField, x: Array) -> Array:
     """Batched Christoffel symbols ``Gamma^k_ij`` of shape
     ``(..., dim, dim, dim)`` with the upper index first.
 
-    A field without analytic partials is evaluated once per batch, on the
+    A field without a ``jet`` is evaluated once per batch, on the
     point batch and its finite-difference stencil together."""
     x = np.asarray(x, dtype=float)
     n = field.chart.dim
@@ -326,7 +327,7 @@ def integrate_geodesics(
     """
     tol = expect_tol(tol)
     T = expect_number(T, "T", positive=True)
-    starts_x = np.atleast_2d(np.asarray(starts_x, dtype=float))
+    starts_x = np.atleast_2d(as_floats(starts_x, "starts_x"))
     starts_v = np.atleast_2d(expect_finite(starts_v, "starts_v"))
     n = field.chart.dim
     B = starts_x.shape[0]
@@ -494,5 +495,5 @@ def pushforward_metric(chart_map: ChartMap, field: MetricField,
         out = np.swapaxes(j, -1, -2) @ g @ j
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
-    return MetricField(chart=chart_map.source, eval=eval_fn, partials=None,
+    return MetricField(chart=chart_map.source, eval=eval_fn,
                        provenance=f"pushforward({field.provenance})")

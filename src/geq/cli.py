@@ -139,7 +139,7 @@ def _validate_family(raw, path: str = "family"):
             if len(row) > 4:
                 fail(f"{path}.lc.profiles[{i}]", "profiles have degree at most 3")
         interval = expect_numbers(body.get("interval", [-0.5, 0.5]), f"{path}.lc.interval", 2)
-        expect_interval(*interval, f"{path}.lc.interval")
+        expect_interval(interval, f"{path}.lc.interval")
         return {"lc": {"profiles": rows, "interval": interval}}
     if kind == "beltrami":
         return {"beltrami": _validate_sphere_factor(body, f"{path}.beltrami")}

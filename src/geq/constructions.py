@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from ._validate import expect_finite, expect_int, expect_number, fail
+from ._validate import as_floats, expect_finite, expect_int, expect_number, fail
 from .charts import Chart, MetricField, integrate_geodesics
 from .errors import DegenerateMap, EigenOrderViolated, GeqError, NotPositive
 from .projective import MetricPair, _l_values
@@ -51,7 +51,7 @@ class LinearMap:
 
     @classmethod
     def diagonal(cls, values) -> "LinearMap":
-        return cls(np.diag(np.asarray(values, dtype=float)))
+        return cls(np.diag(as_floats(values, "values")))
 
     def apply(self, points: Array) -> Array:
         return np.asarray(points, dtype=float) @ self.matrix.T
@@ -136,8 +136,8 @@ def sphere_chart(dim: int, half_width: float = 0.75, pole=None) -> SphereChart:
 def beltrami_pair(dim: int, a_map: LinearMap | None = None,
                   sphere: SphereChart | None = None) -> EquivTriple:
     """Round metric on a sphere chart paired with its pull-back under the
-    normalized linear self-map of the sphere; the round metric carries
-    closed-form partials."""
+    normalized linear self-map of the sphere; the round metric carries a
+    closed-form ``jet``."""
     dim = expect_int(dim, "dim", 1)
     if sphere is None:
         sphere = sphere_chart(dim)
@@ -148,17 +148,15 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
     if a_map.ambient_dim != dim + 1:
         fail("a_map", f"expected a map of the ambient space R^{dim + 1}")
 
-    def g_eval(ys: Array) -> Array:
+    def round_metric(ys: Array) -> tuple[Array, Array, Array]:
         ys = np.asarray(ys, dtype=float)
         d = 1.0 + np.sum(ys * ys, axis=-1)
-        scale = 4.0 / (d * d)
-        return scale[..., None, None] * np.eye(dim)
+        return ys, d, (4.0 / (d * d))[..., None, None] * np.eye(dim)
 
-    def g_partials(ys: Array) -> Array:
+    def g_jet(ys: Array) -> tuple[Array, Array]:
         # d_k g_ij = -16 y_k / (1 + |y|^2)^3 delta_ij
-        ys = np.asarray(ys, dtype=float)
-        d = 1.0 + np.sum(ys * ys, axis=-1, keepdims=True)
-        return (-16.0 * ys / d ** 3)[..., None, None] * np.eye(dim)
+        ys, d, g = round_metric(ys)
+        return g, (-16.0 * ys / (d ** 3)[..., None])[..., None, None] * np.eye(dim)
 
     a = a_map.matrix
 
@@ -175,7 +173,8 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
 
     tag = f"beltrami(dim={dim})"
     pair = MetricPair(
-        g=MetricField(chart=sphere.chart, eval=g_eval, partials=g_partials, provenance=tag),
+        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2], jet=g_jet,
+                      provenance=tag),
         gbar=MetricField(chart=sphere.chart, eval=gbar_eval,
                          provenance=tag + "/companion"),
         provenance=tag,
@@ -198,15 +197,14 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     def g_eval(xs: Array) -> Array:
         return factor * base.eval(xs)
 
-    partials = None
-    if base.partials is not None:
-        orig = base.partials
-        partials = lambda xs: factor * orig(xs)  # noqa: E731
+    def g_jet(xs: Array) -> tuple[Array, Array]:
+        m, dm = base.jet(xs)
+        return factor * m, factor * dm
 
     tag = f"scale({factor}, {pair.provenance})"
     scaled = MetricPair(
-        g=MetricField(chart=pair.chart, eval=g_eval, partials=partials,
-                      provenance=tag),
+        g=MetricField(chart=pair.chart, eval=g_eval,
+                      jet=None if base.jet is None else g_jet, provenance=tag),
         gbar=pair.gbar,
         provenance=tag,
     )
@@ -275,8 +273,11 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
     if not factors:
         fail("factors", "expected at least one factor")
     triples, bounds = [], []
-    for factor in factors:
+    for i, factor in enumerate(factors):
+        if not isinstance(factor, (tuple, list)) or len(factor) not in (2, 3):
+            fail(f"factors[{i}]", "expected (dim, a_map) or (dim, a_map, sphere_chart)")
         dim, a_map, *rest = factor
+        dim = expect_int(dim, f"factors[{i}][0]", 1)
         a_map = LinearMap.identity(dim + 1) if a_map is None else a_map
         sphere = rest[0] if rest else sphere_chart(dim)
         triples.append(beltrami_pair(dim, a_map, sphere))

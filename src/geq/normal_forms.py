@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -22,6 +23,15 @@ from .errors import NotPositive, NotRealizable, SeparationViolated
 from .projective import MetricPair
 
 Array = np.ndarray
+
+
+def _horner(table: Array, xs: Array | float) -> Array:
+    """``sum_k table[k] xs^k`` by ``polyval``'s own recurrence, so bitwise equal to
+    it; the trailing axes of ``table`` ``(degree + 1, ...)`` broadcast against ``xs``."""
+    out = table[-1] + xs * 0
+    for c in table[-2::-1]:
+        out = c + out * xs
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,22 +48,18 @@ class ScalarFunction1D:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(expect_numbers(list(self.coeffs), "coeffs")))
-        expect_interval(*self.interval, "interval")
+        expect_interval(self.interval, "interval")
 
     def __call__(self, s: Array | float) -> Array:
-        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float),
-                                                np.asarray(self.coeffs))
+        return _horner(np.asarray(self.coeffs), np.asarray(s, dtype=float))
 
     def derivative(self) -> "ScalarFunction1D":
-        if len(self.coeffs) == 1:
-            return ScalarFunction1D((0.0,), self.interval)
-        d = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
-        return ScalarFunction1D(d, self.interval)
+        slopes = tuple(k * c for k, c in enumerate(self.coeffs))[1:]
+        return ScalarFunction1D(slopes or (0.0,), self.interval)
 
     def divided0(self, s: Array | float) -> Array:
         """The exact quotient ``(p(s) - p(0)) / s`` (finite at ``s = 0``)."""
-        tail = np.asarray(self.coeffs[1:]) if len(self.coeffs) > 1 else np.zeros(1)
-        return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), tail)
+        return _horner(np.asarray(self.coeffs[1:] or (0.0,)), np.asarray(s, dtype=float))
 
     def divided2(self, a: Array | float, b: Array | float) -> Array:
         """The exact two-point quotient ``(p(a) - p(b)) / (a - b)``,
@@ -78,9 +84,9 @@ class ScalarFunction1D:
 class LeviCivitaData:
     """Per-axis eigenvalue profiles for the separable block-diagonal model.
 
-    Validated on construction: the sampled ranges of consecutive profiles
-    must be strictly separated over the chart box, and the first profile
-    must stay positive.
+    Validated on construction: every profile's sampled range over the chart
+    box must be finite, the ranges of consecutive profiles strictly
+    separated, and the first profile positive.
     """
 
     lambdas: tuple[ScalarFunction1D, ...]
@@ -90,8 +96,13 @@ class LeviCivitaData:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if len(self.lambdas) != self.chart.dim:
             fail("lambdas", f"expected {self.chart.dim} profiles, one per chart dimension")
-        ranges = [lam.range_on(*self.chart.box[i], samples=64)
-                  for i, lam in enumerate(self.lambdas)]
+        with np.errstate(over="ignore", invalid="ignore"):  # 64 samples per axis, one pass
+            vals = _profile_values(_profile_table(self.lambdas),
+                                   np.linspace(self.chart.lows, self.chart.highs, 64))
+        ranges = list(zip(np.min(vals, axis=0).tolist(), np.max(vals, axis=0).tolist()))
+        for i, bounds in enumerate(ranges):
+            if not all(map(math.isfinite, bounds)):
+                fail(f"lambdas[{i}]", f"the sampled range {list(bounds)} on the box is not finite")
         if ranges[0][0] <= 0.0:
             raise NotPositive("the first eigenvalue profile must be positive on the box")
         for i in range(len(ranges) - 1):
@@ -135,10 +146,23 @@ class ModelFormParams:
 # Separable block-diagonal model
 
 
-def _profile_values(lambdas: tuple[ScalarFunction1D, ...], xs: Array) -> Array:
-    """``out[..., i]`` is ``lambdas[i]`` at coordinate ``i`` of ``xs``."""
+def _profile_table(lambdas: tuple[ScalarFunction1D, ...]) -> Array:
+    """All profiles' coefficients as one zero-padded ``(degree + 1, n)`` table.  The
+    padding keeps every profile's bits: Horner's rule carries ``+0.0`` through it."""
+    table = np.zeros((max(len(lam.coeffs) for lam in lambdas), len(lambdas)))
+    for i, lam in enumerate(lambdas):
+        table[:len(lam.coeffs), i] = lam.coeffs
+    return table
+
+
+def _profile_values(table: Array, xs: Array) -> Array:
+    """``out[..., i]`` is profile ``i`` of ``table`` at ``xs[..., i]``.  From 512 entries on, the
+    coordinate axis leads, so numpy's inner loops here and on the result run along the batch."""
     xs = np.asarray(xs, dtype=float)
-    return np.stack([lam(xs[..., i]) for i, lam in enumerate(lambdas)], axis=-1)
+    if xs.size < 512:
+        return _horner(table, xs)
+    columns = np.ascontiguousarray(np.moveaxis(xs, -1, 0))
+    return np.moveaxis(_horner(table.reshape(table.shape + (1,) * (xs.ndim - 1)), columns), 0, -1)
 
 
 def _pi_factors(vals: Array) -> Array:
@@ -161,30 +185,33 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     profiles; the compatibility tensor of the result is exactly
     ``diag(lambda_1(x_1), ..., lambda_n(x_n))``.
 
-    Both diagonal metrics carry analytic partial derivatives.
+    Both diagonal metrics carry a ``jet``: one pass over the profile table and one over
+    its slope table, and the factors ``Pi`` and their log-derivatives formed once.
     """
     n = data.chart.dim
     idx = np.arange(n)
 
     @functools.cache
-    def slopes() -> tuple[ScalarFunction1D, ...]:
-        # Built on the first partials call, not with the pair: callers that
-        # only evaluate the metrics never need them.
-        return tuple(lam.derivative() for lam in data.lambdas)
+    def tables() -> tuple[Array, Array]:
+        # The profile and slope tables, built on the first evaluation, not with the pair.
+        table = _profile_table(data.lambdas)
+        slopes = np.arange(1, len(table))[:, None] * table[1:]
+        return table, slopes if len(slopes) else np.zeros((1, n))
 
     def diag_embed(d: Array) -> Array:
         out = np.zeros(d.shape[:-1] + (n, n))
         out[..., idx, idx] = d
         return out
 
+    def rho_of(vals: Array) -> Array:
+        return 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
+
     def g_eval(xs: Array) -> Array:
-        vals = _profile_values(data.lambdas, xs)
-        return diag_embed(_pi_factors(vals))
+        return diag_embed(_pi_factors(_profile_values(tables()[0], xs)))
 
     def gbar_eval(xs: Array) -> Array:
-        vals = _profile_values(data.lambdas, xs)
-        rho = 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
-        return diag_embed(rho * _pi_factors(vals))
+        vals = _profile_values(tables()[0], xs)
+        return diag_embed(rho_of(vals) * _pi_factors(vals))
 
     def _log_pi_grad(vals: Array, ders: Array) -> Array:
         """``out[..., k, i]`` is the log-derivative of factor ``i`` along
@@ -199,32 +226,25 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         out[..., idx, idx] = ders * np.sum(inv, axis=-1)
         return out
 
-    def g_partials(xs: Array) -> Array:
-        vals = _profile_values(data.lambdas, xs)
-        ders = _profile_values(slopes(), xs)
-        pi = _pi_factors(vals)
-        grad = _log_pi_grad(vals, ders)
+    def jet(xs: Array, companion: bool) -> tuple[Array, Array]:
+        """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i, i]``."""
+        vals, ders = (_profile_values(table, xs) for table in tables())
+        diagonal, log_grad = _pi_factors(vals), _log_pi_grad(vals, ders)
+        if companion:
+            diagonal = rho_of(vals) * diagonal
+            log_slopes = -ders / vals
+            log_rho = np.broadcast_to(log_slopes[..., :, None], log_grad.shape).copy()
+            log_rho[..., idx, idx] += log_slopes
+            log_grad = log_grad + log_rho
         d = np.zeros(vals.shape[:-1] + (n, n, n))
-        d[..., :, idx, idx] = pi[..., None, :] * grad
-        return d
-
-    def gbar_partials(xs: Array) -> Array:
-        vals = _profile_values(data.lambdas, xs)
-        ders = _profile_values(slopes(), xs)
-        pi = _pi_factors(vals)
-        rho = 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
-        grad = _log_pi_grad(vals, ders)
-        log_rho = np.broadcast_to((-ders / vals)[..., :, None],
-                                  grad.shape).copy()
-        log_rho[..., idx, idx] += -ders / vals
-        d = np.zeros(vals.shape[:-1] + (n, n, n))
-        d[..., :, idx, idx] = (rho * pi)[..., None, :] * (grad + log_rho)
-        return d
+        d[..., :, idx, idx] = diagonal[..., None, :] * log_grad
+        return diag_embed(diagonal), d
 
     tag = f"lc_nd(n={n})"
     return MetricPair(
-        g=MetricField(chart=data.chart, eval=g_eval, partials=g_partials, provenance=tag),
-        gbar=MetricField(chart=data.chart, eval=gbar_eval, partials=gbar_partials,
+        g=MetricField(chart=data.chart, eval=g_eval, jet=lambda xs: jet(xs, False),
+                      provenance=tag),
+        gbar=MetricField(chart=data.chart, eval=gbar_eval, jet=lambda xs: jet(xs, True),
                          provenance=tag + "/companion"),
         provenance=tag,
     )
@@ -496,21 +516,17 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
     tensor at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
     if kind is FormKind.LC_ND:
-        return np.sort(_profile_values(params.lambdas, x), axis=-1)
+        return np.sort(_profile_values(_profile_table(params.lambdas), x), axis=-1)
     if kind is FormKind.TWO_D_ELLIPTIC:
         u, v = x[..., 0], x[..., 1]
         rho = np.hypot(u, v)
         return np.sort(np.stack([params.lam(u - rho), params.lam(u + rho)], axis=-1), axis=-1)
-    if kind is FormKind.TWO_D_POLAR_PLUS:
+    if kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
         r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        lo = np.broadcast_to(params.lam_const, r2.shape)
-        hi = params.lam_const * (1.0 + r2 * params.f(r2))
-        return np.sort(np.stack([lo, hi], axis=-1), axis=-1)
-    if kind is FormKind.TWO_D_POLAR_MINUS:
-        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        lo = params.lam_const * (1.0 - r2 * params.f(r2))
-        hi = np.broadcast_to(params.lam_const, r2.shape)
-        return np.sort(np.stack([lo, hi], axis=-1), axis=-1)
+        sign = -1.0 if kind is FormKind.TWO_D_POLAR_MINUS else 1.0
+        moved = params.lam_const * (1.0 + sign * r2 * params.f(r2))
+        fixed = np.broadcast_to(params.lam_const, r2.shape)
+        return np.sort(np.stack([fixed, moved], axis=-1), axis=-1)
     if kind is FormKind.THREE_D_AXIAL:
         r2 = x[..., 1] ** 2 + x[..., 2] ** 2
         lo = params.lam(x[..., 0])
@@ -530,6 +546,12 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
 # Singular coordinate maps
 
 
+def _matrix(*rows) -> Array:
+    """The batched matrix with entries ``rows[a][b]`` (arrays or numbers, broadcast)."""
+    entries = np.broadcast_arrays(*(np.asarray(e, dtype=float) for row in rows for e in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
+
+
 def _elliptic_map() -> ChartMap:
     source = Chart(2, ((0.3, 0.65), (0.3, 0.65)))
     inverse_source = Chart(2, ((-0.15, 0.15), (0.1, 0.4)))
@@ -542,12 +564,7 @@ def _elliptic_map() -> ChartMap:
     def jacobian(y: Array) -> Array:
         y = np.asarray(y, dtype=float)
         x1, x2 = y[..., 0], y[..., 1]
-        j = np.empty(y.shape[:-1] + (2, 2))
-        j[..., 0, 0] = -x1
-        j[..., 0, 1] = x2
-        j[..., 1, 0] = x2
-        j[..., 1, 1] = x1
-        return j
+        return _matrix((-x1, x2), (x2, x1))
 
     def inverse(w: Array) -> Array:
         w = np.asarray(w, dtype=float)
@@ -561,12 +578,8 @@ def _elliptic_map() -> ChartMap:
         rho = np.hypot(u, v)
         x1 = np.sqrt(rho - u)
         x2 = np.sqrt(rho + u)
-        j = np.empty(w.shape[:-1] + (2, 2))
-        j[..., 0, 0] = (u / rho - 1.0) / (2.0 * x1)
-        j[..., 0, 1] = (v / rho) / (2.0 * x1)
-        j[..., 1, 0] = (u / rho + 1.0) / (2.0 * x2)
-        j[..., 1, 1] = (v / rho) / (2.0 * x2)
-        return j
+        return _matrix(((u / rho - 1.0) / (2.0 * x1), (v / rho) / (2.0 * x1)),
+                       ((u / rho + 1.0) / (2.0 * x2), (v / rho) / (2.0 * x2)))
 
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
                     inverse=inverse, inverse_jacobian=inverse_jacobian,
@@ -586,12 +599,7 @@ def _log_polar_map() -> ChartMap:
     def jacobian(y: Array) -> Array:
         w = forward(y)
         u, v = w[..., 0], w[..., 1]
-        j = np.empty(w.shape[:-1] + (2, 2))
-        j[..., 0, 0] = u
-        j[..., 0, 1] = -v
-        j[..., 1, 0] = v
-        j[..., 1, 1] = u
-        return j
+        return _matrix((u, -v), (v, u))
 
     def inverse(w: Array) -> Array:
         w = np.asarray(w, dtype=float)
@@ -602,12 +610,7 @@ def _log_polar_map() -> ChartMap:
         w = np.asarray(w, dtype=float)
         u, v = w[..., 0], w[..., 1]
         r2 = u**2 + v**2
-        j = np.empty(w.shape[:-1] + (2, 2))
-        j[..., 0, 0] = u / r2
-        j[..., 0, 1] = v / r2
-        j[..., 1, 0] = -v / r2
-        j[..., 1, 1] = u / r2
-        return j
+        return _matrix((u / r2, v / r2), (-v / r2, u / r2))
 
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
                     inverse=inverse, inverse_jacobian=inverse_jacobian,
@@ -632,17 +635,9 @@ def _cylindrical_elliptic_map(c: float) -> ChartMap:
         u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
         s2 = u1**2 + u2**2
         rho = np.sqrt(u0**2 + s2)
-        j = np.empty(u.shape[:-1] + (3, 3))
-        j[..., 0, 0] = u0 / rho - 1.0
-        j[..., 0, 1] = u1 / rho
-        j[..., 0, 2] = u2 / rho
-        j[..., 1, 0] = 0.0
-        j[..., 1, 1] = -rc * u2 / s2
-        j[..., 1, 2] = rc * u1 / s2
-        j[..., 2, 0] = u0 / rho + 1.0
-        j[..., 2, 1] = u1 / rho
-        j[..., 2, 2] = u2 / rho
-        return j
+        return _matrix((u0 / rho - 1.0, u1 / rho, u2 / rho),
+                       (0.0, -rc * u2 / s2, rc * u1 / s2),
+                       (u0 / rho + 1.0, u1 / rho, u2 / rho))
 
     def inverse(x: Array) -> Array:
         x = np.asarray(x, dtype=float)
@@ -658,17 +653,9 @@ def _cylindrical_elliptic_map(c: float) -> ChartMap:
         s = np.sqrt(x0 * x2)
         theta = x1 / rc
         ct, st = np.cos(theta), np.sin(theta)
-        j = np.empty(x.shape[:-1] + (3, 3))
-        j[..., 0, 0] = -0.5
-        j[..., 0, 1] = 0.0
-        j[..., 0, 2] = 0.5
-        j[..., 1, 0] = x2 * ct / (2.0 * s)
-        j[..., 1, 1] = -s * st / rc
-        j[..., 1, 2] = x0 * ct / (2.0 * s)
-        j[..., 2, 0] = x2 * st / (2.0 * s)
-        j[..., 2, 1] = s * ct / rc
-        j[..., 2, 2] = x0 * st / (2.0 * s)
-        return j
+        return _matrix((-0.5, 0.0, 0.5),
+                       (x2 * ct / (2.0 * s), -s * st / rc, x0 * ct / (2.0 * s)),
+                       (x2 * st / (2.0 * s), s * ct / rc, x0 * st / (2.0 * s)))
 
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
                     inverse=inverse, inverse_jacobian=inverse_jacobian,

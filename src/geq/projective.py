@@ -204,20 +204,19 @@ def s_t(pair: MetricPair, x: Array) -> PolyTensor:
 # Integrals and their roots
 
 
-def _integral_coeffs(pair: MetricPair, xs: Array, vs: Array) -> Array:
-    """Coefficients ``(..., n)`` of ``t -> g(S_t v, v)``, batched."""
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    g = pair.g.eval(xs)
-    _, adj = _char_and_adjugate(_l_from(g, pair.gbar.eval(xs)))
+def _integral_coeffs(g: Array, gb: Array, vs: Array) -> Array:
+    """Coefficients ``(..., n)`` of ``t -> g(S_t v, v)`` from both metrics,
+    batched."""
+    _, adj = _char_and_adjugate(_l_from(g, gb))
     return np.einsum("...i,...ij,...kjl,...l->...k", vs, g, adj, vs)
 
 
 def i_t(pair: MetricPair, p: PhasePoint, t: float) -> float:
     """The integral ``I_t = g(S_t v, v)`` at a phase point."""
-    pair.chart.point(p.x)
-    coeffs = _integral_coeffs(pair, p.x[None, :], p.v[None, :])[0]
-    return float(np.polynomial.polynomial.polyval(t, coeffs))
+    from .normal_forms import _horner  # normal_forms imports this module
+    xs = pair.chart.point(p.x)[None, :]
+    coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), p.v[None, :])[0]
+    return float(_horner(coeffs, t))
 
 
 def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
@@ -264,16 +263,20 @@ def _roots_many(mu: Array, w: Array) -> Array:
     return np.linalg.eigvalsh(block)
 
 
+def _frame_weights(g: Array, gb: Array, vs: Array) -> tuple[Array, Array]:
+    """:func:`frame_weights` from both metrics at the points."""
+    mu, vecs = _l_frame(g, gb)
+    w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
+    return np.broadcast_to(mu, w.shape), w
+
+
 def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]:
     """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
     ``g``-orthonormal eigenframe of :func:`_l_frame`; ``xs`` and ``vs`` broadcast,
     one eigen solve per point."""
     xs = expect_points(xs, pair.dim, "xs")
     vs = expect_points(vs, pair.dim, "vs")
-    g = pair.g.eval(xs)
-    mu, vecs = _l_frame(g, pair.gbar.eval(xs))
-    w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
-    return np.broadcast_to(mu, w.shape), w
+    return _frame_weights(pair.g.eval(xs), pair.gbar.eval(xs), vs)
 
 
 def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:

@@ -166,7 +166,7 @@ class TestPartialsAndChristoffel:
             d[..., 1, 1, 1] = np.cos(x[..., 1])
             return d
 
-        field = MetricField(chart=chart, eval=eval_fn, partials=partials_fn)
+        field = MetricField(chart=chart, eval=eval_fn, jet=lambda x: (eval_fn(x), partials_fn(x)))
         pts = chart.sample(np.random.default_rng(1), 20, shrink=0.8)
         fd = fd_partials(field, pts)
         exact = partials_fn(pts)
@@ -207,9 +207,9 @@ class TestPartialsAndChristoffel:
         gamma = christoffel(field, pts)
         assert seen == [(13,) + shape + (3,)]
         # The same symbols from separate evaluations of the metric and its
-        # per-axis differences, handed in as analytic partials.
+        # per-axis differences, handed in as a jet.
         separate = MetricField(chart=base.chart, eval=base.eval,
-                               partials=lambda x: reference_fd_partials(base, x))
+                               jet=lambda x: (base.eval(x), reference_fd_partials(base, x)))
         assert np.array_equal(gamma, christoffel(separate, pts))
 
     def test_flat_christoffel_zero(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import geq.constructions as constructions
-from geq.charts import Chart, MetricField, PhasePoint, fd_partials, integrate_geodesic
+from geq.charts import (Chart, MetricField, PhasePoint, _eval_with_fd_partials, fd_partials,
+                        integrate_geodesic)
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
@@ -94,9 +95,20 @@ def test_round_metric_partials_match_finite_differences(dim):
     g = triple.pair.g
     xs = g.chart.sample(np.random.default_rng(3), 50, shrink=0.9)
     bare = MetricField(chart=g.chart, eval=g.eval)
-    assert np.max(np.abs(g.partials(xs) - fd_partials(bare, xs))) < 1e-8
+    assert np.max(np.abs(g.jet(xs)[1] - fd_partials(bare, xs))) < 1e-8
     scaled = scale_triple(triple, 5.0)
-    assert np.allclose(scaled.pair.g.partials(xs), 5.0 * g.partials(xs), rtol=1e-15, atol=0.0)
+    assert np.allclose(scaled.pair.g.jet(xs)[1], 5.0 * g.jet(xs)[1], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_round_and_scaled_jets_are_eval_and_the_stencil_partials(dim):
+    triple = beltrami_pair(dim)
+    xs = triple.pair.chart.sample(np.random.default_rng(4), 40, shrink=0.9)
+    for field in (triple.pair.g, scale_triple(triple, 5.0).pair.g):
+        value, partials = field.jet(xs)
+        assert value.tobytes() == field.eval(xs).tobytes()
+        bare = MetricField(chart=field.chart, eval=field.eval)
+        assert np.max(np.abs(partials - _eval_with_fd_partials(bare, xs)[1])) < 1e-8
 
 
 def test_diagonal_map_gives_distinct_eigenvalues():

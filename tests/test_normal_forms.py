@@ -1,10 +1,15 @@
 """Closed-form family builders, eigenvalue formulas, and chart maps."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import geq
 from geq.charts import (
     Chart,
     PhasePoint,
+    _eval_with_fd_partials,
     fd_partials,
     integrate_geodesic,
     metric_at,
@@ -16,6 +21,9 @@ from geq.normal_forms import (
     LeviCivitaData,
     ModelFormParams,
     ScalarFunction1D,
+    _horner,
+    _profile_table,
+    _profile_values,
     canonical_chart_map,
     levi_civita_pair,
     model_eigenvalues,
@@ -34,6 +42,64 @@ def constant_lc(*levels: float, half: float = 0.5) -> LeviCivitaData:
     chart = Chart(len(levels), tuple((-half, half) for _ in levels))
     lambdas = tuple(ScalarFunction1D((v,), (-half, half)) for v in levels)
     return LeviCivitaData(lambdas=lambdas, chart=chart)
+
+
+def bits(a) -> tuple:
+    """The shape and bytes of a float array, so that ``-0.0`` and ``0.0`` differ."""
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def polyval(x, c):
+    return np.polynomial.polynomial.polyval(x, c)
+
+
+# Constant, linear, cubic and quadratic profiles, with a -0.0 and a zero
+# leading coefficient among them.
+INTERVAL = (-0.5, 0.5)
+MIXED = (ScalarFunction1D((2.5,), INTERVAL),
+         ScalarFunction1D((4.0, -0.0), INTERVAL),
+         ScalarFunction1D((6.0, 0.3, -0.2, 0.1), INTERVAL),
+         ScalarFunction1D((9.0, -0.25, 0.0), INTERVAL))
+
+
+class TestHornerKernel:
+    # Small batches, and batches of 512 entries or more (evaluated transposed).
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 4), (200, 4), (3, 60, 4)])
+    def test_profile_values_are_bitwise_per_profile_polyval(self, shape):
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(-0.5, 0.5, size=shape)
+        xs.reshape(-1, 4)[0] = [-0.0, 0.0, -0.0, -0.5]  # signed zeros, a negative end
+        expected = np.stack([polyval(xs[..., i], lam.coeffs) for i, lam in enumerate(MIXED)],
+                            axis=-1)
+        assert bits(_profile_values(_profile_table(MIXED), xs)) == bits(expected)
+
+    @pytest.mark.parametrize("lam", MIXED + (LAM_CUBIC,))
+    def test_profile_calls_are_bitwise_polyval(self, lam):
+        for s in (-0.0, 0.0, -0.3, 0.7, np.array([-1.5, -0.0, 0.25]), np.zeros((2, 3))):
+            assert bits(lam(s)) == bits(polyval(np.asarray(s, dtype=float), lam.coeffs))
+            tail = lam.coeffs[1:] or (0.0,)
+            assert bits(lam.divided0(s)) == bits(polyval(np.asarray(s, dtype=float), tail))
+
+    def test_a_coefficient_table_is_bitwise_tensor_polyval(self):
+        rng = np.random.default_rng(22)
+        coeffs = rng.normal(size=(30, 4))
+        t = np.array([-2.0, -0.0, 0.5, 3.0])
+        assert bits(_horner(coeffs.T[..., None], t)) == bits(polyval(t, coeffs.T))
+        for ti in (-1.25, 0.0, 2.0):
+            assert bits(_horner(coeffs[0], ti)) == bits(polyval(ti, coeffs[0]))
+
+
+def test_the_package_has_one_polynomial_path():
+    """No module calls numpy's polynomial package: every polynomial in ``t``
+    or in a coordinate goes through the Horner kernel of ``normal_forms``."""
+    offenders = []
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("polynomial", "polyval", "polyval2d", "polyval3d"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
 
 
 class TestScalarFunction:
@@ -99,9 +165,34 @@ class TestLeviCivita:
         pts = data.chart.sample(rng, 10, shrink=0.8)
         for field in (pair.g, pair.gbar):
             fd = fd_partials(field, pts)
-            exact = field.partials(pts)
+            exact = field.jet(pts)[1]
             scale = max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(fd - exact)) < 1e-6 * scale
+
+    # 12 points and, at 300, batches past the transposed-evaluation threshold.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [12, 300])
+    def test_jets_are_eval_and_the_stencil_partials(self, n, count):
+        rng = np.random.default_rng(30 + n)
+        data = random_levi_civita_data(n, rng)
+        if n == 4:  # mixed degrees, down to a constant profile
+            data = LeviCivitaData(MIXED, Chart(4, (INTERVAL,) * 4))
+        pair = levi_civita_pair(data)
+        pts = data.chart.sample(rng, count, shrink=0.8)
+        for field in (pair.g, pair.gbar):
+            value, partials = field.jet(pts)
+            assert bits(value) == bits(field.eval(pts))
+            fd = _eval_with_fd_partials(field, pts)[1]
+            scale = max(1.0, float(np.max(np.abs(partials))))
+            assert np.max(np.abs(fd - partials)) < 1e-6 * scale
+
+    def test_constant_profiles_have_zero_partials(self):
+        pair = levi_civita_pair(constant_lc(1.0, 2.0, 3.0))
+        pts = pair.chart.sample(np.random.default_rng(5), 6)
+        for field in (pair.g, pair.gbar):
+            value, partials = field.jet(pts)
+            assert bits(value) == bits(field.eval(pts))
+            assert not np.any(partials)
 
     def test_separation_validation(self):
         with pytest.raises(SeparationViolated):

@@ -384,7 +384,7 @@ class TestIntegralRoots:
             xs = pair.chart.sample(rng, 200)
             vs = rng.normal(size=(200, pair.dim))
             roots = integral_roots_many(pair, xs, vs)
-            coeffs = _integral_coeffs(pair, xs, vs)[:, None, :]
+            coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)[:, None, :]
             terms = coeffs * roots[..., None] ** np.arange(pair.dim)
             residual = np.abs(np.sum(terms, axis=-1)) / np.sum(np.abs(terms), axis=-1)
             assert np.max(residual) < 1e-12, name

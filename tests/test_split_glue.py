@@ -214,7 +214,7 @@ def counted(pair):
         def eval_fn(xs):
             counts[key] += 1
             return field.eval(xs)
-        return MetricField(chart=field.chart, eval=eval_fn, partials=field.partials)
+        return MetricField(chart=field.chart, eval=eval_fn, jet=field.jet)
 
     return MetricPair(g=wrap(pair.g, "g"), gbar=wrap(pair.gbar, "gbar")), counts
 
@@ -318,7 +318,7 @@ def _count_factor_rows(monkeypatch) -> dict:
             def eval_fn(xs):
                 rows.setdefault((tag, key), []).append(int(np.prod(np.shape(xs)[:-1])))
                 return field.eval(xs)
-            return MetricField(chart=field.chart, eval=eval_fn, partials=field.partials)
+            return MetricField(chart=field.chart, eval=eval_fn, jet=field.jet)
         pair = triple.pair
         return EquivTriple(pair=MetricPair(g=wrap(pair.g, "g"), gbar=wrap(pair.gbar, "gbar")),
                            eigen_range=triple.eigen_range)

@@ -12,8 +12,9 @@ import pytest
 import geq
 from geq import (LeviCivitaData, LinearMap, ScalarFunction1D, check_conservation,
                  check_equivalence, check_interlacing, circle_planarity, eigen_range,
-                 max_eigen_multiplicity, oplus, random_levi_civita_data, sphere_chart,
-                 split_pair, spheres_product, standard_pair)
+                 integrate_geodesics, l_tensor, max_eigen_multiplicity, oplus,
+                 random_levi_civita_data, sphere_chart, split_pair, spheres_product,
+                 standard_pair)
 from geq.charts import Chart
 from geq.errors import GeqError
 
@@ -66,6 +67,22 @@ CASES = {
     "split-whole-block": ("r", lambda pair: split_pair(pair, pair.dim)),
     "oplus-no-factor": ("triples", lambda pair: oplus([])),
     "product-no-factor": ("factors", lambda pair: spheres_product([])),
+    # Malformed structure: short or scalar intervals and factors, text and
+    # ragged arrays.
+    "chart-short-interval": ("box[1]", lambda pair: Chart(2, ((0.0, 1.0), (0.0,)))),
+    "chart-scalar-interval": ("box[0]", lambda pair: Chart(1, (1.0,))),
+    "product-short-factor": ("factors[0]", lambda pair: spheres_product([(1,)])),
+    "l-tensor-text-point": ("x", lambda pair: l_tensor(pair, "abc")),
+    "interlacing-text-point": ("points", lambda pair: check_interlacing(
+        pair, points=[[0.0, "a", 0.0]])),
+    "interlacing-ragged-points": ("points", lambda pair: check_interlacing(
+        pair, points=[[0.0, 0.0, 0.0], [0.0]])),
+    "linear-map-ragged": ("matrix", lambda pair: LinearMap([[1.0, 0.0], [1.0]])),
+    "linear-map-text-diagonal": ("values", lambda pair: LinearMap.diagonal("ab")),
+    "integrate-ragged-starts": ("starts_x", lambda pair: integrate_geodesics(
+        pair.g, [[0.0, 0.0, 0.0], [0.0]], np.ones((2, 3)), 1.0, 1e-8)),
+    "lc-data-overflowing-profile": ("lambdas[0]", lambda pair: LeviCivitaData(
+        (ScalarFunction1D((1.0, 1e308), (0.0, 2.0)),), Chart(1, ((0.0, 2.0),)))),
 }
 
 

@@ -6,11 +6,11 @@ import pytest
 
 import geq.verify as verify
 
-from geq.charts import Chart, integrate_geodesics
+from geq.charts import Chart, _spray, integrate_geodesics
 from geq.constructions import beltrami_pair
 from geq.normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                               ScalarFunction1D, levi_civita_pair,
-                              model_form_pair)
+                              model_form_pair, random_levi_civita_data)
 from geq.projective import _integral_coeffs, eigen_range, integral_roots_many
 from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,
                         STANDARD_FAMILIES, check_conservation,
@@ -87,7 +87,20 @@ def counted(field, log: list, name: str):
 
     return dataclasses.replace(
         field, eval=wrap(field.eval, "eval"),
-        partials=None if field.partials is None else wrap(field.partials, "partials"))
+        jet=None if field.jet is None else wrap(field.jet, "jet"))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_separable_spray_is_one_jet_call(n):
+    pair = levi_civita_pair(random_levi_civita_data(n, np.random.default_rng(n)))
+    log = []
+    field = counted(pair.g, log, "g")
+    rng = np.random.default_rng(1)
+    x = pair.chart.sample(rng, 9)
+    v = rng.normal(size=x.shape)
+    g, _ = _spray(field, x, v)
+    assert log == [("g", "jet", 9)]
+    assert np.array_equal(g, pair.g.eval(x))
 
 
 @pytest.mark.parametrize("name", ["beltrami_2", "three_d_axial", "product_s1_s2"])
@@ -113,6 +126,28 @@ def test_equivalence_reads_the_base_metric_only_to_integrate(monkeypatch, name):
     after = log[log.index("integrated") + 1:]
     assert after == [("gbar", "eval", (4 * pair.dim + 1) * samples[0])]
     assert [entry for entry in log if entry[0] == "gbar"] == after
+
+
+@pytest.mark.parametrize("name", ["lc_nd", "two_d_elliptic", "product_s1_s2"])
+def test_conservation_reads_each_metric_once_after_integrating(monkeypatch, name):
+    pair = standard_pair(name)
+    log = []
+    pair = dataclasses.replace(pair, g=counted(pair.g, log, "g"),
+                               gbar=counted(pair.gbar, log, "gbar"))
+    integrate = verify.integrate_geodesics
+    samples = []
+
+    def integrate_then_mark(*args):
+        trajectories = integrate(*args)
+        samples.append(sum(len(t.points) for t in trajectories))
+        log.append("integrated")
+        return trajectories
+
+    monkeypatch.setattr(verify, "integrate_geodesics", integrate_then_mark)
+    report = check_conservation(pair, n_traj=4, duration=0.5, tol=1e-9, seed=2)
+    assert report.max_drift < 1e-6
+    after = log[log.index("integrated") + 1:]
+    assert after == [("g", "eval", samples[0]), ("gbar", "eval", samples[0])]
 
 
 def test_conservation_validates_parameter_value_count():
@@ -175,7 +210,7 @@ def test_conservation_rows_match_a_per_trajectory_recomputation():
     expected = []
     for idx, traj in enumerate(trajectories):
         xs, vs = traj.points, traj.velocities
-        coeffs = _integral_coeffs(pair, xs, vs)
+        coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)
         series = [(f"integral_t={t:.9g}", np.polynomial.polynomial.polyval(t, coeffs.T))
                   for t in report.t_values]
         roots = integral_roots_many(pair, xs, vs)
