@@ -1,0 +1,93 @@
+"""Small-matrix kernels on the batch axis: Cholesky factorization, the
+inverse of its triangular factor, and the positivity certificate built on
+its pivots.
+
+LAPACK's batched routines, as numpy calls them, factor one matrix at a time
+and pay a fixed cost per matrix, which dominates on the 2x2 to 5x5 metrics
+of geq.  Here each step of the algorithm is one whole-batch array operation
+instead: the loops run over matrix entries, on a contiguous
+coordinate-leading ``(n, n, m)`` copy of at most :data:`CHUNK` matrices,
+computed in place.  As in LAPACK, only the lower triangle bears on the
+result, and a pivot that is not positive (zero, negative or NaN) stops the
+factorization.
+"""
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+Array = np.ndarray
+
+# Matrices per working copy.  At 4096 the inverse runs within 15% of its best
+# time at every n from 2 to 5, while the certificate of a 97,336-point grid of
+# 3x3 matrices holds 0.6 MB of working memory instead of 9.7 MB unchunked.
+CHUNK = 4096
+
+
+def _blocks(a: Array) -> Iterator[tuple[slice, Array]]:
+    """Successive chunks of the batch ``a`` of shape ``(..., n, n)``, each as
+    its slice of the flattened batch and a fresh ``(n, n, c)`` copy."""
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    for start in range(0, len(flat), CHUNK):
+        rows = slice(start, start + CHUNK)
+        # An explicit copy: for c = 1 the moved axes are already contiguous,
+        # and a contiguity-only conversion would return a view of ``a``.
+        yield rows, np.moveaxis(flat[rows], 0, -1).copy()
+
+
+def _factor(w: Array) -> bool:
+    """Overwrite the lower triangle of ``w`` ``(n, n, m)`` with the Cholesky
+    factor ``K`` (``w = K K^T``), column by column with a rank-one update of
+    the trailing block; False at the first pivot that is not positive."""
+    n = w.shape[0]
+    for j in range(n):
+        pivot = w[j, j]
+        if not np.all(pivot > 0.0):
+            return False
+        np.sqrt(pivot, out=pivot)
+        if j + 1 < n:
+            column = w[j + 1:, j]
+            column /= pivot
+            w[j + 1:, j + 1:] -= column[:, None] * column[None, :]
+    return True
+
+
+def _invert_lower(w: Array) -> None:
+    """Overwrite the factor ``K`` in the lower triangle of ``w`` with ``K^-1``
+    and zero the upper triangle.  From ``K^-1 K = I``, column ``j`` of the
+    inverse needs only the columns right of it and column ``j`` of ``K``; its
+    rows are filled from the bottom, so each entry of ``K`` is read before it
+    is overwritten."""
+    n = w.shape[0]
+    for j in range(n - 1, -1, -1):
+        diag = w[j, j]
+        np.reciprocal(diag, out=diag)
+        for i in range(n - 1, j, -1):
+            acc = w[i, i] * w[i, j]
+            for k in range(j + 1, i):
+                acc += w[i, k] * w[k, j]
+            acc *= diag
+            np.negative(acc, out=w[i, j])
+        w[j, j + 1:] = 0.0
+
+
+def cholesky_inverse(a: Array) -> Array | None:
+    """``K^-1`` ``(..., n, n)`` for ``a = K K^T`` with ``K`` lower triangular,
+    or None when a Cholesky pivot of some matrix is not positive."""
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-2] + (n, n))
+    flat = out.reshape(-1, n, n)
+    for rows, w in _blocks(a):
+        if not _factor(w):
+            return None
+        _invert_lower(w)
+        flat[rows] = np.moveaxis(w, -1, 0)
+    return out
+
+
+def positive_definite(a: Array) -> bool:
+    """Whether every symmetric matrix of the batch ``a`` ``(..., n, n)`` is
+    positive definite: exactly when every Cholesky pivot is positive."""
+    return all(_factor(w) for _, w in _blocks(a))

@@ -23,6 +23,14 @@ def fail(path: str, message: str) -> NoReturn:
     raise SchemaError(f"{path}: {message}")
 
 
+def expect_instance(value, kind: type, path: str):
+    """``value`` if it is an instance of ``kind``: an argument of the wrong
+    type fails on its name instead of on a missing attribute further in."""
+    if not isinstance(value, kind):
+        fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def expect_int(value, path: str, minimum: int | None = None,
                maximum: int | None = None) -> int:
     """An integer (any ``numbers.Integral`` but ``bool``) within the bounds."""

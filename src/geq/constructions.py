@@ -15,7 +15,8 @@ import dataclasses
 
 import numpy as np
 
-from ._validate import as_floats, expect_finite, expect_int, expect_number, fail
+from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_number,
+                        fail)
 from .charts import Chart, MetricField, integrate_geodesics
 from .errors import DegenerateMap, EigenOrderViolated, GeqError, NotPositive
 from .projective import MetricPair, _l_values
@@ -143,6 +144,8 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         sphere = sphere_chart(dim)
     if a_map is None:
         a_map = LinearMap.identity(dim + 1)
+    expect_instance(sphere, SphereChart, "sphere")
+    expect_instance(a_map, LinearMap, "a_map")
     if sphere.dim != dim:
         fail("sphere", f"expected a sphere chart of dimension {dim}")
     if a_map.ambient_dim != dim + 1:

@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._validate import expect_int, expect_interval, expect_number, expect_numbers, fail
+from ._batch import positive_definite
+from ._validate import (expect_instance, expect_int, expect_interval, expect_number,
+                        expect_numbers, fail)
 from .charts import Chart, ChartMap, MetricField, positivity_grid_size
 from .errors import NotPositive, NotRealizable, SeparationViolated
 from .projective import MetricPair
@@ -94,6 +96,9 @@ class LeviCivitaData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        expect_instance(self.chart, Chart, "chart")
+        for i, profile in enumerate(self.lambdas):
+            expect_instance(profile, ScalarFunction1D, f"lambdas[{i}]")
         if len(self.lambdas) != self.chart.dim:
             fail("lambdas", f"expected {self.chart.dim} profiles, one per chart dimension")
         with np.errstate(over="ignore", invalid="ignore"):  # 64 samples per axis, one pass
@@ -140,6 +145,11 @@ class ModelFormParams:
     lam_const: Optional[float] = None
     c: Optional[float] = None
     box_half: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("lam", "f"):
+            if getattr(self, name) is not None:
+                expect_instance(getattr(self, name), ScalarFunction1D, name)
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +421,27 @@ def _full_fields(lam: ScalarFunction1D, c: float):
     return g_eval, gbar_eval
 
 
+def _certified_positive(evaluate, grid: Array) -> bool:
+    """Whether a metric evaluator is finite and positive definite at every
+    grid point: every Cholesky pivot positive (:func:`~geq._batch.positive_definite`)."""
+    with np.errstate(all="ignore"):
+        mats = evaluate(grid)
+    return bool(np.all(np.isfinite(mats))) and positive_definite(mats)
+
+
 def _realize_on_box(kind: FormKind, make_fields, dim: int, box_half: float,
                     extra_ok=None) -> MetricPair:
     """Build the pair on the largest box (starting half-width, halved up to
-    six times) where dense sampling finds both metrics positive definite."""
+    six times) where dense sampling certifies both metrics positive definite
+    (:func:`_certified_positive`).  The metrics are evaluated and checked one
+    after the other, so the grid's matrices of only one are held at a time."""
     half = box_half
     for _ in range(7):
         chart = Chart(dim, tuple((-half, half) for _ in range(dim)))
         g_eval, gbar_eval = make_fields()
         grid = chart.grid(positivity_grid_size(dim))
-        with np.errstate(all="ignore"):
-            g_mats = g_eval(grid)
-            gbar_mats = gbar_eval(grid)
-        ok = bool(np.all(np.isfinite(g_mats)) and np.all(np.isfinite(gbar_mats)))
-        if ok:
-            ok = bool(np.min(np.linalg.eigvalsh(g_mats)) > 0.0
-                      and np.min(np.linalg.eigvalsh(gbar_mats)) > 0.0)
-        if ok and extra_ok is not None:
-            ok = bool(extra_ok(grid))
-        if ok:
+        if (_certified_positive(g_eval, grid) and _certified_positive(gbar_eval, grid)
+                and (extra_ok is None or extra_ok(grid))):
             tag = kind.value
             return MetricPair(
                 g=MetricField(chart=chart, eval=g_eval, provenance=tag),
@@ -447,7 +459,9 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
     ``params`` is :class:`ModelFormParams` for the bifurcation families and
     :class:`LeviCivitaData` for :data:`FormKind.LC_ND`.  The chart box is
     halved (up to six times) until dense sampling certifies positive
-    definiteness; :class:`NotRealizable` is raised when that never happens.
+    definiteness: both metrics finite with every Cholesky pivot positive at
+    every grid point (:func:`_certified_positive`); :class:`NotRealizable` is
+    raised when that never happens.
     """
     if kind is FormKind.LC_ND:
         if not isinstance(params, LeviCivitaData):

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._validate import expect_points, fail
+from ._batch import cholesky_inverse
+from ._validate import expect_instance, expect_points, fail
 from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
 from .errors import (
     BracketFailure,
@@ -29,6 +30,11 @@ Array = np.ndarray
 # Eigenvalues closer than this are treated as one cluster (square root of
 # double-precision epsilon, the resolution of symmetric eigensolvers).
 CLUSTER_RADIUS = 1e-8
+
+# Batch size from which :func:`_congruence` takes ``K^-1`` from the batch
+# kernel: at 128 matrices it beats LAPACK at every n from 2 to 5, at 64 not
+# yet at n = 4 and 5.
+BATCH_KERNEL_MIN = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,17 +111,29 @@ def _l_many(pair: MetricPair, xs: Array) -> Array:
 def l_tensor(pair: MetricPair, x: Array) -> Array:
     """The tensor ``L`` at a single point, as a matrix in chart
     coordinates."""
+    expect_instance(pair, MetricPair, "pair")
     return _l_many(pair, pair.chart.point(x)[None, :])[0]
 
 
 def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
     """``K^-1`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
     (Cholesky).  ``gb^-1 g = K^-T B K^T``, so ``L`` is similar to
-    ``ratio B``, and congruence keeps the inertia of ``g``."""
-    try:
-        k_inv = np.linalg.inv(np.linalg.cholesky(gb))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("companion metric is not positive definite") from exc
+    ``ratio B``, and congruence keeps the inertia of ``g``.
+
+    From :data:`BATCH_KERNEL_MIN` matrices on, ``K^-1`` comes from the batch
+    kernel (:func:`~geq._batch.cholesky_inverse`).  Below it LAPACK, whose
+    per-matrix cost is then the smaller, solves ``K X = I``: the call, and so
+    the bits, of a general inverse."""
+    n = gb.shape[-1]
+    if gb.size >= BATCH_KERNEL_MIN * n * n:
+        k_inv = cholesky_inverse(gb)
+    else:
+        try:
+            k_inv = np.linalg.solve(np.linalg.cholesky(gb), np.eye(n))
+        except np.linalg.LinAlgError:
+            k_inv = None
+    if k_inv is None:
+        raise NotPositiveDefinite("companion metric is not positive definite")
     b = k_inv @ g @ np.swapaxes(k_inv, -1, -2)
     b += np.swapaxes(b, -1, -2)
     b *= 0.5
@@ -131,15 +149,31 @@ def _l_scale(nu: Array) -> Array:
     return np.prod(nu, axis=-1) ** (-1.0 / (nu.shape[-1] + 1))
 
 
-def _l_values(g: Array, gb: Array) -> Array:
-    """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
-    forming ``L``: ``mu = ratio nu`` (:func:`_congruence`, :func:`_l_scale`)."""
-    b = _congruence(g, gb)[1]
+def _spectrum(g: Array, gb: Array) -> tuple[Array, Array, Array]:
+    """``K^-1`` and ``B``'s ascending eigenvalues ``nu`` (:func:`_congruence`)
+    with the factor ``ratio`` that takes them to those of ``L`` (:func:`_l_scale`)."""
+    k_inv, b = _congruence(g, gb)
     try:
         nu = np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigvalsh
         raise NotPositiveDefinite("a metric has non-finite entries") from exc
-    return _l_scale(nu)[..., None] * nu
+    return k_inv, _l_scale(nu), nu
+
+
+def _l_values(g: Array, gb: Array) -> Array:
+    """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
+    forming ``L``: ``mu = ratio nu`` (:func:`_spectrum`)."""
+    _, ratio, nu = _spectrum(g, gb)
+    return ratio[..., None] * nu
+
+
+def _l_with_values(g: Array, gb: Array) -> tuple[Array, Array]:
+    """``L`` and its ascending eigenvalues from one congruence (:func:`_spectrum`):
+    ``L = ratio gb^-1 g = ratio K^-T (K^-1 g)``, with no determinant or solve."""
+    k_inv, ratio, nu = _spectrum(g, gb)
+    L = np.swapaxes(k_inv, -1, -2) @ (k_inv @ g)
+    L *= ratio[..., None, None]
+    return L, ratio[..., None] * nu
 
 
 def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
@@ -161,7 +195,7 @@ def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     point, from one congruence of the base metric by the Cholesky factor
     of the companion (:func:`_l_frame`); the eigenvectors are orthonormal
     in the ``g`` inner product."""
-    xs = pair.chart.point(x)[None, :]
+    xs = expect_instance(pair, MetricPair, "pair").chart.point(x)[None, :]
     vals, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
     return vals[0], vecs[0]
 
@@ -214,14 +248,14 @@ def _integral_coeffs(g: Array, gb: Array, vs: Array) -> Array:
 def i_t(pair: MetricPair, p: PhasePoint, t: float) -> float:
     """The integral ``I_t = g(S_t v, v)`` at a phase point."""
     from .normal_forms import _horner  # normal_forms imports this module
-    xs = pair.chart.point(p.x)[None, :]
+    xs = expect_instance(pair, MetricPair, "pair").chart.point(p.x)[None, :]
     coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), p.v[None, :])[0]
     return float(_horner(coeffs, t))
 
 
 def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
     """The planar integral ``F = (det g / det gbar)^{2/3} gbar(v, v)``."""
-    if pair.dim != 2:
+    if expect_instance(pair, MetricPair, "pair").dim != 2:
         raise DimensionMismatch("the planar integral is defined only in dimension 2")
     g = metric_at(pair.g, p.x)
     gb = metric_at(pair.gbar, p.x)
@@ -274,7 +308,7 @@ def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]
     """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
     ``g``-orthonormal eigenframe of :func:`_l_frame`; ``xs`` and ``vs`` broadcast,
     one eigen solve per point."""
-    xs = expect_points(xs, pair.dim, "xs")
+    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
     vs = expect_points(vs, pair.dim, "vs")
     return _frame_weights(pair.g.eval(xs), pair.gbar.eval(xs), vs)
 
@@ -291,7 +325,7 @@ def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
     each consecutive eigenvalue bracket of ``L`` (pinned on the eigenvalue
     where neighbors coincide); see :func:`_roots_many`.  A root outside its
     bracket raises :class:`BracketFailure`."""
-    pair.chart.point(p.x)
+    expect_instance(pair, MetricPair, "pair").chart.point(p.x)
     mu, w = frame_weights(pair, p.x[None, :], p.v[None, :])
     roots = _roots_many(mu, w)[0]
     mu = mu[0]
@@ -319,7 +353,7 @@ def _l_partials(pair: MetricPair, x: Array) -> Array:
 def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
     """The Nijenhuis torsion ``N^k_{ij}`` of the ``L`` field at one point,
     computed from finite differences of ``L``; antisymmetric in ``(i, j)``."""
-    x = pair.chart.point(x, margin=2.0 * FD_STEP)
+    x = expect_instance(pair, MetricPair, "pair").chart.point(x, margin=2.0 * FD_STEP)
     L = l_tensor(pair, x)
     dL = _l_partials(pair, x[None, :])[0]
     term1 = np.einsum("mi,mkj->kij", L, dL)
@@ -335,7 +369,7 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
 
 def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
     """Smallest and largest eigenvalue of ``L`` over a point sample."""
-    xs = expect_points(xs, pair.dim, "xs")
+    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     return float(np.min(mu)), float(np.max(mu))
 
@@ -343,7 +377,7 @@ def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
 def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     """Largest eigenvalue-cluster size of ``L`` over a point sample
     (cluster radius :data:`CLUSTER_RADIUS`)."""
-    xs = expect_points(xs, pair.dim, "xs")
+    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     close = np.diff(mu.reshape(-1, mu.shape[-1]), axis=-1) <= CLUSTER_RADIUS
     run = longest = np.zeros(close.shape[0], dtype=int)

@@ -16,10 +16,11 @@ import dataclasses
 
 import numpy as np
 
-from ._validate import expect_int, fail
+from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField, positivity_grid_size
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import MetricPair, _char_and_adjugate, _l_from, _l_values, eigen_range
+from .projective import (MetricPair, _char_and_adjugate, _l_from, _l_values, _l_with_values,
+                         eigen_range)
 
 Array = np.ndarray
 
@@ -88,8 +89,7 @@ def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Ar
     """Both metrics at a batch of points and the two tensors of :func:`split_tensors`."""
     xs = np.asarray(xs, dtype=float)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    L = _l_from(g, gb)
-    mu = _l_values(g, gb)
+    L, mu = _l_with_values(g, gb)
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -146,7 +146,7 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     by the splitting lemma a block's eigenvalues depend only on its own
     coordinates.
     """
-    n = pair.dim
+    n = expect_instance(pair, MetricPair, "pair").dim
     r = expect_int(r, "r", 1, n - 1)
     grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
     mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
@@ -260,8 +260,8 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     of its ``4n + 1`` slices.  The base metric's blocks and the companion's
     are assembled only for the field that is read (:func:`_twin_fields`).
     """
-    lo1, hi1 = factor1.eigen_range
-    lo2, hi2 = factor2.eigen_range
+    lo1, hi1 = expect_instance(factor1, EquivTriple, "factor1").eigen_range
+    lo2, hi2 = expect_instance(factor2, EquivTriple, "factor2").eigen_range
     if hi1 >= lo2:
         raise EigenOrderViolated(
             f"factor ranges must be strictly ordered: [{lo1}, {hi1}] vs [{lo2}, {hi2}]")

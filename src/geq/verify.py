@@ -19,7 +19,8 @@ import dataclasses
 
 import numpy as np
 
-from ._validate import as_floats, expect_int, expect_number, expect_points, fail
+from ._validate import (as_floats, expect_instance, expect_int, expect_number, expect_points,
+                        fail)
 from .charts import Chart, MetricField, _spray, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, _horner, model_form_pair)
@@ -94,6 +95,7 @@ def _geodesic_samples(pair: MetricPair, n_traj, duration, tol, seed
                       ) -> tuple[list, Array, Array]:
     """Validate a check's run arguments, integrate ``n_traj`` seeded geodesics
     of the base metric, and stack their stored points and velocities."""
+    expect_instance(pair, MetricPair, "pair")
     n_traj = expect_int(n_traj, "n_traj", 1)
     duration = expect_number(duration, "duration", positive=True)
     rng = np.random.default_rng(expect_int(seed, "seed", 0))
@@ -183,6 +185,7 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     """Scan random phase samples for violations of the eigenvalue
     bracketing of the integral roots, and measure how exactly roots are
     pinned where neighboring eigenvalues coincide."""
+    expect_instance(pair, MetricPair, "pair")
     n_vectors = expect_int(n_vectors, "n_vectors", 1)
     epsilon = expect_number(epsilon, "epsilon", positive=True)
     rng = np.random.default_rng(expect_int(seed, "seed", 0))

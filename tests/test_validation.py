@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import geq
-from geq import (LeviCivitaData, LinearMap, ScalarFunction1D, check_conservation,
-                 check_equivalence, check_interlacing, circle_planarity, eigen_range,
-                 integrate_geodesics, l_tensor, max_eigen_multiplicity, oplus,
+from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, beltrami_pair,
+                 check_conservation, check_equivalence, check_interlacing, circle_planarity,
+                 eigen_range, integrate_geodesics, l_tensor, max_eigen_multiplicity, oplus,
                  random_levi_civita_data, sphere_chart, split_pair, spheres_product,
                  standard_pair)
 from geq.charts import Chart
@@ -83,6 +83,15 @@ CASES = {
         pair.g, [[0.0, 0.0, 0.0], [0.0]], np.ones((2, 3)), 1.0, 1e-8)),
     "lc-data-overflowing-profile": ("lambdas[0]", lambda pair: LeviCivitaData(
         (ScalarFunction1D((1.0, 1e308), (0.0, 2.0)),), Chart(1, ((0.0, 2.0),)))),
+    # Arguments of the wrong type.
+    "beltrami-matrix-map": ("a_map", lambda pair: beltrami_pair(2, np.eye(3))),
+    "lc-data-tuple-profile": ("lambdas[0]", lambda pair: LeviCivitaData(
+        ((1.0,),), Chart(1, ((0.0, 1.0),)))),
+    "equivalence-no-pair": ("pair", lambda pair: check_equivalence(None, n_traj=2)),
+    "l-tensor-text-pair": ("pair", lambda pair: l_tensor("x", [0, 0])),
+    "split-no-pair": ("pair", lambda pair: split_pair(None, 1)),
+    "model-form-tuple-profile": ("lam", lambda pair: ModelFormParams(lam=(2.0, 1.0))),
+    "oplus-number-factor": ("factor1", lambda pair: oplus([1, 2])),
 }
 
 
