@@ -95,6 +95,14 @@ def expect_finite(value, path: str) -> np.ndarray:
     return array
 
 
+def expect_vector(value, shape: tuple, path: str) -> np.ndarray:
+    """A finite array of exactly ``shape``: a vector is never broadcast."""
+    vector = expect_finite(value, path)
+    if vector.shape != shape:
+        fail(path, f"expected shape {shape}, got {vector.shape}")
+    return vector
+
+
 def expect_points(value, dim: int, path: str) -> np.ndarray:
     """A non-empty batch ``(..., dim)`` of finite points."""
     points = as_floats(value, path)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._validate import (as_floats, expect_finite, expect_int, expect_interval, expect_number,
-                        expect_tol, fail)
+                        expect_tol, expect_vector, fail)
 from .errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
@@ -154,16 +154,16 @@ def _differences(values: Array, divisors: Array) -> Array:
     return (values[0::2] - values[1::2]) / divisors.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def _full_step_differences(fn: Callable[[Array], Array], chart: Chart, x: Array) -> Array:
-    """Central differences of ``fn`` at ``x`` along every axis of ``chart``,
-    axis leading, from one call of ``fn`` on the full-step stencil.
+def _full_step_differences(fn: Callable, chart: Chart, x: Array) -> tuple[Array, Array]:
+    """``fn`` at ``x`` and its central differences along every axis of
+    ``chart``, axis leading, from one call of ``fn`` on the full-step stencil.
 
-    The unshifted point leads the stack and its row is dropped: a glued
-    field then sees which slices leave each factor's coordinates as they
-    are, and evaluates each factor on those only."""
+    The unshifted point leads the stack, so its row is ``fn(x)``, and a glued
+    field sees which slices leave each factor's coordinates as they are, and
+    evaluates each factor on those only."""
     offsets, divisors = chart._fd_stencil
     values = fn(_on_stencil(x, offsets[:2 * chart.dim + 1]))
-    return _differences(values[1:], divisors[:chart.dim])
+    return values[0], _differences(values[1:], divisors[:chart.dim])
 
 
 def _eval_with_fd_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
@@ -253,8 +253,8 @@ class PhasePoint:
     v: Array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+        object.__setattr__(self, "x", as_floats(self.x, "x"))
+        object.__setattr__(self, "v", expect_vector(self.v, self.x.shape, "v"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -446,7 +446,8 @@ class ChartMap:
         y = np.asarray(y, dtype=float)
         if self.jacobian is not None:
             return self.jacobian(y)
-        return np.moveaxis(_full_step_differences(self.forward, self.source, y), 0, -1)
+        _, d = _full_step_differences(self.forward, self.source, y)
+        return np.moveaxis(d, 0, -1)
 
     def inverted(self) -> "ChartMap":
         if self.inverse is None or self.inverse_source is None:
@@ -475,15 +476,14 @@ def compose_maps(outer: ChartMap, inner: ChartMap) -> ChartMap:
     return ChartMap(source=inner.source, forward=forward, jacobian=jacobian)
 
 
-def pushforward_metric(chart_map: ChartMap, field: MetricField,
-                       validation_points: int = 5) -> MetricField:
+def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:
     """The metric of ``field`` expressed in the coordinates of
     ``chart_map.source``: ``J^T g(map(y)) J``.
 
-    The Jacobian is validated on a small grid; a sampled
+    The Jacobian is validated on a grid of 5 points per axis; a sampled
     ``|det J| < 1e-12`` raises :class:`DegenerateJacobian`.
     """
-    grid = chart_map.source.grid(validation_points)
+    grid = chart_map.source.grid(5)
     dets = np.linalg.det(chart_map.jacobian_at(grid))
     if np.any(np.abs(dets) < 1e-12):
         raise DegenerateJacobian("chart map Jacobian is numerically singular on the source box")

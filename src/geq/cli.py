@@ -18,6 +18,7 @@ from typing import Any, NamedTuple
 import click
 import numpy as np
 import yaml
+from click.core import ParameterSource
 
 from . import __version__
 from ._validate import (expect_int, expect_interval, expect_number, expect_numbers,
@@ -417,6 +418,8 @@ def _echo_error(exc: Exception) -> None:
 
 _FAMILY_OPT = click.option("--family", default="lc_nd", show_default=True,
                            help="Registry family name (see `geq build --list`).")
+_CONFIG_OPT = click.option("--config", type=click.Path(), default=None,
+                           help="Defaults from a config file (flags override).")
 _TOL_OPT = click.option("--tol", type=float, default=DEFAULT_TOL,
                         show_default=True, help="Integrator tolerance.")
 _FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
@@ -453,16 +456,17 @@ class _Run(NamedTuple):
 def _command(name: str):
     """Register a command whose body returns a :class:`_Run`.
 
-    The runner adds ``--seed`` (at least 0), ``--out`` and ``--format``,
-    and owns what every command but ``suite`` shares: an error prints
+    The runner adds ``--seed``, ``--out`` and ``--format``, resolves the
+    parameters (:func:`_resolved`), and owns what every command but ``suite``
+    shares: an error prints
     ``error: <Type>: <msg>`` and exits 1 with stdout empty; otherwise the
     report is written and the exit code is 0, or 2 when a check failed.
     """
 
     def register(body):
-        def callback(ctx, seed, fmt, **kwargs):
+        def callback(ctx, fmt, **kwargs):
             try:
-                run = body(seed=expect_int(seed, "seed", 0), **kwargs)
+                run = body(**_resolved(kwargs))
                 report = _report(name, run.label, run.seed, run.fingerprint,
                                  run.checks)
                 if run.data is not None:
@@ -483,14 +487,23 @@ def _command(name: str):
     return register
 
 
-def _resolve_family(family: str, config: str | None):
-    """Family and defaults from --config when given; an explicit --family
-    overrides the config's family."""
-    if config is None:
-        return _validate_family(family), None
-    cfg = load_config(config)
-    source = click.get_current_context().get_parameter_source("family")
-    return (cfg.family if source.name == "DEFAULT" else _validate_family(family)), cfg
+_SHARED_FLAGS = {"seed": lambda value: expect_int(value, "seed", 0), "tol": expect_tol,
+                 "family": _validate_family}
+
+
+def _resolved(params: dict) -> dict:
+    """A command's parameters, with ``--config`` loaded into ``config`` and the
+    flags that several commands share validated.  For each parameter that the
+    config also sets, a flag given on the command line wins, then the config's
+    value, then the flag's default."""
+    if params.get("config") is not None:
+        cfg = load_config(params["config"])
+        source = click.get_current_context().get_parameter_source
+        params = {**params, "config": cfg, **{
+            key: getattr(cfg, key) for key in params.keys() & _TOP_FIELDS
+            if source(key) is ParameterSource.DEFAULT}}
+    return {key: _SHARED_FLAGS[key](value) if key in _SHARED_FLAGS else value
+            for key, value in params.items()}
 
 
 def _check_command(name: str, command: str, help_text: str):
@@ -498,17 +511,9 @@ def _check_command(name: str, command: str, help_text: str):
     check in ``CHECK_DEFAULTS`` is a flag, typed like its default."""
 
     def body(family, config, seed, tol, out, **overrides):
-        family, cfg = _resolve_family(family, config)
-        params = dict(CHECK_DEFAULTS[name])
-        if cfg is not None:
-            source = click.get_current_context().get_parameter_source
-            seed = seed if source("seed").name != "DEFAULT" else cfg.seed
-            tol = tol if source("tol").name != "DEFAULT" else cfg.tol
-            out = out or cfg.out
-            params = dict(cfg.checks.get(name, params))
-        params.update({k: v for k, v in overrides.items() if v is not None})
-        params = _validate_checks({name: params})[name]
-        tol = expect_tol(tol)
+        params = {} if config is None else config.checks.get(name, {})
+        given = {k: v for k, v in overrides.items() if v is not None}
+        params = _validate_checks({name: {**params, **given}})[name]
         pair = build_family(family)
         begin = time.perf_counter()
         passed, metrics, csv_rows = _run_one_check(name, pair, family, params,
@@ -526,9 +531,7 @@ def _check_command(name: str, command: str, help_text: str):
     for key, default in reversed(CHECK_DEFAULTS[name].items()):
         body = click.option(f"--{key}", type=type(default), default=None,
                             help=f"[default: {default}]")(body)
-    body = _FAMILY_OPT(click.option(
-        "--config", type=click.Path(), default=None,
-        help="Defaults from a config file (flags override).")(body))
+    body = _FAMILY_OPT(_CONFIG_OPT(body))
     return _command(command)(body)
 
 
@@ -547,8 +550,7 @@ _check_command("roundtrip", "roundtrip",
 
 @_command("build")
 @_FAMILY_OPT
-@click.option("--config", type=click.Path(), default=None,
-              help="Take the family from a config file (--family overrides).")
+@_CONFIG_OPT
 @click.option("--grid", type=int, default=3, show_default=True,
               help="Grid points per axis.")
 @click.option("--list", "list_families", is_flag=True,
@@ -559,7 +561,6 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
         click.echo("\n".join(STANDARD_FAMILIES))
         click.get_current_context().exit(0)
     grid = expect_int(grid, "grid", 1)
-    family, _ = _resolve_family(family, config)
     pair = build_family(family)
     xs = pair.chart.grid(grid)
     data = {
@@ -576,13 +577,12 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
 
 @_command("split")
 @_FAMILY_OPT
-@click.option("--config", type=click.Path(), default=None)
+@_CONFIG_OPT
 @click.option("--block", type=int, default=1, show_default=True,
               help="Size of the leading eigenvalue block.")
 def split_cmd(family, config, block, seed, out) -> _Run:
     """Split a pair along an eigenvalue gap into block-diagonal factors."""
     block = expect_int(block, "block", 1)
-    family, _ = _resolve_family(family, config)
     pair = build_family(family)
     result = split_pair(pair, block)
     xs = pair.chart.sample(np.random.default_rng(seed), 200)
@@ -645,7 +645,6 @@ def beltrami_cmd(dim, diag, circles, planarity_threshold, seed, tol, out) -> _Ru
     circles = expect_int(circles, "circles", 1)
     planarity_threshold = expect_number(planarity_threshold, "planarity-threshold",
                                          positive=True)
-    tol = expect_tol(tol)
     recipe = {"dim": dim}
     if diag is not None:
         recipe["diag"] = _flag_numbers(diag, "diag")
@@ -709,16 +708,11 @@ def product_cmd(factors, seed, out) -> _Run:
               help="Override the config output directory.")
 @_FORMAT_OPT
 @click.pass_context
-def suite_cmd(ctx, config, seed, tol, out, fmt) -> None:
+def suite_cmd(ctx, fmt, **params) -> None:
     """Run every check requested by a config file."""
     try:
-        cfg = load_config(config)
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=expect_int(seed, "seed", 0))
-        if tol is not None:
-            cfg = dataclasses.replace(cfg, tol=expect_tol(tol))
-        if out is not None:
-            cfg = dataclasses.replace(cfg, out=out)
+        params = _resolved(params)
+        cfg = dataclasses.replace(params.pop("config"), **params)  # seed, tol and out
     except GeqError as exc:
         _echo_error(exc)
         ctx.exit(1)

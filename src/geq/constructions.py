@@ -303,10 +303,9 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
 
 
 def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
-                     seed: int, tol: float = 1e-12, duration: float = 1.0
-                     ) -> tuple[float, float]:
-    """Geodesy oracle: integrate geodesics of the round chart metric,
-    embed the sampled points into the ambient space, and measure how far
+                     seed: int, tol: float = 1e-12) -> tuple[float, float]:
+    """Geodesy oracle: integrate geodesics of the round chart metric for unit
+    time, embed the sampled points into the ambient space, and measure how far
     they are from lying on a plane through the origin — before and after
     the normalized linear self-map.
 
@@ -315,7 +314,6 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     on a circle (ambient R^2), where every curve lies in one plane.
     """
     n_circles = expect_int(n_circles, "n_circles", 1)
-    duration = expect_number(duration, "duration", positive=True)
     triple = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere)
     field = triple.pair.g
     rng = np.random.default_rng(expect_int(seed, "seed", 0))
@@ -324,7 +322,7 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     g0 = field.eval(starts)
     norms = np.sqrt(np.einsum("bi,bij,bj->b", vels, g0, vels))
     vels = vels / norms[:, None]
-    trajectories = integrate_geodesics(field, starts, vels, duration, tol)
+    trajectories = integrate_geodesics(field, starts, vels, 1.0, tol)
 
     def off_plane(points: Array) -> float:
         sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)

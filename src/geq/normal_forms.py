@@ -77,10 +77,6 @@ class ScalarFunction1D:
             bk = bk * b
         return out
 
-    def range_on(self, lo: float, hi: float, samples: int = 513) -> tuple[float, float]:
-        vals = self(np.linspace(lo, hi, samples))
-        return float(np.min(vals)), float(np.max(vals))
-
 
 @dataclasses.dataclass(frozen=True)
 class LeviCivitaData:
@@ -260,16 +256,15 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     )
 
 
-def random_levi_civita_data(n: int, rng: np.random.Generator,
-                            half: float = 0.5) -> LeviCivitaData:
-    """Seeded random model data: degree-3 profiles whose sampled ranges are
-    separated by construction (unit base gaps, perturbations below 0.27)."""
-    chart = Chart(expect_int(n, "n", 1), tuple((-half, half) for _ in range(n)))
+def random_levi_civita_data(n: int, rng: np.random.Generator) -> LeviCivitaData:
+    """Seeded random model data on ``[-0.5, 0.5]^n``: degree-3 profiles whose sampled
+    ranges are separated by construction (unit base gaps, perturbations below 0.27)."""
+    chart = Chart(expect_int(n, "n", 1), ((-0.5, 0.5),) * n)
     lambdas = []
     level = 1.0 + rng.uniform(0.0, 1.0)
     for _ in range(n):
         pert = rng.uniform(-0.3, 0.3, size=3)
-        lambdas.append(ScalarFunction1D((level, *pert), (-half, half)))
+        lambdas.append(ScalarFunction1D((level, *pert), (-0.5, 0.5)))
         level += 1.0 + rng.uniform(0.0, 1.0)
     return LeviCivitaData(lambdas=tuple(lambdas), chart=chart)
 

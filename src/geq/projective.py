@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._batch import cholesky_inverse
-from ._validate import expect_instance, expect_points, fail
+from ._validate import expect_instance, expect_number, expect_points, expect_vector, fail
 from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
 from .errors import (
     BracketFailure,
@@ -35,6 +35,8 @@ CLUSTER_RADIUS = 1e-8
 # kernel: at 128 matrices it beats LAPACK at every n from 2 to 5, at 64 not
 # yet at n = 4 and 5.
 BATCH_KERNEL_MIN = 128
+
+_BRACKET_STEP = 1e-5  # absolute, in every position and momentum coordinate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,17 +104,11 @@ def _l_from(g: Array, gb: Array) -> Array:
     return ratio[..., None, None] * np.linalg.solve(gb, g)
 
 
-def _l_many(pair: MetricPair, xs: Array) -> Array:
-    """Batched tensor ``L`` of shape ``(..., n, n)``."""
-    xs = np.asarray(xs, dtype=float)
-    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))
-
-
 def l_tensor(pair: MetricPair, x: Array) -> Array:
     """The tensor ``L`` at a single point, as a matrix in chart
     coordinates."""
-    expect_instance(pair, MetricPair, "pair")
-    return _l_many(pair, pair.chart.point(x)[None, :])[0]
+    xs = expect_instance(pair, MetricPair, "pair").chart.point(x)[None, :]
+    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))[0]
 
 
 def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
@@ -124,6 +120,7 @@ def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
     kernel (:func:`~geq._batch.cholesky_inverse`).  Below it LAPACK, whose
     per-matrix cost is then the smaller, solves ``K X = I``: the call, and so
     the bits, of a general inverse."""
+    _expect_finite(g, gb)
     n = gb.shape[-1]
     if gb.size >= BATCH_KERNEL_MIN * n * n:
         k_inv = cholesky_inverse(gb)
@@ -132,6 +129,17 @@ def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
             k_inv = np.linalg.solve(np.linalg.cholesky(gb), np.eye(n))
         except np.linalg.LinAlgError:
             k_inv = None
+    return _congruent(g, k_inv)
+
+
+def _expect_finite(g: Array, gb: Array) -> None:
+    """Refuse a non-finite entry before any arithmetic: no numpy warning."""
+    if not (np.isfinite(g).all() and np.isfinite(gb).all()):
+        raise NotPositiveDefinite("a metric has non-finite entries")
+
+
+def _congruent(g: Array, k_inv: Array | None) -> tuple[Array, Array]:
+    """``K^-1`` and ``B``; ``k_inv`` is None after a failed Cholesky pivot."""
     if k_inv is None:
         raise NotPositiveDefinite("companion metric is not positive definite")
     b = k_inv @ g @ np.swapaxes(k_inv, -1, -2)
@@ -149,28 +157,30 @@ def _l_scale(nu: Array) -> Array:
     return np.prod(nu, axis=-1) ** (-1.0 / (nu.shape[-1] + 1))
 
 
-def _spectrum(g: Array, gb: Array) -> tuple[Array, Array, Array]:
-    """``K^-1`` and ``B``'s ascending eigenvalues ``nu`` (:func:`_congruence`)
-    with the factor ``ratio`` that takes them to those of ``L`` (:func:`_l_scale`)."""
-    k_inv, b = _congruence(g, gb)
+def _spectrum(b: Array) -> tuple[Array, Array]:
+    """``B``'s ascending eigenvalues ``nu`` (:func:`_congruence`) with the
+    factor ``ratio`` that takes them to those of ``L`` (:func:`_l_scale`)."""
     try:
         nu = np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigvalsh
+    except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigvalsh
         raise NotPositiveDefinite("a metric has non-finite entries") from exc
-    return k_inv, _l_scale(nu), nu
+    return _l_scale(nu), nu
 
 
 def _l_values(g: Array, gb: Array) -> Array:
     """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
     forming ``L``: ``mu = ratio nu`` (:func:`_spectrum`)."""
-    _, ratio, nu = _spectrum(g, gb)
+    ratio, nu = _spectrum(_congruence(g, gb)[1])
     return ratio[..., None] * nu
 
 
 def _l_with_values(g: Array, gb: Array) -> tuple[Array, Array]:
     """``L`` and its ascending eigenvalues from one congruence (:func:`_spectrum`):
-    ``L = ratio gb^-1 g = ratio K^-T (K^-1 g)``, with no determinant or solve."""
-    k_inv, ratio, nu = _spectrum(g, gb)
+    ``L = ratio gb^-1 g = ratio K^-T (K^-1 g)``; no determinant or solve, and
+    ``K^-1`` from the batch kernel at every size, so no bit depends on the batch."""
+    _expect_finite(g, gb)
+    k_inv, b = _congruent(g, cholesky_inverse(gb))
+    ratio, nu = _spectrum(b)
     L = np.swapaxes(k_inv, -1, -2) @ (k_inv @ g)
     L *= ratio[..., None, None]
     return L, ratio[..., None] * nu
@@ -183,7 +193,7 @@ def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
     k_inv, b = _congruence(g, gb)
     try:
         nu, y = np.linalg.eigh(b)
-    except np.linalg.LinAlgError as exc:  # only non-finite entries stop eigh
+    except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigh
         raise NotPositiveDefinite("a metric has non-finite entries") from exc
     ratio = _l_scale(nu)
     vecs = (np.swapaxes(k_inv, -1, -2) @ y) / np.sqrt(nu)[..., None, :]
@@ -250,7 +260,7 @@ def i_t(pair: MetricPair, p: PhasePoint, t: float) -> float:
     from .normal_forms import _horner  # normal_forms imports this module
     xs = expect_instance(pair, MetricPair, "pair").chart.point(p.x)[None, :]
     coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), p.v[None, :])[0]
-    return float(_horner(coeffs, t))
+    return float(_horner(coeffs, expect_number(t, "t")))
 
 
 def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
@@ -342,20 +352,21 @@ def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
 # Nijenhuis torsion
 
 
-def _l_partials(pair: MetricPair, x: Array) -> Array:
-    """Central differences of the ``L`` field: ``(..., k, i, j)`` holds
-    the derivative of ``L^i_j`` along coordinate ``k``, from one ``_l_many``
-    call on the centre and the full-step stencil."""
-    return np.moveaxis(_full_step_differences(lambda xs: _l_many(pair, xs), pair.chart, x),
-                       0, -3)
+def _l_partials(pair: MetricPair, x: Array) -> tuple[Array, Array]:
+    """The ``L`` field at ``x`` and its central differences: ``(..., k, i, j)``
+    holds the derivative of ``L^i_j`` along coordinate ``k``.  Both come from
+    one evaluation of the metrics on the centre and the full-step stencil."""
+    L, dL = _full_step_differences(lambda xs: _l_from(pair.g.eval(xs), pair.gbar.eval(xs)),
+                                   pair.chart, x)
+    return L, np.moveaxis(dL, 0, -3)
 
 
 def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
     """The Nijenhuis torsion ``N^k_{ij}`` of the ``L`` field at one point,
     computed from finite differences of ``L``; antisymmetric in ``(i, j)``."""
     x = expect_instance(pair, MetricPair, "pair").chart.point(x, margin=2.0 * FD_STEP)
-    L = l_tensor(pair, x)
-    dL = _l_partials(pair, x[None, :])[0]
+    L, dL = _l_partials(pair, x[None, :])  # a stack, so a glued pair skips unmoved slices
+    L, dL = L[0], dL[0]
     term1 = np.einsum("mi,mkj->kij", L, dL)
     term2 = np.einsum("mj,mki->kij", L, dL)
     term3 = np.einsum("km,jmi->kij", L, dL)
@@ -387,29 +398,24 @@ def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     return int(np.max(longest)) + 1
 
 
-def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array,
-                       t1: float, t2: float, step: float = 1e-5) -> float:
+def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: float) -> float:
     """Canonical Poisson bracket of ``I_{t1}`` and ``I_{t2}`` at a
-    position/momentum point, by central finite differences."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
+    position/momentum point, by central differences of step
+    :data:`_BRACKET_STEP`: both metrics and the integral coefficients are
+    evaluated once, on the stacked phase stencil ``(x +- h e_k, p)``,
+    ``(x, p +- h e_k)`` at the velocities ``v = g^-1 p``."""
+    from .normal_forms import _horner  # normal_forms imports this module
+    chart = expect_instance(pair, MetricPair, "pair").chart
+    x = chart.point(x, margin=_BRACKET_STEP / np.min(chart.widths))  # the stencil fits
+    p = expect_vector(p, x.shape, "p")
+    ts = np.array([expect_number(t1, "t1"), expect_number(t2, "t2")])
     n = pair.dim
-
-    def integral(t, xx, pp):
-        g = pair.g.eval(xx[None, :])[0]
-        v = np.linalg.solve(g, pp)
-        return i_t(pair, PhasePoint(xx, v), t)
-
-    def grad(t, xx, pp):
-        dx = np.zeros(n)
-        dp = np.zeros(n)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = step
-            dx[k] = (integral(t, xx + e, pp) - integral(t, xx - e, pp)) / (2 * step)
-            dp[k] = (integral(t, xx, pp + e) - integral(t, xx, pp - e)) / (2 * step)
-        return dx, dp
-
-    dx1, dp1 = grad(t1, x, p)
-    dx2, dp2 = grad(t2, x, p)
+    step = _BRACKET_STEP * np.eye(n)
+    xs = np.concatenate([x + step, x - step, np.broadcast_to(x, (2 * n, n))])
+    ps = np.concatenate([np.broadcast_to(p, (2 * n, n)), p + step, p - step])
+    g = pair.g.eval(xs)
+    vs = np.linalg.solve(g, ps[..., None])[..., 0]
+    coeffs = _integral_coeffs(g, pair.gbar.eval(xs), vs)
+    values = _horner(coeffs.T[:, None, :], ts[:, None]).reshape(2, 2, 2, n)  # (t, x|p, +|-, k)
+    (dx1, dp1), (dx2, dp2) = (values[:, :, 0] - values[:, :, 1]) / (2 * _BRACKET_STEP)
     return float(dx1 @ dp2 - dp1 @ dx2)

@@ -260,15 +260,13 @@ def nijenhuis_control_pair() -> MetricPair:
                       provenance=tag)
 
 
-def flat_bracket_probe(t1: float = 0.3, t2: float = 0.7) -> float:
-    """Finite-difference Poisson bracket of two members of the integral
-    family on a flat-chart pair (the weak commutation probe)."""
+def flat_bracket_probe() -> float:
+    """Finite-difference Poisson bracket of the integrals ``I_0.3`` and
+    ``I_0.7`` on a flat-chart pair (the weak commutation probe)."""
     pair = model_form_pair(FormKind.TWO_D_POLAR_PLUS,
                            ModelFormParams(f=ScalarFunction1D((1.0,), (0.0, 1.0)),
                                            lam_const=1.0))
-    x = np.array([0.1, -0.2])
-    p = np.array([0.3, 0.4])
-    return abs(poisson_bracket_fd(pair, x, p, t1, t2))
+    return abs(poisson_bracket_fd(pair, [0.1, -0.2], [0.3, 0.4], 0.3, 0.7))
 
 
 # --- Ready-made families -------------------------------------------------

@@ -83,9 +83,9 @@ def test_a_bad_companion_raises_on_both_sides_of_the_threshold(kind, m, eigen):
 @pytest.mark.parametrize("m", [1, BATCH_KERNEL_MIN, CHUNK + 3])
 def test_a_bad_base_metric_raises_on_both_sides_of_the_threshold(kind, m):
     # A singular base metric is left out: whether its zero eigenvalue rounds to
-    # a positive number decides the outcome, on either path.  An infinite entry
-    # turns into NaN in the congruence before the eigen solve refuses it.
-    with pytest.raises(NotPositiveDefinite), np.errstate(invalid="ignore"):
+    # a positive number decides the outcome, on either path.  A non-finite
+    # entry is refused before any arithmetic, so no numpy warning is raised.
+    with pytest.raises(NotPositiveDefinite):
         _l_values(spoiled(m, 3, kind), spd_batch(m, 3, seed=1))
 
 

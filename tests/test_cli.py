@@ -435,6 +435,25 @@ def test_explicit_family_overrides_the_config(runner, tmp_path, command):
             assert report["provenance"]["seed"] == 5  # still from the config file
 
 
+@pytest.mark.parametrize("command", ["split", "build"])
+def test_config_seed_and_out_reach_every_command_that_takes_a_config(runner, tmp_path,
+                                                                     command):
+    config = write_config(tmp_path, minimal_config(seed=3, out=str(tmp_path / "cfg")))
+    result = runner.invoke(main, [command, "--config", config])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == ""
+    written = (tmp_path / "cfg" / f"{command}_report.json").read_text()
+    # The config's values act as the same flags would.
+    assert written == runner.invoke(main, [command, "--seed", "3"]).stdout
+    assert json.loads(written)["provenance"]["seed"] == 3
+    # Flags given on the command line win over the config.
+    result = runner.invoke(main, [command, "--config", config, "--seed", "4",
+                                  "--out", str(tmp_path / "flag")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "flag" / f"{command}_report.json").read_text())
+    assert report["provenance"]["seed"] == 4
+
+
 def test_build_emits_grid_values(runner):
     result = runner.invoke(main, ["build", "--family", "two_d_polar_plus",
                                   "--grid", "2"])

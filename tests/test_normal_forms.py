@@ -120,11 +120,6 @@ class TestScalarFunction:
         assert p.divided2(a, b) == pytest.approx((p(a) - p(b)) / (a - b), abs=1e-13)
         assert p.divided2(0.3, 0.3) == pytest.approx(p.derivative()(0.3), abs=1e-13)
 
-    def test_range_on(self):
-        p = ScalarFunction1D((0.0, 1.0), (-1.0, 1.0))
-        lo, hi = p.range_on(-1.0, 1.0)
-        assert (lo, hi) == pytest.approx((-1.0, 1.0))
-
 
 class TestLeviCivita:
     def test_constant_two_dim(self):

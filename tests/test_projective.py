@@ -1,18 +1,20 @@
 """Tensor L, adjugate polynomial, integrals, roots, Nijenhuis torsion."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geq.charts import FD_STEP, Chart, MetricField, PhasePoint
 from geq.errors import (BracketFailure, DimensionMismatch, NotPositiveDefinite, OutOfChart,
                         SingularMetric)
-from geq.normal_forms import levi_civita_pair, random_levi_civita_data
+from geq.normal_forms import (FormKind, ModelFormParams, ScalarFunction1D, levi_civita_pair,
+                              model_form_pair, random_levi_civita_data)
 from geq.projective import (
     MetricPair,
     PolyTensor,
     _integral_coeffs,
     _l_frame,
     _l_from,
-    _l_many,
     _l_partials,
     _l_values,
     _roots_many,
@@ -29,7 +31,8 @@ from geq.projective import (
     poisson_bracket_fd,
     s_t,
 )
-from geq.verify import STANDARD_FAMILIES, standard_pair
+from geq.verify import STANDARD_FAMILIES, flat_bracket_probe, standard_pair
+from test_verify import counted
 
 
 def constant_pair(g_mat, gbar_mat, half=2.0) -> MetricPair:
@@ -52,6 +55,11 @@ def pair_with_constant_l(l_diag) -> MetricPair:
     l_diag = np.asarray(l_diag, dtype=float)
     gbar = np.diag(1.0 / (l_diag * np.prod(l_diag)))
     return constant_pair(np.eye(l_diag.shape[0]), gbar)
+
+
+def l_many(pair, xs):
+    """``L`` at a batch of points, from one read of each metric."""
+    return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))
 
 
 def variable_pair() -> MetricPair:
@@ -395,13 +403,26 @@ class TestNijenhuis:
     def test_l_partials_are_one_stacked_call_equal_to_a_per_axis_loop(self, name):
         pair = standard_pair(name)
         x = pair.chart.sample(np.random.default_rng(14), 6, shrink=0.8)
-        got = _l_partials(pair, x)
+        centre, got = _l_partials(pair, x)
+        assert np.array_equal(centre, l_many(pair, x))
         h = FD_STEP * pair.chart.widths
         for k in range(pair.dim):
             e = np.zeros(pair.dim)
             e[k] = h[k]
-            column = (_l_many(pair, x + e) - _l_many(pair, x - e)) / (2.0 * h[k])
+            column = (l_many(pair, x + e) - l_many(pair, x - e)) / (2.0 * h[k])
             assert np.array_equal(got[..., k, :, :], column)
+
+    @pytest.mark.parametrize("name", STANDARD_FAMILIES)
+    def test_torsion_equals_l_tensor_with_the_stencil_differences(self, name):
+        # The reference is the former path: L from its own l_tensor call, the
+        # differences from _l_partials.
+        pair = standard_pair(name)
+        for x in pair.chart.sample(np.random.default_rng(15), 5, shrink=0.9):
+            L = l_tensor(pair, x)
+            dL = _l_partials(pair, x[None, :])[1][0]
+            ref = (np.einsum("mi,mkj->kij", L, dL) - np.einsum("mj,mki->kij", L, dL)
+                   + np.einsum("km,jmi->kij", L, dL) - np.einsum("km,imj->kij", L, dL))
+            assert np.array_equal(nijenhuis_at(pair, x), ref)
 
     def test_constant_proportional_pair_vanishes(self):
         pair = constant_pair(np.eye(2), 3.0 * np.eye(2))
@@ -460,3 +481,87 @@ class TestDiagnostics:
         val = poisson_bracket_fd(pair, np.array([0.1, 0.2]), np.array([0.5, -0.3]),
                                  t1=0.0, t2=2.5)
         assert abs(val) < 1e-9
+
+
+def bracket_by_axis(pair, x, p, t1, t2, step=1e-5):
+    """The reference: the bracket from 8n scalar ``i_t`` calls, one per
+    integral, axis and sign, each evaluating both metrics at its point."""
+    x, p, n = np.asarray(x, dtype=float), np.asarray(p, dtype=float), pair.dim
+
+    def integral(t, xx, pp):
+        v = np.linalg.solve(pair.g.eval(xx[None, :])[0], pp)
+        return i_t(pair, PhasePoint(xx, v), t)
+
+    def grad(t):
+        dx, dp = np.zeros(n), np.zeros(n)
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = step
+            dx[k] = (integral(t, x + e, p) - integral(t, x - e, p)) / (2 * step)
+            dp[k] = (integral(t, x, p + e) - integral(t, x, p - e)) / (2 * step)
+        return dx, dp
+
+    (dx1, dp1), (dx2, dp2) = grad(t1), grad(t2)
+    return float(dx1 @ dp2 - dp1 @ dx2)
+
+
+def flat_probe_pair():
+    return model_form_pair(FormKind.TWO_D_POLAR_PLUS,
+                           ModelFormParams(f=ScalarFunction1D((1.0,), (0.0, 1.0)),
+                                           lam_const=1.0))
+
+
+BRACKET_CASES = {
+    "flat-probe": (flat_probe_pair, [0.1, -0.2], [0.3, 0.4], 0.3, 0.7),
+    "constant-l": (lambda: pair_with_constant_l(np.array([1.0, 3.0])), [0.1, 0.2],
+                   [0.5, -0.3], 0.0, 2.5),
+    "three-d-axial": (lambda: standard_pair("three_d_axial"), [0.1, -0.2, 0.15],
+                      [0.3, 0.4, -0.2], 0.3, 0.7),
+}
+
+
+@pytest.mark.parametrize("build, x, p, t1, t2", BRACKET_CASES.values(),
+                         ids=BRACKET_CASES.keys())
+def test_the_stacked_bracket_equals_the_per_axis_integral_loop(build, x, p, t1, t2):
+    pair = build()
+    got = poisson_bracket_fd(pair, x, p, t1, t2)
+    assert got == bracket_by_axis(pair, x, p, t1, t2)
+    if build is flat_probe_pair:
+        assert flat_bracket_probe() == abs(got)
+
+
+@pytest.mark.parametrize("name", ["lc_nd", "three_d_axial", "product_s1_s2"])
+def test_torsion_and_bracket_evaluate_each_metric_once(name):
+    pair = standard_pair(name)
+    log = []
+    pair = dataclasses.replace(pair, g=counted(pair.g, log, "g"),
+                               gbar=counted(pair.gbar, log, "gbar"))
+    n = pair.dim
+    x = pair.chart.sample(np.random.default_rng(16), 1, shrink=0.8)[0]
+    nijenhuis_at(pair, x)
+    # The centre and the full-step stencil.
+    assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
+    log.clear()
+    poisson_bracket_fd(pair, x, np.ones(n), 0.3, 0.7)
+    assert log == [("g", "eval", 4 * n), ("gbar", "eval", 4 * n)]  # x +- h e_k, p +- h e_k
+
+
+NON_FINITE = {"nan-diagonal": (np.nan, 0), "nan-off-diagonal": (np.nan, -1),
+              "inf-diagonal": (np.inf, 0), "inf-off-diagonal": (np.inf, -1)}
+
+
+@pytest.mark.parametrize("which", ["g", "gbar"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("value, column", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_non_finite_metric_fails_the_same_way_at_every_batch_size(value, column, n, which):
+    # Batch size 1 runs LAPACK's Cholesky and 200 the batch kernel; a warning
+    # would be raised as an error here.
+    bad = np.eye(n)
+    bad[0, column] = bad[column, 0] = value
+    pair = constant_pair(*((bad, np.eye(n)) if which == "g" else (np.eye(n), bad)))
+    calls = [lambda: l_eigen(pair, np.zeros(n)),
+             lambda: frame_weights(pair, np.zeros((200, n)), np.ones(n))]
+    calls += [lambda m=m: eigen_range(pair, np.zeros((m, n))) for m in (1, 200)]
+    for call in calls:
+        with pytest.raises(NotPositiveDefinite, match="^a metric has non-finite entries$"):
+            call()

@@ -292,6 +292,10 @@ GLUED_PAIRS = {
     "product_s2_s2": lambda: standard_pair("product_s2_s2"),
     "split-lc": lambda: glue_pair(*split_factors(split_pair(
         lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)), 1))).pair,
+    # A non-diagonal split: its block factors come from K^-1 of the companion,
+    # which must be the same bits at every batch size.
+    "split-beltrami_3": lambda: glue_pair(*split_factors(split_pair(
+        standard_pair("beltrami_3"), 1))).pair,
 }
 
 

@@ -2,6 +2,7 @@
 :class:`GeqError` that is also a ``ValueError`` and names the argument, and no
 module of the package raises a builtin exception class."""
 import ast
+import functools
 import time
 import warnings
 from pathlib import Path
@@ -12,14 +13,16 @@ import pytest
 import geq
 from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, beltrami_pair,
                  check_conservation, check_equivalence, check_interlacing, circle_planarity,
-                 eigen_range, integrate_geodesics, l_tensor, max_eigen_multiplicity, oplus,
-                 random_levi_civita_data, sphere_chart, split_pair, spheres_product,
-                 standard_pair)
-from geq.charts import Chart
+                 eigen_range, f_integral_2d, i_t, integrate_geodesics, l_tensor,
+                 max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
+                 sphere_chart, split_pair, spheres_product, standard_pair)
+from geq.charts import Chart, PhasePoint
 from geq.errors import GeqError
 
 NAN, INF = float("nan"), float("inf")
 INTERVAL = (-0.5, 0.5)
+polar = functools.cache(lambda: standard_pair("two_d_polar_plus"))
+X, P = [0.1, -0.2], [0.3, 0.4]
 
 
 def run_cases(prefix, check):
@@ -92,6 +95,15 @@ CASES = {
     "split-no-pair": ("pair", lambda pair: split_pair(None, 1)),
     "model-form-tuple-profile": ("lam", lambda pair: ModelFormParams(lam=(2.0, 1.0))),
     "oplus-number-factor": ("factor1", lambda pair: oplus([1, 2])),
+    # Phase points: a short velocity is not broadcast.
+    "i-t-short-v": ("v", lambda pair: i_t(polar(), PhasePoint(X, [0.3]), 0.5)),
+    "f-integral-short-v": ("v", lambda pair: f_integral_2d(polar(), PhasePoint(X, [0.3]))),
+    "phase-point-nan-v": ("v", lambda pair: PhasePoint(X, [0.3, NAN])),
+    "i-t-nan-t": ("t", lambda pair: i_t(polar(), PhasePoint(X, P), NAN)),
+    "bracket-no-pair": ("pair", lambda pair: poisson_bracket_fd(None, X, P, 0.3, 0.7)),
+    "bracket-short-p": ("p", lambda pair: poisson_bracket_fd(polar(), X, [0.3], 0.3, 0.7)),
+    "bracket-nan-t1": ("t1", lambda pair: poisson_bracket_fd(polar(), X, P, NAN, 0.7)),
+    "bracket-inf-t2": ("t2", lambda pair: poisson_bracket_fd(polar(), X, P, 0.3, INF)),
 }
 
 
