@@ -111,3 +111,10 @@ def expect_points(value, dim: int, path: str) -> np.ndarray:
     if points.size == 0:
         fail(path, "expected at least one point")
     return expect_finite(points, path)
+
+
+def expect_broadcast(a: np.ndarray, b: np.ndarray, path_a: str, path_b: str) -> None:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        fail(path_a, f"shape {a.shape} does not broadcast with {path_b} of shape {b.shape}")

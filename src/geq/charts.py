@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._validate import (as_floats, expect_finite, expect_int, expect_interval, expect_number,
-                        expect_tol, expect_vector, fail)
+from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_interval,
+                        expect_number, expect_points, expect_tol, expect_vector, fail)
 from .errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
@@ -194,7 +194,8 @@ def fd_partials(field: MetricField, x: Array) -> Array:
     half-step estimate; where the two disagree by more than ``1e-4``
     relative, the Richardson-extrapolated combination is used instead.
     """
-    return _eval_with_fd_partials(field, np.asarray(x, dtype=float))[1]
+    x = expect_points(x, expect_instance(field, MetricField, "field").chart.dim, "x")
+    return _eval_with_fd_partials(field, x)[1]
 
 
 def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
@@ -217,8 +218,8 @@ def christoffel(field: MetricField, x: Array) -> Array:
 
     A field without a ``jet`` is evaluated once per batch, on the
     point batch and its finite-difference stencil together."""
-    x = np.asarray(x, dtype=float)
-    n = field.chart.dim
+    n = expect_instance(field, MetricField, "field").chart.dim
+    x = expect_points(x, n, "x")
     g, dg = _metric_and_partials(field, x)
     # T_{l i j} = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     t = (np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))

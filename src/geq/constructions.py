@@ -101,26 +101,23 @@ class SphereChart:
         u = u / nu
         return np.eye(pole.shape[0]) - 2.0 * np.outer(u, u)
 
-    def embed(self, ys: Array) -> Array:
-        """Map chart points onto the unit sphere in the ambient space."""
+    def _unreflected(self, ys: Array) -> tuple[Array, Array]:
+        """The stereographic embedding ``(2y, |y|^2 - 1) / (|y|^2 + 1)`` and its
+        Jacobian ``(..., ambient, chart)``, before the reflection."""
         ys = np.asarray(ys, dtype=float)
         d = 1.0 + np.sum(ys * ys, axis=-1, keepdims=True)
-        out = np.empty(ys.shape[:-1] + (self.dim + 1,))
-        out[..., : self.dim] = 2.0 * ys / d
-        out[..., self.dim] = (d[..., 0] - 2.0) / d[..., 0]
-        return out @ self._reflection.T
+        cy = (4.0 / (d * d)) * ys
+        top = (2.0 / d[..., None]) * np.eye(self.dim) - cy[..., :, None] * ys[..., None, :]
+        jac = np.concatenate([top, cy[..., None, :]], axis=-2)
+        return np.concatenate([2.0 * ys, d - 2.0], axis=-1) / d, jac
+
+    def embed(self, ys: Array) -> Array:
+        """Map chart points onto the unit sphere in the ambient space."""
+        return self._unreflected(ys)[0] @ self._reflection.T
 
     def embedding_jacobian(self, ys: Array) -> Array:
         """Derivative of :meth:`embed`, shaped (..., ambient, chart)."""
-        ys = np.asarray(ys, dtype=float)
-        n = self.dim
-        d = 1.0 + np.sum(ys * ys, axis=-1)
-        jac = np.zeros(ys.shape[:-1] + (n + 1, n))
-        eye = np.eye(n)
-        jac[..., :n, :] = (2.0 / d[..., None, None]) * eye \
-            - (4.0 / (d * d))[..., None, None] * ys[..., :, None] * ys[..., None, :]
-        jac[..., n, :] = (4.0 / (d * d))[..., None] * ys
-        return np.einsum("ab,...bj->...aj", self._reflection, jac)
+        return np.einsum("ab,...bj->...aj", self._reflection, self._unreflected(ys)[1])
 
 
 def sphere_chart(dim: int, half_width: float = 0.75, pole=None) -> SphereChart:
@@ -161,16 +158,17 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         ys, d, g = round_metric(ys)
         return g, (-16.0 * ys / (d ** 3)[..., None])[..., None, None] * np.eye(dim)
 
-    a = a_map.matrix
+    ar = a_map.matrix @ sphere._reflection
 
     def gbar_eval(ys: Array) -> Array:
-        ys = np.asarray(ys, dtype=float)
-        jac = sphere.embedding_jacobian(ys)
-        w = sphere.embed(ys) @ a.T
-        norm = np.linalg.norm(w, axis=-1)
-        unit = w / norm[..., None]
-        proj = np.eye(dim + 1) - unit[..., :, None] * unit[..., None, :]
-        dmap = (proj / norm[..., None, None]) @ a @ jac
+        # The Gram matrix of D = (I - u u^T) AR J0 / |w|, the differential of
+        # x -> A x / |A x| at x = R e0, with w = AR e0 and u = w / |w|.
+        e0, j0 = sphere._unreflected(ys)
+        w = e0 @ ar.T
+        norm = np.sqrt(np.sum(w * w, axis=-1))[..., None]
+        u = w / norm
+        m = ar @ j0
+        dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
         out = np.swapaxes(dmap, -1, -2) @ dmap
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from ._batch import cholesky_inverse
-from ._validate import expect_instance, expect_number, expect_points, expect_vector, fail
+from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
+                        expect_vector, fail)
 from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
 from .errors import (
     BracketFailure,
@@ -158,32 +159,53 @@ def _l_scale(nu: Array) -> Array:
 
 
 def _spectrum(b: Array) -> tuple[Array, Array]:
-    """``B``'s ascending eigenvalues ``nu`` (:func:`_congruence`) with the
-    factor ``ratio`` that takes them to those of ``L`` (:func:`_l_scale`)."""
+    """The factor ``ratio`` (:func:`_l_scale`) and the ascending eigenvalues
+    ``mu = ratio nu`` of ``L``, from those ``nu`` of ``B`` (:func:`_congruence`)."""
     try:
         nu = np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigvalsh
         raise NotPositiveDefinite("a metric has non-finite entries") from exc
-    return _l_scale(nu), nu
+    ratio = _l_scale(nu)
+    return ratio, ratio[..., None] * nu
 
 
 def _l_values(g: Array, gb: Array) -> Array:
     """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
-    forming ``L``: ``mu = ratio nu`` (:func:`_spectrum`)."""
-    ratio, nu = _spectrum(_congruence(g, gb)[1])
-    return ratio[..., None] * nu
+    forming ``L`` (:func:`_spectrum`)."""
+    return _spectrum(_congruence(g, gb)[1])[1]
 
 
-def _l_with_values(g: Array, gb: Array) -> tuple[Array, Array]:
-    """``L`` and its ascending eigenvalues from one congruence (:func:`_spectrum`):
-    ``L = ratio gb^-1 g = ratio K^-T (K^-1 g)``; no determinant or solve, and
-    ``K^-1`` from the batch kernel at every size, so no bit depends on the batch."""
+def _char_scale(b: Array) -> tuple[Array, Array]:
+    """``ratio = (det B)^(-1/(n+1))`` and the coefficients ``(..., n + 1)`` of ``t^j``
+    in ``det(L - t I)``: ``ratio^(n-j)`` times those of ``det(B - t I)``, whose constant
+    one is ``det B = det g / det gb`` (not positive: :class:`SingularMetric`).  They come
+    from the Faddeev-LeVerrier recursion, which keeps only its current matrix and, ``B``
+    being symmetric, takes each trace as an entry sum: ``n - 2`` matmuls, no adjugates."""
+    n = b.shape[-1]
+    c = np.empty(b.shape[:-2] + (n + 1,))
+    c[..., n] = 1.0
+    c[..., n - 1] = -np.trace(b, axis1=-2, axis2=-1)
+    m = b
+    for k in range(2, n + 1):
+        m = m + c[..., n - k + 1, None, None] * np.eye(n)
+        c[..., n - k] = -np.sum(b * m, axis=(-2, -1)) / k
+        if k < n:
+            m = b @ m
+    c *= (-1.0) ** n  # now those of det(B - t I)
+    if not np.all(c[..., 0] > 0.0):
+        raise SingularMetric("a metric determinant is not positive")
+    ratio = c[..., 0] ** (-1.0 / (n + 1))
+    return ratio, c * ratio[..., None] ** np.arange(n, -1, -1)
+
+
+def _l_with(g: Array, gb: Array, read) -> tuple[Array, Array]:
+    """``L = ratio gb^-1 g = ratio K^-T (K^-1 g)`` and ``data``, from ``ratio, data =
+    read(B)`` and one congruence with ``K^-1`` from the batch kernel at every size: no
+    determinant or solve, and no bit of a point depends on its batch."""
     _expect_finite(g, gb)
     k_inv, b = _congruent(g, cholesky_inverse(gb))
-    ratio, nu = _spectrum(b)
-    L = np.swapaxes(k_inv, -1, -2) @ (k_inv @ g)
-    L *= ratio[..., None, None]
-    return L, ratio[..., None] * nu
+    ratio, data = read(b)
+    return ratio[..., None, None] * (np.swapaxes(k_inv, -1, -2) @ (k_inv @ g)), data
 
 
 def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
@@ -320,6 +342,7 @@ def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]
     one eigen solve per point."""
     xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
     vs = expect_points(vs, pair.dim, "vs")
+    expect_broadcast(xs, vs, "xs", "vs")
     return _frame_weights(pair.g.eval(xs), pair.gbar.eval(xs), vs)
 
 

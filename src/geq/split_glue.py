@@ -8,7 +8,9 @@ is the exact inverse construction, and ``oplus`` is its associative fold.
 Both fields of a split or glued pair share one evaluation of their
 intermediates per point batch, and each field's matrix is assembled only when
 that field is read; a glued pair evaluates each factor only on the slices of
-a stacked batch that move the factor's coordinates.
+a stacked batch that move the factor's coordinates, and takes the factor's
+``L`` and its characteristic coefficients from one Cholesky congruence of the
+factor's metrics on the batch kernel: no LAPACK call, no adjugate.
 """
 from __future__ import annotations
 
@@ -19,8 +21,7 @@ import numpy as np
 from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField, positivity_grid_size
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import (MetricPair, _char_and_adjugate, _l_from, _l_values, _l_with_values,
-                         eigen_range)
+from .projective import MetricPair, _char_scale, _l_values, _l_with, _spectrum, eigen_range
 
 Array = np.ndarray
 
@@ -89,7 +90,7 @@ def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Ar
     """Both metrics at a batch of points and the two tensors of :func:`split_tensors`."""
     xs = np.asarray(xs, dtype=float)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    L, mu = _l_with_values(g, gb)
+    L, mu = _l_with(g, gb, _spectrum)
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -242,8 +243,7 @@ def _factor_values(pair: MetricPair, x: Array) -> tuple[Array, ...]:
     if plan is not None:
         x = x[plan[0]]
     g, gb = pair.g.eval(x), pair.gbar.eval(x)
-    L = _l_from(g, gb)
-    values = (g, gb, L, _char_and_adjugate(L)[0])
+    values = (g, gb, *_l_with(g, gb, _char_scale))
     return values if plan is None else tuple(v[plan[1]] for v in values)
 
 

@@ -156,3 +156,37 @@ def test_the_package_has_one_triangular_inverse_path():
             if isinstance(node, ast.Attribute) and node.attr == "inv":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_the_glue_path_calls_no_lapack_routine():
+    """Neither a glued factor's values nor the Beltrami companion, nor any
+    package function they call, reaches ``np.linalg``: the glue path stays
+    on the batch kernel, off per-matrix LAPACK."""
+    defs = {}
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append((path.name, node))
+    todo = [entry for name, module in [("_factor_values", "split_glue.py"),
+                                       ("gbar_eval", "constructions.py")]
+            for entry in defs[name] if entry[0] == module]
+    seen, offenders = set(), []
+    while todo:
+        module, function = todo.pop()
+        if (module, function.lineno) in seen:
+            continue
+        seen.add((module, function.lineno))
+        arguments = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                offenders.append(f"{module}:{node.lineno} ({function.name})")
+            # Functions it names (called or passed on) and methods it calls; a
+            # parameter, such as a callback, is bound by the caller.
+            if isinstance(node, ast.Name) and node.id not in arguments:
+                todo += defs.get(node.id, [])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                todo += defs.get(node.func.attr, [])
+    reached = {name for name, entries in defs.items() for module, function in entries
+               if (module, function.lineno) in seen}
+    assert {"_l_with", "_char_scale", "cholesky_inverse", "_unreflected"} <= reached
+    assert offenders == []

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import geq.constructions as constructions
+from geq._batch import positive_definite
 from geq.charts import (Chart, MetricField, PhasePoint, _eval_with_fd_partials, fd_partials,
-                        integrate_geodesic)
+                        integrate_geodesic, positivity_grid_size)
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
@@ -109,6 +110,43 @@ def test_round_and_scaled_jets_are_eval_and_the_stencil_partials(dim):
         assert value.tobytes() == field.eval(xs).tobytes()
         bare = MetricField(chart=field.chart, eval=field.eval)
         assert np.max(np.abs(partials - _eval_with_fd_partials(bare, xs)[1])) < 1e-8
+
+
+def projector_companion(sphere, a_map):
+    """The companion by its former formula: the Gram matrix of
+    ``P A J / |A x|``, with the ambient projector ``P = I - u u^T``."""
+    def gbar(ys):
+        jac = sphere.embedding_jacobian(ys)
+        w = sphere.embed(ys) @ a_map.matrix.T
+        norm = np.linalg.norm(w, axis=-1)
+        unit = w / norm[..., None]
+        proj = np.eye(sphere.dim + 1) - unit[..., :, None] * unit[..., None, :]
+        dmap = (proj / norm[..., None, None]) @ a_map.matrix @ jac
+        out = np.swapaxes(dmap, -1, -2) @ dmap
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return gbar
+
+
+@pytest.mark.parametrize("pole", ["default", "tilted"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_gram_companion_equals_the_projector_formula(dim, pole):
+    rng = np.random.default_rng(dim)
+    a_map = LinearMap(rng.normal(size=(dim + 1, dim + 1)) + 3.0 * np.eye(dim + 1))
+    tilt = None if pole == "default" else np.append(0.3 * np.ones(dim), 1.0)
+    sphere = sphere_chart(dim, pole=tilt)
+    ys = sphere.chart.sample(rng, 200)
+    got = beltrami_pair(dim, a_map, sphere).pair.gbar.eval(ys)
+    ref = projector_companion(sphere, a_map)(ys)
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+def test_the_steep_sphere_companion_stays_positive_definite():
+    # Condition number about 1e14 on the chart: the Gram product keeps it
+    # positive definite, where the expanded M - z z^T form did not.
+    pair = beltrami_pair(2, LinearMap.diagonal([1.0, 1e5, 1e10])).pair
+    grid = pair.chart.grid(positivity_grid_size(2))
+    assert positive_definite(pair.gbar.eval(grid))
 
 
 def test_diagonal_map_gives_distinct_eigenvalues():

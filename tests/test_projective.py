@@ -4,19 +4,24 @@ import dataclasses
 import numpy as np
 import pytest
 
+from geq._batch import CHUNK
 from geq.charts import FD_STEP, Chart, MetricField, PhasePoint
 from geq.errors import (BracketFailure, DimensionMismatch, NotPositiveDefinite, OutOfChart,
                         SingularMetric)
 from geq.normal_forms import (FormKind, ModelFormParams, ScalarFunction1D, levi_civita_pair,
                               model_form_pair, random_levi_civita_data)
 from geq.projective import (
+    BATCH_KERNEL_MIN,
     MetricPair,
     PolyTensor,
+    _char_and_adjugate,
+    _char_scale,
     _integral_coeffs,
     _l_frame,
     _l_from,
     _l_partials,
     _l_values,
+    _l_with,
     _roots_many,
     eigen_range,
     f_integral_2d,
@@ -31,6 +36,7 @@ from geq.projective import (
     poisson_bracket_fd,
     s_t,
 )
+from geq.split_glue import EquivTriple, glue_pair
 from geq.verify import STANDARD_FAMILIES, flat_bracket_probe, standard_pair
 from test_verify import counted
 
@@ -565,3 +571,59 @@ def test_a_non_finite_metric_fails_the_same_way_at_every_batch_size(value, colum
     for call in calls:
         with pytest.raises(NotPositiveDefinite, match="^a metric has non-finite entries$"):
             call()
+
+
+def l_with_char(g, gb):
+    """The glue's factor path: ``L`` and its characteristic coefficients."""
+    return _l_with(g, gb, _char_scale)
+
+
+def spd(m, n, seed):
+    x = np.random.default_rng(seed).normal(size=(m, n, n))
+    return x @ np.swapaxes(x, -1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_l_and_char_from_one_congruence_agree_with_the_determinant_route(n):
+    g, gb = spd(300, n, 1), spd(300, n, 2)
+    L, char = l_with_char(g, gb)
+    ref = _l_from(g, gb)
+    ref_char = _char_and_adjugate(ref)[0]
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(L - ref) <= 1e-13 * scale)
+    # L has positive eigenvalues, so no coefficient is small by cancellation.
+    assert np.all(np.abs(char - ref_char) <= 1e-13 * np.abs(ref_char))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", [BATCH_KERNEL_MIN - 1, BATCH_KERNEL_MIN, BATCH_KERNEL_MIN + 1,
+                               CHUNK + 3])
+def test_l_and_char_of_a_point_do_not_depend_on_its_batch(n, m):
+    g, gb = spd(m, n, 3), spd(m, n, 4)
+    L, char = l_with_char(g, gb)
+    for i in (0, m // 2, m - 1):  # the last one lies in the kernel's second chunk at 4099
+        alone = l_with_char(g[i:i + 1], gb[i:i + 1])
+        assert np.array_equal(alone[0][0], L[i]) and np.array_equal(alone[1][0], char[i])
+
+
+@pytest.mark.parametrize("m", [1, BATCH_KERNEL_MIN])
+def test_an_indefinite_companion_fails_at_its_pivot(m):
+    # det = 1 > 0: the determinant route let this companion pass.
+    gb = spd(m, 3, 1)
+    gb[-1] = np.diag([1.0, -1.0, -1.0])
+    with pytest.raises(NotPositiveDefinite, match="^companion metric is not positive"):
+        l_with_char(spd(m, 3, 2), gb)
+    factor = EquivTriple(pair=constant_pair(np.eye(3), gb[-1]), eigen_range=(1.0, 1.0))
+    glued = glue_pair(EquivTriple(pair=constant_pair([[1.0]], [[1.0]]), eigen_range=(0.5, 0.5)),
+                      factor).pair
+    with pytest.raises(NotPositiveDefinite, match="^companion metric is not positive"):
+        glued.g.eval(np.zeros((m, 4)))
+
+
+@pytest.mark.parametrize("g_bad", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))],
+                         ids=["negative", "zero"])
+def test_a_base_metric_without_positive_determinant_is_singular(g_bad):
+    g = spd(5, 3, 1)
+    g[2] = g_bad
+    with pytest.raises(SingularMetric):
+        l_with_char(g, spd(5, 3, 2))

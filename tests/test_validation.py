@@ -13,11 +13,12 @@ import pytest
 import geq
 from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, beltrami_pair,
                  check_conservation, check_equivalence, check_interlacing, circle_planarity,
-                 eigen_range, f_integral_2d, i_t, integrate_geodesics, l_tensor,
+                 eigen_range, f_integral_2d, frame_weights, i_t, integral_roots_many,
+                 integrate_geodesics, l_tensor,
                  max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
                  sphere_chart, split_pair, spheres_product, standard_pair)
-from geq.charts import Chart, PhasePoint
-from geq.errors import GeqError
+from geq.charts import Chart, PhasePoint, christoffel, fd_partials
+from geq.errors import GeqError, SchemaError
 
 NAN, INF = float("nan"), float("inf")
 INTERVAL = (-0.5, 0.5)
@@ -104,6 +105,15 @@ CASES = {
     "bracket-short-p": ("p", lambda pair: poisson_bracket_fd(polar(), X, [0.3], 0.3, 0.7)),
     "bracket-nan-t1": ("t1", lambda pair: poisson_bracket_fd(polar(), X, P, NAN, 0.7)),
     "bracket-inf-t2": ("t2", lambda pair: poisson_bracket_fd(polar(), X, P, 0.3, INF)),
+    # Point batches that are valid alone but do not broadcast together, and
+    # points of the wrong dimension.
+    "frame-weights-unbroadcast": ("xs", lambda pair: frame_weights(
+        pair, np.zeros((3, 3)), np.ones((2, 3)))),
+    "roots-many-unbroadcast": ("xs", lambda pair: integral_roots_many(
+        pair, np.zeros((3, 3)), np.ones((2, 3)))),
+    "fd-partials-short-point": ("x", lambda pair: fd_partials(pair.g, [0.0, 0.0])),
+    "christoffel-short-point": ("x", lambda pair: christoffel(pair.g, np.zeros((4, 2)))),
+    "fd-partials-no-field": ("field", lambda pair: fd_partials(pair, [0.0, 0.0, 0.0])),
 }
 
 
@@ -127,6 +137,12 @@ def test_bad_input_raises_a_named_error(lc_nd, name, call):
 def test_integer_counts_accept_numpy_integers(lc_nd):
     report = check_interlacing(lc_nd, n_points=np.int64(3), n_vectors=np.int32(2))
     assert report.samples == 6 and type(report.samples) is int
+
+
+def test_unbroadcast_batches_name_both_arguments(lc_nd):
+    with pytest.raises(SchemaError, match=r"^xs: shape \(3, 3\) does not broadcast with vs "
+                       r"of shape \(2, 3\)$"):
+        frame_weights(lc_nd, np.zeros((3, 3)), np.ones((2, 3)))
 
 
 BUILTIN_ERRORS = {"ValueError", "TypeError", "IndexError", "KeyError", "RuntimeError",
