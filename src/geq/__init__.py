@@ -14,14 +14,12 @@ _apply_thread_cap()  # must run before numpy is first imported
 
 from . import errors  # noqa: E402
 from .charts import (Chart, ChartMap, MetricField, PhasePoint, Trajectory,  # noqa: E402
-                     christoffel, christoffel_at, compose_maps, fd_partials,
-                     integrate_geodesic, integrate_geodesics, metric_at,
-                     pushforward_metric)
-from .projective import (MetricPair, PolyTensor, RootSet, eigen_range,  # noqa: E402
-                         f_integral_2d, frame_weights, i_t, integral_roots,
+                     christoffel, fd_partials, integrate_geodesic,
+                     integrate_geodesics, metric_at, pushforward_metric)
+from .projective import (MetricPair, eigen_range, frame_weights,  # noqa: E402
                          integral_roots_many, l_eigen, l_tensor,
                          max_eigen_multiplicity, nijenhuis_at,
-                         poisson_bracket_fd, s_t)
+                         poisson_bracket_fd)
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,  # noqa: E402
                            ScalarFunction1D, canonical_chart_map,
                            levi_civita_pair, model_eigenvalues,
@@ -35,21 +33,18 @@ from .verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,  # noqa: E402
                      STANDARD_FAMILIES, ConservationReport, DriftRow,
                      EquivalenceReport, InterlacingReport, check_conservation,
                      check_equivalence, check_interlacing,
-                     control_conformal_pair, flat_bracket_probe,
-                     nijenhuis_control_pair, standard_form_spec,
-                     standard_pair)
+                     control_conformal_pair, nijenhuis_control_pair,
+                     standard_form_spec, standard_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Chart", "ChartMap", "MetricField", "PhasePoint", "Trajectory",
-    "christoffel", "christoffel_at", "compose_maps", "fd_partials",
-    "integrate_geodesic", "integrate_geodesics", "metric_at",
-    "pushforward_metric",
-    "MetricPair", "PolyTensor", "RootSet", "eigen_range", "f_integral_2d",
-    "frame_weights", "i_t", "integral_roots", "integral_roots_many",
+    "christoffel", "fd_partials", "integrate_geodesic",
+    "integrate_geodesics", "metric_at", "pushforward_metric",
+    "MetricPair", "eigen_range", "frame_weights", "integral_roots_many",
     "l_eigen", "l_tensor", "max_eigen_multiplicity", "nijenhuis_at",
-    "poisson_bracket_fd", "s_t",
+    "poisson_bracket_fd",
     "FormKind", "LeviCivitaData", "ModelFormParams", "ScalarFunction1D",
     "canonical_chart_map", "levi_civita_pair", "model_eigenvalues",
     "model_form_pair", "random_levi_civita_data",
@@ -60,7 +55,7 @@ __all__ = [
     "CONTROL_FAMILIES", "EQUIVALENT_FAMILIES", "STANDARD_FAMILIES",
     "ConservationReport", "DriftRow", "EquivalenceReport",
     "InterlacingReport", "check_conservation", "check_equivalence",
-    "check_interlacing", "control_conformal_pair", "flat_bracket_probe",
-    "nijenhuis_control_pair", "standard_form_spec", "standard_pair",
+    "check_interlacing", "control_conformal_pair", "nijenhuis_control_pair",
+    "standard_form_spec", "standard_pair",
     "errors", "__version__",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -240,12 +240,6 @@ def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
     return g, 0.5 * _solve(g, t[..., None])[..., 0]
 
 
-def christoffel_at(field: MetricField, x: Array) -> Array:
-    """Christoffel symbols at a single point strictly inside the box, where
-    the finite-difference stencil fits."""
-    return christoffel(field, field.chart.point(x, margin=2.0 * FD_STEP)[None, :])[0]
-
-
 @dataclasses.dataclass(frozen=True)
 class PhasePoint:
     """A tangent-bundle point: base coordinates plus velocity components."""
@@ -461,20 +455,6 @@ class ChartMap:
             inverse_jacobian=self.jacobian,
             inverse_source=self.source,
         )
-
-
-def compose_maps(outer: ChartMap, inner: ChartMap) -> ChartMap:
-    """The composite map ``outer o inner`` with chain-rule Jacobian."""
-
-    def forward(y: Array) -> Array:
-        return outer.forward(inner.forward(y))
-
-    def jacobian(y: Array) -> Array:
-        ji = inner.jacobian_at(y)
-        jo = outer.jacobian_at(inner.forward(y))
-        return jo @ ji
-
-    return ChartMap(source=inner.source, forward=forward, jacobian=jacobian)
 
 
 def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:

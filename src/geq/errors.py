@@ -30,10 +30,6 @@ class DegenerateJacobian(GeqError):
     """A chart map's Jacobian is numerically singular at a sampled point."""
 
 
-class DimensionMismatch(GeqError):
-    """An operation received data of the wrong dimension."""
-
-
 class BracketFailure(GeqError):
     """A certified root bracket lost its sign condition (numerical breakdown
     or an input pair violating the structure the brackets rely on)."""

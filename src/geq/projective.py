@@ -2,29 +2,23 @@
 
 Given a pair (g, gbar) on one chart, this module builds the compatibility
 tensor ``L = (det gbar / det g)^{1/(n+1)} gbar^{-1} g`` and its eigenframe
-(one congruence of ``g`` by the Cholesky factor of ``gbar``), the adjugate
-polynomial family ``S_t = adj(L - t I)``, the quadratic-in-velocity
-integrals ``I_t = g(S_t v, v)`` together with their interlaced roots (one
-batched symmetric eigen solve), the planar integral ``F``, and a
+(one congruence of ``g`` by the Cholesky factor of ``gbar``), the
+quadratic-in-velocity integrals ``I_t = g(adj(L - t I) v, v)``, read off the
+eigenvalues of ``L`` and the squared coordinates of ``v`` in that frame,
+together with their interlaced roots (one batched symmetric eigen solve), and a
 finite-difference Nijenhuis torsion of the ``L`` field.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
 import numpy as np
 
 from ._batch import cholesky_inverse
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
-from .charts import FD_STEP, MetricField, PhasePoint, _full_step_differences, metric_at
-from .errors import (
-    BracketFailure,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    SingularMetric,
-)
+from .charts import FD_STEP, MetricField, _full_step_differences
+from .errors import BracketFailure, NotPositiveDefinite, SingularMetric
 
 Array = np.ndarray
 
@@ -60,33 +54,6 @@ class MetricPair:
     @property
     def dim(self) -> int:
         return self.g.chart.dim
-
-
-@dataclasses.dataclass(frozen=True)
-class PolyTensor:
-    """A matrix-valued polynomial in ``t``: ``coeffs[k]`` multiplies ``t^k``."""
-
-    degree: int
-    coeffs: tuple[Array, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
-            fail("coeffs", f"expected degree + 1 = {self.degree + 1} entries")
-
-    def at(self, t: float) -> Array:
-        out = np.zeros_like(self.coeffs[0])
-        for k, c in enumerate(self.coeffs):
-            out = out + c * t**k
-        return out
-
-
-@dataclasses.dataclass(frozen=True)
-class RootSet:
-    """Sorted roots of the integral polynomial plus the eigenvalue
-    brackets that certified them."""
-
-    roots: tuple[float, ...]
-    brackets: tuple[tuple[float, float], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -232,67 +199,20 @@ def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     return vals[0], vecs[0]
 
 
-def _char_and_adjugate(L: Array) -> tuple[Array, Array]:
-    """Characteristic and adjugate coefficients of ``L - t I``, batched.
-
-    Returns ``(char, adj)`` where ``char[..., k]`` is the coefficient of
-    ``t^k`` in ``det(L - t I)`` and ``adj[..., k, :, :]`` that of
-    ``adj(L - t I)``, computed by the trace-driven adjugate recursion so
-    the result stays well defined at repeated eigenvalues.
-    """
-    L = np.asarray(L, dtype=float)
-    n = L.shape[-1]
-    eye = np.broadcast_to(np.eye(n), L.shape)
-    c = np.zeros(L.shape[:-2] + (n + 1,))
-    c[..., n] = 1.0
-    ms = []
-    m = np.zeros_like(L)
-    for k in range(1, n + 1):
-        m = L @ m + c[..., n - k + 1, None, None] * eye
-        ms.append(m)
-        c[..., n - k] = -np.einsum("...ii->...", L @ m) / k
-    sign = (-1.0) ** (n - 1)
-    adj = np.stack([sign * ms[n - 1 - k] for k in range(n)], axis=-3)
-    char = (-1.0) ** n * c
-    return char, adj
-
-
-def s_t(pair: MetricPair, x: Array) -> PolyTensor:
-    """The adjugate polynomial ``S_t = adj(L - t I)`` at one point, as a
-    degree ``n - 1`` matrix polynomial in ``t``."""
-    L = l_tensor(pair, x)
-    _, adj = _char_and_adjugate(L)
-    n = pair.dim
-    return PolyTensor(degree=n - 1, coeffs=tuple(adj[k] for k in range(n)))
-
-
 # ---------------------------------------------------------------------------
 # Integrals and their roots
 
 
-def _integral_coeffs(g: Array, gb: Array, vs: Array) -> Array:
-    """Coefficients ``(..., n)`` of ``t -> g(S_t v, v)`` from both metrics,
-    batched."""
-    _, adj = _char_and_adjugate(_l_from(g, gb))
-    return np.einsum("...i,...ij,...kjl,...l->...k", vs, g, adj, vs)
-
-
-def i_t(pair: MetricPair, p: PhasePoint, t: float) -> float:
-    """The integral ``I_t = g(S_t v, v)`` at a phase point."""
-    from .normal_forms import _horner  # normal_forms imports this module
-    xs = expect_instance(pair, MetricPair, "pair").chart.point(p.x)[None, :]
-    coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), p.v[None, :])[0]
-    return float(_horner(coeffs, expect_number(t, "t")))
-
-
-def f_integral_2d(pair: MetricPair, p: PhasePoint) -> float:
-    """The planar integral ``F = (det g / det gbar)^{2/3} gbar(v, v)``."""
-    if expect_instance(pair, MetricPair, "pair").dim != 2:
-        raise DimensionMismatch("the planar integral is defined only in dimension 2")
-    g = metric_at(pair.g, p.x)
-    gb = metric_at(pair.gbar, p.x)
-    ratio = np.linalg.det(g) / np.linalg.det(gb)
-    return float(ratio ** (2.0 / 3.0) * (p.v @ gb @ p.v))
+def _integrals(mu: Array, w: Array, ts: Array) -> Array:
+    """The integrals ``I_t(v) = g(adj(L - t I) v, v)`` at the parameters ``ts``
+    ``(..., T)``, which broadcast against the points, from the eigenvalues ``mu``
+    of ``L`` and the squared coordinates ``w`` of ``v`` in the ``g``-orthonormal
+    eigenframe, ``(..., n)`` (:func:`_frame_weights`).  In that frame
+    ``adj(L - t I)`` is diagonal, so ``I_t = sum_i w_i prod_{j != i} (mu_j - t)``,
+    the polynomial whose roots :func:`_roots_many` finds."""
+    d = mu[..., None, None, :] - ts[..., None, None]
+    others = np.where(np.eye(mu.shape[-1], dtype=bool), 1.0, d)  # row i leaves out mu_i
+    return np.sum(w[..., None, :] * np.prod(others, axis=-1), axis=-1)
 
 
 def _roots_many(mu: Array, w: Array) -> Array:
@@ -353,24 +273,6 @@ def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
     return _roots_many(*frame_weights(pair, xs, vs))
 
 
-def integral_roots(pair: MetricPair, p: PhasePoint) -> RootSet:
-    """The ``n - 1`` real roots of ``t -> I_t`` at a phase point, one in
-    each consecutive eigenvalue bracket of ``L`` (pinned on the eigenvalue
-    where neighbors coincide); see :func:`_roots_many`.  A root outside its
-    bracket raises :class:`BracketFailure`."""
-    expect_instance(pair, MetricPair, "pair").chart.point(p.x)
-    mu, w = frame_weights(pair, p.x[None, :], p.v[None, :])
-    roots = _roots_many(mu, w)[0]
-    mu = mu[0]
-    brackets = tuple((float(mu[i]), float(mu[i + 1])) for i in range(mu.shape[0] - 1))
-    for i, r in enumerate(roots):
-        if not (brackets[i][0] - 10 * CLUSTER_RADIUS <= r <= brackets[i][1] + 10 * CLUSTER_RADIUS):
-            raise BracketFailure(
-                f"root {r} escaped its bracket {brackets[i]}; the pair is likely "
-                "not geodesically compatible")
-    return RootSet(roots=tuple(float(r) for r in roots), brackets=brackets)
-
-
 # ---------------------------------------------------------------------------
 # Nijenhuis torsion
 
@@ -424,10 +326,10 @@ def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: float) -> float:
     """Canonical Poisson bracket of ``I_{t1}`` and ``I_{t2}`` at a
     position/momentum point, by central differences of step
-    :data:`_BRACKET_STEP`: both metrics and the integral coefficients are
+    :data:`_BRACKET_STEP`: both metrics and the eigenframe weights are
     evaluated once, on the stacked phase stencil ``(x +- h e_k, p)``,
-    ``(x, p +- h e_k)`` at the velocities ``v = g^-1 p``."""
-    from .normal_forms import _horner  # normal_forms imports this module
+    ``(x, p +- h e_k)`` at the velocities ``v = g^-1 p``, and both integrals
+    are read off them (:func:`_integrals`)."""
     chart = expect_instance(pair, MetricPair, "pair").chart
     x = chart.point(x, margin=_BRACKET_STEP / np.min(chart.widths))  # the stencil fits
     p = expect_vector(p, x.shape, "p")
@@ -438,7 +340,7 @@ def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: floa
     ps = np.concatenate([np.broadcast_to(p, (2 * n, n)), p + step, p - step])
     g = pair.g.eval(xs)
     vs = np.linalg.solve(g, ps[..., None])[..., 0]
-    coeffs = _integral_coeffs(g, pair.gbar.eval(xs), vs)
-    values = _horner(coeffs.T[:, None, :], ts[:, None]).reshape(2, 2, 2, n)  # (t, x|p, +|-, k)
+    values = _integrals(*_frame_weights(g, pair.gbar.eval(xs), vs), ts)
+    values = values.T.reshape(2, 2, 2, n)  # (t, x|p, +|-, k)
     (dx1, dp1), (dx2, dp2) = (values[:, :, 0] - values[:, :, 1]) / (2 * _BRACKET_STEP)
     return float(dx1 @ dp2 - dp1 @ dx2)

@@ -87,10 +87,16 @@ def _matrix_poly(coeffs: Array, L: Array) -> Array:
 
 
 def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Array]:
-    """Both metrics at a batch of points and the two tensors of :func:`split_tensors`."""
+    """Both metrics at a batch of points and the two tensors of :func:`split_tensors`;
+    a point where the eigenvalues on the two sides of the cut meet, so that the
+    tensors are singular, raises :class:`GapViolated` naming it."""
     xs = np.asarray(xs, dtype=float)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
     L, mu = _l_with(g, gb, _spectrum)
+    crossed = mu[..., r - 1] >= mu[..., r]
+    if np.any(crossed):
+        raise GapViolated(f"eigenvalues {r} and {r + 1} of L meet across the cut at "
+                          f"{xs[crossed][0].tolist()}")
     c1 = _poly_from_linear_factors(mu[..., :r])
     c2 = _poly_from_linear_factors(mu[..., r:])
     chi1 = _matrix_poly(c1, L)
@@ -142,14 +148,17 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     """Split a pair into block-diagonal factor metrics along the sampled
     eigenvalue gap after position ``r``.
 
-    Raises :class:`GapViolated` when the sampled eigenvalue ranges on the
-    two sides of the cut overlap.  The scan also gives each block's range:
+    Raises :class:`GapViolated` when the eigenvalue ranges on the two sides
+    of the cut overlap on the scan's grid, which holds the chart centre
+    (where the closed-form bifurcation families make their eigenvalues
+    meet).  The scan also gives each block's range:
     by the splitting lemma a block's eigenvalues depend only on its own
     coordinates.
     """
     n = expect_instance(pair, MetricPair, "pair").dim
     r = expect_int(r, "r", 1, n - 1)
     grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
+    grid = np.concatenate([grid, pair.chart.center[None, :]])
     mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
     low = (float(np.min(mu[..., 0])), float(np.max(mu[..., r - 1])))
     high = (float(np.min(mu[..., r])), float(np.max(mu[..., -1])))

@@ -23,9 +23,9 @@ from ._validate import (as_floats, expect_instance, expect_int, expect_number, e
                         fail)
 from .charts import Chart, MetricField, _spray, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
-                           ScalarFunction1D, _horner, model_form_pair)
-from .projective import (CLUSTER_RADIUS, MetricPair, _frame_weights, _integral_coeffs,
-                         _l_values, _roots_many, frame_weights, poisson_bracket_fd)
+                           ScalarFunction1D, model_form_pair)
+from .projective import (CLUSTER_RADIUS, MetricPair, _frame_weights, _integrals, _roots_many,
+                         frame_weights)
 
 Array = np.ndarray
 
@@ -142,18 +142,19 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     ``L`` over the stored trajectory samples.  The drift of a series is
     ``max_j |s_j - s_0| / max(1, |s_0|)`` over the stored samples; start
     and end values are reported alongside.  Each metric is evaluated once,
-    on the stacked samples, after the integrator returns.
+    on the stacked samples, after the integrator returns, and one eigenframe
+    solve (:func:`~geq.projective._frame_weights`) gives the parameter range,
+    the integrals and their roots.
     """
     n_t_values = expect_int(n_t_values, "n_t_values", 1)
     trajectories, xs, vs = _geodesic_samples(pair, n_traj, duration, tol, seed)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    mu = _l_values(g, gb)
+    mu, w = _frame_weights(g, gb, vs)
     t_values = np.linspace(float(np.min(mu)) - 1.0, float(np.max(mu)) + 1.0, n_t_values)
-    coeffs = _integral_coeffs(g, gb, vs)
-    roots = _roots_many(*_frame_weights(g, gb, vs))
+    roots = _roots_many(mu, w)
     names = [f"integral_t={t:.9g}" for t in t_values]
     names += [f"root_{i}" for i in range(roots.shape[-1])]
-    columns = [_horner(coeffs.T[..., None], t_values), roots]
+    columns = [_integrals(mu, w, t_values), roots]
     if pair.dim == 2:
         ratio = np.linalg.det(g) / np.linalg.det(gb)
         quad = ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)
@@ -258,15 +259,6 @@ def nijenhuis_control_pair() -> MetricPair:
                       gbar=MetricField(chart=chart, eval=gbar_eval,
                                        provenance=tag + "/companion"),
                       provenance=tag)
-
-
-def flat_bracket_probe() -> float:
-    """Finite-difference Poisson bracket of the integrals ``I_0.3`` and
-    ``I_0.7`` on a flat-chart pair (the weak commutation probe)."""
-    pair = model_form_pair(FormKind.TWO_D_POLAR_PLUS,
-                           ModelFormParams(f=ScalarFunction1D((1.0,), (0.0, 1.0)),
-                                           lam_const=1.0))
-    return abs(poisson_bracket_fd(pair, [0.1, -0.2], [0.3, 0.4], 0.3, 0.7))
 
 
 # --- Ready-made families -------------------------------------------------

@@ -500,6 +500,15 @@ def test_split_without_gap_is_an_error(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("block", [1, 2])
+def test_split_across_the_bifurcation_locus_is_an_error(runner, block):
+    # three_d_full's eigenvalues all meet at the chart centre.
+    result = runner.invoke(main, ["split", "--family", "three_d_full", "--block", str(block)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: GapViolated: eigenvalue ranges overlap")
+    assert result.stdout == ""
+
+
 def test_roundtrip_command(runner):
     result = runner.invoke(main, ["roundtrip", "--family", "lc_nd",
                                   "--points", "50"])

@@ -1,22 +1,20 @@
-"""Tensor L, adjugate polynomial, integrals, roots, Nijenhuis torsion."""
+"""Tensor L, the adjugate reference, integrals, roots, Nijenhuis torsion."""
 import dataclasses
 
 import numpy as np
 import pytest
 
 from geq._batch import CHUNK
-from geq.charts import FD_STEP, Chart, MetricField, PhasePoint
-from geq.errors import (BracketFailure, DimensionMismatch, NotPositiveDefinite, OutOfChart,
-                        SingularMetric)
+from geq.charts import FD_STEP, Chart, MetricField
+from geq.errors import BracketFailure, NotPositiveDefinite, OutOfChart, SingularMetric
 from geq.normal_forms import (FormKind, ModelFormParams, ScalarFunction1D, levi_civita_pair,
                               model_form_pair, random_levi_civita_data)
 from geq.projective import (
     BATCH_KERNEL_MIN,
     MetricPair,
-    PolyTensor,
-    _char_and_adjugate,
     _char_scale,
-    _integral_coeffs,
+    _frame_weights,
+    _integrals,
     _l_frame,
     _l_from,
     _l_partials,
@@ -24,20 +22,16 @@ from geq.projective import (
     _l_with,
     _roots_many,
     eigen_range,
-    f_integral_2d,
     frame_weights,
-    i_t,
-    integral_roots,
     integral_roots_many,
     l_eigen,
     l_tensor,
     max_eigen_multiplicity,
     nijenhuis_at,
     poisson_bracket_fd,
-    s_t,
 )
 from geq.split_glue import EquivTriple, glue_pair
-from geq.verify import STANDARD_FAMILIES, flat_bracket_probe, standard_pair
+from geq.verify import STANDARD_FAMILIES, check_conservation, seeded_starts, standard_pair
 from test_verify import counted
 
 
@@ -66,6 +60,46 @@ def pair_with_constant_l(l_diag) -> MetricPair:
 def l_many(pair, xs):
     """``L`` at a batch of points, from one read of each metric."""
     return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))
+
+
+def _char_and_adjugate(L):
+    """The reference: characteristic and adjugate coefficients of ``L - t I``,
+    batched.
+
+    Returns ``(char, adj)`` where ``char[..., k]`` is the coefficient of
+    ``t^k`` in ``det(L - t I)`` and ``adj[..., k, :, :]`` that of
+    ``adj(L - t I)``, computed by the trace-driven adjugate recursion so
+    the result stays well defined at repeated eigenvalues.
+    """
+    L = np.asarray(L, dtype=float)
+    n = L.shape[-1]
+    eye = np.broadcast_to(np.eye(n), L.shape)
+    c = np.zeros(L.shape[:-2] + (n + 1,))
+    c[..., n] = 1.0
+    ms = []
+    m = np.zeros_like(L)
+    for k in range(1, n + 1):
+        m = L @ m + c[..., n - k + 1, None, None] * eye
+        ms.append(m)
+        c[..., n - k] = -np.einsum("...ii->...", L @ m) / k
+    sign = (-1.0) ** (n - 1)
+    adj = np.stack([sign * ms[n - 1 - k] for k in range(n)], axis=-3)
+    char = (-1.0) ** n * c
+    return char, adj
+
+
+def adjugate_integral_coeffs(g, gb, vs):
+    """The reference route to the integrals: coefficients ``(..., n)`` of
+    ``t -> g(adj(L - t I) v, v)``, with ``L`` from determinants and a solve."""
+    _, adj = _char_and_adjugate(_l_from(g, gb))
+    return np.einsum("...i,...ij,...kjl,...l->...k", vs, g, adj, vs)
+
+
+def integral_at(pair, x, v, ts):
+    """``I_t`` at one phase point for each ``t`` of ``ts``, on the library's
+    route: the eigenframe weights of a batch of one point, then :func:`_integrals`."""
+    mu, w = frame_weights(pair, np.asarray(x, dtype=float)[None], np.asarray(v, dtype=float)[None])
+    return _integrals(mu, w, np.atleast_1d(np.asarray(ts, dtype=float)))[0]
 
 
 def variable_pair() -> MetricPair:
@@ -201,19 +235,28 @@ class TestLEigen:
             assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
-class TestAdjugatePolynomial:
+def adjugate(pair, x):
+    """Coefficients of ``adj(L - t I)`` at one point, ``t^k`` at index ``k``."""
+    return _char_and_adjugate(l_tensor(pair, x))[1]
+
+
+def at(coeffs, t):
+    return sum(c * t**k for k, c in enumerate(coeffs))
+
+
+class TestAdjugateReference:
     def test_two_by_two_diagonal(self):
         pair = constant_pair(np.eye(2), np.diag([0.5, 0.25]))
-        poly = s_t(pair, np.zeros(2))
-        assert poly.degree == 1
-        assert np.allclose(poly.coeffs[0], np.diag([2.0, 1.0]), atol=1e-12)
-        assert np.allclose(poly.coeffs[1], -np.eye(2), atol=1e-12)
-        assert np.allclose(poly.at(0.5), np.diag([1.5, 0.5]), atol=1e-12)
+        coeffs = adjugate(pair, np.zeros(2))
+        assert len(coeffs) == 2  # degree n - 1
+        assert np.allclose(coeffs[0], np.diag([2.0, 1.0]), atol=1e-12)
+        assert np.allclose(coeffs[1], -np.eye(2), atol=1e-12)
+        assert np.allclose(at(coeffs, 0.5), np.diag([1.5, 0.5]), atol=1e-12)
 
     def test_three_by_three_at_eigenvalue(self):
         pair = pair_with_constant_l(np.array([1.0, 2.0, 3.0]))
-        poly = s_t(pair, np.zeros(3))
-        assert np.allclose(poly.at(2.0), np.diag([0.0, -1.0, 0.0]), atol=1e-10)
+        coeffs = adjugate(pair, np.zeros(3))
+        assert np.allclose(at(coeffs, 2.0), np.diag([0.0, -1.0, 0.0]), atol=1e-10)
 
     def test_dimension_one_is_constant_one(self):
         chart = Chart(1, ((-1.0, 1.0),))
@@ -230,66 +273,69 @@ class TestAdjugatePolynomial:
         pair = MetricPair(g=MetricField(chart=chart, eval=g_eval),
                           gbar=MetricField(chart=chart, eval=gbar_eval))
         assert np.allclose(l_tensor(pair, np.zeros(1)), [[lam]], atol=1e-12)
-        poly = s_t(pair, np.zeros(1))
-        assert poly.degree == 0
-        assert np.allclose(poly.coeffs[0], [[1.0]], atol=1e-15)
+        coeffs = adjugate(pair, np.zeros(1))
+        assert len(coeffs) == 1
+        assert np.allclose(coeffs[0], [[1.0]], atol=1e-15)
+        assert integral_at(pair, [0.0], [2.0], [0.3, 7.0]) == pytest.approx([4.0, 4.0],
+                                                                           abs=1e-12)
 
     def test_adjugate_identity_random_t(self):
         pair = variable_pair()
         rng = np.random.default_rng(1)
         for x in pair.chart.sample(rng, 5):
             L = l_tensor(pair, x)
-            poly = s_t(pair, x)
+            coeffs = adjugate(pair, x)
             for t in rng.uniform(-3, 3, size=10):
-                lhs = poly.at(t) @ (L - t * np.eye(2))
+                lhs = at(coeffs, t) @ (L - t * np.eye(2))
                 rhs = np.linalg.det(L - t * np.eye(2)) * np.eye(2)
                 scale = max(1.0, abs(np.linalg.det(L - t * np.eye(2))))
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
-
-    def test_coefficient_count_enforced(self):
-        with pytest.raises(ValueError):
-            PolyTensor(degree=2, coeffs=(np.eye(2),))
 
 
 class TestIntegrals:
     def test_two_eigenvalue_polynomial(self):
         pair = pair_with_constant_l(np.array([1.0, 3.0]))
-        p = PhasePoint([0.0, 0.0], [1.0, 1.0])
-        assert i_t(pair, p, 0.0) == pytest.approx(4.0, abs=1e-12)
-        assert i_t(pair, p, 1.0) == pytest.approx(2.0, abs=1e-12)
-        assert i_t(pair, p, 2.0) == pytest.approx(0.0, abs=1e-12)
+        assert integral_at(pair, [0.0, 0.0], [1.0, 1.0], [0.0, 1.0, 2.0]) == pytest.approx(
+            [4.0, 2.0, 0.0], abs=1e-12)
 
     def test_single_component(self):
         pair = pair_with_constant_l(np.array([1.0, 3.0]))
-        p = PhasePoint([0.0, 0.0], [1.0, 0.0])
-        assert i_t(pair, p, 0.0) == pytest.approx(3.0, abs=1e-12)
-        assert i_t(pair, p, 2.5) == pytest.approx(0.5, abs=1e-12)
+        assert integral_at(pair, [0.0, 0.0], [1.0, 0.0], [0.0, 2.5]) == pytest.approx(
+            [3.0, 0.5], abs=1e-12)
 
     def test_leading_sign_even_dimension(self):
         pair = pair_with_constant_l(np.array([1.0, 3.0]))
-        p = PhasePoint([0.0, 0.0], [0.7, -0.4])
         expected_sign = -1.0  # (-1)^(n-1) with n = 2
-        assert np.sign(i_t(pair, p, 1e6)) == expected_sign
+        assert np.sign(integral_at(pair, [0.0, 0.0], [0.7, -0.4], 1e6)[0]) == expected_sign
 
-    def test_indefinite_metric_is_singular(self):
+    def test_indefinite_metric_is_not_positive_definite(self):
+        # The integrals come from the eigenframe, whose congruence names the
+        # indefinite base metric; the determinant route raised SingularMetric.
         pair = constant_pair(np.diag([1.0, -2.0, 3.0]), np.eye(3))
-        with pytest.raises(SingularMetric):
-            i_t(pair, PhasePoint([0.0] * 3, [1.0, 1.0, 1.0]), 0.5)
+        with pytest.raises(NotPositiveDefinite, match="^base metric is not positive definite"):
+            poisson_bracket_fd(pair, np.zeros(3), np.ones(3), 0.5, 0.7)
+
+    @staticmethod
+    def planar_form(pair, n_traj=6, seed=0):
+        """The quadratic form ``M`` with ``F(v) = v^T M v``, fitted to the
+        ``quadratic_2d`` start values of :func:`check_conservation` at its
+        seeded start velocities."""
+        report = check_conservation(pair, n_traj=n_traj, seed=seed)
+        f = np.array([row.start_value for row in report.rows
+                      if row.integral_id == "quadratic_2d"])
+        v = seeded_starts(pair, n_traj, np.random.default_rng(seed))[1]
+        basis = np.stack([v[:, 0] ** 2, 2.0 * v[:, 0] * v[:, 1], v[:, 1] ** 2], axis=1)
+        (a, b, c), *_ = np.linalg.lstsq(basis, f, rcond=None)
+        assert np.allclose(basis @ [a, b, c], f, rtol=0.0, atol=1e-13)  # F is that form
+        return np.array([[a, b], [b, c]])
 
     def test_planar_integral_equal_metrics(self):
-        pair = constant_pair(np.diag([2.0, 5.0]), np.diag([2.0, 5.0]))
-        p = PhasePoint([0.0, 0.0], [1.0, 1.0])
-        assert f_integral_2d(pair, p) == pytest.approx(7.0, abs=1e-12)
+        form = self.planar_form(constant_pair(np.diag([2.0, 5.0]), np.diag([2.0, 5.0])))
+        assert np.ones(2) @ form @ np.ones(2) == pytest.approx(7.0, abs=1e-12)
 
     def test_planar_integral_value(self):
-        pair = constant_pair(np.eye(2), np.diag([0.5, 0.25]))
-        p = PhasePoint([0.0, 0.0], [1.0, 1.0])
-        assert f_integral_2d(pair, p) == pytest.approx(3.0, abs=1e-12)
-
-    def test_planar_integral_dimension_guard(self):
-        pair = constant_pair(np.eye(3), np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            f_integral_2d(pair, PhasePoint([0.0] * 3, [1.0, 0.0, 0.0]))
+        form = self.planar_form(constant_pair(np.eye(2), np.diag([0.5, 0.25])))
+        assert np.ones(2) @ form @ np.ones(2) == pytest.approx(3.0, abs=1e-12)
 
     def test_frame_weights_sum_to_energy(self):
         pair = variable_pair()
@@ -304,27 +350,28 @@ class TestIntegrals:
 class TestIntegralRoots:
     def test_midpoint_root(self):
         pair = pair_with_constant_l(np.array([1.0, 3.0]))
-        rs = integral_roots(pair, PhasePoint([0.0, 0.0], [1.0, 1.0]))
-        assert rs.roots == pytest.approx([2.0], abs=1e-11)
-        assert rs.brackets[0] == pytest.approx((1.0, 3.0), abs=1e-12)
+        roots = integral_roots_many(pair, np.zeros(2), [1.0, 1.0])
+        assert roots == pytest.approx([2.0], abs=1e-11)
+        mu = frame_weights(pair, np.zeros(2), [1.0, 1.0])[0]
+        assert mu == pytest.approx([1.0, 3.0], abs=1e-12)  # the root's bracket
 
     def test_quadratic_roots_three_eigenvalues(self):
         pair = pair_with_constant_l(np.array([1.0, 2.0, 4.0]))
-        rs = integral_roots(pair, PhasePoint([0.0] * 3, [1.0, 1.0, 1.0]))
+        roots = integral_roots_many(pair, np.zeros(3), [1.0, 1.0, 1.0])
         expected = [(7 - np.sqrt(7)) / 3, (7 + np.sqrt(7)) / 3]
-        assert rs.roots == pytest.approx(expected, abs=1e-10)
-        lo, hi = rs.roots
+        assert roots == pytest.approx(expected, abs=1e-10)
+        lo, hi = roots
         assert 1.0 <= lo <= 2.0 <= hi <= 4.0
 
     def test_boundary_root(self):
         pair = pair_with_constant_l(np.array([1.0, 3.0]))
-        rs = integral_roots(pair, PhasePoint([0.0, 0.0], [1.0, 0.0]))
-        assert rs.roots == pytest.approx([3.0], abs=1e-11)
+        roots = integral_roots_many(pair, np.zeros(2), [1.0, 0.0])
+        assert roots == pytest.approx([3.0], abs=1e-11)
 
     def test_pinned_root_on_eigenvalue_cluster(self):
         pair = pair_with_constant_l(np.array([2.0, 2.0, 5.0]))
-        rs = integral_roots(pair, PhasePoint([0.0] * 3, [1.0, 1.0, 1.0]))
-        assert rs.roots == pytest.approx([2.0, 4.0], abs=1e-10)
+        roots = integral_roots_many(pair, np.zeros(3), [1.0, 1.0, 1.0])
+        assert roots == pytest.approx([2.0, 4.0], abs=1e-10)
 
     def test_batched_matches_single(self):
         pair = variable_pair()
@@ -333,8 +380,7 @@ class TestIntegralRoots:
         vs = rng.normal(size=(15, 2))
         batch = integral_roots_many(pair, xs, vs)
         for i in range(15):
-            rs = integral_roots(pair, PhasePoint(xs[i], vs[i]))
-            assert batch[i] == pytest.approx(list(rs.roots), abs=1e-11)
+            assert batch[i] == pytest.approx(integral_roots_many(pair, xs[i], vs[i]), abs=1e-11)
 
     def test_points_broadcast_against_their_velocities(self):
         pair = variable_pair()
@@ -352,7 +398,7 @@ class TestIntegralRoots:
     def test_zero_velocity_is_a_bracket_failure(self):
         pair = pair_with_constant_l(np.array([1.0, 2.0, 4.0]))
         with pytest.raises(BracketFailure, match="velocity is zero"):
-            integral_roots(pair, PhasePoint([0.0] * 3, 0.0 * np.array([1.0, 1.0, 1.0])))
+            integral_roots_many(pair, np.zeros(3), 0.0 * np.array([1.0, 1.0, 1.0]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_solver_interlaces_and_pins_on_random_rows(self, n):
@@ -386,10 +432,10 @@ class TestIntegralRoots:
         rng = np.random.default_rng(5)
         xs = pair.chart.sample(rng, 10)
         vs = rng.normal(size=(10, 2))
+        coeffs = adjugate_integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)
         for i in range(10):
-            p = PhasePoint(xs[i], vs[i])
-            for r in integral_roots(pair, p).roots:
-                assert abs(i_t(pair, p, r)) < 1e-8
+            for r in integral_roots_many(pair, xs[i], vs[i]):
+                assert abs(np.polynomial.polynomial.polyval(r, coeffs[i])) < 1e-8
         # On every registry family, the batched roots (eigenframe path) are
         # zeros of the adjugate polynomial (L path), relative to the size of
         # its terms at the root.
@@ -398,10 +444,26 @@ class TestIntegralRoots:
             xs = pair.chart.sample(rng, 200)
             vs = rng.normal(size=(200, pair.dim))
             roots = integral_roots_many(pair, xs, vs)
-            coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)[:, None, :]
-            terms = coeffs * roots[..., None] ** np.arange(pair.dim)
+            coeffs = adjugate_integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)
+            terms = coeffs[:, None, :] * roots[..., None] ** np.arange(pair.dim)
             residual = np.abs(np.sum(terms, axis=-1)) / np.sum(np.abs(terms), axis=-1)
             assert np.max(residual) < 1e-12, name
+
+
+@pytest.mark.parametrize("name", STANDARD_FAMILIES)
+def test_the_frame_route_integrals_agree_with_the_adjugate_reference(name):
+    pair = standard_pair(name)
+    rng = np.random.default_rng(17)
+    xs = pair.chart.sample(rng, 200)
+    vs = rng.normal(size=(200, pair.dim))
+    g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
+    mu, w = _frame_weights(g, gb, vs)
+    coeffs = adjugate_integral_coeffs(g, gb, vs)
+    random_t = rng.uniform(np.min(mu) - 1.0, np.max(mu) + 1.0, size=(200, 7))
+    for ts in (random_t, _roots_many(mu, w)):  # the second: each point's own roots
+        terms = coeffs[:, None, :] * ts[..., None] ** np.arange(pair.dim)
+        gap = np.abs(_integrals(mu, w, ts) - np.sum(terms, axis=-1))
+        assert np.max(gap / np.sum(np.abs(terms), axis=-1)) < 1e-12, name
 
 
 class TestNijenhuis:
@@ -490,13 +552,13 @@ class TestDiagnostics:
 
 
 def bracket_by_axis(pair, x, p, t1, t2, step=1e-5):
-    """The reference: the bracket from 8n scalar ``i_t`` calls, one per
+    """The reference: the bracket from 8n single-point integrals, one per
     integral, axis and sign, each evaluating both metrics at its point."""
     x, p, n = np.asarray(x, dtype=float), np.asarray(p, dtype=float), pair.dim
 
     def integral(t, xx, pp):
         v = np.linalg.solve(pair.g.eval(xx[None, :])[0], pp)
-        return i_t(pair, PhasePoint(xx, v), t)
+        return integral_at(pair, xx, v, t)[0]
 
     def grad(t):
         dx, dp = np.zeros(n), np.zeros(n)
@@ -532,8 +594,11 @@ def test_the_stacked_bracket_equals_the_per_axis_integral_loop(build, x, p, t1, 
     pair = build()
     got = poisson_bracket_fd(pair, x, p, t1, t2)
     assert got == bracket_by_axis(pair, x, p, t1, t2)
-    if build is flat_probe_pair:
-        assert flat_bracket_probe() == abs(got)
+
+
+def test_the_bracket_vanishes_on_the_flat_probe():
+    # The weak commutation probe: I_0.3 and I_0.7 on a flat-chart pair.
+    assert abs(poisson_bracket_fd(flat_probe_pair(), [0.1, -0.2], [0.3, 0.4], 0.3, 0.7)) < 1e-5
 
 
 @pytest.mark.parametrize("name", ["lc_nd", "three_d_axial", "product_s1_s2"])

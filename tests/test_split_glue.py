@@ -44,6 +44,20 @@ def diag_tensor_pair(diag_fn, dim, box):
                       gbar=MetricField(chart=chart, eval=gbar_eval))
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_cut_across_the_bifurcation_locus_is_refused(r):
+    # All three eigenvalues of three_d_full meet at the chart centre, a
+    # point of no 16-per-axis grid; the gap scan holds the centre as well.
+    pair = standard_pair("three_d_full")
+    with pytest.raises(GapViolated, match="^eigenvalue ranges overlap across the cut"):
+        split_pair(pair, r)
+    # A read of the splitting tensors at the centre names it.
+    xs = np.concatenate([pair.chart.sample(np.random.default_rng(3), 4), np.zeros((1, 3))])
+    with pytest.raises(GapViolated, match=rf"^eigenvalues {r} and {r + 1} of L meet across "
+                       r"the cut at \[0\.0, 0\.0, 0\.0\]$"):
+        split_tensors(pair, xs, r)
+
+
 def test_split_tensors_constant_example():
     pair = diag_tensor_pair(
         lambda xs: np.broadcast_to(np.array([1.0, 2.0, 4.0]), xs.shape[:-1] + (3,)),

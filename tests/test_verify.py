@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import geq.projective as projective
 import geq.verify as verify
 
 from geq.charts import Chart, _spray, integrate_geodesics
@@ -11,12 +12,12 @@ from geq.constructions import beltrami_pair
 from geq.normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                               ScalarFunction1D, levi_civita_pair,
                               model_form_pair, random_levi_civita_data)
-from geq.projective import _integral_coeffs, eigen_range, integral_roots_many
+from geq.projective import _integrals, eigen_range, frame_weights, integral_roots_many
 from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,
                         STANDARD_FAMILIES, check_conservation,
                         check_equivalence, check_interlacing,
-                        control_conformal_pair, flat_bracket_probe,
-                        nijenhuis_control_pair, seeded_starts, standard_pair)
+                        control_conformal_pair, nijenhuis_control_pair,
+                        seeded_starts, standard_pair)
 
 INTERVAL = (-0.5, 0.5)
 
@@ -210,9 +211,9 @@ def test_conservation_rows_match_a_per_trajectory_recomputation():
     expected = []
     for idx, traj in enumerate(trajectories):
         xs, vs = traj.points, traj.velocities
-        coeffs = _integral_coeffs(pair.g.eval(xs), pair.gbar.eval(xs), vs)
-        series = [(f"integral_t={t:.9g}", np.polynomial.polynomial.polyval(t, coeffs.T))
-                  for t in report.t_values]
+        integrals = _integrals(*frame_weights(pair, xs, vs), np.array(report.t_values))
+        series = [(f"integral_t={t:.9g}", integrals[:, j])
+                  for j, t in enumerate(report.t_values)]
         roots = integral_roots_many(pair, xs, vs)
         series += [(f"root_{i}", roots[:, i]) for i in range(roots.shape[1])]
         g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
@@ -254,8 +255,17 @@ def test_interlacing_pins_roots_at_a_coincidence_point():
     assert report.max_pin_deviation < 1e-9
 
 
-def test_flat_bracket_probe_vanishes():
-    assert flat_bracket_probe() < 1e-5
+def test_conservation_takes_integrals_range_and_roots_from_one_congruence(monkeypatch):
+    calls = []
+
+    def counting(g, gb):
+        calls.append(g.shape)
+        return congruence(g, gb)
+
+    congruence = projective._congruence
+    monkeypatch.setattr(projective, "_congruence", counting)
+    check_conservation(lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)), n_traj=3, seed=4)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", STANDARD_FAMILIES)
