@@ -11,13 +11,14 @@ finite-difference Nijenhuis torsion of the ``L`` field.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from ._batch import cholesky_inverse
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
-from .charts import FD_STEP, MetricField, _full_step_differences
+from .charts import FD_STEP, Chart, MetricField, _full_step_differences, positivity_grid_size
 from .errors import BracketFailure, NotPositiveDefinite, SingularMetric
 
 Array = np.ndarray
@@ -30,6 +31,16 @@ CLUSTER_RADIUS = 1e-8
 # kernel: at 128 matrices it beats LAPACK at every n from 2 to 5, at 64 not
 # yet at n = 4 and 5.
 BATCH_KERNEL_MIN = 128
+
+# The ratio ``nu_0 / nu_max`` of the eigenvalues of ``B`` (:func:`_congruence`),
+# which is ``mu_0 / mu_max`` for those of ``L``, above which a base metric counts
+# as positive definite.  A singular one leaves ``nu_0`` at the rounding level of
+# the eigen solve, of either sign: at most 5.2e-16 of ``nu_max`` for rank-deficient
+# base metrics of dimension 2 to 5 against well-conditioned companions.  Over the
+# registry's gap-scan grids the ratio stays above 1.1e-2; the steep sphere
+# pullback of ``diag(1, 1e5, 1e10)``, whose metrics' condition number reaches
+# 1e14, reads 1.75e-14.
+DEFINITE_FLOOR = 2e-15
 
 _BRACKET_STEP = 1e-5  # absolute, in every position and momentum coordinate
 
@@ -54,6 +65,23 @@ class MetricPair:
     @property
     def dim(self) -> int:
         return self.g.chart.dim
+
+    @functools.cached_property
+    def _eigen_ranges(self) -> tuple[tuple[float, float], ...]:
+        """The gap scan, made on first use and shared by every cut of the pair:
+        for each index ``i``, the smallest and largest ascending eigenvalue
+        ``mu_i`` of ``L`` over :func:`_scan_grid` and the chart centre, ``2 n``
+        floats.  A scan that raises stores nothing, and a new pair (as
+        ``dataclasses.replace`` builds) scans again."""
+        grid = np.concatenate([_scan_grid(self.chart), self.chart.center[None, :]])
+        mu = _l_values(self.g.eval(grid), self.gbar.eval(grid))
+        return tuple((float(lo), float(hi)) for lo, hi in zip(mu.min(axis=0), mu.max(axis=0)))
+
+
+def _scan_grid(chart: Chart) -> Array:
+    """The deterministic grid on which eigenvalue ranges are sampled: 16 points
+    per axis, at most 20,000 in all."""
+    return chart.grid(positivity_grid_size(chart.dim, per_axis_cap=16, total_cap=20_000))
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +147,13 @@ def _congruent(g: Array, k_inv: Array | None) -> tuple[Array, Array]:
 def _l_scale(nu: Array) -> Array:
     """The factor ``ratio = (prod nu)^(-1/(n+1))`` that takes the eigenvalues
     ``nu`` of ``B`` (ascending, ``prod nu = det g / det gb``) to those of ``L``;
-    ``nu[..., 0] <= 0`` means an indefinite base metric."""
-    if not np.all(nu[..., 0] > 0.0):
+    ``nu[..., 0]`` not above :data:`DEFINITE_FLOOR` times ``nu[..., -1]`` means a
+    singular or indefinite base metric.  The power is an array power at every
+    shape (a numpy scalar's rounds differently), so no bit of a point depends on
+    its batch."""
+    if not np.all(nu[..., 0] > DEFINITE_FLOOR * nu[..., -1]):
         raise NotPositiveDefinite("base metric is not positive definite")
-    return np.prod(nu, axis=-1) ** (-1.0 / (nu.shape[-1] + 1))
+    return (np.prod(nu, axis=-1, keepdims=True) ** (-1.0 / (nu.shape[-1] + 1)))[..., 0]
 
 
 def _spectrum(b: Array) -> tuple[Array, Array]:
@@ -252,7 +283,8 @@ def _roots_many(mu: Array, w: Array) -> Array:
 def _frame_weights(g: Array, gb: Array, vs: Array) -> tuple[Array, Array]:
     """:func:`frame_weights` from both metrics at the points."""
     mu, vecs = _l_frame(g, gb)
-    w = np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
+    m = np.swapaxes(vecs, -1, -2) @ g  # once per point, however many vectors it has
+    w = (m @ vs[..., None])[..., 0] ** 2
     return np.broadcast_to(mu, w.shape), w
 
 

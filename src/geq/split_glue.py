@@ -19,9 +19,9 @@ import dataclasses
 import numpy as np
 
 from ._validate import expect_instance, expect_int, fail
-from .charts import Chart, MetricField, positivity_grid_size
+from .charts import Chart, MetricField
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import MetricPair, _char_scale, _l_values, _l_with, _spectrum, eigen_range
+from .projective import MetricPair, _char_scale, _l_with, _scan_grid, _spectrum, eigen_range
 
 Array = np.ndarray
 
@@ -30,7 +30,8 @@ Array = np.ndarray
 class SplitResult:
     """Block factorization of a pair: block size, the two block-diagonal
     metrics, the coordinate-index partition, and each block's eigenvalue
-    range over the gap scan's grid."""
+    range over the gap scan's grid, read from the pair's one scan, which
+    every cut of the pair shares."""
 
     r: int
     h: MetricField
@@ -55,9 +56,7 @@ class EquivTriple:
 def make_triple(pair: MetricPair) -> EquivTriple:
     """Wrap a pair with its eigenvalue range, sampled on a deterministic
     grid."""
-    grid = pair.chart.grid(positivity_grid_size(pair.dim, per_axis_cap=16,
-                                                total_cap=20_000))
-    return EquivTriple(pair=pair, eigen_range=eigen_range(pair, grid))
+    return EquivTriple(pair=pair, eigen_range=eigen_range(pair, _scan_grid(pair.chart)))
 
 
 def _poly_from_linear_factors(roots: Array) -> Array:
@@ -153,15 +152,14 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     (where the closed-form bifurcation families make their eigenvalues
     meet).  The scan also gives each block's range:
     by the splitting lemma a block's eigenvalues depend only on its own
-    coordinates.
+    coordinates.  The scan is made once per pair, on its first cut, and
+    every later cut of the same pair reads it (``MetricPair._eigen_ranges``).
     """
     n = expect_instance(pair, MetricPair, "pair").dim
     r = expect_int(r, "r", 1, n - 1)
-    grid = pair.chart.grid(positivity_grid_size(n, per_axis_cap=16, total_cap=20_000))
-    grid = np.concatenate([grid, pair.chart.center[None, :]])
-    mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
-    low = (float(np.min(mu[..., 0])), float(np.max(mu[..., r - 1])))
-    high = (float(np.min(mu[..., r])), float(np.max(mu[..., -1])))
+    ranges = pair._eigen_ranges
+    low = (ranges[0][0], ranges[r - 1][1])
+    high = (ranges[r][0], ranges[-1][1])
     if low[1] >= high[0]:
         raise GapViolated(
             f"eigenvalue ranges overlap across the cut: sup {low[1]} >= inf {high[0]}")

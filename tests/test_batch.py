@@ -82,11 +82,25 @@ def test_a_bad_companion_raises_on_both_sides_of_the_threshold(kind, m, eigen):
 @pytest.mark.parametrize("kind", ["indefinite", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("m", [1, BATCH_KERNEL_MIN, CHUNK + 3])
 def test_a_bad_base_metric_raises_on_both_sides_of_the_threshold(kind, m):
-    # A singular base metric is left out: whether its zero eigenvalue rounds to
-    # a positive number decides the outcome, on either path.  A non-finite
-    # entry is refused before any arithmetic, so no numpy warning is raised.
+    # A non-finite entry is refused before any arithmetic, so no numpy warning
+    # is raised.  A singular base metric has its own test, below.
     with pytest.raises(NotPositiveDefinite):
         _l_values(spoiled(m, 3, kind), spd_batch(m, 3, seed=1))
+
+
+@pytest.mark.parametrize("m", [1, BATCH_KERNEL_MIN - 1, BATCH_KERNEL_MIN, BATCH_KERNEL_MIN + 1])
+@pytest.mark.parametrize("eigen", [_l_values, _l_frame], ids=["values", "frame"])
+def test_a_singular_base_metric_raises_on_both_eigen_routes(m, eigen):
+    # The least eigenvalue of a rank-1 base metric rounds to either sign, and
+    # the two routes' solvers round it differently; DEFINITE_FLOOR refuses it
+    # whichever way it falls.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = spd_batch(m, 3, seed=2 * seed)
+        u = rng.normal(size=3)
+        g[rng.integers(m)] = np.outer(u, u)
+        with pytest.raises(NotPositiveDefinite, match="^base metric is not positive definite$"):
+            eigen(g, spd_batch(m, 3, seed=2 * seed + 1))
 
 
 @pytest.mark.parametrize("m", SIZES)

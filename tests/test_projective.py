@@ -31,7 +31,8 @@ from geq.projective import (
     poisson_bracket_fd,
 )
 from geq.split_glue import EquivTriple, glue_pair
-from geq.verify import STANDARD_FAMILIES, check_conservation, seeded_starts, standard_pair
+from geq.verify import (EQUIVALENT_FAMILIES, STANDARD_FAMILIES, check_conservation,
+                        seeded_starts, standard_pair)
 from test_verify import counted
 
 
@@ -450,6 +451,35 @@ class TestIntegralRoots:
             assert np.max(residual) < 1e-12, name
 
 
+def einsum_frame_weights(g, gb, vs):
+    """The squared frame coordinates by one three-operand einsum, which forms
+    ``V^T g`` again for every vector: the reference for :func:`_frame_weights`."""
+    vecs = _l_frame(g, gb)[1]
+    return np.einsum("...ji,...jk,...k->...i", vecs, g, vs) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_frame_weights_agree_with_the_einsum_reference(n):
+    g, gb = TestLEigen.changed_separable_metrics(n)
+    vs = np.random.default_rng(n).normal(size=(len(g), 10, n))
+    # check_interlacing's broadcast shape, then check_conservation's stacked one
+    for args in ((g[:, None], gb[:, None], vs), (g, gb, vs[:, 0])):
+        mu, w = _frame_weights(*args)
+        ref = einsum_frame_weights(*args)
+        assert w.shape == mu.shape == ref.shape
+        assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(ref)
+
+
+@pytest.mark.parametrize("name", EQUIVALENT_FAMILIES)
+def test_a_point_has_the_same_frame_weights_alone_and_in_a_batch_of_one(name):
+    pair = standard_pair(name)
+    rng = np.random.default_rng(12)
+    for x, v in zip(pair.chart.sample(rng, 50), rng.normal(size=(50, pair.dim))):
+        mu, w = frame_weights(pair, x, v)
+        batch_mu, batch_w = frame_weights(pair, x[None], v[None])
+        assert np.array_equal(mu, batch_mu[0]) and np.array_equal(w, batch_w[0])
+
+
 @pytest.mark.parametrize("name", STANDARD_FAMILIES)
 def test_the_frame_route_integrals_agree_with_the_adjugate_reference(name):
     pair = standard_pair(name)
@@ -669,6 +699,8 @@ def test_l_and_char_of_a_point_do_not_depend_on_its_batch(n, m):
     for i in (0, m // 2, m - 1):  # the last one lies in the kernel's second chunk at 4099
         alone = l_with_char(g[i:i + 1], gb[i:i + 1])
         assert np.array_equal(alone[0][0], L[i]) and np.array_equal(alone[1][0], char[i])
+        unbatched = l_with_char(g[i], gb[i])
+        assert np.array_equal(unbatched[0], L[i]) and np.array_equal(unbatched[1], char[i])
 
 
 @pytest.mark.parametrize("m", [1, BATCH_KERNEL_MIN])

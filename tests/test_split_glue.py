@@ -1,10 +1,12 @@
 """Tests for splitting pairs into block factors and gluing them back."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geq import split_glue
 from geq.charts import Chart, MetricField, _on_stencil, _spray
-from geq.errors import EigenOrderViolated, GapViolated, NotPositive
+from geq.errors import EigenOrderViolated, GapViolated, NotPositive, NotPositiveDefinite
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import MetricPair, _l_partials, l_eigen, l_tensor
 from geq.split_glue import (EquivTriple, glue_pair, make_triple, oplus,
@@ -244,6 +246,50 @@ def test_each_point_batch_evaluates_the_base_pair_once():
     glued.g.eval(xs)
     glued.gbar.eval(xs)
     assert counts == {"g": 3, "gbar": 3}  # one per leaf at xs
+
+
+def test_every_cut_of_a_pair_reads_one_gap_scan():
+    n = 5
+    pair, counts = counted(lc_pair(*((0.5 * (k + 1), 0.2) for k in range(n))))
+    results = [split_pair(pair, r) for r in range(1, n)]
+    assert counts == {"g": 1, "gbar": 1}
+    ranges = vars(pair)["_eigen_ranges"]
+    # 2 n floats, and nothing grid-sized held on the pair
+    assert len(ranges) == n and all(len(bounds) == 2 for bounds in ranges)
+    assert all(type(value) is float for bounds in ranges for value in bounds)
+    assert not any(isinstance(value, np.ndarray) for value in vars(pair).values())
+    for r, res in enumerate(results, start=1):
+        assert res.factor_ranges == ((ranges[0][0], ranges[r - 1][1]),
+                                     (ranges[r][0], ranges[-1][1]))
+
+
+def test_a_replaced_companion_is_scanned_again():
+    pair, counts = counted(lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)))
+    before = split_pair(pair, 1).factor_ranges
+    gbar = pair.gbar
+    scaled = MetricField(chart=gbar.chart, eval=lambda xs: 16.0 * gbar.eval(xs))
+    after = split_pair(dataclasses.replace(pair, gbar=scaled), 1).factor_ranges
+    assert counts == {"g": 2, "gbar": 2}
+    # In dimension 3, gbar -> 16 gbar takes L to 16^(-1/4) L = L / 2.
+    assert np.array(after) == pytest.approx(0.5 * np.array(before), rel=1e-14)
+    assert after == split_pair(MetricPair(g=pair.g, gbar=scaled), 1).factor_ranges
+    assert split_pair(pair, 1).factor_ranges == before
+    assert counts == {"g": 3, "gbar": 3}  # the fresh pair's scan; the old pair kept its own
+
+
+def test_a_scan_that_raises_is_not_kept():
+    chart = Chart(3, (INTERVAL,) * 3)
+
+    def constant(mat):
+        return MetricField(chart=chart, eval=lambda xs: np.broadcast_to(
+            mat, np.shape(xs)[:-1] + (3, 3)).copy())
+
+    pair, counts = counted(MetricPair(g=constant(np.diag([1.0, -2.0, 3.0])),
+                                      gbar=constant(np.eye(3))))
+    for calls in (1, 2):
+        with pytest.raises(NotPositiveDefinite, match="^base metric is not positive definite$"):
+            split_pair(pair, calls)
+        assert counts["g"] == calls and "_eigen_ranges" not in vars(pair)
 
 
 def split_fields(pair):
