@@ -127,7 +127,6 @@ class MetricField:
     chart: Chart
     eval: Callable[[Array], Array]
     jet: Optional[Callable[[Array], tuple[Array, Array]]] = None
-    provenance: str = ""
 
 
 def metric_at(field: MetricField, x: Array) -> Array:
@@ -256,7 +255,6 @@ class PhasePoint:
 class StepperStats:
     accepted: int
     rejected: int
-    tol: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,7 +396,7 @@ def integrate_geodesics(
             velocities=velocities,
             accelerations=accelerations,
             left_chart=bool(left[b]),
-            stepper_stats=StepperStats(int(accepted[b]), int(rejected[b]), tol),
+            stepper_stats=StepperStats(int(accepted[b]), int(rejected[b])),
         )
         for b, (times, points, velocities, accelerations) in enumerate(zip(
             np.split(np.concatenate(ts)[order], cuts),
@@ -424,28 +422,21 @@ class ChartMap:
     """A differentiable map between charts.
 
     ``forward`` maps points of ``source`` into the target chart;
-    ``jacobian`` returns ``(..., target_dim, source_dim)`` arrays (computed
-    by finite differences when absent).  ``inverse`` and
-    ``inverse_jacobian`` describe the reverse direction when available;
-    ``inverse_source`` is the chart on which the inverse is defined.
+    ``jacobian`` returns ``(..., target_dim, source_dim)`` arrays.
+    ``inverse`` and ``inverse_jacobian`` describe the reverse direction when
+    available; ``inverse_source`` is the chart on which the inverse is
+    defined.
     """
 
     source: Chart
     forward: Callable[[Array], Array]
-    jacobian: Optional[Callable[[Array], Array]] = None
+    jacobian: Callable[[Array], Array]
     inverse: Optional[Callable[[Array], Array]] = None
     inverse_jacobian: Optional[Callable[[Array], Array]] = None
     inverse_source: Optional[Chart] = None
 
-    def jacobian_at(self, y: Array) -> Array:
-        y = np.asarray(y, dtype=float)
-        if self.jacobian is not None:
-            return self.jacobian(y)
-        _, d = _full_step_differences(self.forward, self.source, y)
-        return np.moveaxis(d, 0, -1)
-
     def inverted(self) -> "ChartMap":
-        if self.inverse is None or self.inverse_source is None:
+        if self.inverse is None or self.inverse_jacobian is None or self.inverse_source is None:
             fail("inverse", "this chart map does not carry one")
         return ChartMap(
             source=self.inverse_source,
@@ -465,16 +456,15 @@ def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:
     ``|det J| < 1e-12`` raises :class:`DegenerateJacobian`.
     """
     grid = chart_map.source.grid(5)
-    dets = np.linalg.det(chart_map.jacobian_at(grid))
+    dets = np.linalg.det(chart_map.jacobian(grid))
     if np.any(np.abs(dets) < 1e-12):
         raise DegenerateJacobian("chart map Jacobian is numerically singular on the source box")
 
     def eval_fn(y: Array) -> Array:
         y = np.asarray(y, dtype=float)
-        j = chart_map.jacobian_at(y)
+        j = chart_map.jacobian(y)
         g = field.eval(chart_map.forward(y))
         out = np.swapaxes(j, -1, -2) @ g @ j
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
-    return MetricField(chart=chart_map.source, eval=eval_fn,
-                       provenance=f"pushforward({field.provenance})")
+    return MetricField(chart=chart_map.source, eval=eval_fn)

@@ -539,8 +539,8 @@ _check_command("equivalence", "check-equivalence",
                "Unparametrized-geodesic test: the companion residual must "
                "stay parallel to the velocity.")
 _check_command("conservation", "check-conservation",
-               "Drift of the polynomial integral family, its roots, and (2D) "
-               "the quadratic integral.")
+               "Drift of the polynomial integral family and its roots (in 2D "
+               "the quadratic integral is the member at t = 0).")
 _check_command("interlacing", "check-interlacing",
                "Eigenvalue bracketing of the integral roots over random phase "
                "samples.")

@@ -18,9 +18,10 @@ import numpy as np
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_number,
                         fail)
 from .charts import Chart, MetricField, integrate_geodesics
-from .errors import DegenerateMap, EigenOrderViolated, GeqError, NotPositive
-from .projective import MetricPair, _l_values
+from .errors import DegenerateMap, EigenOrderViolated, NotPositive
+from .projective import MetricPair
 from .split_glue import EquivTriple, make_triple, oplus
+from .verify import seeded_starts
 
 Array = np.ndarray
 
@@ -120,14 +121,14 @@ class SphereChart:
         return np.einsum("ab,...bj->...aj", self._reflection, self._unreflected(ys)[1])
 
 
-def sphere_chart(dim: int, half_width: float = 0.75, pole=None) -> SphereChart:
-    """Default stereographic chart: a centered box, projected from the
-    last-axis pole (which the embedding image never approaches)."""
+def sphere_chart(dim: int, pole=None) -> SphereChart:
+    """Default stereographic chart: the box ``[-0.75, 0.75]^dim``, projected
+    from the last-axis pole (which the embedding image never approaches)."""
     dim = expect_int(dim, "dim", 1)
     if pole is None:
         pole = np.zeros(dim + 1)
         pole[-1] = 1.0
-    box = tuple((-half_width, half_width) for _ in range(dim))
+    box = ((-0.75, 0.75),) * dim
     return SphereChart(dim=dim, chart=Chart(dim, box), pole=pole)
 
 
@@ -172,15 +173,10 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         out = np.swapaxes(dmap, -1, -2) @ dmap
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
-    tag = f"beltrami(dim={dim})"
-    pair = MetricPair(
-        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2], jet=g_jet,
-                      provenance=tag),
-        gbar=MetricField(chart=sphere.chart, eval=gbar_eval,
-                         provenance=tag + "/companion"),
-        provenance=tag,
-    )
-    return make_triple(pair)
+    return make_triple(MetricPair(
+        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2], jet=g_jet),
+        gbar=MetricField(chart=sphere.chart, eval=gbar_eval),
+    ))
 
 
 def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
@@ -202,22 +198,12 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
         m, dm = base.jet(xs)
         return factor * m, factor * dm
 
-    tag = f"scale({factor}, {pair.provenance})"
     scaled = MetricPair(
-        g=MetricField(chart=pair.chart, eval=g_eval,
-                      jet=None if base.jet is None else g_jet, provenance=tag),
+        g=MetricField(chart=pair.chart, eval=g_eval, jet=None if base.jet is None else g_jet),
         gbar=pair.gbar,
-        provenance=tag,
     )
     lo, hi = triple.eigen_range
-    out = EquivTriple(pair=scaled, eigen_range=(lo * eig_scale, hi * eig_scale))
-    # Spot-check the scaling relation on the actual tensor eigenvalues.
-    probe = pair.chart.grid(2)
-    before = _l_values(pair.g.eval(probe), pair.gbar.eval(probe))
-    after = _l_values(scaled.g.eval(probe), scaled.gbar.eval(probe))
-    if not np.allclose(after, eig_scale * before, rtol=1e-8, atol=1e-10):
-        raise GeqError(f"factor: the eigenvalues of L did not scale by {eig_scale:g}")
-    return out
+    return EquivTriple(pair=scaled, eigen_range=(lo * eig_scale, hi * eig_scale))
 
 
 def _chart_eigen_bounds(a_map: LinearMap, sphere: SphereChart) -> tuple[float, float]:
@@ -312,15 +298,10 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     on a circle (ambient R^2), where every curve lies in one plane.
     """
     n_circles = expect_int(n_circles, "n_circles", 1)
-    triple = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere)
-    field = triple.pair.g
+    pair = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere).pair
     rng = np.random.default_rng(expect_int(seed, "seed", 0))
-    starts = sphere.chart.sample(rng, n_circles, shrink=0.6)
-    vels = rng.normal(size=(n_circles, sphere.dim))
-    g0 = field.eval(starts)
-    norms = np.sqrt(np.einsum("bi,bij,bj->b", vels, g0, vels))
-    vels = vels / norms[:, None]
-    trajectories = integrate_geodesics(field, starts, vels, 1.0, tol)
+    starts, vels = seeded_starts(pair, n_circles, rng)
+    trajectories = integrate_geodesics(pair.g, starts, vels, 1.0, tol)
 
     def off_plane(points: Array) -> float:
         sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)

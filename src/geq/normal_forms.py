@@ -246,13 +246,9 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         d[..., :, idx, idx] = diagonal[..., None, :] * log_grad
         return diag_embed(diagonal), d
 
-    tag = f"lc_nd(n={n})"
     return MetricPair(
-        g=MetricField(chart=data.chart, eval=g_eval, jet=lambda xs: jet(xs, False),
-                      provenance=tag),
-        gbar=MetricField(chart=data.chart, eval=gbar_eval, jet=lambda xs: jet(xs, True),
-                         provenance=tag + "/companion"),
-        provenance=tag,
+        g=MetricField(chart=data.chart, eval=g_eval, jet=lambda xs: jet(xs, False)),
+        gbar=MetricField(chart=data.chart, eval=gbar_eval, jet=lambda xs: jet(xs, True)),
     )
 
 
@@ -437,12 +433,8 @@ def _realize_on_box(kind: FormKind, make_fields, dim: int, box_half: float,
         grid = chart.grid(positivity_grid_size(dim))
         if (_certified_positive(g_eval, grid) and _certified_positive(gbar_eval, grid)
                 and (extra_ok is None or extra_ok(grid))):
-            tag = kind.value
-            return MetricPair(
-                g=MetricField(chart=chart, eval=g_eval, provenance=tag),
-                gbar=MetricField(chart=chart, eval=gbar_eval, provenance=tag + "/companion"),
-                provenance=tag,
-            )
+            return MetricPair(g=MetricField(chart=chart, eval=g_eval),
+                              gbar=MetricField(chart=chart, eval=gbar_eval))
         half *= 0.5
     raise NotRealizable(
         f"{kind.value}: positive definiteness failed even after six box halvings")

@@ -52,7 +52,6 @@ class MetricPair:
 
     g: MetricField
     gbar: MetricField
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if self.g.chart != self.gbar.chart:
@@ -89,15 +88,21 @@ def _scan_grid(chart: Chart) -> Array:
 
 
 def _l_from(g: Array, gb: Array) -> Array:
-    """Batched tensor ``L`` of shape ``(..., n, n)`` from both metrics;
-    a determinant that is not positive raises :class:`SingularMetric`."""
-    n = g.shape[-1]
-    detg = np.linalg.det(g)
-    detgb = np.linalg.det(gb)
-    if not (np.all(detg > 0.0) and np.all(detgb > 0.0)):
-        raise SingularMetric("a metric determinant is not positive")
-    ratio = (detgb / detg) ** (1.0 / (n + 1))
+    """Batched tensor ``L`` of shape ``(..., n, n)`` from both metrics, the
+    determinant ratio from their Cholesky pivots.  A non-finite entry raises
+    :class:`NotPositiveDefinite`, and so does a failed pivot, naming its metric."""
+    _expect_finite(g, gb)
+    pivots = _cholesky_pivots(gb, "companion") / _cholesky_pivots(g, "base")
+    ratio = pivots.prod(axis=-1) ** (2.0 / (g.shape[-1] + 1))
     return ratio[..., None, None] * np.linalg.solve(gb, g)
+
+
+def _cholesky_pivots(m: Array, name: str) -> Array:
+    """The diagonal of the Cholesky factor of ``m``, whose squared product is ``det m``."""
+    try:
+        return np.linalg.cholesky(m).diagonal(axis1=-2, axis2=-1)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(f"{name} metric is not positive definite") from None
 
 
 def l_tensor(pair: MetricPair, x: Array) -> Array:

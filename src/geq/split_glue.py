@@ -115,7 +115,7 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     return _split(pair, xs, r)[2:]
 
 
-def _twin_fields(chart: Chart, shared, assemble, tag: str) -> tuple[MetricField, MetricField]:
+def _twin_fields(chart: Chart, shared, assemble) -> tuple[MetricField, MetricField]:
     """Two metric fields fed by one evaluation ``shared(xs)`` of the
     intermediates both need; ``assemble(which, state)`` builds the matrix of
     field ``which`` (0 the base, 1 the companion) from them.
@@ -139,8 +139,8 @@ def _twin_fields(chart: Chart, shared, assemble, tag: str) -> tuple[MetricField,
                 slot[key] = state
         return assemble(which, state)
 
-    return (MetricField(chart=chart, eval=lambda xs: read(0, xs), provenance=tag),
-            MetricField(chart=chart, eval=lambda xs: read(1, xs), provenance=tag + "/companion"))
+    return (MetricField(chart=chart, eval=lambda xs: read(0, xs)),
+            MetricField(chart=chart, eval=lambda xs: read(1, xs)))
 
 
 def split_pair(pair: MetricPair, r: int) -> SplitResult:
@@ -170,15 +170,13 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
         m = np.linalg.solve(np.swapaxes(c, -1, -2), m)
         return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-    h, hbar = _twin_fields(pair.chart, lambda xs: _split(pair, xs, r), assemble,
-                           f"split(r={r}, {pair.provenance})")
+    h, hbar = _twin_fields(pair.chart, lambda xs: _split(pair, xs, r), assemble)
     return SplitResult(r=r, h=h, hbar=hbar,
                        index_split=(tuple(range(r)), tuple(range(r, n))),
                        factor_ranges=(low, high))
 
 
-def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array,
-                tag: str) -> MetricField:
+def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array) -> MetricField:
     """Restrict a block-diagonal field to a coordinate leaf: the remaining
     coordinates are frozen and only the block of the given indices
     survives."""
@@ -193,7 +191,7 @@ def _leaf_field(field: MetricField, indices: tuple[int, ...], frozen: Array,
         mats = field.eval(full)
         return mats[..., idx[:, None], idx[None, :]]
 
-    return MetricField(chart=sub_chart, eval=eval_fn, provenance=tag)
+    return MetricField(chart=sub_chart, eval=eval_fn)
 
 
 def split_factors(split: SplitResult) -> tuple[EquivTriple, EquivTriple]:
@@ -203,12 +201,8 @@ def split_factors(split: SplitResult) -> tuple[EquivTriple, EquivTriple]:
     center = split.h.chart.center
     triples = []
     for indices, eig_range in zip(split.index_split, split.factor_ranges):
-        tag = split.h.provenance + f"/leaf{indices}"
-        factor = MetricPair(
-            g=_leaf_field(split.h, indices, center, tag),
-            gbar=_leaf_field(split.hbar, indices, center, tag + "/companion"),
-            provenance=tag,
-        )
+        factor = MetricPair(g=_leaf_field(split.h, indices, center),
+                            gbar=_leaf_field(split.hbar, indices, center))
         triples.append(EquivTriple(pair=factor, eigen_range=eig_range))
     return triples[0], triples[1]
 
@@ -292,9 +286,8 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
         bar2 = (sign / det1)[..., None, None] * cross
         return _block_diagonal(_converted(bar1, gb1), _converted(bar2, gb2))
 
-    tag = f"glue({p1.provenance}, {p2.provenance})"
-    g, gbar = _twin_fields(chart, shared, assemble, tag)
-    return EquivTriple(pair=MetricPair(g=g, gbar=gbar, provenance=tag), eigen_range=(lo1, hi2))
+    g, gbar = _twin_fields(chart, shared, assemble)
+    return EquivTriple(pair=MetricPair(g=g, gbar=gbar), eigen_range=(lo1, hi2))
 
 
 def oplus(triples: list[EquivTriple]) -> EquivTriple:

@@ -132,11 +132,12 @@ def check_equivalence(pair: MetricPair, n_traj: int = 100, duration: float = 1.0
 
 
 def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0,
-                       tol: float = 1e-10, seed: int = 0,
-                       n_t_values: int = 5) -> ConservationReport:
+                       tol: float = 1e-10, seed: int = 0) -> ConservationReport:
     """Measure the relative drift, along geodesics of the base metric, of
-    the polynomial integral at sampled parameter values, of each of its
-    roots, and (in dimension two) of the quadratic integral.
+    the polynomial integral at five parameter values and of each of its
+    roots.  In dimension two this covers the classical quadratic integral
+    ``(det g / det gbar)^(2/3) gbar(v, v)``: it is ``I_0``, and ``I_t`` is
+    linear in ``t`` there.
 
     The parameter values span one unit beyond the eigenvalue range of
     ``L`` over the stored trajectory samples.  The drift of a series is
@@ -146,22 +147,14 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     solve (:func:`~geq.projective._frame_weights`) gives the parameter range,
     the integrals and their roots.
     """
-    n_t_values = expect_int(n_t_values, "n_t_values", 1)
     trajectories, xs, vs = _geodesic_samples(pair, n_traj, duration, tol, seed)
-    g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    mu, w = _frame_weights(g, gb, vs)
-    t_values = np.linspace(float(np.min(mu)) - 1.0, float(np.max(mu)) + 1.0, n_t_values)
+    mu, w = _frame_weights(pair.g.eval(xs), pair.gbar.eval(xs), vs)
+    t_values = np.linspace(float(np.min(mu)) - 1.0, float(np.max(mu)) + 1.0, 5)
     roots = _roots_many(mu, w)
     names = [f"integral_t={t:.9g}" for t in t_values]
     names += [f"root_{i}" for i in range(roots.shape[-1])]
-    columns = [_integrals(mu, w, t_values), roots]
-    if pair.dim == 2:
-        ratio = np.linalg.det(g) / np.linalg.det(gb)
-        quad = ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)
-        columns.append(quad[:, None])
-        names.append("quadratic_2d")
     # Columns are series; trajectory idx owns rows first[idx] to first[idx] + lengths[idx] - 1.
-    values = np.concatenate(columns, axis=1)
+    values = np.concatenate([_integrals(mu, w, t_values), roots], axis=1)
     lengths = np.array([len(t.points) for t in trajectories])
     first = np.cumsum(lengths) - lengths
     start = values[first]
@@ -230,11 +223,8 @@ def control_conformal_pair() -> MetricPair:
         factor = 1.0 + xs[..., 0] ** 2
         return factor[..., None, None] * np.eye(2)
 
-    tag = "control/conformal-nonequivalent"
-    return MetricPair(g=MetricField(chart=chart, eval=g_eval, provenance=tag),
-                      gbar=MetricField(chart=chart, eval=gbar_eval,
-                                       provenance=tag + "/companion"),
-                      provenance=tag)
+    return MetricPair(g=MetricField(chart=chart, eval=g_eval),
+                      gbar=MetricField(chart=chart, eval=gbar_eval))
 
 
 def nijenhuis_control_pair() -> MetricPair:
@@ -254,11 +244,8 @@ def nijenhuis_control_pair() -> MetricPair:
         out[..., 1, 1] = 1.0 / (a * a * b)
         return out
 
-    tag = "control/nonvanishing-torsion"
-    return MetricPair(g=MetricField(chart=chart, eval=g_eval, provenance=tag),
-                      gbar=MetricField(chart=chart, eval=gbar_eval,
-                                       provenance=tag + "/companion"),
-                      provenance=tag)
+    return MetricPair(g=MetricField(chart=chart, eval=g_eval),
+                      gbar=MetricField(chart=chart, eval=gbar_eval))
 
 
 # --- Ready-made families -------------------------------------------------

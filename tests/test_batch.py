@@ -163,7 +163,10 @@ def test_a_wide_start_halves_to_the_same_box(name, start, half):
 
 def test_the_package_has_one_triangular_inverse_path():
     """No module calls a general matrix inverse: the inverse Cholesky factor
-    comes from :func:`geq.projective._congruence` alone."""
+    comes from the batch kernel (:func:`geq._batch.cholesky_inverse`), which
+    :func:`geq.projective._l_with` calls at every size and
+    :func:`geq.projective._congruence` from ``BATCH_KERNEL_MIN`` matrices on,
+    or, below that size, from a triangular solve of LAPACK's Cholesky factor."""
     offenders = []
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -1,4 +1,6 @@
 """Charts, metric fields, Christoffel symbols, geodesics, pushforwards."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from geq.errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
     OutOfChart,
+    SchemaError,
 )
 from geq.verify import standard_pair
 
@@ -32,7 +35,7 @@ def constant_field(chart: Chart, matrix: np.ndarray) -> MetricField:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(matrix, x.shape[:-1] + matrix.shape).copy()
 
-    return MetricField(chart=chart, eval=eval_fn, provenance="constant")
+    return MetricField(chart=chart, eval=eval_fn)
 
 
 def flat_field(dim: int = 2, half: float = 2.0) -> MetricField:
@@ -51,7 +54,7 @@ def sphere_field(phi_hi: float = 7.0) -> MetricField:
         g[..., 1, 1] = np.sin(x[..., 0]) ** 2
         return g
 
-    return MetricField(chart=chart, eval=eval_fn, provenance="sphere")
+    return MetricField(chart=chart, eval=eval_fn)
 
 
 class TestChart:
@@ -119,7 +122,7 @@ def coupled_field() -> MetricField:
         g[..., 1, 2] = g[..., 2, 1] = 0.2 * np.cos(x[..., 1])
         return g
 
-    return MetricField(chart=chart, eval=eval_fn, provenance="coupled")
+    return MetricField(chart=chart, eval=eval_fn)
 
 
 def reference_fd_partials(field: MetricField, x: np.ndarray) -> np.ndarray:
@@ -436,7 +439,8 @@ def polar_map() -> ChartMap:
 class TestPushforward:
     def test_identity_map_keeps_field(self):
         field = flat_field()
-        ident = ChartMap(source=field.chart, forward=lambda y: np.asarray(y, dtype=float))
+        ident = ChartMap(source=field.chart, forward=lambda y: np.asarray(y, dtype=float),
+                         jacobian=lambda y: np.broadcast_to(np.eye(2), y.shape + (2,)))
         pushed = pushforward_metric(ident, field)
         pts = field.chart.sample(np.random.default_rng(3), 10)
         assert np.allclose(pushed.eval(pts), field.eval(pts), atol=1e-9)
@@ -450,37 +454,6 @@ class TestPushforward:
         expected[:, 0, 0] = np.exp(2 * pts[:, 0])
         expected[:, 1, 1] = np.exp(2 * pts[:, 0])
         assert np.allclose(pushed.eval(pts), expected, atol=1e-12)
-
-    def test_finite_difference_jacobian_path(self):
-        flat = Chart(2, ((-1.5, 1.5), (-1.5, 1.5)))
-        field = constant_field(flat, np.eye(2))
-        analytic = polar_map()
-        fd_map = ChartMap(source=analytic.source, forward=analytic.forward)
-        pushed = pushforward_metric(fd_map, field)
-        pts = fd_map.source.sample(np.random.default_rng(5), 20)
-        expected = np.exp(2 * pts[:, 0])[:, None, None] * np.eye(2)
-        assert np.allclose(pushed.eval(pts), expected, atol=1e-7)
-
-    @pytest.mark.parametrize("shape", [(6,), (2, 3)])
-    def test_finite_difference_jacobian_is_one_stacked_call(self, shape):
-        analytic = polar_map()
-        seen = []
-
-        def counted(y):
-            seen.append(np.shape(y))
-            return analytic.forward(y)
-
-        fd_map = ChartMap(source=analytic.source, forward=counted)
-        pts = fd_map.source.sample(np.random.default_rng(9), int(np.prod(shape)))
-        pts = pts.reshape(shape + (2,))
-        got = fd_map.jacobian_at(pts)
-        assert seen == [(5,) + shape + (2,)]  # the centre, then +-h_k e_k
-        h = FD_STEP * fd_map.source.widths
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = h[k]
-            column = (analytic.forward(pts + e) - analytic.forward(pts - e)) / (2.0 * h[k])
-            assert np.array_equal(got[..., k], column)
 
     def test_functoriality(self):
         flat = Chart(2, ((-3.0, 3.0), (-3.0, 3.0)))
@@ -496,7 +469,7 @@ class TestPushforward:
         composite = ChartMap(  # outer o inner, with the chain-rule Jacobian
             source=inner.source,
             forward=lambda y: outer.forward(inner.forward(y)),
-            jacobian=lambda y: outer.jacobian_at(inner.forward(y)) @ inner.jacobian_at(y),
+            jacobian=lambda y: outer.jacobian(inner.forward(y)) @ inner.jacobian(y),
         )
         twice = pushforward_metric(inner, pushforward_metric(outer, field))
         once = pushforward_metric(composite, field)
@@ -510,9 +483,15 @@ class TestPushforward:
             y = np.asarray(y, dtype=float)
             return np.stack([y[..., 0] ** 2 / 2.0, y[..., 1]], axis=-1)
 
+        def fold_jacobian(y):
+            j = np.zeros(y.shape + (2,))
+            j[..., 0, 0], j[..., 1, 1] = y[..., 0], 1.0
+            return j
+
         field = constant_field(Chart(2, ((-2.0, 2.0), (-2.0, 2.0))), np.eye(2))
         with pytest.raises(DegenerateJacobian):
-            pushforward_metric(ChartMap(source=source, forward=fold), field)
+            pushforward_metric(ChartMap(source=source, forward=fold, jacobian=fold_jacobian),
+                               field)
 
     def test_inverted_swaps_directions(self):
         source = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
@@ -520,10 +499,16 @@ class TestPushforward:
         cm = ChartMap(
             source=source,
             forward=lambda y: 2.0 * np.asarray(y, dtype=float),
+            jacobian=lambda y: 2.0 * np.eye(2),
             inverse=lambda x: 0.5 * np.asarray(x, dtype=float),
+            inverse_jacobian=lambda x: 0.5 * np.eye(2),
             inverse_source=target,
         )
         inv = cm.inverted()
         assert inv.source is target
         assert np.allclose(inv.forward(np.array([1.0, 2.0])), [0.5, 1.0])
         assert np.allclose(inv.inverse(np.array([0.5, 1.0])), [1.0, 2.0])
+        assert np.allclose(inv.jacobian(np.array([1.0, 2.0])), 0.5 * np.eye(2))
+        assert np.allclose(inv.inverse_jacobian(np.array([0.5, 1.0])), 2.0 * np.eye(2))
+        with pytest.raises(SchemaError, match="inverse"):
+            dataclasses.replace(cm, inverse_jacobian=None).inverted()

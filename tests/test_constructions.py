@@ -63,7 +63,7 @@ def test_sphere_chart_custom_pole():
 
 def test_sphere_chart_rejects_boxes_reaching_the_pole():
     with pytest.raises(ValueError):
-        sphere_chart(1, half_width=25.0)
+        SphereChart(dim=1, chart=Chart(1, ((-25.0, 25.0),)), pole=np.array([0.0, 1.0]))
 
 
 def test_embedding_jacobian_matches_finite_differences():

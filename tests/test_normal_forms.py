@@ -386,6 +386,13 @@ class TestFullFamily:
             model_form_pair(FormKind.THREE_D_FULL, ModelFormParams(lam=bad, c=1.0))
 
 
+def fd_jacobian(forward, pts, h=1e-6):
+    """Central differences of ``forward`` along each axis, ``(..., target, source)``:
+    the reference for the analytic chart-map Jacobians."""
+    steps = h * np.eye(pts.shape[-1])
+    return np.stack([(forward(pts + e) - forward(pts - e)) / (2.0 * h) for e in steps], axis=-1)
+
+
 class TestChartMaps:
     def test_log_polar_example(self):
         cm = canonical_chart_map(FormKind.TWO_D_POLAR_PLUS)
@@ -406,20 +413,17 @@ class TestChartMaps:
         rng = np.random.default_rng(28)
         pts = cm.source.sample(rng, 20)
         assert np.max(np.abs(cm.inverse(cm.forward(pts)) - pts)) < 1e-12
-        fd_map = type(cm)(source=cm.source, forward=cm.forward)
-        assert np.max(np.abs(cm.jacobian_at(pts) - fd_map.jacobian_at(pts))) < 1e-6
+        assert np.max(np.abs(cm.jacobian(pts) - fd_jacobian(cm.forward, pts))) < 1e-6
         inv = cm.inverted()
         wpts = inv.source.sample(rng, 20)
-        fd_inv = type(cm)(source=inv.source, forward=inv.forward)
-        assert np.max(np.abs(inv.jacobian_at(wpts) - fd_inv.jacobian_at(wpts))) < 1e-6
+        assert np.max(np.abs(inv.jacobian(wpts) - fd_jacobian(inv.forward, wpts))) < 1e-6
 
     def test_cylindrical_round_trip(self):
         cm = canonical_chart_map(FormKind.THREE_D_FULL, c=2.0)
         rng = np.random.default_rng(29)
         pts = cm.source.sample(rng, 20)
         assert np.max(np.abs(cm.inverse(cm.forward(pts)) - pts)) < 1e-12
-        fd_map = type(cm)(source=cm.source, forward=cm.forward)
-        assert np.max(np.abs(cm.jacobian_at(pts) - fd_map.jacobian_at(pts))) < 1e-6
+        assert np.max(np.abs(cm.jacobian(pts) - fd_jacobian(cm.forward, pts))) < 1e-6
 
     def test_axial_has_no_canonical_map(self):
         with pytest.raises(ValueError):

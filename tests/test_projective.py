@@ -31,8 +31,7 @@ from geq.projective import (
     poisson_bracket_fd,
 )
 from geq.split_glue import EquivTriple, glue_pair
-from geq.verify import (EQUIVALENT_FAMILIES, STANDARD_FAMILIES, check_conservation,
-                        seeded_starts, standard_pair)
+from geq.verify import EQUIVALENT_FAMILIES, STANDARD_FAMILIES, seeded_starts, standard_pair
 from test_verify import counted
 
 
@@ -153,7 +152,7 @@ class TestLTensor:
 
     def test_singular_metric(self):
         pair = constant_pair(np.eye(2), np.diag([1.0, -1.0]))
-        with pytest.raises(SingularMetric):
+        with pytest.raises(NotPositiveDefinite, match="^companion metric is not positive"):
             l_tensor(pair, np.zeros(2))
 
     def test_mismatched_charts_rejected(self):
@@ -318,13 +317,11 @@ class TestIntegrals:
 
     @staticmethod
     def planar_form(pair, n_traj=6, seed=0):
-        """The quadratic form ``M`` with ``F(v) = v^T M v``, fitted to the
-        ``quadratic_2d`` start values of :func:`check_conservation` at its
-        seeded start velocities."""
-        report = check_conservation(pair, n_traj=n_traj, seed=seed)
-        f = np.array([row.start_value for row in report.rows
-                      if row.integral_id == "quadratic_2d"])
-        v = seeded_starts(pair, n_traj, np.random.default_rng(seed))[1]
+        """The quadratic form ``M`` with ``I_0(v) = v^T M v``, fitted to ``I_0`` at
+        seeded phase points; in dimension two ``I_0`` is the quadratic integral
+        ``(det g / det gbar)^(2/3) gbar(v, v)``."""
+        xs, v = seeded_starts(pair, n_traj, np.random.default_rng(seed))
+        f = _integrals(*frame_weights(pair, xs, v), np.zeros(1))[:, 0]
         basis = np.stack([v[:, 0] ** 2, 2.0 * v[:, 0] * v[:, 1], v[:, 1] ** 2], axis=1)
         (a, b, c), *_ = np.linalg.lstsq(basis, f, rcond=None)
         assert np.allclose(basis @ [a, b, c], f, rtol=0.0, atol=1e-13)  # F is that form
@@ -660,12 +657,23 @@ def test_a_non_finite_metric_fails_the_same_way_at_every_batch_size(value, colum
     bad = np.eye(n)
     bad[0, column] = bad[column, 0] = value
     pair = constant_pair(*((bad, np.eye(n)) if which == "g" else (np.eye(n), bad)))
-    calls = [lambda: l_eigen(pair, np.zeros(n)),
+    calls = [lambda: l_eigen(pair, np.zeros(n)), lambda: l_tensor(pair, np.zeros(n)),
+             lambda: nijenhuis_at(pair, np.zeros(n)),
              lambda: frame_weights(pair, np.zeros((200, n)), np.ones(n))]
     calls += [lambda m=m: eigen_range(pair, np.zeros((m, n))) for m in (1, 200)]
     for call in calls:
         with pytest.raises(NotPositiveDefinite, match="^a metric has non-finite entries$"):
             call()
+
+
+@pytest.mark.parametrize("which", ["base", "companion"])
+@pytest.mark.parametrize("read", [l_tensor, nijenhuis_at, l_eigen])
+def test_an_indefinite_metric_with_positive_determinant_is_refused(read, which):
+    # det = 1 > 0: a determinant alone let either metric pass.
+    bad = np.diag([-1.0, -1.0, 1.0])
+    pair = constant_pair(*((bad, np.eye(3)) if which == "base" else (np.eye(3), bad)))
+    with pytest.raises(NotPositiveDefinite, match=f"^{which} metric is not positive definite"):
+        read(pair, np.zeros(3))
 
 
 def l_with_char(g, gb):

@@ -1,9 +1,11 @@
 """One validation path: every bad argument of the public API raises a named
 :class:`GeqError` that is also a ``ValueError`` and names the argument, no
-module of the package raises a builtin exception class, and none imports a
-name it does not use."""
+module of the package raises a builtin exception class, none imports a
+name it does not use, and every public function has a reader."""
 import ast
 import functools
+import inspect
+import re
 import time
 import warnings
 from pathlib import Path
@@ -52,8 +54,6 @@ CASES = {
         pair, points=np.empty((0, 3)))),
     **run_cases("equivalence", check_equivalence),
     **run_cases("conservation", check_conservation),
-    "conservation-zero-t-values": ("n_t_values", lambda pair: check_conservation(
-        pair, n_traj=2, n_t_values=0)),
     "profile-nan-coefficient": ("coeffs[1]",
                                 lambda pair: ScalarFunction1D((1.0, NAN), INTERVAL)),
     "lc-data-nan-profile": ("coeffs[0]", lambda pair: LeviCivitaData(
@@ -179,3 +179,16 @@ def test_the_package_imports_nothing_it_does_not_use():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_every_public_function_has_a_reader():
+    """Each function in ``geq.__all__`` is named by the acceptance suite, the CLI,
+    the README or the benchmark.  Classes are exempt: they are the types those
+    functions take and return."""
+    root = Path(__file__).resolve().parents[1]
+    readers = [root / "tests" / "test_acceptance.py", root / "src" / "geq" / "cli.py",
+               root / "README.md", *sorted((root / "bench").glob("*.py"))]
+    texts = [path.read_text(encoding="utf-8") for path in readers]
+    unread = [name for name in geq.__all__ if inspect.isfunction(getattr(geq, name))
+              and not any(re.search(rf"\b{name}\b", text) for text in texts)]
+    assert unread == []

@@ -151,13 +151,6 @@ def test_conservation_reads_each_metric_once_after_integrating(monkeypatch, name
     assert after == [("g", "eval", samples[0]), ("gbar", "eval", samples[0])]
 
 
-def test_conservation_validates_parameter_value_count():
-    pair = lc_pair((1.0,), (2.0,))
-    for count in (0, -1):
-        with pytest.raises(ValueError):
-            check_conservation(pair, n_traj=2, n_t_values=count)
-
-
 def test_conservation_on_a_constructed_pair():
     pair = lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4))
     report = check_conservation(pair, n_traj=10, duration=1.0, tol=1e-10, seed=6)
@@ -171,26 +164,31 @@ def test_conservation_on_a_constructed_pair():
     assert report.t_values[0] == lo - 1.0
     assert report.t_values[-1] == hi + 1.0
     assert 0.4 <= lo < hi <= 2.2
-    # Five parameter values plus two roots per trajectory, no planar row.
+    # Five parameter values plus two roots per trajectory.
     assert len(report.rows) == 10 * 7
     ids = {row.integral_id for row in report.rows}
-    assert "root_0" in ids and "root_1" in ids and "quadratic_2d" not in ids
+    assert "root_0" in ids and "root_1" in ids
 
 
 def test_conservation_identical_metrics_is_tight():
     pair = beltrami_pair(2).pair
     report = check_conservation(pair, n_traj=5, duration=1.0, tol=1e-10, seed=7)
     assert report.max_drift < 1e-9
-    ids = {row.integral_id for row in report.rows}
-    assert "quadratic_2d" in ids
 
 
 def test_conservation_planar_integral_drift():
     pair = model_form_pair(FormKind.TWO_D_ELLIPTIC, ModelFormParams(
         lam=ScalarFunction1D((2.0, 1.0), (-2.0, 2.0))))
     report = check_conservation(pair, n_traj=10, duration=1.0, tol=1e-10, seed=8)
-    quad = [row for row in report.rows if row.integral_id == "quadratic_2d"]
-    assert quad and max(row.rel_drift for row in quad) < 1e-6
+    assert report.max_drift < 1e-6
+    # In dimension two I_t is linear in t, so the five conserved integrals fix the
+    # quadratic integral I_0: at each end of a trajectory their values lie on a line.
+    for side in ("start_value", "end_value"):
+        values = np.array([[getattr(row, side) for row in report.rows
+                            if row.index == idx and row.integral_id.startswith("integral_t=")]
+                           for idx in range(10)])
+        assert values.shape == (10, 5)
+        assert np.all(np.abs(np.diff(values, 2, axis=1)) <= 1e-13 * np.max(np.abs(values)))
 
 
 def test_conservation_drift_scales_with_tolerance():
@@ -216,10 +214,6 @@ def test_conservation_rows_match_a_per_trajectory_recomputation():
                   for j, t in enumerate(report.t_values)]
         roots = integral_roots_many(pair, xs, vs)
         series += [(f"root_{i}", roots[:, i]) for i in range(roots.shape[1])]
-        g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-        ratio = np.linalg.det(g) / np.linalg.det(gb)
-        series.append(("quadratic_2d",
-                       ratio ** (2.0 / 3.0) * np.einsum("bi,bij,bj->b", vs, gb, vs)))
         for name, values in series:
             drift = np.max(np.abs(values - values[0])) / max(1.0, abs(values[0]))
             expected.append((idx, name, values[0], values[-1], drift))
