@@ -27,12 +27,18 @@ from .errors import (
 Array = np.ndarray
 
 # Relative finite-difference step (scaled by the per-axis box width).
-FD_STEP = 1e-5
+FD_STEP = 5e-6
+
+
+def _read_only(array: Array) -> Array:
+    array.flags.writeable = False
+    return array
 
 
 @dataclasses.dataclass(frozen=True)
 class Chart:
-    """A coordinate box: ``dim`` closed intervals."""
+    """A coordinate box: ``dim`` closed intervals.  Its bounds, widths and
+    centre are read-only arrays, built on first use."""
 
     dim: int
     box: tuple[tuple[float, float], ...]
@@ -46,35 +52,25 @@ class Chart:
 
     @functools.cached_property
     def _fd_stencil(self) -> tuple[Array, Array]:
-        """The read-only finite-difference stencil, built on first use: offsets
-        ``(4 dim + 1, dim)`` (the centre ``-0.0``, which leaves coordinates
-        bitwise as they are, ``+-h_k e_k`` for every axis ``k``, then the same
-        at ``h / 2``; ``h =`` :data:`FD_STEP` times the box widths) and the
-        divisors ``(2 dim,)`` of their central differences."""
-        n = self.dim
-        h = FD_STEP * self.widths
-        axes = [np.stack([np.diag(d), -np.diag(d)], axis=1).reshape(2 * n, n)
-                for d in (h, 0.5 * h)]
-        offsets = np.concatenate([np.full((1, n), -0.0)] + axes)
-        divisors = 2.0 * np.concatenate([h, 0.5 * h])
-        offsets.flags.writeable = divisors.flags.writeable = False
-        return offsets, divisors
+        """The stencil of :func:`_stencil` at the steps :data:`FD_STEP` times
+        the box widths, built on first use."""
+        return _stencil(FD_STEP * self.widths)
 
-    @property
+    @functools.cached_property
     def lows(self) -> Array:
-        return np.array([lo for lo, _ in self.box])
+        return _read_only(np.array([lo for lo, _ in self.box]))
 
-    @property
+    @functools.cached_property
     def highs(self) -> Array:
-        return np.array([hi for _, hi in self.box])
+        return _read_only(np.array([hi for _, hi in self.box]))
 
-    @property
+    @functools.cached_property
     def widths(self) -> Array:
-        return self.highs - self.lows
+        return _read_only(self.highs - self.lows)
 
-    @property
+    @functools.cached_property
     def center(self) -> Array:
-        return 0.5 * (self.lows + self.highs)
+        return _read_only(0.5 * (self.lows + self.highs))
 
     def contains(self, x: Array, margin: float = 0.0) -> Array:
         """Batched membership test; ``margin`` shrinks the box (in units of
@@ -121,7 +117,9 @@ class MetricField:
     ``(..., dim, dim)``.  ``jet``, where a builder can share work, maps points to
     ``(value, partials)``: ``value`` bitwise equal to ``eval``, ``partials[..., k, i, j]``
     equal to ``d g_ij / d x_k``.  A field without one is differentiated by
-    finite differences (:func:`fd_partials`).
+    central differences (:func:`fd_partials`): ``eval`` is called once per
+    batch, on a ``(2 dim + 1, ..., dim)`` stack of the points and their shifts
+    ``+-h_k e_k``, the points first.
     """
 
     chart: Chart
@@ -132,56 +130,39 @@ class MetricField:
 def metric_at(field: MetricField, x: Array) -> Array:
     """Metric matrix at a single point, symmetrized; raises
     :class:`OutOfChart` outside the box and :class:`NotPositiveDefinite`
-    when the minimum eigenvalue is not positive."""
+    when an entry is not finite or the minimum eigenvalue is not positive."""
     x = field.chart.point(x)
     m = field.eval(x[None, :])[0]
     m = 0.5 * (m + m.T)
-    if np.linalg.eigvalsh(m)[0] <= 0.0:
+    if not np.isfinite(m).all() or np.linalg.eigvalsh(m)[0] <= 0.0:
         raise NotPositiveDefinite(f"metric not positive definite at {x.tolist()}")
     return m
 
 
-def _on_stencil(x: Array, offsets: Array) -> Array:
-    """The points ``x + offsets[s]`` stacked on a new leading axis, in one
-    broadcast add."""
-    return x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:])
+def _stencil(h: Array) -> tuple[Array, Array]:
+    """The read-only offsets ``(2 m + 1, m)`` of the centre-first stencil of
+    steps ``h`` ``(m,)``: the centre ``-0.0``, which leaves coordinates bitwise
+    as they are, then ``+h_k e_k`` and ``-h_k e_k`` for every axis ``k``; and
+    the divisors ``2 h`` of its central differences."""
+    m = len(h)
+    axes = np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * m, m)
+    return (_read_only(np.concatenate([np.full((1, m), -0.0), axes])),
+            _read_only(2.0 * h))
 
 
-def _differences(values: Array, divisors: Array) -> Array:
-    """Central difference quotients of values stacked as ``(+, -)`` pairs on
-    the leading axis, one per pair, in one subtraction."""
-    return (values[0::2] - values[1::2]) / divisors.reshape((-1,) + (1,) * (values.ndim - 1))
+def _central_differences(fn: Callable, x: Array, offsets: Array,
+                         divisors: Array) -> tuple[Array, Array]:
+    """``fn`` at the points ``x`` ``(..., m)`` and its central difference
+    quotients along every axis, axis leading, from one call of ``fn`` on the
+    stencil ``x + offsets`` (:func:`_stencil`) and one subtraction of its
+    ``(+, -)`` pairs.
 
-
-def _full_step_differences(fn: Callable, chart: Chart, x: Array) -> tuple[Array, Array]:
-    """``fn`` at ``x`` and its central differences along every axis of
-    ``chart``, axis leading, from one call of ``fn`` on the full-step stencil.
-
-    The unshifted point leads the stack, so its row is ``fn(x)``, and a glued
+    The unshifted points lead the stack, so their row is ``fn(x)``, and a glued
     field sees which slices leave each factor's coordinates as they are, and
     evaluates each factor on those only."""
-    offsets, divisors = chart._fd_stencil
-    values = fn(_on_stencil(x, offsets[:2 * chart.dim + 1]))
-    return values[0], _differences(values[1:], divisors[:chart.dim])
-
-
-def _eval_with_fd_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
-    """The metric and its central differences from one ``field.eval`` call
-    on the centre and the full- and half-step stencils, stacked.
-
-    The stencil is the centre plus the cached offsets of
-    :attr:`Chart._fd_stencil` in one broadcast add, and the full- and
-    half-step differences come from one subtraction of its ``(+, -)`` pairs.
-    Where the two estimates disagree by more than ``1e-4`` relative, the
-    Richardson combination replaces the half-step one."""
-    offsets, divisors = field.chart._fd_stencil
-    m = field.eval(_on_stencil(x, offsets))
-    n = field.chart.dim
-    d = _differences(m[1:], divisors)
-    d_full, d_half = d[:n], d[n:]
-    mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
-    d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
-    return m[0], np.moveaxis(d, 0, -3)
+    values = fn(x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:]))
+    return values[0], ((values[1::2] - values[2::2])
+                       / divisors.reshape((-1,) + (1,) * (values.ndim - 1)))
 
 
 def fd_partials(field: MetricField, x: Array) -> Array:
@@ -189,19 +170,20 @@ def fd_partials(field: MetricField, x: Array) -> Array:
     ``field.eval`` call per batch.
 
     Returns ``(..., dim, dim, dim)`` with axis ``-3`` indexing the
-    differentiation direction.  Each derivative is cross-checked against a
-    half-step estimate; where the two disagree by more than ``1e-4``
-    relative, the Richardson-extrapolated combination is used instead.
+    differentiation direction; the step along axis ``k`` is :data:`FD_STEP`
+    times the box width ``k``.
     """
     x = expect_points(x, expect_instance(field, MetricField, "field").chart.dim, "x")
-    return _eval_with_fd_partials(field, x)[1]
+    return np.moveaxis(_central_differences(field.eval, x, *field.chart._fd_stencil)[1], 0, -3)
 
 
 def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
-    """The metric and its partials: one ``field.jet`` call, else one stacked FD evaluation."""
-    if field.jet is None:
-        return _eval_with_fd_partials(field, x)
-    return field.jet(x)
+    """The metric and its partials: one ``field.jet`` call, else one
+    ``field.eval`` call on the centre and the stencil (:func:`_central_differences`)."""
+    if field.jet is not None:
+        return field.jet(x)
+    m, d = _central_differences(field.eval, x, *field.chart._fd_stencil)
+    return m, np.moveaxis(d, 0, -3)
 
 
 def _solve(g: Array, rhs: Array) -> Array:
@@ -453,12 +435,12 @@ def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:
     ``chart_map.source``: ``J^T g(map(y)) J``.
 
     The Jacobian is validated on a grid of 5 points per axis; a sampled
-    ``|det J| < 1e-12`` raises :class:`DegenerateJacobian`.
+    non-finite entry or ``|det J| < 1e-12`` raises :class:`DegenerateJacobian`.
     """
-    grid = chart_map.source.grid(5)
-    dets = np.linalg.det(chart_map.jacobian(grid))
-    if np.any(np.abs(dets) < 1e-12):
-        raise DegenerateJacobian("chart map Jacobian is numerically singular on the source box")
+    jac = chart_map.jacobian(chart_map.source.grid(5))
+    if not np.isfinite(jac).all() or np.any(np.abs(np.linalg.det(jac)) < 1e-12):
+        raise DegenerateJacobian("chart map Jacobian is not finite or numerically singular "
+                                 "on the source box")
 
     def eval_fn(y: Array) -> Array:
         y = np.asarray(y, dtype=float)

@@ -18,7 +18,8 @@ import numpy as np
 from ._batch import cholesky_inverse
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
-from .charts import FD_STEP, Chart, MetricField, _full_step_differences, positivity_grid_size
+from .charts import (FD_STEP, Chart, MetricField, _central_differences, _stencil,
+                     positivity_grid_size)
 from .errors import BracketFailure, NotPositiveDefinite, SingularMetric
 
 Array = np.ndarray
@@ -317,9 +318,9 @@ def integral_roots_many(pair: MetricPair, xs: Array, vs: Array) -> Array:
 def _l_partials(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     """The ``L`` field at ``x`` and its central differences: ``(..., k, i, j)``
     holds the derivative of ``L^i_j`` along coordinate ``k``.  Both come from
-    one evaluation of the metrics on the centre and the full-step stencil."""
-    L, dL = _full_step_differences(lambda xs: _l_from(pair.g.eval(xs), pair.gbar.eval(xs)),
-                                   pair.chart, x)
+    one evaluation of the metrics on the centre and the chart's stencil."""
+    L, dL = _central_differences(lambda xs: _l_from(pair.g.eval(xs), pair.gbar.eval(xs)),
+                                 x, *pair.chart._fd_stencil)
     return L, np.moveaxis(dL, 0, -3)
 
 
@@ -363,21 +364,23 @@ def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: float) -> float:
     """Canonical Poisson bracket of ``I_{t1}`` and ``I_{t2}`` at a
     position/momentum point, by central differences of step
-    :data:`_BRACKET_STEP`: both metrics and the eigenframe weights are
-    evaluated once, on the stacked phase stencil ``(x +- h e_k, p)``,
-    ``(x, p +- h e_k)`` at the velocities ``v = g^-1 p``, and both integrals
-    are read off them (:func:`_integrals`)."""
+    :data:`_BRACKET_STEP` in every phase coordinate: both metrics and the
+    eigenframe weights are evaluated once, on the stencil of ``(x, p)``
+    (:func:`~geq.charts._central_differences`) at the velocities ``v = g^-1 p``,
+    and both integrals are read off them (:func:`_integrals`)."""
     chart = expect_instance(pair, MetricPair, "pair").chart
     x = chart.point(x, margin=_BRACKET_STEP / np.min(chart.widths))  # the stencil fits
     p = expect_vector(p, x.shape, "p")
     ts = np.array([expect_number(t1, "t1"), expect_number(t2, "t2")])
     n = pair.dim
-    step = _BRACKET_STEP * np.eye(n)
-    xs = np.concatenate([x + step, x - step, np.broadcast_to(x, (2 * n, n))])
-    ps = np.concatenate([np.broadcast_to(p, (2 * n, n)), p + step, p - step])
-    g = pair.g.eval(xs)
-    vs = np.linalg.solve(g, ps[..., None])[..., 0]
-    values = _integrals(*_frame_weights(g, pair.gbar.eval(xs), vs), ts)
-    values = values.T.reshape(2, 2, 2, n)  # (t, x|p, +|-, k)
-    (dx1, dp1), (dx2, dp2) = (values[:, :, 0] - values[:, :, 1]) / (2 * _BRACKET_STEP)
+
+    def integrals(zs: Array) -> Array:
+        xs = zs[:, :n]
+        g = pair.g.eval(xs)
+        vs = np.linalg.solve(g, zs[:, n:, None])[..., 0]
+        return _integrals(*_frame_weights(g, pair.gbar.eval(xs), vs), ts)
+
+    d = _central_differences(integrals, np.concatenate([x, p]),
+                             *_stencil(np.full(2 * n, _BRACKET_STEP)))[1]
+    (dx1, dp1), (dx2, dp2) = d.T.reshape(2, 2, n)  # (t, x|p, k)
     return float(dx1 @ dp2 - dp1 @ dx2)

@@ -257,8 +257,8 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
 
     A read of either glued field evaluates each factor on its own
     coordinates (:func:`_factor_values`): on a finite-difference stencil of
-    the product chart, a ``k``-dimensional factor is evaluated on ``4k + 1``
-    of its ``4n + 1`` slices.  The base metric's blocks and the companion's
+    the product chart, a ``k``-dimensional factor is evaluated on ``2k + 1``
+    of its ``2n + 1`` slices.  The base metric's blocks and the companion's
     are assembled only for the field that is read (:func:`_twin_fields`).
     """
     lo1, hi1 = expect_instance(factor1, EquivTriple, "factor1").eigen_range

@@ -1,16 +1,18 @@
 """Charts, metric fields, Christoffel symbols, geodesics, pushforwards."""
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geq
 from geq.charts import (
     FD_STEP,
     Chart,
     ChartMap,
     MetricField,
     PhasePoint,
-    _eval_with_fd_partials,
     _spray,
     christoffel,
     fd_partials,
@@ -81,6 +83,17 @@ class TestChart:
         pts = chart.sample(np.random.default_rng(0), 500, shrink=0.6)
         assert np.all(pts >= 0.2 - 1e-12) and np.all(pts <= 0.8 + 1e-12)
 
+    @pytest.mark.parametrize("name, expected", [("lows", [-1.0, 0.0]), ("highs", [1.0, 4.0]),
+                                                ("widths", [2.0, 4.0]), ("center", [0.0, 2.0])])
+    def test_box_arrays_are_cached_and_read_only(self, name, expected):
+        chart = Chart(2, ((-1.0, 1.0), (0.0, 4.0)))
+        array = getattr(chart, name)
+        assert getattr(chart, name) is array
+        assert array.tolist() == expected
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
 
 class TestMetricAt:
     def test_flat_identity(self):
@@ -105,6 +118,15 @@ class TestMetricAt:
         with pytest.raises(NotPositiveDefinite):
             metric_at(bad, np.zeros(2))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_metric_is_refused_at_its_point(self, entry, value):
+        matrix = np.eye(2)
+        matrix[entry] = matrix[entry[::-1]] = value
+        bad = constant_field(Chart(2, ((-1.0, 1.0), (-1.0, 1.0))), matrix)
+        with pytest.raises(NotPositiveDefinite, match=r"at \[0\.25, -0\.5\]$"):
+            metric_at(bad, np.array([0.25, -0.5]))
+
 
 def coupled_field() -> MetricField:
     """A 3-D metric with off-diagonal coupling, unequal box widths and a kink
@@ -126,24 +148,20 @@ def coupled_field() -> MetricField:
 
 
 def reference_fd_partials(field: MetricField, x: np.ndarray) -> np.ndarray:
-    """One axis at a time: full- and half-step central differences, with
-    the Richardson combination where they disagree."""
+    """One axis at a time: the central difference of step ``h_k``."""
     n = field.chart.dim
     h = FD_STEP * field.chart.widths
     out = np.empty(x.shape[:-1] + (n, n, n))
     for k in range(n):
         e = np.zeros(n)
         e[k] = h[k]
-        d_full = (field.eval(x + e) - field.eval(x - e)) / (2.0 * h[k])
-        d_half = (field.eval(x + 0.5 * e) - field.eval(x - 0.5 * e)) / h[k]
-        mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
-        out[..., k, :, :] = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
+        out[..., k, :, :] = (field.eval(x + e) - field.eval(x - e)) / (2.0 * h[k])
     return out
 
 
 def points_across_the_kink(field: MetricField, shape: tuple, seed: int) -> np.ndarray:
     """Interior points of :func:`coupled_field`, the first one close enough
-    to the kink that its full-step stencil straddles it."""
+    to the kink that its stencil straddles it."""
     pts = field.chart.sample(np.random.default_rng(seed), int(np.prod(shape)), shrink=0.8)
     pts[0, 2] = 0.1 + 0.75 * FD_STEP * field.chart.widths[2]
     return pts.reshape(shape + (3,))
@@ -181,19 +199,6 @@ class TestPartialsAndChristoffel:
         assert got.shape == shape + (3, 3, 3)
         assert np.array_equal(got, reference_fd_partials(field, pts))
 
-    def test_richardson_fallback_at_a_kink(self):
-        field = coupled_field()
-        h = FD_STEP * field.chart.widths[2]
-        # The full-step stencil straddles the kink, the half-step one does not.
-        x = np.array([[0.3, 0.4, 0.1 + 0.75 * h], [0.3, 0.4, 0.3]])
-        e = np.array([0.0, 0.0, h])
-        d_full = (field.eval(x + e) - field.eval(x - e))[:, 2, 2] / (2.0 * h)
-        d_half = (field.eval(x + 0.5 * e) - field.eval(x - 0.5 * e))[:, 2, 2] / h
-        got = fd_partials(field, x)[:, 2, 2, 2]
-        assert got[0] == (4.0 * d_half[0] - d_full[0]) / 3.0
-        assert got[0] == pytest.approx(13.0 / 12.0)
-        assert got[1] == d_half[1]
-
     @pytest.mark.parametrize("shape", [(7,), (2, 3)])
     def test_christoffel_evaluates_once_per_batch(self, shape):
         base = coupled_field()
@@ -206,7 +211,7 @@ class TestPartialsAndChristoffel:
         field = MetricField(chart=base.chart, eval=counted)
         pts = points_across_the_kink(base, shape, seed=8)
         gamma = christoffel(field, pts)
-        assert seen == [(13,) + shape + (3,)]
+        assert seen == [(7,) + shape + (3,)]
         # The same symbols from separate evaluations of the metric and its
         # per-axis differences, handed in as a jet.
         separate = MetricField(chart=base.chart, eval=base.eval,
@@ -272,24 +277,54 @@ class TestSpray:
 
 def stencil_reference(field: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The metric and its partials from a stencil built on every call: the
-    centre, then the +-h and +-h/2 points of each axis, concatenated, and
-    each step's central differences taken by their own subtraction."""
+    centre, then the +-h points of each axis, concatenated, and the central
+    differences taken by one subtraction."""
     n = field.chart.dim
     h = FD_STEP * field.chart.widths
-
-    def stencil(d):
-        steps = np.stack([np.diag(d), -np.diag(d)], axis=1)
-        return x + steps.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,))
-
-    def central(values, d):
-        return (values[0::2] - values[1::2]) / (2.0 * d).reshape((-1,) + (1,) * (values.ndim - 1))
-
-    m = field.eval(np.concatenate([x[None], stencil(h), stencil(0.5 * h)]))
-    d_full = central(m[1:2 * n + 1], h)
-    d_half = central(m[2 * n + 1:], 0.5 * h)
-    mismatch = np.abs(d_full - d_half) > 1e-4 * np.maximum(1.0, np.abs(d_half))
-    d = np.where(mismatch, (4.0 * d_half - d_full) / 3.0, d_half)
+    steps = np.stack([np.diag(h), -np.diag(h)], axis=1)
+    stencil = x + steps.reshape((2 * n,) + (1,) * (x.ndim - 1) + (n,))
+    m = field.eval(np.concatenate([x[None], stencil]))
+    d = (m[1::2] - m[2::2]) / (2.0 * h).reshape((-1,) + (1,) * (m.ndim - 1))
     return m[0], np.moveaxis(d, 0, -3)
+
+
+def _within(parents: dict, node: ast.AST, test) -> bool:
+    """Whether an ancestor of ``node`` passes ``test``."""
+    while node in parents:
+        node = parents[node]
+        if test(node):
+            return True
+    return False
+
+
+def test_the_package_has_one_difference_quotient():
+    """Every finite difference goes through ``charts._central_differences``:
+    no other function divides a difference of two slices of one array, and a
+    step constant (``FD_STEP``, ``_BRACKET_STEP``) is read only as a chart
+    margin or as the steps handed to ``charts._stencil``, so no module
+    builds stencil offsets of its own."""
+    offenders = []
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+                    and isinstance(node.left.left, ast.Subscript)
+                    and isinstance(node.left.right, ast.Subscript)
+                    and ast.dump(node.left.left.value) == ast.dump(node.left.right.value)
+                    and not (path.name == "charts.py" and _within(parents, node, lambda a: (
+                        isinstance(a, ast.FunctionDef) and a.name == "_central_differences")))):
+                offenders.append(f"{where} quotient")
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else "")
+            if (name.endswith("STEP") and isinstance(node.ctx, ast.Load)
+                    and not _within(parents, node, lambda a: (
+                        (isinstance(a, ast.keyword) and a.arg == "margin")
+                        or (isinstance(a, ast.Call) and getattr(a.func, "id", "") == "_stencil")))):
+                offenders.append(f"{where} {name}")
+    assert offenders == []
 
 
 # A finite-difference base metric, a finite-difference companion next to
@@ -317,11 +352,10 @@ class TestCachedStencil:
     def test_offsets_are_cached_read_only_and_keep_the_centre(self):
         chart = Chart(2, ((-1.0, 1.0), (0.0, 4.0)))
         offsets, divisors = chart._fd_stencil
-        assert offsets.shape == (9, 2) and divisors.shape == (4,)
+        assert offsets.shape == (5, 2) and divisors.shape == (2,)
         again = chart._fd_stencil
         assert again[0] is offsets and again[1] is divisors
-        h = FD_STEP * chart.widths
-        assert np.array_equal(divisors, 2.0 * np.concatenate([h, 0.5 * h]))
+        assert np.array_equal(divisors, 2.0 * (FD_STEP * chart.widths))
         for array in (offsets, divisors):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -331,7 +365,7 @@ class TestCachedStencil:
         field = constant_field(chart, np.eye(2))
         counted = MetricField(chart=chart, eval=lambda xs: seen.append(xs) or field.eval(xs))
         x = np.array([[-0.0, 1.0], [0.5, 2.0]])
-        _eval_with_fd_partials(counted, x)
+        fd_partials(counted, x)
         assert seen[0][0].tobytes() == x.tobytes()
 
 
@@ -492,6 +526,20 @@ class TestPushforward:
         with pytest.raises(DegenerateJacobian):
             pushforward_metric(ChartMap(source=source, forward=fold, jacobian=fold_jacobian),
                                field)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_jacobian_rejected(self, value):
+        # Finite and invertible except on the grid's edge y_0 = 1.
+        source = Chart(2, ((-1.0, 1.0), (0.0, 1.0)))
+
+        def jacobian(y):
+            y = np.asarray(y, dtype=float)
+            return np.where(y[..., :1, None] == 1.0, value, 2.0 * np.eye(2))
+
+        field = constant_field(Chart(2, ((-2.0, 2.0), (-2.0, 2.0))), np.eye(2))
+        with pytest.raises(DegenerateJacobian, match="not finite"):
+            pushforward_metric(ChartMap(source=source, forward=lambda y: 2.0 * y,
+                                        jacobian=jacobian), field)
 
     def test_inverted_swaps_directions(self):
         source = Chart(2, ((0.0, 1.0), (0.0, 1.0)))

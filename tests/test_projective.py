@@ -623,6 +623,32 @@ def test_the_stacked_bracket_equals_the_per_axis_integral_loop(build, x, p, t1, 
     assert got == bracket_by_axis(pair, x, p, t1, t2)
 
 
+def bracket_by_phase_stencil(pair, x, p, t1, t2, step=1e-5):
+    """The reference: the phase stencil built by hand, ``(x +- h e_k, p)``
+    then ``(x, p +- h e_k)`` without the centre, both metrics and the frame
+    weights evaluated once on it."""
+    x, p, n = np.asarray(x, dtype=float), np.asarray(p, dtype=float), pair.dim
+    shift = step * np.eye(n)
+    xs = np.concatenate([x + shift, x - shift, np.broadcast_to(x, (2 * n, n))])
+    ps = np.concatenate([np.broadcast_to(p, (2 * n, n)), p + shift, p - shift])
+    g = pair.g.eval(xs)
+    vs = np.linalg.solve(g, ps[..., None])[..., 0]
+    values = _integrals(*_frame_weights(g, pair.gbar.eval(xs), vs), np.array([t1, t2]))
+    values = values.T.reshape(2, 2, 2, n)  # (t, x|p, +|-, k)
+    (dx1, dp1), (dx2, dp2) = (values[:, :, 0] - values[:, :, 1]) / (2 * step)
+    return float(dx1 @ dp2 - dp1 @ dx2)
+
+
+@pytest.mark.parametrize("name", STANDARD_FAMILIES)
+def test_the_bracket_equals_a_hand_built_phase_stencil(name):
+    pair = standard_pair(name)
+    rng = np.random.default_rng(5)
+    for x in pair.chart.sample(rng, 5, shrink=0.8):
+        p = rng.normal(size=pair.dim)
+        t1, t2 = rng.uniform(-1.0, 3.0, size=2)
+        assert poisson_bracket_fd(pair, x, p, t1, t2) == bracket_by_phase_stencil(pair, x, p, t1, t2)
+
+
 def test_the_bracket_vanishes_on_the_flat_probe():
     # The weak commutation probe: I_0.3 and I_0.7 on a flat-chart pair.
     assert abs(poisson_bracket_fd(flat_probe_pair(), [0.1, -0.2], [0.3, 0.4], 0.3, 0.7)) < 1e-5
@@ -637,11 +663,12 @@ def test_torsion_and_bracket_evaluate_each_metric_once(name):
     n = pair.dim
     x = pair.chart.sample(np.random.default_rng(16), 1, shrink=0.8)[0]
     nijenhuis_at(pair, x)
-    # The centre and the full-step stencil.
+    # The centre and the stencil.
     assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
     log.clear()
     poisson_bracket_fd(pair, x, np.ones(n), 0.3, 0.7)
-    assert log == [("g", "eval", 4 * n), ("gbar", "eval", 4 * n)]  # x +- h e_k, p +- h e_k
+    # The phase point (x, p), then its shifts along each of the 2n phase axes.
+    assert log == [("g", "eval", 4 * n + 1), ("gbar", "eval", 4 * n + 1)]
 
 
 NON_FINITE = {"nan-diagonal": (np.nan, 0), "nan-off-diagonal": (np.nan, -1),
