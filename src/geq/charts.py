@@ -90,6 +90,17 @@ class Chart:
                              "inside the chart box")
         return x
 
+    def points(self, xs: Array, path: str) -> Array:
+        """``xs`` as a non-empty batch ``(..., dim)`` of finite points
+        (:func:`~geq._validate.expect_points`) in the box, bounds included;
+        :class:`OutOfChart` names the first point outside it."""
+        xs = expect_points(xs, self.dim, path)
+        outside = ~self.contains(xs)
+        if np.any(outside):
+            raise OutOfChart(f"{path}: point {xs[outside][0].tolist()} is not inside the "
+                             "chart box")
+        return xs
+
     def grid(self, per_axis: int) -> Array:
         """Regular grid of shape ``(per_axis**dim, dim)``."""
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.box]
@@ -308,6 +319,8 @@ def integrate_geodesics(
     B = starts_x.shape[0]
     if starts_x.shape != (B, n) or starts_v.shape != (B, n):
         fail("starts_x", f"expected shape (batch, {n}) for both start arrays")
+    if B == 0:
+        fail("starts_x", "expected at least one point")
     if not bool(np.all(field.chart.contains(starts_x))):
         raise OutOfChart("a trajectory start lies outside the chart box")
     if np.any(np.all(starts_v == 0.0, axis=1)):

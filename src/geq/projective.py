@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from ._batch import cholesky_inverse
+from ._batch import CHUNK, cholesky_inverse
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
 from .charts import (FD_STEP, Chart, MetricField, _central_differences, _stencil,
@@ -72,10 +72,21 @@ class MetricPair:
         for each index ``i``, the smallest and largest ascending eigenvalue
         ``mu_i`` of ``L`` over :func:`_scan_grid` and the chart centre, ``2 n``
         floats.  A scan that raises stores nothing, and a new pair (as
-        ``dataclasses.replace`` builds) scans again."""
+        ``dataclasses.replace`` builds) scans again.
+
+        The grid is read in near-equal chunks of at most
+        :data:`~geq._batch.CHUNK` points, so no grid-sized matrix stack is held.
+        A chunk is smaller than :data:`BATCH_KERNEL_MIN` only when the whole grid
+        is, so every point takes the congruence route it would take in one
+        batch, and the ranges are the same bits."""
         grid = np.concatenate([_scan_grid(self.chart), self.chart.center[None, :]])
-        mu = _l_values(self.g.eval(grid), self.gbar.eval(grid))
-        return tuple((float(lo), float(hi)) for lo, hi in zip(mu.min(axis=0), mu.max(axis=0)))
+        lows, highs = [], []
+        for xs in np.array_split(grid, -(-len(grid) // CHUNK)):
+            mu = _l_values(self.g.eval(xs), self.gbar.eval(xs))
+            lows.append(mu.min(axis=0))
+            highs.append(mu.max(axis=0))
+        return tuple((float(lo), float(hi))
+                     for lo, hi in zip(np.min(lows, axis=0), np.max(highs, axis=0)))
 
 
 def _scan_grid(chart: Chart) -> Array:
@@ -114,24 +125,24 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
 
 
 def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
-    """``K^-1`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
+    """``K^-T`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
     (Cholesky).  ``gb^-1 g = K^-T B K^T``, so ``L`` is similar to
     ``ratio B``, and congruence keeps the inertia of ``g``.
 
-    From :data:`BATCH_KERNEL_MIN` matrices on, ``K^-1`` comes from the batch
+    From :data:`BATCH_KERNEL_MIN` matrices on, ``K^-T`` comes from the batch
     kernel (:func:`~geq._batch.cholesky_inverse`).  Below it LAPACK, whose
     per-matrix cost is then the smaller, solves ``K X = I``: the call, and so
-    the bits, of a general inverse."""
+    the bits, of a general inverse, copied out transposed."""
     _expect_finite(g, gb)
     n = gb.shape[-1]
     if gb.size >= BATCH_KERNEL_MIN * n * n:
-        k_inv = cholesky_inverse(gb)
+        k_inv_t = cholesky_inverse(gb)
     else:
         try:
-            k_inv = np.linalg.solve(np.linalg.cholesky(gb), np.eye(n))
+            k_inv_t = np.linalg.solve(np.linalg.cholesky(gb), np.eye(n)).swapaxes(-1, -2).copy()
         except np.linalg.LinAlgError:
-            k_inv = None
-    return _congruent(g, k_inv)
+            k_inv_t = None
+    return k_inv_t, _congruent(g, k_inv_t)[1]
 
 
 def _expect_finite(g: Array, gb: Array) -> None:
@@ -140,14 +151,16 @@ def _expect_finite(g: Array, gb: Array) -> None:
         raise NotPositiveDefinite("a metric has non-finite entries")
 
 
-def _congruent(g: Array, k_inv: Array | None) -> tuple[Array, Array]:
-    """``K^-1`` and ``B``; ``k_inv`` is None after a failed Cholesky pivot."""
-    if k_inv is None:
+def _congruent(g: Array, k_inv_t: Array | None) -> tuple[Array, Array]:
+    """``K^-1 g`` and ``B = (K^-1 g) K^-T``, each product with a contiguous
+    right operand; ``k_inv_t`` (``K^-T``) is None after a failed Cholesky pivot."""
+    if k_inv_t is None:
         raise NotPositiveDefinite("companion metric is not positive definite")
-    b = k_inv @ g @ np.swapaxes(k_inv, -1, -2)
+    kg = np.swapaxes(k_inv_t, -1, -2) @ g
+    b = kg @ k_inv_t
     b += np.swapaxes(b, -1, -2)
     b *= 0.5
-    return k_inv, b
+    return kg, b
 
 
 def _l_scale(nu: Array) -> Array:
@@ -204,25 +217,27 @@ def _char_scale(b: Array) -> tuple[Array, Array]:
 
 def _l_with(g: Array, gb: Array, read) -> tuple[Array, Array]:
     """``L = ratio gb^-1 g = ratio K^-T (K^-1 g)`` and ``data``, from ``ratio, data =
-    read(B)`` and one congruence with ``K^-1`` from the batch kernel at every size: no
-    determinant or solve, and no bit of a point depends on its batch."""
+    read(B)`` and one congruence with ``K^-T`` from the batch kernel at every size,
+    whose ``K^-1 g`` it reuses: no determinant or solve, and no bit of a point
+    depends on its batch."""
     _expect_finite(g, gb)
-    k_inv, b = _congruent(g, cholesky_inverse(gb))
+    k_inv_t = cholesky_inverse(gb)
+    kg, b = _congruent(g, k_inv_t)
     ratio, data = read(b)
-    return ratio[..., None, None] * (np.swapaxes(k_inv, -1, -2) @ (k_inv @ g)), data
+    return ratio[..., None, None] * (k_inv_t @ kg), data
 
 
 def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
     """Ascending eigenvalues ``(..., n)`` of ``L`` and eigenvector columns
     ``(..., n, n)`` orthonormal in ``g``: with ``B y = nu y`` (:func:`_congruence`),
     ``v = K^-T y / sqrt(nu)`` has ``L v = ratio nu v`` and ``g(v, v) = 1``."""
-    k_inv, b = _congruence(g, gb)
+    k_inv_t, b = _congruence(g, gb)
     try:
         nu, y = np.linalg.eigh(b)
     except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigh
         raise NotPositiveDefinite("a metric has non-finite entries") from exc
     ratio = _l_scale(nu)
-    vecs = (np.swapaxes(k_inv, -1, -2) @ y) / np.sqrt(nu)[..., None, :]
+    vecs = (k_inv_t @ y) / np.sqrt(nu)[..., None, :]
     return ratio[..., None] * nu, vecs
 
 
@@ -297,8 +312,10 @@ def _frame_weights(g: Array, gb: Array, vs: Array) -> tuple[Array, Array]:
 def frame_weights(pair: MetricPair, xs: Array, vs: Array) -> tuple[Array, Array]:
     """Eigenvalues ``(..., n)`` of ``L`` and squared coordinates of ``v`` in the
     ``g``-orthonormal eigenframe of :func:`_l_frame`; ``xs`` and ``vs`` broadcast,
-    one eigen solve per point."""
-    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
+    one eigen solve per point.  A point outside the chart box raises
+    :class:`~geq.errors.OutOfChart` naming the first one (:meth:`~geq.charts.Chart.points`),
+    as in every batched read of this module."""
+    xs = expect_instance(pair, MetricPair, "pair").chart.points(xs, "xs")
     vs = expect_points(vs, pair.dim, "vs")
     expect_broadcast(xs, vs, "xs", "vs")
     return _frame_weights(pair.g.eval(xs), pair.gbar.eval(xs), vs)
@@ -343,7 +360,7 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
 
 def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
     """Smallest and largest eigenvalue of ``L`` over a point sample."""
-    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
+    xs = expect_instance(pair, MetricPair, "pair").chart.points(xs, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     return float(np.min(mu)), float(np.max(mu))
 
@@ -351,7 +368,7 @@ def eigen_range(pair: MetricPair, xs: Array) -> tuple[float, float]:
 def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
     """Largest eigenvalue-cluster size of ``L`` over a point sample
     (cluster radius :data:`CLUSTER_RADIUS`)."""
-    xs = expect_points(xs, expect_instance(pair, MetricPair, "pair").dim, "xs")
+    xs = expect_instance(pair, MetricPair, "pair").chart.points(xs, "xs")
     mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     close = np.diff(mu.reshape(-1, mu.shape[-1]), axis=-1) <= CLUSTER_RADIUS
     run = longest = np.zeros(close.shape[0], dtype=int)

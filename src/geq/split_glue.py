@@ -18,6 +18,7 @@ import dataclasses
 
 import numpy as np
 
+from ._batch import cholesky_inverse, positive_definite
 from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField
 from .errors import EigenOrderViolated, GapViolated, NotPositive
@@ -154,6 +155,15 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     by the splitting lemma a block's eigenvalues depend only on its own
     coordinates.  The scan is made once per pair, on its first cut, and
     every later cut of the same pair reads it (``MetricPair._eigen_ranges``).
+
+    A field's matrix is ``h = conv^-T m`` for ``m`` the pair's metric and ``conv``
+    its tensor from :func:`split_tensors`.  ``L`` is self-adjoint for both
+    metrics, so ``S = m conv`` is symmetric, and positive definite while the
+    two blocks' eigenvalues stay apart; ``h = m S^-1 m`` is then the Gram
+    product ``W^T W`` with ``W = K_S^-1 m`` (``S = K_S K_S^T``, ``K_S^-T`` from
+    the batch kernel :func:`~geq._batch.cholesky_inverse`): no LAPACK solve, and
+    ``h`` is symmetric and positive definite by construction.  A point where a
+    pivot of ``S`` fails raises :class:`GapViolated` naming it.
     """
     n = expect_instance(pair, MetricPair, "pair").dim
     r = expect_int(r, "r", 1, n - 1)
@@ -165,12 +175,19 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
             f"eigenvalue ranges overlap across the cut: sup {low[1]} >= inf {high[0]}")
 
     def assemble(which: int, state: tuple) -> Array:
-        g, gb, conv, conv_bar = state
+        xs, g, gb, conv, conv_bar = state
         m, c = (g, conv) if which == 0 else (gb, conv_bar)
-        m = np.linalg.solve(np.swapaxes(c, -1, -2), m)
-        return 0.5 * (m + np.swapaxes(m, -1, -2))
+        s = m @ c
+        k_inv_t = cholesky_inverse(s)
+        if k_inv_t is None:  # each matrix factors alone: find the first that fails
+            point = next(x for x, s_x in zip(xs.reshape(-1, n), s.reshape(-1, n, n))
+                         if not positive_definite(s_x[None]))
+            raise GapViolated(f"eigenvalues {r} and {r + 1} of L are not separated at "
+                              f"{point.tolist()}: a Cholesky pivot of the split failed")
+        w = np.swapaxes(k_inv_t, -1, -2) @ m
+        return np.swapaxes(w, -1, -2) @ w
 
-    h, hbar = _twin_fields(pair.chart, lambda xs: _split(pair, xs, r), assemble)
+    h, hbar = _twin_fields(pair.chart, lambda xs: (xs, *_split(pair, xs, r)), assemble)
     return SplitResult(r=r, h=h, hbar=hbar,
                        index_split=(tuple(range(r)), tuple(range(r, n))),
                        factor_ranges=(low, high))

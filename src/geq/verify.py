@@ -19,8 +19,7 @@ import dataclasses
 
 import numpy as np
 
-from ._validate import (as_floats, expect_instance, expect_int, expect_number, expect_points,
-                        fail)
+from ._validate import as_floats, expect_instance, expect_int, expect_number, fail
 from .charts import Chart, MetricField, _spray, integrate_geodesics
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
@@ -186,7 +185,7 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     if points is None:
         pts = pair.chart.sample(rng, expect_int(n_points, "n_points", 1))
     else:
-        pts = expect_points(np.atleast_2d(as_floats(points, "points")), pair.dim, "points")
+        pts = pair.chart.points(np.atleast_2d(as_floats(points, "points")), "points")
     count = pts.shape[0]
     vecs = rng.normal(size=(count, n_vectors, pair.dim))
     mu, w = frame_weights(pair, pts[:, None, :], vecs)

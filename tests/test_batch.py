@@ -30,24 +30,25 @@ def spd_batch(m, n, seed=0):
 def test_congruence_agrees_with_lapack(n, m):
     gb = spd_batch(m, n)
     g = spd_batch(m, n, seed=1)
-    ref = np.linalg.inv(np.linalg.cholesky(gb))
-    k_inv, b = _congruence(g, gb)
-    assert np.max(np.abs(k_inv - ref)) <= 1e-15 * np.max(np.abs(ref))
-    ref_b = ref @ g @ np.swapaxes(ref, -1, -2)
+    ref = np.swapaxes(np.linalg.inv(np.linalg.cholesky(gb)), -1, -2)  # K^-T
+    k_inv_t, b = _congruence(g, gb)
+    assert np.max(np.abs(k_inv_t - ref)) <= 1e-15 * np.max(np.abs(ref))
+    ref_b = np.swapaxes(ref, -1, -2) @ g @ ref
     assert np.max(np.abs(b - ref_b)) <= 1e-14 * np.max(np.abs(ref_b))
     if m < BATCH_KERNEL_MIN:  # below the threshold, LAPACK's own bits
-        assert np.array_equal(k_inv, ref)
-    else:  # LAPACK's general solve leaves rounding above the diagonal
-        assert np.all(np.triu(k_inv, 1) == 0.0)
+        assert np.array_equal(k_inv_t, ref)
+    else:  # LAPACK's general solve leaves rounding below the diagonal of K^-T
+        assert np.all(np.tril(k_inv_t, -1) == 0.0)
+    assert k_inv_t.flags.c_contiguous  # a right operand numpy multiplies fast
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_the_kernel_keeps_the_batch_shape_and_its_input(n):
     gb = spd_batch(6, n).reshape(2, 3, n, n)
     before = gb.copy()
-    k_inv = cholesky_inverse(gb)
-    assert k_inv.shape == gb.shape and np.array_equal(gb, before)
-    assert np.allclose(k_inv @ gb @ np.swapaxes(k_inv, -1, -2), np.eye(n), atol=1e-14)
+    k_inv_t = cholesky_inverse(gb)
+    assert k_inv_t.shape == gb.shape and np.array_equal(gb, before)
+    assert np.allclose(np.swapaxes(k_inv_t, -1, -2) @ gb @ k_inv_t, np.eye(n), atol=1e-14)
     # A single matrix: its coordinate-leading view is contiguous already, and
     # the kernel must still work on a copy.
     one = gb[:1, :1].copy()
@@ -171,6 +172,22 @@ def test_the_package_has_one_triangular_inverse_path():
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr == "inv":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_product_takes_a_transposed_view_as_its_right_operand():
+    """numpy multiplies a stack of small matrices several times more slowly
+    when its right operand is a transposed view: every ``@`` in the package
+    takes a contiguous right operand, which is why the batch kernel returns
+    ``K^-T`` rather than ``K^-1``."""
+    offenders = []
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                    and isinstance(node.right, ast.Call)
+                    and isinstance(node.right.func, ast.Attribute)
+                    and node.right.func.attr == "swapaxes"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

@@ -1,14 +1,17 @@
 """Tests for splitting pairs into block factors and gluing them back."""
 import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
 
-from geq import split_glue
+from geq import STANDARD_FAMILIES, split_glue
+from geq._batch import CHUNK
 from geq.charts import Chart, MetricField, _spray
 from geq.errors import EigenOrderViolated, GapViolated, NotPositive, NotPositiveDefinite
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
-from geq.projective import MetricPair, _l_partials, l_eigen, l_tensor
+from geq.projective import MetricPair, _l_partials, _l_values, _scan_grid, l_eigen, l_tensor
 from geq.split_glue import (EquivTriple, glue_pair, make_triple, oplus,
                             split_factors, split_pair, split_tensors)
 from geq.verify import standard_pair
@@ -235,24 +238,34 @@ def counted(pair):
     return MetricPair(g=wrap(pair.g, "g"), gbar=wrap(pair.gbar, "gbar")), counts
 
 
+def scan_reads(pair):
+    """Evaluations of each metric in one gap scan: one per chunk of its grid,
+    which holds the chart centre as well."""
+    return -(-(len(_scan_grid(pair.chart)) + 1) // CHUNK)
+
+
 def test_each_point_batch_evaluates_the_base_pair_once():
     pair, counts = counted(lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)))
+    scan = scan_reads(pair)
+    assert scan == 2  # 16^3 grid points and the centre
     res = split_pair(pair, 1)
-    assert counts == {"g": 1, "gbar": 1}  # the gap scan
+    assert counts == {"g": scan, "gbar": scan}  # the gap scan
     f1, f2 = split_factors(res)
-    assert counts == {"g": 1, "gbar": 1}  # the ranges come from the gap scan
+    assert counts == {"g": scan, "gbar": scan}  # the ranges come from the gap scan
     glued = glue_pair(f1, f2).pair
     xs = pair.chart.sample(np.random.default_rng(2), 50)
     glued.g.eval(xs)
     glued.gbar.eval(xs)
-    assert counts == {"g": 3, "gbar": 3}  # one per leaf at xs
+    assert counts == {"g": scan + 2, "gbar": scan + 2}  # one per leaf at xs
 
 
 def test_every_cut_of_a_pair_reads_one_gap_scan():
     n = 5
     pair, counts = counted(lc_pair(*((0.5 * (k + 1), 0.2) for k in range(n))))
     results = [split_pair(pair, r) for r in range(1, n)]
-    assert counts == {"g": 1, "gbar": 1}
+    scan = scan_reads(pair)
+    assert scan == 5  # 7^5 grid points and the centre
+    assert counts == {"g": scan, "gbar": scan}
     ranges = vars(pair)["_eigen_ranges"]
     # 2 n floats, and nothing grid-sized held on the pair
     assert len(ranges) == n and all(len(bounds) == 2 for bounds in ranges)
@@ -269,12 +282,14 @@ def test_a_replaced_companion_is_scanned_again():
     gbar = pair.gbar
     scaled = MetricField(chart=gbar.chart, eval=lambda xs: 16.0 * gbar.eval(xs))
     after = split_pair(dataclasses.replace(pair, gbar=scaled), 1).factor_ranges
-    assert counts == {"g": 2, "gbar": 2}
+    scan = scan_reads(pair)
+    assert counts == {"g": 2 * scan, "gbar": 2 * scan}
     # In dimension 3, gbar -> 16 gbar takes L to 16^(-1/4) L = L / 2.
     assert np.array(after) == pytest.approx(0.5 * np.array(before), rel=1e-14)
     assert after == split_pair(MetricPair(g=pair.g, gbar=scaled), 1).factor_ranges
     assert split_pair(pair, 1).factor_ranges == before
-    assert counts == {"g": 3, "gbar": 3}  # the fresh pair's scan; the old pair kept its own
+    assert counts == {"g": 3 * scan, "gbar": 3 * scan}  # the fresh pair's scan; the old
+    # pair kept its own
 
 
 def test_a_scan_that_raises_is_not_kept():
@@ -290,6 +305,72 @@ def test_a_scan_that_raises_is_not_kept():
         with pytest.raises(NotPositiveDefinite, match="^base metric is not positive definite$"):
             split_pair(pair, calls)
         assert counts["g"] == calls and "_eigen_ranges" not in vars(pair)
+
+
+def unchunked_ranges(pair):
+    """The gap scan as one batch over the whole grid."""
+    grid = np.concatenate([_scan_grid(pair.chart), pair.chart.center[None, :]])
+    mu = _l_values(pair.g.eval(grid), pair.gbar.eval(grid))
+    return tuple((float(lo), float(hi)) for lo, hi in zip(mu.min(axis=0), mu.max(axis=0)))
+
+
+SCANNED = {"lc_5d": lambda: lc_pair(*((0.5 * (k + 1), 0.2) for k in range(5))),  # 16,808 points
+           **{name: functools.partial(standard_pair, name) for name in sorted(STANDARD_FAMILIES)}}
+
+
+@pytest.mark.parametrize("build", SCANNED.values(), ids=SCANNED.keys())
+def test_a_chunked_gap_scan_has_the_bits_of_one_batch(build):
+    pair = build()
+    assert pair._eigen_ranges == unchunked_ranges(pair)
+
+
+def counting_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_fields_are_gram_products_without_a_solve(monkeypatch, n):
+    pair = lc_pair(*((0.5 * (k + 1), 0.2) for k in range(n)))
+    xs = pair.chart.sample(np.random.default_rng(n), 200)
+    metrics = pair.g.eval(xs), pair.gbar.eval(xs)
+    for r in range(1, n):
+        res = split_pair(pair, r)
+        calls = counting_solves(monkeypatch)
+        fields = res.h.eval(xs), res.hbar.eval(xs)
+        monkeypatch.undo()
+        assert calls == []
+        for h, m, conv in zip(fields, metrics, split_tensors(pair, xs, r)):
+            assert np.array_equal(h, np.swapaxes(h, -1, -2))
+            assert np.all(np.linalg.eigvalsh(h) > 0.0)
+            # h = conv^-T m
+            assert np.allclose(np.swapaxes(conv, -1, -2) @ h, m, rtol=0.0, atol=1e-12)
+
+
+def test_a_failed_split_pivot_names_its_point(monkeypatch):
+    pair = lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4))
+    res = split_pair(pair, 1)
+    xs = pair.chart.sample(np.random.default_rng(5), 300)
+    split = split_glue._split
+
+    def flipped(pair, xs, r):  # one point's tensors turn negative definite
+        g, gb, conv, conv_bar = split(pair, xs, r)
+        conv[217], conv_bar[217] = -conv[217], -conv_bar[217]
+        return g, gb, conv, conv_bar
+
+    monkeypatch.setattr(split_glue, "_split", flipped)
+    point = re.escape(str(xs[217].tolist()))
+    for field in (res.h, res.hbar):
+        with pytest.raises(GapViolated, match=f"^eigenvalues 1 and 2 of L are not separated "
+                           f"at {point}: "):
+            field.eval(xs)
 
 
 def split_fields(pair):

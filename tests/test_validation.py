@@ -20,7 +20,7 @@ from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, b
                  max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
                  sphere_chart, split_pair, spheres_product, standard_pair)
 from geq.charts import Chart, PhasePoint, christoffel, fd_partials
-from geq.errors import GeqError, SchemaError
+from geq.errors import GeqError, OutOfChart, SchemaError
 
 NAN, INF = float("nan"), float("inf")
 INTERVAL = (-0.5, 0.5)
@@ -85,6 +85,8 @@ CASES = {
     "linear-map-text-diagonal": ("values", lambda pair: LinearMap.diagonal("ab")),
     "integrate-ragged-starts": ("starts_x", lambda pair: integrate_geodesics(
         pair.g, [[0.0, 0.0, 0.0], [0.0]], np.ones((2, 3)), 1.0, 1e-8)),
+    "integrate-empty-starts": ("starts_x", lambda pair: integrate_geodesics(
+        pair.g, np.zeros((0, 3)), np.zeros((0, 3)), 1.0, 1e-8)),
     "lc-data-overflowing-profile": ("lambdas[0]", lambda pair: LeviCivitaData(
         (ScalarFunction1D((1.0, 1e308), (0.0, 2.0)),), Chart(1, ((0.0, 2.0),)))),
     # Arguments of the wrong type.
@@ -130,6 +132,39 @@ def test_bad_input_raises_a_named_error(lc_nd, name, call):
     assert time.perf_counter() - begin < 5.0
     assert isinstance(info.value, ValueError)
     assert str(info.value).startswith(f"{name}: ")
+
+
+# Batched reads at points outside the chart box, the first at row 1: lc_nd's
+# companion is defined there and three_d_axial's is not positive definite
+# there, and both must refuse the point before evaluating anything.
+OUTSIDE = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [-6.0, 0.0, 0.0]])
+OUTSIDE_CASES = {
+    "eigen-range": ("xs", lambda pair: eigen_range(pair, OUTSIDE)),
+    "multiplicity": ("xs", lambda pair: max_eigen_multiplicity(pair, OUTSIDE)),
+    "frame-weights": ("xs", lambda pair: frame_weights(pair, OUTSIDE, np.ones(3))),
+    "frame-weights-broadcast": ("xs", lambda pair: frame_weights(
+        pair, OUTSIDE[:, None, :], np.ones((3, 4, 3)))),
+    "roots-many": ("xs", lambda pair: integral_roots_many(pair, OUTSIDE, np.ones(3))),
+    "interlacing-points": ("points", lambda pair: check_interlacing(pair, points=OUTSIDE)),
+}
+
+
+@pytest.mark.parametrize("family", ["lc_nd", "three_d_axial"])
+@pytest.mark.parametrize("name, call", OUTSIDE_CASES.values(), ids=OUTSIDE_CASES.keys())
+def test_batched_reads_outside_the_chart_name_the_first_point(family, name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutOfChart, match=rf"^{name}: point \[5\.0, 5\.0, 5\.0\] is not "
+                           "inside the chart box$"):
+            call(standard_pair(family))
+
+
+def test_batched_reads_accept_the_box_bounds():
+    # Chart.contains is inclusive: make_triple's grid holds the box corners.
+    pair = standard_pair("lc_nd")
+    corners = pair.chart.grid(2)
+    assert eigen_range(pair, corners)[0] > 0.0
+    assert check_interlacing(pair, points=corners, n_vectors=2).samples == 16
 
 
 def test_integer_counts_accept_numpy_integers(lc_nd):
