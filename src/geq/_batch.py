@@ -40,7 +40,7 @@ def _blocks(a: Array) -> Iterator[tuple[slice, Array]]:
         rows = slice(start, start + CHUNK)
         # An explicit copy: for c = 1 the moved axes are already contiguous,
         # and a contiguity-only conversion would return a view of ``a``.
-        yield rows, np.moveaxis(flat[rows], 0, -1).copy()
+        yield rows, flat[rows].transpose(1, 2, 0).copy()
 
 
 def _factor(w: Array) -> bool:
@@ -82,15 +82,22 @@ def _invert_transposed(w: Array) -> None:
 def cholesky_inverse(a: Array) -> Array | None:
     """``K^-T`` ``(..., n, n)``, upper triangular, for ``a = K K^T`` with ``K``
     lower triangular, or None when a Cholesky pivot of some matrix is not
-    positive."""
+    positive.  A batch of at most :data:`CHUNK` matrices is one working copy,
+    whose inverse is copied out contiguous."""
     n = a.shape[-1]
+    if a.size <= CHUNK * n * n:
+        w = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
+        if not _factor(w):
+            return None
+        _invert_transposed(w)
+        return w.transpose(2, 0, 1).copy().reshape(a.shape)
     out = np.empty(a.shape[:-2] + (n, n))
     flat = out.reshape(-1, n, n)
     for rows, w in _blocks(a):
         if not _factor(w):
             return None
         _invert_transposed(w)
-        flat[rows] = np.moveaxis(w, -1, 0)
+        flat[rows] = w.transpose(2, 0, 1)
     return out
 
 

@@ -76,8 +76,11 @@ class Chart:
         """Batched membership test; ``margin`` shrinks the box (in units of
         the per-axis width) for strict-interior queries."""
         x = np.asarray(x, dtype=float)
-        pad = margin * self.widths
-        return np.all((x >= self.lows + pad) & (x <= self.highs - pad), axis=-1)
+        lows, highs = self.lows, self.highs
+        if margin:
+            pad = margin * self.widths
+            lows, highs = lows + pad, highs - pad
+        return np.all((x >= lows) & (x <= highs), axis=-1)
 
     def point(self, x: Array, margin: float = 0.0) -> Array:
         """``x`` as one float point of this chart; :class:`OutOfChart` unless it
@@ -127,10 +130,12 @@ class MetricField:
     ``eval`` maps points ``(..., dim)`` to symmetric matrices
     ``(..., dim, dim)``.  ``jet``, where a builder can share work, maps points to
     ``(value, partials)``: ``value`` bitwise equal to ``eval``, ``partials[..., k, i, j]``
-    equal to ``d g_ij / d x_k``.  A field without one is differentiated by
-    central differences (:func:`fd_partials`): ``eval`` is called once per
-    batch, on a ``(2 dim + 1, ..., dim)`` stack of the points and their shifts
-    ``+-h_k e_k``, the points first.
+    equal to ``d g_ij / d x_k``.  The separable pairs, the round sphere metric and
+    both fields of a glued pair carry one; a glued jet differences each factor on
+    its own stencil and combines the factors by the product rule.  A field without
+    one is differentiated by central differences (:func:`fd_partials`): ``eval``
+    is called once per batch, on a ``(2 dim + 1, ..., dim)`` stack of the points
+    and their shifts ``+-h_k e_k``, the points first.
     """
 
     chart: Chart
@@ -168,9 +173,7 @@ def _central_differences(fn: Callable, x: Array, offsets: Array,
     stencil ``x + offsets`` (:func:`_stencil`) and one subtraction of its
     ``(+, -)`` pairs.
 
-    The unshifted points lead the stack, so their row is ``fn(x)``, and a glued
-    field sees which slices leave each factor's coordinates as they are, and
-    evaluates each factor on those only."""
+    The unshifted points lead the stack, so their row is ``fn(x)``."""
     values = fn(x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:]))
     return values[0], ((values[1::2] - values[2::2])
                        / divisors.reshape((-1,) + (1,) * (values.ndim - 1)))
@@ -309,20 +312,17 @@ def integrate_geodesics(
 
     Adaptive embedded Runge-Kutta 5(4) with per-trajectory step control and
     first-same-as-last stage reuse.  Trajectories that reach the chart
-    boundary are truncated and flagged.
+    boundary are truncated and flagged.  A start outside the chart box raises
+    :class:`OutOfChart` naming the first one (:meth:`Chart.points`).
     """
     tol = expect_tol(tol)
     T = expect_number(T, "T", positive=True)
-    starts_x = np.atleast_2d(as_floats(starts_x, "starts_x"))
+    starts_x = field.chart.points(np.atleast_2d(as_floats(starts_x, "starts_x")), "starts_x")
     starts_v = np.atleast_2d(expect_finite(starts_v, "starts_v"))
     n = field.chart.dim
     B = starts_x.shape[0]
     if starts_x.shape != (B, n) or starts_v.shape != (B, n):
         fail("starts_x", f"expected shape (batch, {n}) for both start arrays")
-    if B == 0:
-        fail("starts_x", "expected at least one point")
-    if not bool(np.all(field.chart.contains(starts_x))):
-        raise OutOfChart("a trajectory start lies outside the chart box")
     if np.any(np.all(starts_v == 0.0, axis=1)):
         fail("starts_v", "every start velocity must be nonzero")
 
@@ -352,12 +352,12 @@ def integrate_geodesics(
         y5 = ya + dta[:, None] * (_DP_B5 @ stages).reshape(ya.shape)
         err_vec = dta[:, None] * (_DP_E @ stages).reshape(ya.shape)
         scale = tol + tol * np.maximum(np.abs(ya), np.abs(y5))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2, axis=1))
+        err = np.sqrt(((err_vec / scale) ** 2).sum(axis=1) / (2 * n))
         err = np.where(np.isfinite(err), err, np.inf)
 
         ok = err <= 1.0
         factor = np.where(err > 0, 0.9 * err ** -0.2, 5.0)
-        factor = np.clip(np.where(np.isfinite(factor), factor, 0.2), 0.2, 5.0)
+        factor = np.minimum(np.maximum(np.where(np.isfinite(factor), factor, 0.2), 0.2), 5.0)
 
         stepped = idx[ok]
         accepted[stepped] += 1
@@ -459,7 +459,7 @@ def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:
         y = np.asarray(y, dtype=float)
         j = chart_map.jacobian(y)
         g = field.eval(chart_map.forward(y))
-        out = np.swapaxes(j, -1, -2) @ g @ j
+        out = np.swapaxes(j, -1, -2).copy() @ g @ j
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return MetricField(chart=chart_map.source, eval=eval_fn)

@@ -170,7 +170,7 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         u = w / norm
         m = ar @ j0
         dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
-        out = np.swapaxes(dmap, -1, -2) @ dmap
+        out = np.swapaxes(dmap, -1, -2).copy() @ dmap
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return make_triple(MetricPair(

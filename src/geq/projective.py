@@ -156,7 +156,7 @@ def _congruent(g: Array, k_inv_t: Array | None) -> tuple[Array, Array]:
     right operand; ``k_inv_t`` (``K^-T``) is None after a failed Cholesky pivot."""
     if k_inv_t is None:
         raise NotPositiveDefinite("companion metric is not positive definite")
-    kg = np.swapaxes(k_inv_t, -1, -2) @ g
+    kg = np.swapaxes(k_inv_t, -1, -2).copy() @ g
     b = kg @ k_inv_t
     b += np.swapaxes(b, -1, -2)
     b *= 0.5
@@ -197,22 +197,27 @@ def _char_scale(b: Array) -> tuple[Array, Array]:
     in ``det(L - t I)``: ``ratio^(n-j)`` times those of ``det(B - t I)``, whose constant
     one is ``det B = det g / det gb`` (not positive: :class:`SingularMetric`).  They come
     from the Faddeev-LeVerrier recursion, which keeps only its current matrix and, ``B``
-    being symmetric, takes each trace as an entry sum: ``n - 2`` matmuls, no adjugates."""
+    being symmetric, takes each trace as an entry sum: ``n - 2`` matmuls, no adjugates.
+    The powers of ``ratio`` are a running product."""
     n = b.shape[-1]
     c = np.empty(b.shape[:-2] + (n + 1,))
     c[..., n] = 1.0
-    c[..., n - 1] = -np.trace(b, axis1=-2, axis2=-1)
+    c[..., n - 1] = -np.einsum("...ii->...", b)
     m = b
     for k in range(2, n + 1):
         m = m + c[..., n - k + 1, None, None] * np.eye(n)
-        c[..., n - k] = -np.sum(b * m, axis=(-2, -1)) / k
+        c[..., n - k] = -np.einsum("...ij,...ij->...", b, m) / k
         if k < n:
             m = b @ m
     c *= (-1.0) ** n  # now those of det(B - t I)
     if not np.all(c[..., 0] > 0.0):
         raise SingularMetric("a metric determinant is not positive")
     ratio = c[..., 0] ** (-1.0 / (n + 1))
-    return ratio, c * ratio[..., None] ** np.arange(n, -1, -1)
+    power = ratio
+    for j in range(n - 1, -1, -1):
+        c[..., j] *= power
+        power = power * ratio
+    return ratio, c
 
 
 def _l_with(g: Array, gb: Array, read) -> tuple[Array, Array]:
@@ -304,7 +309,7 @@ def _roots_many(mu: Array, w: Array) -> Array:
 def _frame_weights(g: Array, gb: Array, vs: Array) -> tuple[Array, Array]:
     """:func:`frame_weights` from both metrics at the points."""
     mu, vecs = _l_frame(g, gb)
-    m = np.swapaxes(vecs, -1, -2) @ g  # once per point, however many vectors it has
+    m = np.swapaxes(vecs, -1, -2).copy() @ g  # once per point, however many vectors it has
     w = (m @ vs[..., None])[..., 0] ** 2
     return np.broadcast_to(mu, w.shape), w
 
@@ -345,7 +350,7 @@ def nijenhuis_at(pair: MetricPair, x: Array) -> Array:
     """The Nijenhuis torsion ``N^k_{ij}`` of the ``L`` field at one point,
     computed from finite differences of ``L``; antisymmetric in ``(i, j)``."""
     x = expect_instance(pair, MetricPair, "pair").chart.point(x, margin=2.0 * FD_STEP)
-    L, dL = _l_partials(pair, x[None, :])  # a stack, so a glued pair skips unmoved slices
+    L, dL = _l_partials(pair, x[None, :])
     L, dL = L[0], dL[0]
     term1 = np.einsum("mi,mkj->kij", L, dL)
     term2 = np.einsum("mj,mki->kij", L, dL)

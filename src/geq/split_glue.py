@@ -7,10 +7,10 @@ metrics whose blocks each depend only on their own coordinates; the gluing
 is the exact inverse construction, and ``oplus`` is its associative fold.
 Both fields of a split or glued pair share one evaluation of their
 intermediates per point batch, and each field's matrix is assembled only when
-that field is read; a glued pair evaluates each factor only on the slices of
-a stacked batch that move the factor's coordinates, and takes the factor's
-``L`` and its characteristic coefficients from one Cholesky congruence of the
-factor's metrics on the batch kernel: no LAPACK call, no adjugate.
+that field is read.  A glued pair takes every term of both fields from one
+Cholesky congruence of each factor's metrics on the batch kernel, with no ``L``
+formed, no LAPACK call and no adjugate, and its fields carry a ``jet`` built
+from each factor's own finite-difference stencil.
 """
 from __future__ import annotations
 
@@ -20,9 +20,10 @@ import numpy as np
 
 from ._batch import cholesky_inverse, positive_definite
 from ._validate import expect_instance, expect_int, fail
-from .charts import Chart, MetricField
+from .charts import Chart, MetricField, _central_differences
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import MetricPair, _char_scale, _l_with, _scan_grid, _spectrum, eigen_range
+from .projective import (MetricPair, _char_scale, _congruent, _expect_finite, _l_with, _scan_grid,
+                         _spectrum, eigen_range)
 
 Array = np.ndarray
 
@@ -116,10 +117,12 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     return _split(pair, xs, r)[2:]
 
 
-def _twin_fields(chart: Chart, shared, assemble) -> tuple[MetricField, MetricField]:
+def _twin_fields(chart: Chart, shared, assemble,
+                 jet=None) -> tuple[MetricField, MetricField]:
     """Two metric fields fed by one evaluation ``shared(xs)`` of the
     intermediates both need; ``assemble(which, state)`` builds the matrix of
-    field ``which`` (0 the base, 1 the companion) from them.
+    field ``which`` (0 the base, 1 the companion) from them, and ``jet(which, xs)``,
+    if given, is that field's ``jet``, which keeps nothing.
 
     A read assembles only its own field's matrix, so reading only the base
     metric (as the integrator does) never builds a companion.  A base read
@@ -140,8 +143,11 @@ def _twin_fields(chart: Chart, shared, assemble) -> tuple[MetricField, MetricFie
                 slot[key] = state
         return assemble(which, state)
 
-    return (MetricField(chart=chart, eval=lambda xs: read(0, xs)),
-            MetricField(chart=chart, eval=lambda xs: read(1, xs)))
+    def field(which: int) -> MetricField:
+        return MetricField(chart=chart, eval=lambda xs: read(which, xs),
+                           jet=None if jet is None else lambda xs: jet(which, xs))
+
+    return field(0), field(1)
 
 
 def split_pair(pair: MetricPair, r: int) -> SplitResult:
@@ -184,8 +190,8 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
                          if not positive_definite(s_x[None]))
             raise GapViolated(f"eigenvalues {r} and {r + 1} of L are not separated at "
                               f"{point.tolist()}: a Cholesky pivot of the split failed")
-        w = np.swapaxes(k_inv_t, -1, -2) @ m
-        return np.swapaxes(w, -1, -2) @ w
+        w = np.swapaxes(k_inv_t, -1, -2).copy() @ m
+        return np.swapaxes(w, -1, -2).copy() @ w
 
     h, hbar = _twin_fields(pair.chart, lambda xs: (xs, *_split(pair, xs, r)), assemble)
     return SplitResult(r=r, h=h, hbar=hbar,
@@ -224,12 +230,6 @@ def split_factors(split: SplitResult) -> tuple[EquivTriple, EquivTriple]:
     return triples[0], triples[1]
 
 
-def _converted(conv: Array, m: Array) -> Array:
-    """The symmetric part of ``conv^T m``."""
-    m = np.swapaxes(conv, -1, -2) @ m
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
 def _block_diagonal(a: Array, b: Array) -> Array:
     r = a.shape[-1]
     out = np.zeros(a.shape[:-2] + (r + b.shape[-1],) * 2)
@@ -237,32 +237,50 @@ def _block_diagonal(a: Array, b: Array) -> Array:
     return out
 
 
-def _moving_slices(x: Array) -> tuple[list, Array] | None:
-    """For a stack ``x`` of shape ``(S, ..., k)``: the slices that differ
-    bitwise from slice 0, slice 0 first, and for every slice the position
-    among those of the slice with identical bits; None when every slice
-    differs or ``x`` is a plain point batch."""
-    if x.ndim < 3 or len(x) < 2:
-        return None
-    bits = x.reshape(len(x), -1).view(np.int64)
-    moved = [True] + np.any(bits[1:] != bits[0], axis=1).tolist()
-    if all(moved):
-        return None
-    return ([s for s, m in enumerate(moved) if m],
-            np.where(moved, np.cumsum(moved) - 1, 0))
+def _factor_pass(pair: MetricPair, xs: Array) -> tuple[Array, ...]:
+    """A factor's two metrics at ``xs``, ``W = K^-1 g`` and ``B = W K^-T`` of the
+    congruence ``gb = K K^T`` (``K^-T`` from the batch kernel at every batch size, so
+    no bit of a point depends on its batch), and ``ratio`` and the coefficients of
+    ``det(L - t I)`` (:func:`~geq.projective._char_scale`): everything both glued
+    fields need of the factor (:func:`_field_terms`), with no ``L`` formed."""
+    g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
+    _expect_finite(g, gb)
+    w, b = _congruent(g, cholesky_inverse(gb))
+    return (g, gb, w, b, *_char_scale(b))
 
 
-def _factor_values(pair: MetricPair, x: Array) -> tuple[Array, ...]:
-    """A factor's two metrics, its ``L`` and the characteristic coefficients
-    of ``L`` at ``x``.  On a stack such as a finite-difference stencil, only
-    the slices that move this factor's coordinates away from slice 0 are
-    evaluated; the others take slice 0's values, which are the same bits."""
-    plan = _moving_slices(x)
-    if plan is not None:
-        x = x[plan[0]]
-    g, gb = pair.g.eval(x), pair.gbar.eval(x)
-    values = (g, gb, *_l_with(g, gb, _char_scale))
-    return values if plan is None else tuple(v[plan[1]] for v in values)
+def _field_terms(which: int, state: tuple, powers: int, negate: bool) -> tuple[Array, Array]:
+    """What a factor gives field ``which`` (0 the base, 1 the companion) of a glued
+    pair, from its :func:`_factor_pass`: the coefficients ``(..., k + 1)`` of
+    ``det(L - t I)`` that weight the other factor's block, over their constant one
+    for the companion and negated if asked, and the terms ``(..., powers + 1, k, k)``
+    of its own block, ``g L^j`` or ``gb L^j`` for ``j = 0 .. powers``: ``gb L^j =
+    ratio g L^(j-1)``, ``g L = ratio W^T W`` (a Gram product, exactly symmetric) and
+    ``g L^j = ratio W^T (ratio B)^(j-1) W``, symmetrized."""
+    g, gb, w, b, ratio, c = state
+    coeffs = c / c[..., :1] if which else c
+    if negate:
+        coeffs = -coeffs
+    r = ratio[..., None, None]
+    w_t, p = np.swapaxes(w, -1, -2).copy(), w  # contiguous: a transposed view multiplies slowly
+    g_l = [g]
+    for j in range(1, powers + 1 - which):
+        if j > 1:
+            p = (r * b) @ p
+        t = w_t @ p
+        if j > 1:
+            t = 0.5 * (t + np.swapaxes(t, -1, -2))
+        g_l.append(r * t)
+    return coeffs, np.stack(g_l if which == 0 else [gb] + [r * t for t in g_l], axis=-3)
+
+
+def _combine(coeffs: Array, terms: Array) -> Array:
+    """``sum_j coeffs[..., j] terms[..., j, :, :]``, broadcast, one entry at a time
+    (the same bits at every layout of the operands)."""
+    out = coeffs[..., 0, None, None] * terms[..., 0, :, :]
+    for j in range(1, terms.shape[-3]):
+        out += coeffs[..., j, None, None] * terms[..., j, :, :]
+    return out
 
 
 def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
@@ -272,11 +290,17 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     below that of the second (:class:`EigenOrderViolated` otherwise); the
     eigenvalues of the result are the union of the factors'.
 
-    A read of either glued field evaluates each factor on its own
-    coordinates (:func:`_factor_values`): on a finite-difference stencil of
-    the product chart, a ``k``-dimensional factor is evaluated on ``2k + 1``
-    of its ``2n + 1`` slices.  The base metric's blocks and the companion's
-    are assembled only for the field that is read (:func:`_twin_fields`).
+    Each block of a glued field is linear in quantities of one factor, weighted
+    by coefficients of the other (:func:`_field_terms`): with ``c_f`` those of
+    ``det(L_f - t I)`` and ``r`` the first factor's dimension, the base blocks are
+    ``sum_j c_2j(x_2) g_1 L_1^j(x_1)`` and ``(-1)^r sum_j c_1j(x_1) g_2 L_2^j(x_2)``,
+    and the companion's the same with ``gb_f L_f^j`` and ``c_f / c_f0``.  A read
+    makes one :func:`_factor_pass` per factor on its own coordinates, and
+    assembles only the field that is read (:func:`_twin_fields`).  Both fields
+    carry a ``jet``: each factor's quantities are differenced on the factor's
+    own ``2k + 1``-point stencil, whose steps are the product chart's on those
+    axes, and the blocks' partials follow by the product rule; the jet's value
+    is the same code as ``eval``, so the same bits.
     """
     lo1, hi1 = expect_instance(factor1, EquivTriple, "factor1").eigen_range
     lo2, hi2 = expect_instance(factor2, EquivTriple, "factor2").eigen_range
@@ -287,23 +311,38 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     r = p1.dim
     n = r + p2.dim
     chart = Chart(n, p1.chart.box + p2.chart.box)
-    sign = (-1.0) ** r
+    # Per factor: its pair, its coordinates, the highest power of its L (the
+    # other factor's dimension), and whether its coefficients carry (-1)^r.
+    factors = ((p1, slice(0, r), n - r, r % 2 == 1), (p2, slice(r, n), r, False))
 
-    def shared(xs: Array) -> tuple:
-        g1, gb1, l1, c1 = _factor_values(p1, xs[..., :r])
-        g2, gb2, l2, c2 = _factor_values(p2, xs[..., r:])
-        return (g1, gb1, c1[..., 0], _matrix_poly(c2, l1),
-                g2, gb2, c2[..., 0], _matrix_poly(c1, l2))
+    def shared(xs: Array) -> list:
+        return [_factor_pass(p, xs[..., axes]) for p, axes, _, _ in factors]
 
-    def assemble(which: int, state: tuple) -> Array:
-        g1, gb1, det1, conv1, g2, gb2, det2, cross = state
-        if which == 0:
-            return _block_diagonal(_converted(conv1, g1), _converted(sign * cross, g2))
-        bar1 = (1.0 / det2)[..., None, None] * conv1
-        bar2 = (sign / det1)[..., None, None] * cross
-        return _block_diagonal(_converted(bar1, gb1), _converted(bar2, gb2))
+    def assemble(which: int, states: list) -> Array:
+        (c1, t1), (c2, t2) = (_field_terms(which, state, powers, negate)
+                              for state, (_, _, powers, negate) in zip(states, factors))
+        return _block_diagonal(_combine(c2, t1), _combine(c1, t2))
 
-    g, gbar = _twin_fields(chart, shared, assemble)
+    def jet(which: int, xs: Array) -> tuple[Array, Array]:
+        xs = np.asarray(xs, dtype=float)
+        values, diffs = [], []
+        for p, axes, powers, negate in factors:
+            k = p.dim
+
+            def packed(ys: Array) -> Array:  # coefficients, then the flattened terms
+                coeffs, terms = _field_terms(which, _factor_pass(p, ys), powers, negate)
+                return np.concatenate([coeffs, terms.reshape(terms.shape[:-3] + (-1,))], -1)
+
+            for out, a in zip((values, diffs), _central_differences(
+                    packed, xs[..., axes], *p.chart._fd_stencil)):
+                out.append((a[..., :k + 1], a[..., k + 1:].reshape(a.shape[:-1] + (-1, k, k))))
+        (c1, t1), (c2, t2) = values
+        (dc1, dt1), (dc2, dt2) = diffs  # differentiation axis leading
+        d = np.concatenate([_block_diagonal(_combine(c2, dt1), _combine(dc1, t2)),  # along x_1
+                            _block_diagonal(_combine(dc2, t1), _combine(c1, dt2))])  # along x_2
+        return _block_diagonal(_combine(c2, t1), _combine(c1, t2)), np.moveaxis(d, 0, -3)
+
+    g, gbar = _twin_fields(chart, shared, assemble, jet)
     return EquivTriple(pair=MetricPair(g=g, gbar=gbar), eigen_range=(lo1, hi2))
 
 

@@ -19,8 +19,10 @@ import dataclasses
 
 import numpy as np
 
+from ._batch import positive_definite
 from ._validate import as_floats, expect_instance, expect_int, expect_number, fail
 from .charts import Chart, MetricField, _spray, integrate_geodesics
+from .errors import NotPositiveDefinite
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
 from .projective import (CLUSTER_RADIUS, MetricPair, _frame_weights, _integrals, _roots_many,
@@ -82,10 +84,15 @@ def seeded_starts(pair: MetricPair, count: int, rng: np.random.Generator
                   ) -> tuple[Array, Array]:
     """Base points uniform in the middle portion of the chart box and
     velocities uniform in direction, normalized to unit speed in the base
-    metric."""
+    metric.  A start where that metric is not positive definite (a Cholesky
+    pivot fails) raises :class:`NotPositiveDefinite` naming the first one."""
     starts = pair.chart.sample(rng, count, shrink=START_SHRINK)
     vels = rng.normal(size=(count, pair.dim))
     g = pair.g.eval(starts)
+    if not positive_definite(g):
+        point = next(x for x, g_x in zip(starts, g) if not positive_definite(g_x[None]))
+        raise NotPositiveDefinite(f"base metric is not positive definite at the start "
+                                  f"{point.tolist()}")
     speed = np.sqrt(np.einsum("bi,bij,bj->b", vels, g, vels))
     return starts, vels / speed[:, None]
 

@@ -56,6 +56,16 @@ def test_the_kernel_keeps_the_batch_shape_and_its_input(n):
     assert np.array_equal(one, before[:1, :1])
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_batch_of_one_chunk_has_the_bits_of_a_chunked_one(n):
+    a = spd_batch(CHUNK + 3, n).reshape(CHUNK + 3, 1, n, n)
+    whole = cholesky_inverse(a)  # two working copies
+    parts = [cholesky_inverse(a[:CHUNK]), cholesky_inverse(a[CHUNK:])]  # one each
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert all(part.flags.c_contiguous and part.shape == (len(part), 1, n, n)
+               for part in parts)
+
+
 def spoiled(m, n, kind):
     """A well-conditioned batch whose last matrix is made bad."""
     a = spd_batch(m, n)
@@ -176,32 +186,44 @@ def test_the_package_has_one_triangular_inverse_path():
     assert offenders == []
 
 
-def test_no_product_takes_a_transposed_view_as_its_right_operand():
+def test_no_product_takes_a_transposed_view_as_an_operand():
     """numpy multiplies a stack of small matrices several times more slowly
-    when its right operand is a transposed view: every ``@`` in the package
+    when either operand is a transposed view: every ``@`` in the package
     takes a contiguous right operand, which is why the batch kernel returns
-    ``K^-T`` rather than ``K^-1``."""
+    ``K^-T`` rather than ``K^-1``, and a transposed left operand is copied
+    first."""
     offenders = []
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-                    and isinstance(node.right, ast.Call)
-                    and isinstance(node.right.func, ast.Attribute)
-                    and node.right.func.attr == "swapaxes"):
-                offenders.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                offenders += [f"{path.name}:{node.lineno}" for operand in (node.left, node.right)
+                              if isinstance(operand, ast.Call)
+                              and isinstance(operand.func, ast.Attribute)
+                              and operand.func.attr == "swapaxes"]
     assert offenders == []
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", [1, 250, CHUNK + 3])
+def test_a_copied_transposed_operand_keeps_the_products_bits(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    a, b = rng.normal(size=(2, m, n, n))
+    view = np.swapaxes(a, -1, -2)
+    assert np.array_equal(view.copy() @ b, view @ b)
+    gram = view.copy() @ a
+    assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+
+
 def test_the_glue_path_calls_no_lapack_routine():
-    """Neither a glued factor's values nor the Beltrami companion, nor any
-    package function they call, reaches ``np.linalg``: the glue path stays
-    on the batch kernel, off per-matrix LAPACK."""
+    """Neither a glued field (``eval`` or ``jet``) nor the Beltrami companion,
+    nor any package function they call, reaches ``np.linalg``: the glue path
+    stays on the batch kernel, off per-matrix LAPACK."""
     defs = {}
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.FunctionDef):
                 defs.setdefault(node.name, []).append((path.name, node))
-    todo = [entry for name, module in [("_factor_values", "split_glue.py"),
+    todo = [entry for name, module in [("glue_pair", "split_glue.py"),
                                        ("gbar_eval", "constructions.py")]
             for entry in defs[name] if entry[0] == module]
     seen, offenders = set(), []
@@ -222,5 +244,6 @@ def test_the_glue_path_calls_no_lapack_routine():
                 todo += defs.get(node.func.attr, [])
     reached = {name for name, entries in defs.items() for module, function in entries
                if (module, function.lineno) in seen}
-    assert {"_l_with", "_char_scale", "cholesky_inverse", "_unreflected"} <= reached
+    assert {"_factor_pass", "_field_terms", "_congruent", "_char_scale", "_central_differences",
+            "cholesky_inverse", "_unreflected"} <= reached
     assert offenders == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import geq
+from geq import split_glue
 from geq.charts import (
     FD_STEP,
     Chart,
@@ -327,21 +328,65 @@ def test_the_package_has_one_difference_quotient():
     assert offenders == []
 
 
+def glued_factors(monkeypatch) -> list:
+    """Record the factor triples of every ``glue_pair`` call from now on."""
+    calls = []
+    glue = split_glue.glue_pair
+    monkeypatch.setattr(split_glue, "glue_pair",
+                        lambda f1, f2: calls.append((f1, f2)) or glue(f1, f2))
+    return calls
+
+
+def product_rule_reference(factor1, factor2, which: int, x: np.ndarray):
+    """A glued field's value and partials: each factor's coefficients and block
+    terms differenced on a stencil of that factor's coordinates built here, as in
+    :func:`stencil_reference`, and the blocks combined by the product rule."""
+    r, n = factor1.pair.dim, x.shape[-1]
+    parts = []
+    for pair, axes, powers, negate in ((factor1.pair, slice(0, r), n - r, r % 2 == 1),
+                                       (factor2.pair, slice(r, n), r, False)):
+        xf, k = x[..., axes], pair.dim
+        h = FD_STEP * pair.chart.widths
+        steps = np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * k, 1, k)
+        stack = np.concatenate([xf[None], xf + steps])
+        coeffs, terms = split_glue._field_terms(which, split_glue._factor_pass(pair, stack),
+                                                powers, negate)
+        div = (2.0 * h)[:, None]
+        parts.append((coeffs[0], terms[0], (coeffs[1::2] - coeffs[2::2]) / div[..., None],
+                      (terms[1::2] - terms[2::2]) / div[..., None, None, None]))
+    (c1, t1, dc1, dt1), (c2, t2, dc2, dt2) = parts
+
+    def weighted(c, t):  # sum_j c_j t_j, in the order of j
+        return sum(c[..., j, None, None] * t[..., j, :, :] for j in range(t.shape[-3]))
+
+    value = np.zeros(x.shape[:-1] + (n, n))
+    value[..., :r, :r], value[..., r:, r:] = weighted(c2, t1), weighted(c1, t2)
+    d = np.zeros((n,) + value.shape)
+    d[:r, ..., :r, :r], d[r:, ..., :r, :r] = weighted(c2, dt1), weighted(dc2, t1)
+    d[:r, ..., r:, r:], d[r:, ..., r:, r:] = weighted(dc1, t2), weighted(c1, dt2)
+    return value, np.moveaxis(d, 0, -3)
+
+
 # A finite-difference base metric, a finite-difference companion next to
-# closed-form base partials, and both fields of a glued pair.
+# closed-form base partials, and both fields of a glued pair, whose jet is
+# the product rule on each factor's own stencil.
 STENCIL_FIELDS = [("three_d_axial", "g"), ("beltrami_3", "gbar"),
                   ("product_s1_s2", "g"), ("product_s1_s2", "gbar")]
 
 
 class TestCachedStencil:
     @pytest.mark.parametrize("name, which", STENCIL_FIELDS)
-    def test_partials_and_spray_equal_a_per_call_stencil(self, name, which):
+    def test_partials_and_spray_equal_a_per_call_stencil(self, monkeypatch, name, which):
+        factors = glued_factors(monkeypatch)
         field = getattr(standard_pair(name), which)
         rng = np.random.default_rng(13)
         x = field.chart.sample(rng, 30, shrink=0.8)
         v = rng.normal(size=x.shape)
         g, dg = stencil_reference(field, x)
         assert np.array_equal(fd_partials(field, x), dg)
+        if factors:  # the spray reads the glued jet
+            g, dg = product_rule_reference(*factors[-1], ["g", "gbar"].index(which), x)
+            assert np.array_equal(field.jet(x)[1], dg)
         # The contraction of _spray, fed the reference partials.
         dgv = np.einsum("bkij,bj->bki", dg, v)
         t = 2.0 * np.einsum("bk,bki->bi", v, dgv) - np.einsum("bki,bi->bk", dgv, v)

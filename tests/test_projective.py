@@ -704,7 +704,8 @@ def test_an_indefinite_metric_with_positive_determinant_is_refused(read, which):
 
 
 def l_with_char(g, gb):
-    """The glue's factor path: ``L`` and its characteristic coefficients."""
+    """``L`` and its characteristic coefficients from one congruence: the
+    glue's coefficient reader (:func:`_char_scale`) on the split's path."""
     return _l_with(g, gb, _char_scale)
 
 

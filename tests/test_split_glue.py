@@ -14,7 +14,8 @@ from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import MetricPair, _l_partials, _l_values, _scan_grid, l_eigen, l_tensor
 from geq.split_glue import (EquivTriple, glue_pair, make_triple, oplus,
                             split_factors, split_pair, split_tensors)
-from geq.verify import standard_pair
+from geq.verify import check_conservation, standard_pair
+from test_charts import stencil_reference
 
 INTERVAL = (-0.5, 0.5)
 
@@ -409,7 +410,7 @@ def test_twin_fields_never_serve_a_stale_matrix(build, reads):
 
 
 @pytest.mark.parametrize("build, evaluator, per_read",
-                         [(split_fields, "_split", 1), (glued_fields, "_factor_values", 2)],
+                         [(split_fields, "_split", 1), (glued_fields, "_factor_pass", 2)],
                          ids=["split", "glued"])
 def test_only_a_base_read_keeps_the_intermediates_for_its_partner(monkeypatch, build,
                                                                  evaluator, per_read):
@@ -477,31 +478,64 @@ def _count_factor_rows(monkeypatch) -> dict:
 def test_a_spray_of_the_glued_base_evaluates_each_factor_on_its_own_slices(monkeypatch):
     rows = _count_factor_rows(monkeypatch)
     pair = standard_pair("product_s2_s2")
-    assembled = []
-    converted = split_glue._converted
-    monkeypatch.setattr(split_glue, "_converted",
-                        lambda conv, m: assembled.append(m.shape) or converted(conv, m))
+    passes, reads = [], []
+    factor_pass, field_terms = split_glue._factor_pass, split_glue._field_terms
+    monkeypatch.setattr(split_glue, "_factor_pass", lambda p, xs: passes.append(
+        np.shape(xs)[:-1]) or factor_pass(p, xs))
+    monkeypatch.setattr(split_glue, "_field_terms", lambda which, *args: reads.append(
+        which) or field_terms(which, *args))
     B = 11
     rng = np.random.default_rng(9)
     x = pair.chart.sample(rng, B, shrink=0.8)
     _spray(pair.g, x, rng.normal(size=x.shape))
-    # A 2-dimensional factor of the 4-dimensional product moves on 2 * 2 + 1
-    # of the 2 * 4 + 1 stencil slices.
+    # One pass per factor, on the 2 * 2 + 1 rows of a 2-dimensional factor's
+    # own stencil, and only the terms of the base metric.
+    assert passes == [(5, B), (5, B)]
     assert rows == {(tag, key): [5 * B] for tag in ("factor1", "factor2")
                     for key in ("g", "gbar")}
-    assert len(assembled) == 2  # the two blocks of g, no companion block
+    assert reads == [0, 0]
 
 
-def test_l_partials_of_a_glued_pair_evaluate_each_factor_on_its_own_slices(monkeypatch):
+def test_l_partials_of_a_glued_pair_evaluate_each_factor_once_on_the_stencil(monkeypatch):
     rows = _count_factor_rows(monkeypatch)
     pair = standard_pair("product_s2_s2")
     B = 7
     x = pair.chart.sample(np.random.default_rng(10), B, shrink=0.8)
     _l_partials(pair, x)
-    # The centre leads the stencil, so a 2-dimensional factor moves on
-    # 2 * 2 + 1 of its 2 * 4 + 1 slices.
-    assert rows == {(tag, key): [5 * B] for tag in ("factor1", "factor2")
+    # L is differenced as a whole, so each factor is read on all 2 * 4 + 1
+    # slices of the product chart's stencil, once per metric.
+    assert rows == {(tag, key): [9 * B] for tag in ("factor1", "factor2")
                     for key in ("g", "gbar")}
+
+
+JET_PAIRS = {
+    "product_s1_s2": lambda: standard_pair("product_s1_s2"),
+    "product_s2_s2": lambda: standard_pair("product_s2_s2"),
+    # Three factors: the outer glue's first factor is itself glued.
+    "oplus-1-2-1": lambda: oplus([lc_triple((0.5, 0.1)), lc_triple((1.0, 0.1), (1.4, 0.1)),
+                                  lc_triple((2.0, 0.2))]).pair,
+}
+
+
+@pytest.mark.parametrize("build", JET_PAIRS.values(), ids=JET_PAIRS.keys())
+def test_a_glued_jet_is_its_eval_and_the_stencil_partials(build):
+    pair = build()
+    x = pair.chart.sample(np.random.default_rng(14), 40, shrink=0.8)
+    for field in (pair.g, pair.gbar):
+        value, partials = field.jet(x)
+        assert np.array_equal(value, field.eval(x))
+        reference = stencil_reference(field, x)[1]
+        assert np.max(np.abs(partials - reference)) <= 1e-8 * np.max(np.abs(reference))
+        assert np.array_equal(partials, np.swapaxes(partials, -1, -2))
+
+
+@pytest.mark.parametrize("name", ["product_s1_s2", "product_s2_s2"])
+def test_the_glued_products_conserve_their_integrals(name):
+    # The defect check alone passes a glued jet whose first block carries the
+    # sign (-1)^r in its partials; the integrals' drift does not.
+    report = check_conservation(standard_pair(name), n_traj=10, duration=1.0, tol=1e-10,
+                                seed=3)
+    assert report.max_drift < 1e-6
 
 
 def test_oplus_is_associative():

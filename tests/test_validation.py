@@ -19,8 +19,10 @@ from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, b
                  eigen_range, frame_weights, integral_roots_many, integrate_geodesics, l_tensor,
                  max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
                  sphere_chart, split_pair, spheres_product, standard_pair)
-from geq.charts import Chart, PhasePoint, christoffel, fd_partials
-from geq.errors import GeqError, OutOfChart, SchemaError
+from geq.charts import Chart, MetricField, PhasePoint, christoffel, fd_partials
+from geq.errors import GeqError, NotPositiveDefinite, OutOfChart, SchemaError
+from geq.projective import MetricPair
+from geq.verify import START_SHRINK
 
 NAN, INF = float("nan"), float("inf")
 INTERVAL = (-0.5, 0.5)
@@ -87,6 +89,8 @@ CASES = {
         pair.g, [[0.0, 0.0, 0.0], [0.0]], np.ones((2, 3)), 1.0, 1e-8)),
     "integrate-empty-starts": ("starts_x", lambda pair: integrate_geodesics(
         pair.g, np.zeros((0, 3)), np.zeros((0, 3)), 1.0, 1e-8)),
+    "integrate-nan-start": ("starts_x", lambda pair: integrate_geodesics(
+        pair.g, [[0.0, 0.0, 0.0], [0.0, NAN, 0.0]], np.ones((2, 3)), 1.0, 1e-8)),
     "lc-data-overflowing-profile": ("lambdas[0]", lambda pair: LeviCivitaData(
         (ScalarFunction1D((1.0, 1e308), (0.0, 2.0)),), Chart(1, ((0.0, 2.0),)))),
     # Arguments of the wrong type.
@@ -146,6 +150,8 @@ OUTSIDE_CASES = {
         pair, OUTSIDE[:, None, :], np.ones((3, 4, 3)))),
     "roots-many": ("xs", lambda pair: integral_roots_many(pair, OUTSIDE, np.ones(3))),
     "interlacing-points": ("points", lambda pair: check_interlacing(pair, points=OUTSIDE)),
+    "integrate-starts": ("starts_x", lambda pair: integrate_geodesics(
+        pair.g, OUTSIDE, np.ones((3, 3)), 1.0, 1e-8)),
 }
 
 
@@ -157,6 +163,33 @@ def test_batched_reads_outside_the_chart_name_the_first_point(family, name, call
         with pytest.raises(OutOfChart, match=rf"^{name}: point \[5\.0, 5\.0, 5\.0\] is not "
                            "inside the chart box$"):
             call(standard_pair(family))
+
+
+def indefinite_below(pair, edge: float) -> MetricPair:
+    """``pair`` with the base metric ``diag(1, x_0 - edge, 1)``, indefinite where
+    ``x_0 <= edge``."""
+    def g_eval(xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape[:-1] + (3, 3))
+        out[..., 0, 0] = out[..., 2, 2] = 1.0
+        out[..., 1, 1] = xs[..., 0] - edge
+        return out
+
+    return MetricPair(g=MetricField(chart=pair.chart, eval=g_eval), gbar=pair.gbar)
+
+
+@pytest.mark.parametrize("check", [check_equivalence, check_conservation])
+def test_an_indefinite_base_metric_names_the_first_start_where_it_fails(lc_nd, check):
+    # The box is [-0.5, 0.5]^3 and the starts lie in its middle 60%: some on
+    # either side of x_0 = -0.05, the first of them on the positive side.
+    starts = lc_nd.chart.sample(np.random.default_rng(4), 6, shrink=START_SHRINK)
+    assert starts[0, 0] > -0.05 and np.any(starts[:, 0] <= -0.05)
+    first = starts[np.argmax(starts[:, 0] <= -0.05)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotPositiveDefinite, match=r"^base metric is not positive definite "
+                           rf"at the start {re.escape(str(first.tolist()))}$"):
+            check(indefinite_below(lc_nd, -0.05), n_traj=6, seed=4)
 
 
 def test_batched_reads_accept_the_box_bounds():

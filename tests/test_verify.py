@@ -122,10 +122,12 @@ def test_equivalence_reads_the_base_metric_only_to_integrate(monkeypatch, name):
     monkeypatch.setattr(verify, "integrate_geodesics", integrate_then_mark)
     report = check_equivalence(pair, n_traj=6, duration=0.5, tol=1e-9, seed=3)
     assert report.max_tangential_defect < 1e-6
-    # After the integrator, only the companion is read: once, on the
-    # samples and their (2n + 1)-point stencil stacked.
+    # After the integrator, only the companion is read, once: its jet on the
+    # samples, or without one, its eval on the samples and their (2n + 1)-point
+    # stencil stacked.
     after = log[log.index("integrated") + 1:]
-    assert after == [("gbar", "eval", (2 * pair.dim + 1) * samples[0])]
+    assert after == [("gbar", "jet", samples[0]) if pair.gbar.jet is not None
+                     else ("gbar", "eval", (2 * pair.dim + 1) * samples[0])]
     assert [entry for entry in log if entry[0] == "gbar"] == after
 
 
