@@ -6,7 +6,7 @@ For ``a = K K^T`` (``K`` lower triangular), :func:`cholesky_inverse` returns
 ``K^-T`` (``U^-1`` for ``a = U^T U``), which the inverse writes in place of the
 upper triangle at no extra cost: callers multiply by it as a contiguous right
 operand, never by a transposed view, which numpy multiplies about three times
-slower.
+slower; a transposed left operand is copied first (:func:`transposed`).
 
 LAPACK's batched routines, as numpy calls them, factor one matrix at a time
 and pay a fixed cost per matrix, which dominates on the 2x2 to 5x5 metrics
@@ -82,15 +82,8 @@ def _invert_transposed(w: Array) -> None:
 def cholesky_inverse(a: Array) -> Array | None:
     """``K^-T`` ``(..., n, n)``, upper triangular, for ``a = K K^T`` with ``K``
     lower triangular, or None when a Cholesky pivot of some matrix is not
-    positive.  A batch of at most :data:`CHUNK` matrices is one working copy,
-    whose inverse is copied out contiguous."""
+    positive."""
     n = a.shape[-1]
-    if a.size <= CHUNK * n * n:
-        w = a.reshape(-1, n, n).transpose(1, 2, 0).copy()
-        if not _factor(w):
-            return None
-        _invert_transposed(w)
-        return w.transpose(2, 0, 1).copy().reshape(a.shape)
     out = np.empty(a.shape[:-2] + (n, n))
     flat = out.reshape(-1, n, n)
     for rows, w in _blocks(a):
@@ -105,3 +98,10 @@ def positive_definite(a: Array) -> bool:
     """Whether every symmetric matrix of the batch ``a`` ``(..., n, n)`` is
     positive definite: exactly when every Cholesky pivot is positive."""
     return all(_factor(w) for _, w in _blocks(a))
+
+
+def transposed(a: Array) -> Array:
+    """The transpose of the last two axes of ``a`` as a contiguous copy, to be
+    an operand of ``@``: numpy multiplies a stack of small matrices several
+    times more slowly when an operand is a transposed view, with the same bits."""
+    return np.swapaxes(a, -1, -2).copy()

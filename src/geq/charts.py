@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._batch import transposed
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_interval,
                         expect_number, expect_points, expect_tol, expect_vector, fail)
 from .errors import (
@@ -459,7 +460,7 @@ def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:
         y = np.asarray(y, dtype=float)
         j = chart_map.jacobian(y)
         g = field.eval(chart_map.forward(y))
-        out = np.swapaxes(j, -1, -2).copy() @ g @ j
+        out = transposed(j) @ g @ j
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return MetricField(chart=chart_map.source, eval=eval_fn)

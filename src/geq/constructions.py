@@ -15,6 +15,7 @@ import dataclasses
 
 import numpy as np
 
+from ._batch import transposed
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_number,
                         fail)
 from .charts import Chart, MetricField, integrate_geodesics
@@ -170,7 +171,7 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         u = w / norm
         m = ar @ j0
         dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
-        out = np.swapaxes(dmap, -1, -2).copy() @ dmap
+        out = transposed(dmap) @ dmap
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     return make_triple(MetricPair(

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from ._batch import CHUNK, cholesky_inverse
+from ._batch import CHUNK, cholesky_inverse, transposed
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
 from .charts import (FD_STEP, Chart, MetricField, _central_differences, _stencil,
@@ -139,7 +139,7 @@ def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
         k_inv_t = cholesky_inverse(gb)
     else:
         try:
-            k_inv_t = np.linalg.solve(np.linalg.cholesky(gb), np.eye(n)).swapaxes(-1, -2).copy()
+            k_inv_t = transposed(np.linalg.solve(np.linalg.cholesky(gb), np.eye(n)))
         except np.linalg.LinAlgError:
             k_inv_t = None
     return k_inv_t, _congruent(g, k_inv_t)[1]
@@ -156,7 +156,7 @@ def _congruent(g: Array, k_inv_t: Array | None) -> tuple[Array, Array]:
     right operand; ``k_inv_t`` (``K^-T``) is None after a failed Cholesky pivot."""
     if k_inv_t is None:
         raise NotPositiveDefinite("companion metric is not positive definite")
-    kg = np.swapaxes(k_inv_t, -1, -2).copy() @ g
+    kg = transposed(k_inv_t) @ g
     b = kg @ k_inv_t
     b += np.swapaxes(b, -1, -2)
     b *= 0.5
@@ -309,7 +309,7 @@ def _roots_many(mu: Array, w: Array) -> Array:
 def _frame_weights(g: Array, gb: Array, vs: Array) -> tuple[Array, Array]:
     """:func:`frame_weights` from both metrics at the points."""
     mu, vecs = _l_frame(g, gb)
-    m = np.swapaxes(vecs, -1, -2).copy() @ g  # once per point, however many vectors it has
+    m = transposed(vecs) @ g  # once per point, however many vectors it has
     w = (m @ vs[..., None])[..., 0] ** 2
     return np.broadcast_to(mu, w.shape), w
 

@@ -18,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from ._batch import cholesky_inverse, positive_definite
+from ._batch import cholesky_inverse, positive_definite, transposed
 from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField, _central_differences
 from .errors import EigenOrderViolated, GapViolated, NotPositive
@@ -190,8 +190,8 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
                          if not positive_definite(s_x[None]))
             raise GapViolated(f"eigenvalues {r} and {r + 1} of L are not separated at "
                               f"{point.tolist()}: a Cholesky pivot of the split failed")
-        w = np.swapaxes(k_inv_t, -1, -2).copy() @ m
-        return np.swapaxes(w, -1, -2).copy() @ w
+        w = transposed(k_inv_t) @ m
+        return transposed(w) @ w
 
     h, hbar = _twin_fields(pair.chart, lambda xs: (xs, *_split(pair, xs, r)), assemble)
     return SplitResult(r=r, h=h, hbar=hbar,
@@ -262,7 +262,7 @@ def _field_terms(which: int, state: tuple, powers: int, negate: bool) -> tuple[A
     if negate:
         coeffs = -coeffs
     r = ratio[..., None, None]
-    w_t, p = np.swapaxes(w, -1, -2).copy(), w  # contiguous: a transposed view multiplies slowly
+    w_t, p = transposed(w), w
     g_l = [g]
     for j in range(1, powers + 1 - which):
         if j > 1:

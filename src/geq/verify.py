@@ -84,11 +84,16 @@ def seeded_starts(pair: MetricPair, count: int, rng: np.random.Generator
                   ) -> tuple[Array, Array]:
     """Base points uniform in the middle portion of the chart box and
     velocities uniform in direction, normalized to unit speed in the base
-    metric.  A start where that metric is not positive definite (a Cholesky
-    pivot fails) raises :class:`NotPositiveDefinite` naming the first one."""
+    metric.  A start where that metric has a non-finite entry, or is not
+    positive definite (a Cholesky pivot fails), raises
+    :class:`NotPositiveDefinite` naming the first one."""
     starts = pair.chart.sample(rng, count, shrink=START_SHRINK)
     vels = rng.normal(size=(count, pair.dim))
     g = pair.g.eval(starts)
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        raise NotPositiveDefinite(f"base metric has non-finite entries at the start "
+                                  f"{starts[np.argmin(finite)].tolist()}")
     if not positive_definite(g):
         point = next(x for x, g_x in zip(starts, g) if not positive_definite(g_x[None]))
         raise NotPositiveDefinite(f"base metric is not positive definite at the start "

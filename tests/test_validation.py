@@ -165,31 +165,37 @@ def test_batched_reads_outside_the_chart_name_the_first_point(family, name, call
             call(standard_pair(family))
 
 
-def indefinite_below(pair, edge: float) -> MetricPair:
+def spoiled_below(pair, edge: float, bad: float | None) -> MetricPair:
     """``pair`` with the base metric ``diag(1, x_0 - edge, 1)``, indefinite where
-    ``x_0 <= edge``."""
+    ``x_0 <= edge``, or with ``diag(1, bad, 1)`` there and the identity elsewhere."""
     def g_eval(xs):
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape[:-1] + (3, 3))
-        out[..., 0, 0] = out[..., 2, 2] = 1.0
-        out[..., 1, 1] = xs[..., 0] - edge
+        out = np.broadcast_to(np.eye(3), xs.shape[:-1] + (3, 3)).copy()
+        out[..., 1, 1] = (xs[..., 0] - edge if bad is None
+                          else np.where(xs[..., 0] <= edge, bad, 1.0))
         return out
 
     return MetricPair(g=MetricField(chart=pair.chart, eval=g_eval), gbar=pair.gbar)
 
 
+@pytest.mark.parametrize("bad, problem", [(None, "is not positive definite"),
+                                          (np.nan, "has non-finite entries"),
+                                          (np.inf, "has non-finite entries"),
+                                          (-np.inf, "has non-finite entries")],
+                         ids=["indefinite", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("check", [check_equivalence, check_conservation])
-def test_an_indefinite_base_metric_names_the_first_start_where_it_fails(lc_nd, check):
+def test_a_bad_base_metric_names_the_first_start_where_it_fails(lc_nd, check, bad, problem):
     # The box is [-0.5, 0.5]^3 and the starts lie in its middle 60%: some on
-    # either side of x_0 = -0.05, the first of them on the positive side.
+    # either side of x_0 = -0.05, the first of them on the positive side.  A
+    # non-finite entry is refused before the Cholesky pivots.
     starts = lc_nd.chart.sample(np.random.default_rng(4), 6, shrink=START_SHRINK)
     assert starts[0, 0] > -0.05 and np.any(starts[:, 0] <= -0.05)
     first = starts[np.argmax(starts[:, 0] <= -0.05)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NotPositiveDefinite, match=r"^base metric is not positive definite "
+        with pytest.raises(NotPositiveDefinite, match=rf"^base metric {problem} "
                            rf"at the start {re.escape(str(first.tolist()))}$"):
-            check(indefinite_below(lc_nd, -0.05), n_traj=6, seed=4)
+            check(spoiled_below(lc_nd, -0.05, bad), n_traj=6, seed=4)
 
 
 def test_batched_reads_accept_the_box_bounds():
