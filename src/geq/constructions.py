@@ -19,9 +19,9 @@ from ._batch import transposed
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_number,
                         fail)
 from .charts import Chart, MetricField, integrate_geodesics
-from .errors import DegenerateMap, EigenOrderViolated, NotPositive
+from .errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite
 from .projective import MetricPair
-from .split_glue import EquivTriple, make_triple, oplus
+from .split_glue import EquivTriple, _gl_powers, _poly_from_linear_factors, make_triple, oplus
 from .verify import seeded_starts
 
 Array = np.ndarray
@@ -133,11 +133,85 @@ def sphere_chart(dim: int, pole=None) -> SphereChart:
     return SphereChart(dim=dim, chart=Chart(dim, box), pole=pole)
 
 
+def _gram_companion(ar: Array, ar_t: Array, e0: Array, j0: Array) -> Array:
+    """The pull-back of the round metric by ``x -> A x / |A x|`` from the unreflected
+    embedding ``e0`` and its Jacobian ``j0`` (:meth:`SphereChart._unreflected`), with
+    ``ar = A R`` and its transpose ``ar_t``, contiguous: the Gram matrix of ``D = (I -
+    u u^T) AR J0 / |w|``, the differential of the map at ``x = R e0``, with ``w = AR e0``
+    and ``u = w / |w|``."""
+    w = e0 @ ar_t
+    norm = np.sqrt(np.sum(w * w, axis=-1))[..., None]
+    u = w / norm
+    m = ar @ j0
+    dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
+    out = transposed(dmap) @ dmap
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _SphereL:
+    """``L`` of :func:`beltrami_pair` in closed form, its base metric ``g`` times ``c``
+    (:func:`scale_triple`), for the glue (:attr:`~geq.split_glue.EquivTriple.closed_l`).
+
+    With ``M = A^T A``, ``s = det(M)^(1/(k+1))`` and ``T = c^(1/(k+1)) s M^-1 = sum_i
+    tau_i q_i q_i^T``, ``L`` at the unit point ``x = R e0(y)`` is ``T`` compressed to
+    ``x^perp``: ``J L = (I - x x^T) T J`` for the embedding's Jacobian ``J = R J0(y)``.
+    So ``g L^j = c J^T X_j`` with ``X_1 = T J`` and ``X_(j+1) = T (X_j - x (x^T X_j))``,
+    ``det(L - t I) = sum_i (q_i . x)^2 prod_(m != i) (tau_m - t)`` (the frame-weight form
+    of ``I_t``, :func:`~geq.projective._integrals`, for the constant ``T``), and
+    ``ratio = c^(-k/(k+1)) s / x^T M x``, so that ``gb L^j = ratio g L^(j-1)``.  In the
+    eigenframe of ``T``, with ``y = sqrt(tau) Q^T J`` and ``zeta = sqrt(tau) Q^T x``,
+    ``g L^j = c y^T S^(j-1) y`` for the symmetric ``S = diag(tau) - zeta zeta^T``: the
+    form of the congruence route (:func:`~geq.split_glue._factor_pass`), whose ``S`` is
+    ``ratio B``.  The frame is taken in the unreflected chart, where ``M`` is ``(AR)^T
+    AR``."""
+
+    g: MetricField
+    gbar: MetricField
+    sphere: SphereChart
+    ar: Array
+    ar_t: Array
+    c: float = 1.0
+
+    def __post_init__(self) -> None:
+        k = self.sphere.dim
+        m, q = np.linalg.eigh(self.ar_t @ self.ar)
+        s = np.prod(m) ** (1.0 / (k + 1))
+        tau = self.c ** (1.0 / (k + 1)) * s / m
+        others = np.array([np.delete(tau, i) for i in range(k + 1)])
+        root = np.sqrt(tau)
+        # M's eigenvalues and frame, tau as a column, sqrt(tau), sqrt(tau) Q^T, the
+        # rows prod_(m != i) (tau_m - t), and the numerator of ratio.
+        object.__setattr__(self, "_frame", (
+            m, q, tau[:, None], root, root[:, None] * transposed(q),
+            _poly_from_linear_factors(others), self.c ** (-k / (k + 1)) * s))
+
+    def read(self, ys: Array) -> tuple:
+        """The state of :func:`~geq.split_glue._factor_pass` at the points ``ys``, with
+        no companion read unless its function is called; a non-finite point raises
+        :class:`NotPositiveDefinite`, as a non-finite metric does there."""
+        if not np.isfinite(ys).all():
+            raise NotPositiveDefinite("a metric has non-finite entries")
+        m, q, tau, root, root_qt, rows, scale = self._frame
+        g = self.g.eval(ys)
+        e0, j0 = self.sphere._unreflected(ys)
+        z = e0 @ q
+        zz = z * z
+        zeta = root * z
+
+        def step(p: Array) -> Array:
+            return tau * p - zeta[..., :, None] * (zeta[..., None, :] @ p)
+
+        return (g, lambda: _gram_companion(self.ar, self.ar_t, e0, j0), scale / (zz @ m),
+                zz @ rows, _gl_powers(root_qt @ j0, step, self.c))
+
+
 def beltrami_pair(dim: int, a_map: LinearMap | None = None,
                   sphere: SphereChart | None = None) -> EquivTriple:
     """Round metric on a sphere chart paired with its pull-back under the
     normalized linear self-map of the sphere; the round metric carries a
-    closed-form ``jet``."""
+    closed-form ``jet``, and the triple a closed form of ``L`` for the glue
+    (:class:`_SphereL`)."""
     dim = expect_int(dim, "dim", 1)
     if sphere is None:
         sphere = sphere_chart(dim)
@@ -161,28 +235,23 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         return g, (-16.0 * ys / (d ** 3)[..., None])[..., None, None] * np.eye(dim)
 
     ar = a_map.matrix @ sphere._reflection
+    ar_t = transposed(ar)
 
     def gbar_eval(ys: Array) -> Array:
-        # The Gram matrix of D = (I - u u^T) AR J0 / |w|, the differential of
-        # x -> A x / |A x| at x = R e0, with w = AR e0 and u = w / |w|.
-        e0, j0 = sphere._unreflected(ys)
-        w = e0 @ ar.T
-        norm = np.sqrt(np.sum(w * w, axis=-1))[..., None]
-        u = w / norm
-        m = ar @ j0
-        dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
-        out = transposed(dmap) @ dmap
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
+        return _gram_companion(ar, ar_t, *sphere._unreflected(ys))
 
-    return make_triple(MetricPair(
+    pair = MetricPair(
         g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2], jet=g_jet),
         gbar=MetricField(chart=sphere.chart, eval=gbar_eval),
-    ))
+    )
+    return dataclasses.replace(make_triple(pair), closed_l=_SphereL(
+        g=pair.g, gbar=pair.gbar, sphere=sphere, ar=ar, ar_t=ar_t))
 
 
 def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     """Multiply the base metric by a positive constant; the companion is
-    unchanged and the eigenvalue range scales by ``factor**(1/(dim+1))``."""
+    unchanged and the eigenvalue range scales by ``factor**(1/(dim+1))``.  A
+    closed form of ``L`` that the triple carries is carried over, scaled."""
     if expect_number(factor, "factor") <= 0.0:
         raise NotPositive("the scaling constant must be positive")
     if factor == 1.0:
@@ -203,8 +272,11 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
         g=MetricField(chart=pair.chart, eval=g_eval, jet=None if base.jet is None else g_jet),
         gbar=pair.gbar,
     )
+    form = triple.closed_l
     lo, hi = triple.eigen_range
-    return EquivTriple(pair=scaled, eigen_range=(lo * eig_scale, hi * eig_scale))
+    return EquivTriple(pair=scaled, eigen_range=(lo * eig_scale, hi * eig_scale),
+                       closed_l=None if form is None else dataclasses.replace(
+                           form, g=scaled.g, c=form.c * factor))
 
 
 def _chart_eigen_bounds(a_map: LinearMap, sphere: SphereChart) -> tuple[float, float]:

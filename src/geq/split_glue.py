@@ -8,13 +8,16 @@ is the exact inverse construction, and ``oplus`` is its associative fold.
 Both fields of a split or glued pair share one evaluation of their
 intermediates per point batch, and each field's matrix is assembled only when
 that field is read.  A glued pair takes every term of both fields from one
-Cholesky congruence of each factor's metrics on the batch kernel, with no ``L``
-formed, no LAPACK call and no adjugate, and its fields carry a ``jet`` built
-from each factor's own finite-difference stencil.
+pass per factor, with no ``L`` formed, no LAPACK call and no adjugate: a
+factor whose triple carries a closed form of its ``L`` (a sphere factor) is
+read through it, any other by one Cholesky congruence of its metrics on the
+batch kernel.  Its fields carry a ``jet`` built from each factor's own
+finite-difference stencil.
 """
 from __future__ import annotations
 
 import dataclasses
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,14 +48,26 @@ class SplitResult:
 @dataclasses.dataclass(frozen=True)
 class EquivTriple:
     """A compatible pair together with the sampled range of its
-    compatibility-tensor eigenvalues."""
+    compatibility-tensor eigenvalues.
+
+    ``closed_l``, if given, is a closed form of the pair's ``L`` for the glue
+    (the Beltrami factors of :mod:`geq.constructions` carry one): an object with
+    the fields ``g`` and ``gbar`` it was built for and a method ``read(ys)`` that
+    gives what :func:`_factor_pass` gives at the points ``ys``.  A closed form
+    built for other fields than the pair's, such as ``dataclasses.replace(triple,
+    pair=...)`` would carry over, is dropped, so it is never read for another
+    pair."""
 
     pair: MetricPair
     eigen_range: tuple[float, float]
+    closed_l: Any = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.eigen_range[0] <= 0.0:
             raise NotPositive("eigenvalue range must be positive")
+        form = self.closed_l
+        if form is not None and not (form.g is self.pair.g and form.gbar is self.pair.gbar):
+            object.__setattr__(self, "closed_l", None)
 
 
 def make_triple(pair: MetricPair) -> EquivTriple:
@@ -237,41 +252,64 @@ def _block_diagonal(a: Array, b: Array) -> Array:
     return out
 
 
-def _factor_pass(pair: MetricPair, xs: Array) -> tuple[Array, ...]:
-    """A factor's two metrics at ``xs``, ``W = K^-1 g`` and ``B = W K^-T`` of the
-    congruence ``gb = K K^T`` (``K^-T`` from the batch kernel at every batch size, so
-    no bit of a point depends on its batch), and ``ratio`` and the coefficients of
-    ``det(L - t I)`` (:func:`~geq.projective._char_scale`): everything both glued
-    fields need of the factor (:func:`_field_terms`), with no ``L`` formed."""
+def _gl_powers(p: Array, step: Callable, scale) -> Callable[[int], list[Array]]:
+    """The terms ``g L^j = scale sym(p^T p_j)``, ``j = 1 .. count``, with ``p_1 = p`` and
+    ``p_(j+1) = step(p_j)``, as a function of their count; the first is a Gram
+    product, exactly symmetric, and the others are symmetrized."""
+    def powers(count: int) -> list[Array]:
+        p_t, q, out = transposed(p), p, []
+        for j in range(1, count + 1):
+            if j > 1:
+                q = step(q)
+            t = p_t @ q
+            if j > 1:
+                t = 0.5 * (t + np.swapaxes(t, -1, -2))
+            out.append(scale * t)
+        return out
+    return powers
+
+
+def _factor_pass(pair: MetricPair, xs: Array) -> tuple:
+    """Everything both glued fields need of a factor at ``xs`` (:func:`_field_terms`),
+    by congruence, with no ``L`` formed: its base metric, a function giving its
+    companion, ``ratio`` and the coefficients of ``det(L - t I)``
+    (:func:`~geq.projective._char_scale`), and the terms ``g L^j = ratio W^T (ratio
+    B)^(j-1) W`` (:func:`_gl_powers`), from ``W = K^-1 g`` and ``B = W K^-T`` of the
+    congruence ``gb = K K^T`` (``K^-T`` from the batch kernel at every batch size,
+    so no bit of a point depends on its batch)."""
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
     _expect_finite(g, gb)
     w, b = _congruent(g, cholesky_inverse(gb))
-    return (g, gb, w, b, *_char_scale(b))
+    ratio, c = _char_scale(b)
+    r = ratio[..., None, None]
+    return g, lambda: gb, ratio, c, _gl_powers(w, lambda p: (r * b) @ p, r)
 
 
 def _field_terms(which: int, state: tuple, powers: int, negate: bool) -> tuple[Array, Array]:
     """What a factor gives field ``which`` (0 the base, 1 the companion) of a glued
-    pair, from its :func:`_factor_pass`: the coefficients ``(..., k + 1)`` of
-    ``det(L - t I)`` that weight the other factor's block, over their constant one
-    for the companion and negated if asked, and the terms ``(..., powers + 1, k, k)``
-    of its own block, ``g L^j`` or ``gb L^j`` for ``j = 0 .. powers``: ``gb L^j =
-    ratio g L^(j-1)``, ``g L = ratio W^T W`` (a Gram product, exactly symmetric) and
-    ``g L^j = ratio W^T (ratio B)^(j-1) W``, symmetrized."""
-    g, gb, w, b, ratio, c = state
+    pair, from its :func:`_factor_pass` or closed form (:func:`_factor_source`): the
+    coefficients ``(..., k + 1)`` of ``det(L - t I)`` that weight the other factor's
+    block, over their constant one for the companion and negated if asked, and the
+    terms ``(..., powers + 1, k, k)`` of its own block, ``g L^j`` or ``gb L^j`` for
+    ``j = 0 .. powers``, where ``gb L^j = ratio g L^(j-1)``."""
+    g, companion, ratio, c, gl_powers = state
     coeffs = c / c[..., :1] if which else c
     if negate:
         coeffs = -coeffs
-    r = ratio[..., None, None]
-    w_t, p = transposed(w), w
-    g_l = [g]
-    for j in range(1, powers + 1 - which):
-        if j > 1:
-            p = (r * b) @ p
-        t = w_t @ p
-        if j > 1:
-            t = 0.5 * (t + np.swapaxes(t, -1, -2))
-        g_l.append(r * t)
-    return coeffs, np.stack(g_l if which == 0 else [gb] + [r * t for t in g_l], axis=-3)
+    g_l = [g, *gl_powers(powers - which)]
+    if which:
+        r = ratio[..., None, None]
+        g_l = [companion()] + [r * t for t in g_l]
+    return coeffs, np.stack(g_l, axis=-3)
+
+
+def _factor_source(triple: EquivTriple):
+    """The function that gives :func:`_field_terms` a factor's state at its points:
+    the triple's closed form of ``L`` if it carries one, else :func:`_factor_pass`."""
+    if triple.closed_l is not None:
+        return triple.closed_l.read
+    pair = triple.pair
+    return lambda ys: _factor_pass(pair, ys)
 
 
 def _combine(coeffs: Array, terms: Array) -> Array:
@@ -295,12 +333,15 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     ``det(L_f - t I)`` and ``r`` the first factor's dimension, the base blocks are
     ``sum_j c_2j(x_2) g_1 L_1^j(x_1)`` and ``(-1)^r sum_j c_1j(x_1) g_2 L_2^j(x_2)``,
     and the companion's the same with ``gb_f L_f^j`` and ``c_f / c_f0``.  A read
-    makes one :func:`_factor_pass` per factor on its own coordinates, and
-    assembles only the field that is read (:func:`_twin_fields`).  Both fields
-    carry a ``jet``: each factor's quantities are differenced on the factor's
-    own ``2k + 1``-point stencil, whose steps are the product chart's on those
-    axes, and the blocks' partials follow by the product rule; the jet's value
-    is the same code as ``eval``, so the same bits.
+    makes one pass per factor on its own coordinates, and assembles only the
+    field that is read (:func:`_twin_fields`).  Each factor's source of that pass
+    is picked here, once (:func:`_factor_source`): the closed form of ``L`` its
+    triple carries (:attr:`EquivTriple.closed_l`, which a sphere factor of
+    :mod:`geq.constructions` has), or else one congruence (:func:`_factor_pass`).
+    Both fields carry a ``jet``: each factor's quantities are differenced on the
+    factor's own ``2k + 1``-point stencil, whose steps are the product chart's on
+    those axes, and the blocks' partials follow by the product rule; the jet's
+    value reads the same source with the same code as ``eval``, so the same bits.
     """
     lo1, hi1 = expect_instance(factor1, EquivTriple, "factor1").eigen_range
     lo2, hi2 = expect_instance(factor2, EquivTriple, "factor2").eigen_range
@@ -311,26 +352,28 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     r = p1.dim
     n = r + p2.dim
     chart = Chart(n, p1.chart.box + p2.chart.box)
-    # Per factor: its pair, its coordinates, the highest power of its L (the
-    # other factor's dimension), and whether its coefficients carry (-1)^r.
-    factors = ((p1, slice(0, r), n - r, r % 2 == 1), (p2, slice(r, n), r, False))
+    # Per factor: its pair, what gives its state, its coordinates, the highest
+    # power of its L (the other factor's dimension), and whether its
+    # coefficients carry (-1)^r.
+    factors = ((p1, _factor_source(factor1), slice(0, r), n - r, r % 2 == 1),
+               (p2, _factor_source(factor2), slice(r, n), r, False))
 
     def shared(xs: Array) -> list:
-        return [_factor_pass(p, xs[..., axes]) for p, axes, _, _ in factors]
+        return [source(xs[..., axes]) for _, source, axes, _, _ in factors]
 
     def assemble(which: int, states: list) -> Array:
         (c1, t1), (c2, t2) = (_field_terms(which, state, powers, negate)
-                              for state, (_, _, powers, negate) in zip(states, factors))
+                              for state, (_, _, _, powers, negate) in zip(states, factors))
         return _block_diagonal(_combine(c2, t1), _combine(c1, t2))
 
     def jet(which: int, xs: Array) -> tuple[Array, Array]:
         xs = np.asarray(xs, dtype=float)
         values, diffs = [], []
-        for p, axes, powers, negate in factors:
+        for p, source, axes, powers, negate in factors:
             k = p.dim
 
             def packed(ys: Array) -> Array:  # coefficients, then the flattened terms
-                coeffs, terms = _field_terms(which, _factor_pass(p, ys), powers, negate)
+                coeffs, terms = _field_terms(which, source(ys), powers, negate)
                 return np.concatenate([coeffs, terms.reshape(terms.shape[:-3] + (-1,))], -1)
 
             for out, a in zip((values, diffs), _central_differences(

@@ -222,7 +222,8 @@ def test_a_copied_transposed_operand_keeps_the_products_bits(n, m):
 def test_the_glue_path_calls_no_lapack_routine():
     """Neither a glued field (``eval`` or ``jet``) nor the Beltrami companion,
     nor any package function they call, reaches ``np.linalg``: the glue path
-    stays on the batch kernel, off per-matrix LAPACK."""
+    stays on the batch kernel, off per-matrix LAPACK, and a sphere factor's closed
+    form of ``L`` (its ``read``) takes its eigenframe from when it is built."""
     defs = {}
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -250,5 +251,5 @@ def test_the_glue_path_calls_no_lapack_routine():
     reached = {name for name, entries in defs.items() for module, function in entries
                if (module, function.lineno) in seen}
     assert {"_factor_pass", "_field_terms", "_congruent", "_char_scale", "_central_differences",
-            "cholesky_inverse", "_unreflected"} <= reached
+            "cholesky_inverse", "_unreflected", "_gl_powers", "_gram_companion", "read"} <= reached
     assert offenders == []

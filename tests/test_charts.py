@@ -339,18 +339,19 @@ def glued_factors(monkeypatch) -> list:
 
 def product_rule_reference(factor1, factor2, which: int, x: np.ndarray):
     """A glued field's value and partials: each factor's coefficients and block
-    terms differenced on a stencil of that factor's coordinates built here, as in
-    :func:`stencil_reference`, and the blocks combined by the product rule."""
+    terms, from the source the glue reads (a closed form of ``L`` or the
+    congruence), differenced on a stencil of that factor's coordinates built here,
+    as in :func:`stencil_reference`, and the blocks combined by the product rule."""
     r, n = factor1.pair.dim, x.shape[-1]
     parts = []
-    for pair, axes, powers, negate in ((factor1.pair, slice(0, r), n - r, r % 2 == 1),
-                                       (factor2.pair, slice(r, n), r, False)):
-        xf, k = x[..., axes], pair.dim
-        h = FD_STEP * pair.chart.widths
+    for triple, axes, powers, negate in ((factor1, slice(0, r), n - r, r % 2 == 1),
+                                         (factor2, slice(r, n), r, False)):
+        xf, k = x[..., axes], triple.pair.dim
+        h = FD_STEP * triple.pair.chart.widths
         steps = np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * k, 1, k)
         stack = np.concatenate([xf[None], xf + steps])
-        coeffs, terms = split_glue._field_terms(which, split_glue._factor_pass(pair, stack),
-                                                powers, negate)
+        coeffs, terms = split_glue._field_terms(
+            which, split_glue._factor_source(triple)(stack), powers, negate)
         div = (2.0 * h)[:, None]
         parts.append((coeffs[0], terms[0], (coeffs[1::2] - coeffs[2::2]) / div[..., None],
                       (terms[1::2] - terms[2::2]) / div[..., None, None, None]))

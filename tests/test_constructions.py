@@ -10,10 +10,10 @@ from geq.charts import (Chart, MetricField, PhasePoint, fd_partials,
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
-from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive
+from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import _l_values, l_eigen, max_eigen_multiplicity
-from geq.split_glue import make_triple
+from geq.split_glue import _factor_pass, _field_terms, make_triple
 
 INTERVAL = (-0.5, 0.5)
 
@@ -147,6 +147,54 @@ def test_the_steep_sphere_companion_stays_positive_definite():
     pair = beltrami_pair(2, LinearMap.diagonal([1.0, 1e5, 1e10])).pair
     grid = pair.chart.grid(positivity_grid_size(2))
     assert positive_definite(pair.gbar.eval(grid))
+
+
+def closed_form_triple(dim: int, kind: str, pole: str, c: float):
+    """A Beltrami triple with a diagonal or a general ``A``, the default or an
+    off-axis pole, and its base metric scaled by ``c``."""
+    rng = np.random.default_rng(20 + dim)
+    a_map = (LinearMap.diagonal(np.arange(1.0, dim + 2.0)) if kind == "diagonal" else
+             LinearMap(rng.normal(size=(dim + 1, dim + 1)) + 2.0 * np.eye(dim + 1)))
+    tilt = None if pole == "default" else np.append(0.3 * np.ones(dim), 1.0)
+    return scale_triple(beltrami_pair(dim, a_map, sphere_chart(dim, pole=tilt)), c)
+
+
+@pytest.mark.parametrize("c", [1.0, 7.3])
+@pytest.mark.parametrize("pole", ["default", "off-axis"])
+@pytest.mark.parametrize("kind", ["diagonal", "general"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_closed_form_terms_match_the_congruence_route(dim, kind, pole, c):
+    triple = closed_form_triple(dim, kind, pole, c)
+    pair, form = triple.pair, triple.closed_l
+    assert form.g is pair.g and form.gbar is pair.gbar
+    ys = pair.chart.sample(np.random.default_rng(22), 60)
+    for powers in (1, 2, 3):
+        for which in (0, 1):
+            for negate in (False, True):
+                got = _field_terms(which, form.read(ys), powers, negate)
+                ref = _field_terms(which, _factor_pass(pair, ys), powers, negate)
+                for a, b, axes in zip(got, ref, ((-1,), (-2, -1))):
+                    scale = np.max(np.abs(b), axis=axes, keepdims=True)
+                    assert np.all(np.abs(a - b) <= 1e-13 * scale), (powers, which)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_point_is_refused_by_the_closed_form(value):
+    # The message of the congruence route, which reads the metrics there.
+    triple = beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0]))
+    product = spheres_product([(1, None), (2, LinearMap.diagonal([1.0, 2.0, 3.0]))])
+    for read, points in ((triple.closed_l.read, [[0.1, 0.2], [value, 0.0]]),
+                         (product.pair.g.eval, [[0.1, 0.2, 0.0], [0.1, 0.0, value]])):
+        with pytest.raises(NotPositiveDefinite, match="^a metric has non-finite entries$"):
+            read(np.array(points))
+
+
+def test_a_scaled_triple_carries_a_closed_form_for_its_own_fields():
+    triple = beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0]))
+    scaled = scale_triple(triple, 7.3)
+    assert scaled.closed_l.g is scaled.pair.g and scaled.closed_l.gbar is triple.pair.gbar
+    assert (scaled.closed_l.c, triple.closed_l.c) == (7.3, 1.0)
+    assert scale_triple(lc_triple((2.0,)), 4.0).closed_l is None
 
 
 def test_diagonal_map_gives_distinct_eigenvalues():

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from geq import STANDARD_FAMILIES, split_glue
+from geq import STANDARD_FAMILIES, _batch, constructions, projective, split_glue
 from geq._batch import CHUNK
 from geq.charts import Chart, MetricField, _spray
+from geq.constructions import LinearMap, sphere_chart, spheres_product
 from geq.errors import EigenOrderViolated, GapViolated, NotPositive, NotPositiveDefinite
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import MetricPair, _l_partials, _l_values, _scan_grid, l_eigen, l_tensor
@@ -429,9 +430,22 @@ def test_only_a_base_read_keeps_the_intermediates_for_its_partner(monkeypatch, b
     assert len(calls) == 2 * per_read  # a companion read keeps nothing
 
 
+# Sphere products beyond the registry's: three factors, where the outer glue
+# reads its glued first factor by congruence and the others in closed form, and
+# a non-diagonal map on a sphere chart projected from an off-axis pole.
+SPHERE_PRODUCTS = {
+    "spheres-1-2-1": lambda: spheres_product([
+        (1, None), (2, LinearMap.diagonal([1.0, 2.0, 3.0])),
+        (1, LinearMap.diagonal([1.0, 2.0]))]).pair,
+    "spheres-tilted": lambda: spheres_product([
+        (1, None), (2, LinearMap(np.array([[1.0, 0.3, 0.0], [0.2, 2.0, 0.4], [0.0, -0.3, 3.0]])),
+                    sphere_chart(2, pole=[0.3, 0.3, 1.0]))]).pair,
+}
+
 GLUED_PAIRS = {
     "product_s1_s2": lambda: standard_pair("product_s1_s2"),
     "product_s2_s2": lambda: standard_pair("product_s2_s2"),
+    **SPHERE_PRODUCTS,
     "split-lc": lambda: glue_pair(*split_factors(split_pair(
         lc_pair((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)), 1))).pair,
     # A non-diagonal split: its block factors come from K^-1 of the companion,
@@ -456,7 +470,8 @@ def test_a_glued_stencil_read_equals_its_per_slice_reads(build):
 
 def _count_factor_rows(monkeypatch) -> dict:
     """Patch gluing so that every factor read records its row count by
-    factor and field."""
+    factor and field.  The counting triples carry no closed form of ``L``, so
+    a sphere product's factors are read by congruence (:func:`_factor_pass`)."""
     rows = {}
 
     def counted_triple(triple, tag):
@@ -508,9 +523,86 @@ def test_l_partials_of_a_glued_pair_evaluate_each_factor_once_on_the_stencil(mon
                     for key in ("g", "gbar")}
 
 
+def product_factors(monkeypatch, name: str) -> list:
+    """The scaled factor triples that :func:`spheres_product` folds for a registry
+    product."""
+    folded = []
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "oplus",
+                      lambda triples: folded.extend(triples) or triples[0])
+        standard_pair(name)
+    return folded
+
+
+def bare(field):
+    return MetricField(chart=field.chart, eval=field.eval, jet=field.jet)
+
+
+REBUILT = {
+    # A new pair with the same evaluators: the closed form is not its own.
+    "replaced-pair": lambda t: dataclasses.replace(
+        t, pair=MetricPair(g=bare(t.pair.g), gbar=bare(t.pair.gbar))),
+    # The closed form handed on explicitly, with wrapped fields.
+    "wrapped-fields": lambda t: EquivTriple(
+        pair=MetricPair(g=bare(t.pair.g), gbar=t.pair.gbar), eigen_range=t.eigen_range,
+        closed_l=t.closed_l),
+}
+
+
+@pytest.mark.parametrize("name", ["product_s1_s2", "product_s2_s2"])
+@pytest.mark.parametrize("rebuild", REBUILT.values(), ids=REBUILT.keys())
+def test_a_rebuilt_sphere_triple_is_glued_by_congruence(monkeypatch, name, rebuild):
+    factors = product_factors(monkeypatch, name)
+    assert all(t.closed_l is not None for t in factors)
+    rebuilt = [rebuild(t) for t in factors]
+    assert all(t.closed_l is None for t in rebuilt)
+    # The congruence route: the same factors without their closed forms.
+    congruence = glue_pair(*(EquivTriple(pair=t.pair, eigen_range=t.eigen_range)
+                             for t in factors)).pair
+    closed, got = glue_pair(*factors).pair, glue_pair(*rebuilt).pair
+    x = congruence.chart.sample(np.random.default_rng(17), 30, shrink=0.8)
+    for which in ("g", "gbar"):
+        ref = getattr(congruence, which)
+        assert np.array_equal(getattr(got, which).eval(x), ref.eval(x))
+        for a, b in zip(getattr(got, which).jet(x), ref.jet(x)):
+            assert np.array_equal(a, b)
+        # The closed form gives other bits, so a stale read would show.
+        assert not np.array_equal(getattr(closed, which).eval(x), ref.eval(x))
+
+
+def test_a_triple_drops_a_closed_form_built_for_other_fields():
+    triple = constructions.beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0]))
+    other = constructions.beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 4.0]))
+    assert dataclasses.replace(triple, eigen_range=(0.5, 9.0)).closed_l is triple.closed_l
+    assert dataclasses.replace(triple, pair=dataclasses.replace(triple.pair)).closed_l \
+        is triple.closed_l  # the same two fields
+    for pair in (other.pair, dataclasses.replace(triple.pair, gbar=other.pair.gbar),
+                 dataclasses.replace(triple.pair, g=bare(triple.pair.g))):
+        assert dataclasses.replace(triple, pair=pair).closed_l is None
+
+
+def test_a_base_spray_of_a_sphere_product_reads_no_companion_and_no_cholesky(monkeypatch):
+    pair = standard_pair("product_s2_s2")
+    calls = []
+    for module, name in [(_batch, "cholesky_inverse"), (projective, "cholesky_inverse"),
+                         (split_glue, "cholesky_inverse"), (constructions, "_gram_companion"),
+                         (split_glue, "_factor_pass")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _name=name: calls.append(
+            _name) or _f(*args))
+    rng = np.random.default_rng(18)
+    x = pair.chart.sample(rng, 11, shrink=0.8)
+    _spray(pair.g, x, rng.normal(size=x.shape))
+    assert calls == []
+    # A companion read takes one Gram companion per factor, on its stencil.
+    pair.gbar.jet(x)
+    assert calls == ["_gram_companion", "_gram_companion"]
+
+
 JET_PAIRS = {
     "product_s1_s2": lambda: standard_pair("product_s1_s2"),
     "product_s2_s2": lambda: standard_pair("product_s2_s2"),
+    **SPHERE_PRODUCTS,
     # Three factors: the outer glue's first factor is itself glued.
     "oplus-1-2-1": lambda: oplus([lc_triple((0.5, 0.1)), lc_triple((1.0, 0.1), (1.4, 0.1)),
                                   lc_triple((2.0, 0.2))]).pair,
