@@ -178,12 +178,18 @@ def _l_scale(nu: Array) -> Array:
 def _spectrum(b: Array) -> tuple[Array, Array]:
     """The factor ``ratio`` (:func:`_l_scale`) and the ascending eigenvalues
     ``mu = ratio nu`` of ``L``, from those ``nu`` of ``B`` (:func:`_congruence`)."""
-    try:
-        nu = np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigvalsh
-        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    nu = _eigen(np.linalg.eigvalsh, b)
     ratio = _l_scale(nu)
     return ratio, ratio[..., None] * nu
+
+
+def _eigen(solve, b: Array):
+    """``solve(b)`` for a symmetric eigensolver of :mod:`numpy.linalg`, which an
+    overflow inside ``B`` stops: that raises as a non-finite metric entry does."""
+    try:
+        return solve(b)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("a metric has non-finite entries") from exc
 
 
 def _l_values(g: Array, gb: Array) -> Array:
@@ -220,27 +226,12 @@ def _char_scale(b: Array) -> tuple[Array, Array]:
     return ratio, c
 
 
-def _l_with(g: Array, gb: Array, read) -> tuple[Array, Array]:
-    """``L = ratio gb^-1 g = ratio K^-T (K^-1 g)`` and ``data``, from ``ratio, data =
-    read(B)`` and one congruence with ``K^-T`` from the batch kernel at every size,
-    whose ``K^-1 g`` it reuses: no determinant or solve, and no bit of a point
-    depends on its batch."""
-    _expect_finite(g, gb)
-    k_inv_t = cholesky_inverse(gb)
-    kg, b = _congruent(g, k_inv_t)
-    ratio, data = read(b)
-    return ratio[..., None, None] * (k_inv_t @ kg), data
-
-
 def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
     """Ascending eigenvalues ``(..., n)`` of ``L`` and eigenvector columns
     ``(..., n, n)`` orthonormal in ``g``: with ``B y = nu y`` (:func:`_congruence`),
     ``v = K^-T y / sqrt(nu)`` has ``L v = ratio nu v`` and ``g(v, v) = 1``."""
     k_inv_t, b = _congruence(g, gb)
-    try:
-        nu, y = np.linalg.eigh(b)
-    except np.linalg.LinAlgError as exc:  # an overflow inside B stops eigh
-        raise NotPositiveDefinite("a metric has non-finite entries") from exc
+    nu, y = _eigen(np.linalg.eigh, b)
     ratio = _l_scale(nu)
     vecs = (k_inv_t @ y) / np.sqrt(nu)[..., None, :]
     return ratio[..., None] * nu, vecs

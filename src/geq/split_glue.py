@@ -1,10 +1,11 @@
 """Splitting a compatible metric pair into block factors and gluing factor
 pairs into product pairs.
 
-The splitting rebuilds, from the characteristic polynomials of the two
-eigenvalue blocks of the compatibility tensor, a pair of block-diagonal
-metrics whose blocks each depend only on their own coordinates; the gluing
-is the exact inverse construction, and ``oplus`` is its associative fold.
+The splitting reweights the eigenframe of the compatibility tensor, in which
+both of its recombination tensors are diagonal, into a pair of metrics that,
+in coordinates adapted to the two eigenvalue blocks, are block-diagonal with
+blocks that each depend only on their own coordinates; the gluing is there the
+exact inverse construction, and ``oplus`` is its associative fold.
 Both fields of a split or glued pair share one evaluation of their
 intermediates per point batch, and each field's matrix is assembled only when
 that field is read.  A glued pair takes every term of both fields from one
@@ -21,12 +22,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._batch import cholesky_inverse, positive_definite, transposed
+from ._batch import cholesky_inverse, transposed
 from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField, _central_differences
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import (MetricPair, _char_scale, _congruent, _expect_finite, _l_with, _scan_grid,
-                         _spectrum, eigen_range)
+from .projective import MetricPair, _char_scale, _congruent, _eigen, _expect_finite, _l_scale
 
 Array = np.ndarray
 
@@ -71,9 +71,10 @@ class EquivTriple:
 
 
 def make_triple(pair: MetricPair) -> EquivTriple:
-    """Wrap a pair with its eigenvalue range, sampled on a deterministic
-    grid."""
-    return EquivTriple(pair=pair, eigen_range=eigen_range(pair, _scan_grid(pair.chart)))
+    """Wrap a pair with its eigenvalue range, read from the pair's one gap scan
+    (``MetricPair._eigen_ranges``), whose grid holds the chart centre."""
+    ranges = expect_instance(pair, MetricPair, "pair")._eigen_ranges
+    return EquivTriple(pair=pair, eigen_range=(ranges[0][0], ranges[-1][1]))
 
 
 def _poly_from_linear_factors(roots: Array) -> Array:
@@ -90,46 +91,44 @@ def _poly_from_linear_factors(roots: Array) -> Array:
     return c
 
 
-def _matrix_poly(coeffs: Array, L: Array) -> Array:
-    """Evaluate a scalar polynomial on a matrix by Horner's scheme,
-    batched: ``sum_k coeffs[..., k] L^k``."""
-    n = L.shape[-1]
-    eye = np.broadcast_to(np.eye(n), L.shape)
-    m = coeffs.shape[-1] - 1
-    out = coeffs[..., m, None, None] * eye
-    for k in range(m - 1, -1, -1):
-        out = out @ L + coeffs[..., k, None, None] * eye
-    return out
-
-
-def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array, Array, Array]:
-    """Both metrics at a batch of points and the two tensors of :func:`split_tensors`;
-    a point where the eigenvalues on the two sides of the cut meet, so that the
-    tensors are singular, raises :class:`GapViolated` naming it."""
+def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, ...]:
+    """The eigenframe of the splitting after position ``r`` at a batch of points:
+    ``K^-T`` and the eigenpairs ``(nu, Y)`` of ``B = K^-1 g K^-T`` (``gb = K K^T``,
+    ``K^-T`` from the batch kernel at every batch size, so no bit of a point
+    depends on its batch), ``Z^T = Y^T K^-1 g / nu``, which is ``P^-1`` for the
+    eigenvectors ``P = K^-T Y`` of ``L``, and the weights ``(..., 2, n)`` of the two
+    tensors of :func:`split_tensors` on them: ``d_i = prod |mu_j - mu_i|`` over the
+    other block's eigenvalues ``mu_j`` of ``L``, and ``prod |mu_j - mu_i| / mu_j``.  A
+    point where the eigenvalues on the two sides of the cut meet, so that a weight
+    vanishes, raises :class:`GapViolated` naming it."""
     xs = np.asarray(xs, dtype=float)
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    L, mu = _l_with(g, gb, _spectrum)
+    _expect_finite(g, gb)
+    k_inv_t = cholesky_inverse(gb)
+    kg, b = _congruent(g, k_inv_t)
+    nu, y = _eigen(np.linalg.eigh, b)
+    mu = _l_scale(nu)[..., None] * nu
     crossed = mu[..., r - 1] >= mu[..., r]
     if np.any(crossed):
         raise GapViolated(f"eigenvalues {r} and {r + 1} of L meet across the cut at "
                           f"{xs[crossed][0].tolist()}")
-    c1 = _poly_from_linear_factors(mu[..., :r])
-    c2 = _poly_from_linear_factors(mu[..., r:])
-    chi1 = _matrix_poly(c1, L)
-    chi2 = _matrix_poly(c2, L)
-    sign = (-1.0) ** r
-    conv = sign * chi1 + chi2
-    det1 = c1[..., 0]
-    det2 = c2[..., 0]
-    conv_bar = (sign / det1)[..., None, None] * chi1 + (1.0 / det2)[..., None, None] * chi2
-    return g, gb, conv, conv_bar
+    low = np.arange(mu.shape[-1]) < r
+    other = low[:, None] != low  # (i, j): mu_j lies in the other block than mu_i
+    gaps = np.abs(mu[..., None, :] - mu[..., :, None])
+    weights = np.stack([np.prod(np.where(other, t, 1.0), axis=-1)
+                        for t in (gaps, gaps / mu[..., None, :])], axis=-2)
+    zt = (transposed(y) @ kg) / nu[..., :, None]
+    return k_inv_t, y, zt, nu, weights
 
 
 def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     """The block-recombination tensors of the splitting at a batch of
     points: the first converts the base metric into the block form, the
-    second its companion (carrying the inverse block determinants)."""
-    return _split(pair, xs, r)[2:]
+    second its companion (carrying the inverse block determinants).  Both are
+    diagonal in the eigenframe of ``L``: ``P diag(w) P^-1`` for each tensor's
+    weights ``w`` (:func:`_split`)."""
+    k_inv_t, y, zt, _, weights = _split(pair, xs, r)
+    return tuple(k_inv_t @ (y * weights[..., which, None, :]) @ zt for which in (0, 1))
 
 
 def _twin_fields(chart: Chart, shared, assemble,
@@ -178,13 +177,18 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     every later cut of the same pair reads it (``MetricPair._eigen_ranges``).
 
     A field's matrix is ``h = conv^-T m`` for ``m`` the pair's metric and ``conv``
-    its tensor from :func:`split_tensors`.  ``L`` is self-adjoint for both
-    metrics, so ``S = m conv`` is symmetric, and positive definite while the
-    two blocks' eigenvalues stay apart; ``h = m S^-1 m`` is then the Gram
-    product ``W^T W`` with ``W = K_S^-1 m`` (``S = K_S K_S^T``, ``K_S^-T`` from
-    the batch kernel :func:`~geq._batch.cholesky_inverse`): no LAPACK solve, and
-    ``h`` is symmetric and positive definite by construction.  A point where a
-    pivot of ``S`` fails raises :class:`GapViolated` naming it.
+    its tensor from :func:`split_tensors`, read off the eigenframe of ``L`` that
+    :func:`_split` gives: with ``Z^T = P^-1``, ``g = Z diag(nu) Z^T`` and ``gb = Z
+    Z^T``, and both tensors are diagonal in that frame, so ``h = Z diag(nu / d) Z^T``
+    and ``hbar = Z diag(1 / dbar) Z^T`` for the weights ``d`` and ``dbar`` of the two
+    tensors.  Each is the Gram product ``Q Q^T`` with ``Q = Z sqrt(w)`` of its
+    weights ``w``: a read of both fields makes one batch-kernel call and one
+    ``eigh``, no LAPACK solve or Cholesky, and ``h`` is symmetric by construction,
+    and positive definite since every weight is positive where the blocks'
+    eigenvalues stay apart, which every read checks.  The fields are
+    block-diagonal only in coordinates adapted to the splitting, as those of a
+    separable pair or of a product are; elsewhere their off-block entries do not
+    vanish, and :func:`split_factors` keeps only the blocks.
     """
     n = expect_instance(pair, MetricPair, "pair").dim
     r = expect_int(r, "r", 1, n - 1)
@@ -196,19 +200,11 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
             f"eigenvalue ranges overlap across the cut: sup {low[1]} >= inf {high[0]}")
 
     def assemble(which: int, state: tuple) -> Array:
-        xs, g, gb, conv, conv_bar = state
-        m, c = (g, conv) if which == 0 else (gb, conv_bar)
-        s = m @ c
-        k_inv_t = cholesky_inverse(s)
-        if k_inv_t is None:  # each matrix factors alone: find the first that fails
-            point = next(x for x, s_x in zip(xs.reshape(-1, n), s.reshape(-1, n, n))
-                         if not positive_definite(s_x[None]))
-            raise GapViolated(f"eigenvalues {r} and {r + 1} of L are not separated at "
-                              f"{point.tolist()}: a Cholesky pivot of the split failed")
-        w = transposed(k_inv_t) @ m
-        return transposed(w) @ w
+        _, _, zt, nu, weights = state
+        q = zt * np.sqrt((nu if which == 0 else 1.0) / weights[..., which, :])[..., None]
+        return transposed(q) @ q
 
-    h, hbar = _twin_fields(pair.chart, lambda xs: (xs, *_split(pair, xs, r)), assemble)
+    h, hbar = _twin_fields(pair.chart, lambda xs: _split(pair, xs, r), assemble)
     return SplitResult(r=r, h=h, hbar=hbar,
                        index_split=(tuple(range(r)), tuple(range(r, n))),
                        factor_ranges=(low, high))

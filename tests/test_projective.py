@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from geq._batch import CHUNK
+from geq._batch import CHUNK, cholesky_inverse
 from geq.charts import FD_STEP, Chart, MetricField
 from geq.errors import BracketFailure, NotPositiveDefinite, OutOfChart, SingularMetric
 from geq.normal_forms import (FormKind, ModelFormParams, ScalarFunction1D, levi_civita_pair,
@@ -13,13 +13,13 @@ from geq.projective import (
     BATCH_KERNEL_MIN,
     MetricPair,
     _char_scale,
+    _congruent,
     _frame_weights,
     _integrals,
     _l_frame,
     _l_from,
     _l_partials,
     _l_values,
-    _l_with,
     _roots_many,
     eigen_range,
     frame_weights,
@@ -704,9 +704,13 @@ def test_an_indefinite_metric_with_positive_determinant_is_refused(read, which):
 
 
 def l_with_char(g, gb):
-    """``L`` and its characteristic coefficients from one congruence: the
-    glue's coefficient reader (:func:`_char_scale`) on the split's path."""
-    return _l_with(g, gb, _char_scale)
+    """``L = ratio K^-T (K^-1 g)`` and its characteristic coefficients from one
+    congruence, with ``K^-T`` from the batch kernel at every size, as the glue
+    reads it: the coefficient reader (:func:`_char_scale`) on ``B``."""
+    k_inv_t = cholesky_inverse(gb)
+    kg, b = _congruent(g, k_inv_t)
+    ratio, char = _char_scale(b)
+    return ratio[..., None, None] * (k_inv_t @ kg), char
 
 
 def spd(m, n, seed):
