@@ -188,7 +188,7 @@ def fd_partials(field: MetricField, x: Array) -> Array:
     differentiation direction; the step along axis ``k`` is :data:`FD_STEP`
     times the box width ``k``.
     """
-    x = expect_points(x, expect_instance(field, MetricField, "field").chart.dim, "x")
+    x = expect_instance(field, MetricField, "field").chart.points(x, "x")
     return np.moveaxis(_central_differences(field.eval, x, *field.chart._fd_stencil)[1], 0, -3)
 
 
@@ -214,8 +214,8 @@ def christoffel(field: MetricField, x: Array) -> Array:
 
     A field without a ``jet`` is evaluated once per batch, on the
     point batch and its finite-difference stencil together."""
-    n = expect_instance(field, MetricField, "field").chart.dim
-    x = expect_points(x, n, "x")
+    chart = expect_instance(field, MetricField, "field").chart
+    n, x = chart.dim, chart.points(x, "x")
     g, dg = _metric_and_partials(field, x)
     # T_{l i j} = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     t = (np.moveaxis(dg, (-3, -2, -1), (-2, -1, -3))

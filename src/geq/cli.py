@@ -43,8 +43,6 @@ CHECK_DEFAULTS: dict[str, dict[str, Any]] = {
     "roundtrip": {"block": 1, "points": 1000, "threshold": 1e-12},
     "normal_form": {"points": 500, "threshold": 1e-8, "exclude_radius": 0.05},
 }
-CHECK_ORDER = ("equivalence", "conservation", "interlacing", "roundtrip",
-               "normal_form")
 _TOP_FIELDS = {"schema_version", "seed", "family", "tol", "out", "checks"}
 _FAMILY_KINDS = {"lc", "beltrami", "product"}
 DEFAULT_TOL = 1e-10
@@ -93,17 +91,20 @@ def _required(body: dict, key: str, at: str = ""):
     return body[key]
 
 
+def _flag_value(value, path: str, kind: type):
+    """A flag's text (every flag is declared as text) read as ``kind``, ``int`` or
+    ``float``, for its rule; a value that is not text, as a config's, passes unchanged."""
+    try:
+        return kind(value) if isinstance(value, str) else value
+    except ValueError:
+        fail(path, f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
 def _flag_numbers(text: str, path: str) -> list[float]:
     """A comma-separated number list from a flag; each entry ``path[i]``
     must be a finite number, as in a config file."""
-    values = []
-    for i, item in enumerate(v.strip() for v in text.split(",") if v.strip()):
-        try:
-            value = float(item)
-        except ValueError:
-            fail(f"{path}[{i}]", f"expected a number, got {item!r}")
-        values.append(expect_number(value, f"{path}[{i}]"))
-    return values
+    return [expect_number(_flag_value(item, f"{path}[{i}]", float), f"{path}[{i}]")
+            for i, item in enumerate(v.strip() for v in text.split(",") if v.strip())]
 
 
 def _validate_sphere_factor(raw, path: str) -> dict:
@@ -153,28 +154,23 @@ def _validate_family(raw, path: str = "family"):
 
 
 def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
-    if raw is None:
-        requested = {name: {} for name in ("equivalence", "conservation",
-                                           "interlacing")}
-    else:
-        requested = _expect_mapping(raw, path)
+    requested = (dict.fromkeys(("equivalence", "conservation", "interlacing"))
+                 if raw is None else _expect_mapping(raw, path))
     checks: dict[str, dict[str, Any]] = {}
     for name, body in requested.items():
         if name not in CHECK_DEFAULTS:
-            fail(f"{path}.{name}", f"unknown check; known: {', '.join(CHECK_ORDER)}")
+            fail(f"{path}.{name}", f"unknown check; known: {', '.join(CHECK_DEFAULTS)}")
         merged = dict(CHECK_DEFAULTS[name])
         body = _expect_mapping(body if body is not None else {}, f"{path}.{name}")
         for key, value in body.items():
+            at = f"{path}.{name}.{key}"
             if key not in merged:
-                fail(f"{path}.{name}.{key}", "unknown field")
-            if key in ("trajectories", "points", "vectors", "block"):
-                merged[key] = expect_int(value, f"{path}.{name}.{key}", 1)
-            elif key == "exclude_radius":
-                merged[key] = expect_number(value, f"{path}.{name}.{key}")
-            else:
-                merged[key] = expect_number(value, f"{path}.{name}.{key}", positive=True)
+                fail(at, "unknown field")
+            # As its default: a count, or a number that is positive but for the radius.
+            merged[key] = (expect_int(value, at, 1) if isinstance(merged[key], int)
+                           else expect_number(value, at, positive=key != "exclude_radius"))
         checks[name] = merged
-    return {name: checks[name] for name in CHECK_ORDER if name in checks}
+    return {name: checks[name] for name in CHECK_DEFAULTS if name in checks}
 
 
 def validate_config(data) -> SuiteConfig:
@@ -307,12 +303,16 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
     if name == "roundtrip":
         glued = glue_pair(*split_factors(split_pair(pair, params["block"]))).pair
         xs = pair.chart.sample(np.random.default_rng(seed), params["points"])
-        err = max(float(np.max(np.abs(glued.g.eval(xs) - pair.g.eval(xs)))),
-                  float(np.max(np.abs(glued.gbar.eval(xs) - pair.gbar.eval(xs)))))
-        return err < params["threshold"], {
+        # Each metric's error relative to max(1, its largest entry) is judged.
+        errors = [(float(np.max(np.abs(rebuilt.eval(xs) - ref))),
+                   max(1.0, float(np.max(np.abs(ref)))))
+                  for ref, rebuilt in ((pair.g.eval(xs), glued.g), (pair.gbar.eval(xs), glued.gbar))]
+        err, rel = max(e for e, _ in errors), max(e / scale for e, scale in errors)
+        return rel < params["threshold"], {
             "block": params["block"],
             "points": params["points"],
             "max_error": err,
+            "max_relative_error": rel,
             "threshold": params["threshold"],
         }, []
     # normal_form: validate_config admits it only for a family with a model.
@@ -420,13 +420,12 @@ _FAMILY_OPT = click.option("--family", default="lc_nd", show_default=True,
                            help="Registry family name (see `geq build --list`).")
 _CONFIG_OPT = click.option("--config", type=click.Path(), default=None,
                            help="Defaults from a config file (flags override).")
-_TOL_OPT = click.option("--tol", type=float, default=DEFAULT_TOL,
+_TOL_OPT = click.option("--tol", type=str, default=DEFAULT_TOL,
                         show_default=True, help="Integrator tolerance.")
-_FORMAT_OPT = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                           default="json", show_default=True,
-                           help="csv additionally writes per-trajectory drift rows.")
+_FORMAT_OPT = click.option("--format", "fmt", type=str, default="json", show_default=True,
+                           help="json, or csv to add per-trajectory drift rows.")
 _COMMON_OPTS = (
-    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--seed", type=str, default=0, show_default=True),
     click.option("--out", type=click.Path(file_okay=False), default=None,
                  help="Report directory (default: print JSON to stdout)."),
     _FORMAT_OPT,
@@ -464,9 +463,11 @@ def _command(name: str):
     """
 
     def register(body):
-        def callback(ctx, fmt, **kwargs):
+        def callback(ctx, **kwargs):
             try:
-                run = body(**_resolved(kwargs))
+                params = _resolved(kwargs)
+                fmt = params.pop("fmt")
+                run = body(**params)
                 report = _report(name, run.label, run.seed, run.fingerprint,
                                  run.checks)
                 if run.data is not None:
@@ -487,32 +488,44 @@ def _command(name: str):
     return register
 
 
-_SHARED_FLAGS = {"seed": lambda value: expect_int(value, "seed", 0), "tol": expect_tol,
-                 "family": _validate_family}
+def _flag_rule(kind: type, rule, path: str, *args, **kwargs):
+    return lambda value: rule(_flag_value(value, path, kind), path, *args, **kwargs)
+
+
+_FLAG_RULES = {
+    "seed": _flag_rule(int, expect_int, "seed", 0),
+    **{key: _flag_rule(int, expect_int, key, 1) for key in ("grid", "block", "circles", "dim")},
+    "tol": _flag_rule(float, expect_tol, "tol"),
+    "planarity_threshold": _flag_rule(float, expect_number, "planarity-threshold", positive=True),
+    "family": _validate_family,
+    "fmt": lambda value: value if value in ("json", "csv") else fail(
+        "format", f"unknown format {value!r}; known: json, csv"),
+}
 
 
 def _resolved(params: dict) -> dict:
-    """A command's parameters, with ``--config`` loaded into ``config`` and the
-    flags that several commands share validated.  For each parameter that the
-    config also sets, a flag given on the command line wins, then the config's
-    value, then the flag's default."""
+    """A command's parameters, with ``--config`` loaded into ``config`` and each
+    flag of ``_FLAG_RULES`` turned into its value by its rule.  For each parameter
+    that the config also sets, a flag given on the command line wins, then the
+    config's value, then the flag's default."""
     if params.get("config") is not None:
         cfg = load_config(params["config"])
         source = click.get_current_context().get_parameter_source
         params = {**params, "config": cfg, **{
             key: getattr(cfg, key) for key in params.keys() & _TOP_FIELDS
             if source(key) is ParameterSource.DEFAULT}}
-    return {key: _SHARED_FLAGS[key](value) if key in _SHARED_FLAGS else value
+    return {key: _FLAG_RULES[key](value) if key in _FLAG_RULES else value
             for key, value in params.items()}
 
 
 def _check_command(name: str, command: str, help_text: str):
-    """A command that runs the check ``name`` alone. Each parameter of the
-    check in ``CHECK_DEFAULTS`` is a flag, typed like its default."""
+    """A command that runs the check ``name`` alone. Each parameter of the check in
+    ``CHECK_DEFAULTS`` is a flag, ``check_<key>`` to click, apart from ``_FLAG_RULES``."""
 
-    def body(family, config, seed, tol, out, **overrides):
+    def body(family, config, seed, tol, out, **flags):
         params = {} if config is None else config.checks.get(name, {})
-        given = {k: v for k, v in overrides.items() if v is not None}
+        given = {key: _flag_value(text, f"checks.{name}.{key}", type(CHECK_DEFAULTS[name][key]))
+                 for key in CHECK_DEFAULTS[name] if (text := flags[f"check_{key}"]) is not None}
         params = _validate_checks({name: {**params, **given}})[name]
         pair = build_family(family)
         begin = time.perf_counter()
@@ -529,7 +542,7 @@ def _check_command(name: str, command: str, help_text: str):
     body.__doc__ = help_text
     body = _TOL_OPT(body)
     for key, default in reversed(CHECK_DEFAULTS[name].items()):
-        body = click.option(f"--{key}", type=type(default), default=None,
+        body = click.option(f"--{key}", f"check_{key}", type=str, default=None,
                             help=f"[default: {default}]")(body)
     body = _FAMILY_OPT(_CONFIG_OPT(body))
     return _command(command)(body)
@@ -551,7 +564,7 @@ _check_command("roundtrip", "roundtrip",
 @_command("build")
 @_FAMILY_OPT
 @_CONFIG_OPT
-@click.option("--grid", type=int, default=3, show_default=True,
+@click.option("--grid", type=str, default=3, show_default=True,
               help="Grid points per axis.")
 @click.option("--list", "list_families", is_flag=True,
               help="List registry family names and exit.")
@@ -560,7 +573,6 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
     if list_families:
         click.echo("\n".join(STANDARD_FAMILIES))
         click.get_current_context().exit(0)
-    grid = expect_int(grid, "grid", 1)
     pair = build_family(family)
     xs = pair.chart.grid(grid)
     data = {
@@ -578,19 +590,17 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
 @_command("split")
 @_FAMILY_OPT
 @_CONFIG_OPT
-@click.option("--block", type=int, default=1, show_default=True,
+@click.option("--block", type=str, default=1, show_default=True,
               help="Size of the leading eigenvalue block.")
 def split_cmd(family, config, block, seed, out) -> _Run:
     """Split a pair along an eigenvalue gap into block-diagonal factors."""
-    block = expect_int(block, "block", 1)
     pair = build_family(family)
     result = split_pair(pair, block)
     xs = pair.chart.sample(np.random.default_rng(seed), 200)
     h = result.h.eval(xs)
     hbar = result.hbar.eval(xs)
     r = result.r
-    off = max(float(np.max(np.abs(h[:, :r, r:]))),
-              float(np.max(np.abs(hbar[:, :r, r:]))))
+    off = max(np.max(np.abs(h[:, :r, r:])), np.max(np.abs(hbar[:, :r, r:]))).item()
     factor1, factor2 = split_factors(result)
     metrics = {
         "block": r,
@@ -607,13 +617,12 @@ def split_cmd(family, config, block, seed, out) -> _Run:
 @_command("glue")
 @click.option("--levels", default="2,3", show_default=True,
               help="Comma-separated constant eigenvalues, one 1D factor each.")
-@click.option("--grid", type=int, default=3, show_default=True)
+@click.option("--grid", type=str, default=3, show_default=True)
 def glue_cmd(levels, grid, seed, out) -> _Run:
     """Glue constant one-dimensional factors into a product pair."""
     values = _flag_numbers(levels, "levels")
     if len(values) < 2:
         fail("levels", "expected at least two comma-separated numbers")
-    grid = expect_int(grid, "grid", 1)
     glued = oplus([make_triple(levi_civita_pair(_lc_data_from_recipe(
         {"profiles": [[value]], "interval": [-0.5, 0.5]}))) for value in values])
     xs = glued.pair.chart.grid(grid)
@@ -622,7 +631,7 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
         "eigen_range": list(glued.eigen_range),
         "g_center": glued.pair.g.eval(glued.pair.chart.center).tolist(),
         "gbar_center": glued.pair.gbar.eval(glued.pair.chart.center).tolist(),
-        "points": int(xs.shape[0]),
+        "points": xs.shape[0],
     }
     return _Run(f"glue({levels})", seed,
                 {"command": "glue", "levels": values, "grid": grid},
@@ -630,21 +639,17 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
 
 
 @_command("beltrami")
-@click.option("--dim", type=int, default=2, show_default=True)
+@click.option("--dim", type=str, default=2, show_default=True)
 @click.option("--diag", default=None,
               help="Comma-separated diagonal of the ambient map "
                    "(default: identity).")
-@click.option("--circles", type=int, default=10, show_default=True,
+@click.option("--circles", type=str, default=10, show_default=True,
               help="Geodesics for the planarity probe.")
-@click.option("--planarity-threshold", type=float, default=1e-9,
-              show_default=True)
+@click.option("--planarity-threshold", type=str, default=1e-9, show_default=True)
 @_TOL_OPT
 def beltrami_cmd(dim, diag, circles, planarity_threshold, seed, tol, out) -> _Run:
     """Build a sphere pair and probe great-circle planarity before and
     after the ambient map."""
-    circles = expect_int(circles, "circles", 1)
-    planarity_threshold = expect_number(planarity_threshold, "planarity-threshold",
-                                         positive=True)
     recipe = {"dim": dim}
     if diag is not None:
         recipe["diag"] = _flag_numbers(diag, "diag")
@@ -677,10 +682,7 @@ def product_cmd(factors, seed, out) -> _Run:
     recipe = []
     for i, chunk in enumerate(c.strip() for c in factors.split(";") if c.strip()):
         dim_text, _, diag_text = chunk.partition(":")
-        try:
-            factor = {"dim": int(dim_text)}
-        except ValueError:
-            fail(f"factors[{i}].dim", f"expected an integer, got {dim_text.strip()!r}")
+        factor = {"dim": _flag_value(dim_text.strip(), f"factors[{i}].dim", int)}
         diag = _flag_numbers(diag_text, f"factors[{i}].diag")
         if diag:
             factor["diag"] = diag
@@ -702,16 +704,17 @@ def product_cmd(factors, seed, out) -> _Run:
 
 @main.command("suite")
 @click.option("--config", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--tol", type=float, default=None, help="Override the config tol.")
+@click.option("--seed", type=str, default=None, help="Override the config seed.")
+@click.option("--tol", type=str, default=None, help="Override the config tol.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Override the config output directory.")
 @_FORMAT_OPT
 @click.pass_context
-def suite_cmd(ctx, fmt, **params) -> None:
+def suite_cmd(ctx, **params) -> None:
     """Run every check requested by a config file."""
     try:
         params = _resolved(params)
+        fmt = params.pop("fmt")
         cfg = dataclasses.replace(params.pop("config"), **params)  # seed, tol and out
     except GeqError as exc:
         _echo_error(exc)

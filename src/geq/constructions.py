@@ -144,8 +144,7 @@ def _gram_companion(ar: Array, ar_t: Array, e0: Array, j0: Array) -> Array:
     u = w / norm
     m = ar @ j0
     dmap = (m - u[..., :, None] * (u[..., None, :] @ m)) / norm[..., None]
-    out = transposed(dmap) @ dmap
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return transposed(dmap) @ dmap  # a Gram product of a copied transpose: symmetric bit for bit
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -126,8 +126,11 @@ def split_tensors(pair: MetricPair, xs: Array, r: int) -> tuple[Array, Array]:
     points: the first converts the base metric into the block form, the
     second its companion (carrying the inverse block determinants).  Both are
     diagonal in the eigenframe of ``L``: ``P diag(w) P^-1`` for each tensor's
-    weights ``w`` (:func:`_split`)."""
-    k_inv_t, y, zt, _, weights = _split(pair, xs, r)
+    weights ``w`` (:func:`_split`).  Its arguments are checked as
+    :func:`split_pair` checks them, and ``xs`` must lie in the chart box."""
+    n = expect_instance(pair, MetricPair, "pair").dim
+    k_inv_t, y, zt, _, weights = _split(pair, pair.chart.points(xs, "xs"),
+                                        expect_int(r, "r", 1, n - 1))
     return tuple(k_inv_t @ (y * weights[..., which, None, :]) @ zt for which in (0, 1))
 
 

@@ -217,6 +217,11 @@ def test_a_copied_transposed_operand_keeps_the_products_bits(n, m):
     assert np.array_equal(transposed(a) @ b, view @ b)
     gram = transposed(a) @ a
     assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+    # The sphere companion's Gram product of a (k+1) x k differential, which it
+    # returns without symmetrizing.
+    d = rng.normal(size=(m, n + 1, n))
+    gram = transposed(d) @ d
+    assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
 
 
 def test_the_glue_path_calls_no_lapack_routine():

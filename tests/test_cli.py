@@ -1,8 +1,11 @@
 """Tests for the command-line interface: config validation, report
 shapes, determinism, and the exit-code contract."""
 import json
+import re
 import time
 
+import click
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -79,6 +82,14 @@ def test_unknown_family_and_check_names():
         validate_config(minimal_config(family="not_a_family"))
     with pytest.raises(SchemaError, match="checks.nope"):
         validate_config(minimal_config(checks={"nope": {}}))
+
+
+def test_a_config_number_given_as_text_is_refused():
+    # Only a flag's text is read as a number; a config field keeps its YAML type.
+    with pytest.raises(SchemaError, match="checks.equivalence.trajectories: expected an integer"):
+        validate_config(minimal_config(checks={"equivalence": {"trajectories": "5"}}))
+    with pytest.raises(SchemaError, match="checks.interlacing.epsilon: expected a number"):
+        validate_config(minimal_config(checks={"interlacing": {"epsilon": "1e-9"}}))
 
 
 def test_normal_form_check_requires_a_form_family():
@@ -291,17 +302,57 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     (["split", "--block", "0"], "block: must be at least 1"),
     (["glue", "--levels", "3"], "levels: expected at least two comma-separated numbers"),
     (["product", "--factors", ";"], "factors: expected at least one factor"),
+    (["build", "--grid", "1.5"], "grid: expected an integer, got '1.5'"),
+    (["glue", "--grid", "1.5"], "grid: expected an integer, got '1.5'"),
+    (["split", "--block", "1.5"], "block: expected an integer, got '1.5'"),
+    (["beltrami", "--dim", "1.5"], "dim: expected an integer, got '1.5'"),
+    (["beltrami", "--circles", "1.5"], "circles: expected an integer, got '1.5'"),
+    (["product", "--factors", "1.5:"], "factors[0].dim: expected an integer, got '1.5'"),
+    (["glue", "--seed", "1.5"], "seed: expected an integer, got '1.5'"),
+    (["check-equivalence", "--trajectories", "2.5"],
+     "checks.equivalence.trajectories: expected an integer, got '2.5'"),
+    (["roundtrip", "--block", "1.5"], "checks.roundtrip.block: expected an integer, got '1.5'"),
+    (["roundtrip", "--block", "0"], "checks.roundtrip.block: must be at least 1"),
+    (["check-equivalence", "--tol", "x"], "tol: expected a number, got 'x'"),
+    (["build", "--format", "xml"], "format: unknown format 'xml'; known: json, csv"),
 ], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
         "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
         "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol",
         "product-negative-dim", "product-zero-dim", "beltrami-negative-dim",
         "beltrami-zero-dim", "beltrami-short-diag", "split-zero-block", "glue-one-level",
-        "product-no-factor"])
+        "product-no-factor", "build-fractional-grid", "glue-fractional-grid",
+        "split-fractional-block", "beltrami-fractional-dim", "beltrami-fractional-circles",
+        "product-fractional-dim", "glue-fractional-seed", "equivalence-fractional-trajectories",
+        "roundtrip-fractional-block", "roundtrip-zero-block", "equivalence-text-tol",
+        "build-unknown-format"])
 def test_command_flags_are_schema_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert f"SchemaError: {message}" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_flag_is_text_that_the_schema_reads(runner, tmp_path, command):
+    """No option carries a click converter, so a flag's text takes the path of a
+    config field: malformed text exits 1 with a ``SchemaError`` naming the flag,
+    never with click's usage error, whose exit code 2 would read as a failed check."""
+    config = write_config(tmp_path, minimal_config(checks={
+        "interlacing": {"points": 2, "vectors": 2}}))
+    options = [param for param in main.commands[command].params
+               if isinstance(param, click.Option) and not param.is_flag]
+    converters = (click.types.IntParamType, click.types.FloatParamType, click.Choice)
+    assert [o.name for o in options if isinstance(o.type, converters)] == []
+    for option in options:
+        if option.name in ("out", "config"):  # a path, which any text names
+            continue
+        flag = option.opts[0]
+        args = [command, flag, "abc"] + (["--config", config] if command == "suite" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, (flag, result.output)
+        assert result.stdout == ""
+        assert re.match(rf"error: SchemaError: (checks\.\w+\.)?{flag[2:]}\b", result.stderr), (
+            flag, result.stderr)
 
 
 @pytest.mark.parametrize("factors, steep_diag", [
@@ -515,6 +566,41 @@ def test_roundtrip_command(runner):
     assert result.exit_code == 0, result.output
     report = json.loads(result.output)
     assert report["checks"][0]["metrics"]["max_error"] < 1e-12
+
+
+@pytest.mark.parametrize("family, block, code", [
+    ("product_s2_s2", 2, 0), ("product_s1_s2", 1, 0), ("lc_nd", 1, 0), ("beltrami_3", 1, 2),
+])
+def test_roundtrip_is_judged_on_the_error_relative_to_the_entries(runner, family, block, code):
+    # As guarantee 05: each metric's error over max(1, its largest entry).  The
+    # products' entries reach 1e2 to 1e6, so their absolute error exceeds the
+    # threshold; beltrami_3's chart is not adapted to the cut.
+    result = runner.invoke(main, ["roundtrip", "--family", family, "--block", str(block)])
+    assert result.exit_code == code, result.output
+    metrics = json.loads(result.stdout)["checks"][0]["metrics"]
+    assert metrics["max_relative_error"] <= metrics["max_error"]
+    assert (metrics["max_relative_error"] < metrics["threshold"]) == (code == 0)
+    if family.startswith("product"):
+        assert metrics["max_error"] >= metrics["threshold"]
+
+
+LC_RECIPE = {"lc": {"profiles": [[0.5, 0.2], [1.0, 0.3]], "interval": [-0.5, 0.5]}}
+
+
+@pytest.mark.parametrize("family, params", [
+    ("lc_nd", {}), (LC_RECIPE, {}), ("three_d_full", {}), ("three_d_full", {"exclude_radius": 0}),
+], ids=["lc_nd", "lc-recipe", "three-d-full", "three-d-full-no-exclusion"])
+def test_the_normal_form_check_matches_the_closed_form_eigenvalues(tmp_path, family, params):
+    report, _, _, code = run_suite(quick_config(tmp_path, family=family, normal_form=params))
+    assert code == 0, report
+    metrics = report["checks"][0]["metrics"]
+    assert metrics["max_eigen_mismatch"] < 1e-12
+    # three_d_full leaves out the points within exclude_radius of its axis.
+    xs = build_family(family).chart.sample(np.random.default_rng(5), 500)
+    radius = params.get("exclude_radius", 0.05) if family == "three_d_full" else 0.0
+    kept = int(np.sum(np.linalg.norm(xs[:, 1:], axis=1) >= radius))
+    assert metrics["points"] == kept
+    assert kept < 500 if radius > 0.0 else kept == 500
 
 
 def test_beltrami_and_product_commands(runner):

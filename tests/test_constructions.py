@@ -14,6 +14,7 @@ from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositi
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import _l_values, l_eigen, max_eigen_multiplicity
 from geq.split_glue import _factor_pass, _field_terms, make_triple
+from geq.verify import standard_pair
 
 INTERVAL = (-0.5, 0.5)
 
@@ -139,6 +140,15 @@ def test_the_gram_companion_equals_the_projector_formula(dim, pole):
     ref = projector_companion(sphere, a_map)(ys)
     scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("name", ["beltrami_2", "beltrami_3", "product_s1_s2", "product_s2_s2"])
+def test_the_sphere_companions_need_no_symmetrization(name):
+    # The Gram product is symmetric bit for bit, so the mean of it and its
+    # transpose, which the companion once returned, keeps every bit of it.
+    pair = standard_pair(name)
+    gbar = pair.gbar.eval(pair.chart.sample(np.random.default_rng(4), 2000))
+    assert np.array_equal(gbar, 0.5 * (gbar + np.swapaxes(gbar, -1, -2)))
 
 
 def test_the_steep_sphere_companion_stays_positive_definite():

@@ -18,7 +18,7 @@ from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, b
                  check_conservation, check_equivalence, check_interlacing, circle_planarity,
                  eigen_range, frame_weights, integral_roots_many, integrate_geodesics, l_tensor,
                  max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
-                 sphere_chart, split_pair, spheres_product, standard_pair)
+                 sphere_chart, split_pair, split_tensors, spheres_product, standard_pair)
 from geq.charts import Chart, MetricField, PhasePoint, christoffel, fd_partials
 from geq.errors import GeqError, NotPositiveDefinite, OutOfChart, SchemaError
 from geq.projective import MetricPair
@@ -71,6 +71,9 @@ CASES = {
                                                                         [0.0, 1.0]]))),
     "split-zero-block": ("r", lambda pair: split_pair(pair, 0)),
     "split-whole-block": ("r", lambda pair: split_pair(pair, pair.dim)),
+    "split-tensors-whole-block": ("r", lambda pair: split_tensors(pair, np.zeros(3), 3)),
+    "split-tensors-no-pair": ("pair", lambda pair: split_tensors(None, np.zeros(3), 1)),
+    "split-tensors-nan-point": ("xs", lambda pair: split_tensors(pair, [[NAN, 0.0, 0.0]], 1)),
     "oplus-no-factor": ("triples", lambda pair: oplus([])),
     "product-no-factor": ("factors", lambda pair: spheres_product([])),
     # Malformed structure: short or scalar intervals and factors, text and
@@ -152,6 +155,9 @@ OUTSIDE_CASES = {
     "interlacing-points": ("points", lambda pair: check_interlacing(pair, points=OUTSIDE)),
     "integrate-starts": ("starts_x", lambda pair: integrate_geodesics(
         pair.g, OUTSIDE, np.ones((3, 3)), 1.0, 1e-8)),
+    "split-tensors": ("xs", lambda pair: split_tensors(pair, OUTSIDE, 1)),
+    "christoffel": ("x", lambda pair: christoffel(pair.g, OUTSIDE)),
+    "fd-partials": ("x", lambda pair: fd_partials(pair.g, OUTSIDE)),
 }
 
 
