@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import sys
 from typing import NoReturn
 
@@ -46,9 +47,16 @@ def expect_int(value, path: str, minimum: int | None = None,
 
 
 def expect_number(value, path: str, positive: bool = False) -> float:
-    """A finite real number (not ``bool``), positive when asked."""
+    """A finite real number (not ``bool``), positive when asked.  Text is
+    refused and quoted.  YAML 1.1 reads an exponent form as a number only with
+    a dot and a signed exponent (``1e-10`` and ``1.0e10`` stay text), so text
+    in exponent form gets that spelling of it: ``1.0e-10``, ``1.0e+10``."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        fail(path, "expected a number")
+        if not isinstance(value, str):
+            fail(path, "expected a number")
+        form = re.fullmatch(r"([-+]?[0-9]+)(\.[0-9]*)?[eE]([-+]?)([0-9]+)", value)
+        hint = f"; write {form[1]}{form[2] or '.0'}e{form[3] or '+'}{form[4]}" if form else ""
+        fail(path, f"expected a number, got {value!r}{hint}")
     if positive and not 0.0 < value < math.inf:
         fail(path, "must be positive and finite")
     if not -_MAX <= value <= _MAX:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._batch import transposed
+from ._batch import CHUNK, transposed
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_interval,
                         expect_number, expect_points, expect_tol, expect_vector, fail)
 from .errors import (
@@ -106,10 +106,20 @@ class Chart:
         return xs
 
     def grid(self, per_axis: int) -> Array:
-        """Regular grid of shape ``(per_axis**dim, dim)``."""
+        """Regular grid of shape ``(per_axis**dim, dim)``, the last axis
+        fastest: the pieces of :meth:`grid_pieces` joined."""
+        return np.concatenate(list(self.grid_pieces(per_axis)))
+
+    def grid_pieces(self, per_axis: int) -> Iterator[Array]:
+        """:meth:`grid` in successive pieces of at most :data:`~geq._batch.CHUNK`
+        points, each built from its own flat indices into the ``linspace``
+        axes, so a caller that reads the pieces in turn never forms the whole grid."""
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        count = per_axis ** self.dim
+        for start in range(0, count, CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + CHUNK, count)),
+                                     (per_axis,) * self.dim)
+            yield np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
 
     def sample(self, rng: np.random.Generator, count: int, shrink: float = 1.0) -> Array:
         """Uniform points in the centrally rescaled box (``shrink=0.6`` keeps

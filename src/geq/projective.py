@@ -377,21 +377,25 @@ def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: float) -> float:
     """Canonical Poisson bracket of ``I_{t1}`` and ``I_{t2}`` at a
     position/momentum point, by central differences of step
-    :data:`_BRACKET_STEP` in every phase coordinate: both metrics and the
-    eigenframe weights are evaluated once, on the stencil of ``(x, p)``
-    (:func:`~geq.charts._central_differences`) at the velocities ``v = g^-1 p``,
-    and both integrals are read off them (:func:`_integrals`)."""
+    :data:`_BRACKET_STEP` in every phase coordinate: on the stencil of ``(x, p)``
+    (:func:`~geq.charts._central_differences`), both metrics and the eigenframe
+    are evaluated once on the ``2 n + 1`` rows that move ``x`` (the centre
+    first), the ``2 n`` momentum shifts reuse the centre's, and both integrals
+    are read off the frame weights of the velocities ``v = g^-1 p`` (:func:`_integrals`)."""
     chart = expect_instance(pair, MetricPair, "pair").chart
     x = chart.point(x, margin=_BRACKET_STEP / np.min(chart.widths))  # the stencil fits
     p = expect_vector(p, x.shape, "p")
     ts = np.array([expect_number(t1, "t1"), expect_number(t2, "t2")])
     n = pair.dim
+    rows = np.concatenate([np.arange(2 * n + 1), np.zeros(2 * n, dtype=int)])
 
     def integrals(zs: Array) -> Array:
-        xs = zs[:, :n]
+        xs = zs[:2 * n + 1, :n]
         g = pair.g.eval(xs)
-        vs = np.linalg.solve(g, zs[:, n:, None])[..., 0]
-        return _integrals(*_frame_weights(g, pair.gbar.eval(xs), vs), ts)
+        mu, vecs = _l_frame(g, pair.gbar.eval(xs))
+        m = transposed(vecs) @ g
+        vs = np.linalg.solve(g[rows], zs[:, n:, None])
+        return _integrals(mu[rows], (m[rows] @ vs)[..., 0] ** 2, ts)
 
     d = _central_differences(integrals, np.concatenate([x, p]),
                              *_stencil(np.full(2 * n, _BRACKET_STEP)))[1]

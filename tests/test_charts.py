@@ -8,6 +8,7 @@ import pytest
 
 import geq
 from geq import split_glue
+from geq._batch import CHUNK
 from geq.charts import (
     FD_STEP,
     Chart,
@@ -20,6 +21,7 @@ from geq.charts import (
     integrate_geodesic,
     integrate_geodesics,
     metric_at,
+    positivity_grid_size,
     pushforward_metric,
 )
 from geq.errors import (
@@ -78,6 +80,21 @@ class TestChart:
     def test_grid_shape(self):
         chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
         assert chart.grid(4).shape == (16, 2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_grid_pieces_are_the_grid_in_order(self, dim):
+        # 64, 4096, 97,336, 83,521 and 100,000 points: only dimension 2 fills
+        # its pieces exactly.  The reference is the product of the linspace
+        # axes, the last axis fastest.
+        chart = Chart(dim, tuple((-0.3 * k, 0.2 + k) for k in range(1, dim + 1)))
+        per_axis = positivity_grid_size(dim)
+        pieces = list(chart.grid_pieces(per_axis))
+        assert [len(xs) for xs in pieces[:-1]] == [CHUNK] * (len(pieces) - 1)
+        assert 0 < len(pieces[-1]) <= CHUNK
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in chart.box]
+        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert np.concatenate(pieces).tobytes() == mesh.tobytes()
+        assert chart.grid(per_axis).tobytes() == mesh.tobytes()
 
     def test_sample_respects_shrink(self):
         chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))

@@ -10,6 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from geq._validate import expect_number
 from geq.cli import (SCHEMA_VERSION, SuiteConfig, build_family, family_label,
                      load_config, main, run_suite, validate_config)
 from geq.constructions import LinearMap, beltrami_pair, sphere_chart
@@ -90,6 +91,22 @@ def test_a_config_number_given_as_text_is_refused():
         validate_config(minimal_config(checks={"equivalence": {"trajectories": "5"}}))
     with pytest.raises(SchemaError, match="checks.interlacing.epsilon: expected a number"):
         validate_config(minimal_config(checks={"interlacing": {"epsilon": "1e-9"}}))
+
+
+@pytest.mark.parametrize("text, spelling", [("1e-10", "1.0e-10"), ("1e10", "1.0e+10")])
+def test_an_exponent_without_a_dot_is_refused_with_its_text(runner, tmp_path, text, spelling):
+    # YAML 1.1 reads these as text; the message quotes the value and gives the
+    # spelling that YAML reads as the same number.
+    config = tmp_path / "config.yaml"
+    config.write_text(f"schema_version: 1\nseed: 5\nfamily: lc_nd\ntol: {text}\n")
+    assert yaml.safe_load(config.read_text())["tol"] == text
+    result = runner.invoke(main, ["suite", "--config", str(config)])
+    assert result.exit_code == 1
+    assert f"SchemaError: tol: expected a number, got '{text}'; write {spelling}\n" in result.stderr
+    assert result.stdout == ""
+    assert yaml.safe_load(f"tol: {spelling}")["tol"] == float(text)
+    with pytest.raises(SchemaError, match=r"^epsilon: expected a number, got 'abc'$"):
+        expect_number("abc", "epsilon")
 
 
 def test_normal_form_check_requires_a_form_family():

@@ -1,11 +1,13 @@
 """Closed-form family builders, eigenvalue formulas, and chart maps."""
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geq
+from geq._batch import CHUNK
 from geq.charts import (
     Chart,
     PhasePoint,
@@ -23,6 +25,7 @@ from geq.normal_forms import (
     _horner,
     _profile_table,
     _profile_values,
+    _realize_on_box,
     canonical_chart_map,
     levi_civita_pair,
     model_eigenvalues,
@@ -30,6 +33,7 @@ from geq.normal_forms import (
     random_levi_civita_data,
 )
 from geq.projective import l_eigen, l_tensor, nijenhuis_at
+from geq.verify import STANDARD_FAMILIES, standard_form_spec, standard_pair
 
 LAM_AFFINE = ScalarFunction1D((2.0, 1.0), (-2.0, 2.0))          # 2 + s
 LAM_CUBIC = ScalarFunction1D((2.0, 1.0, 1 / 7, 0.05), (-2.0, 2.0))
@@ -383,6 +387,80 @@ class TestFullFamily:
         bad = ScalarFunction1D((2.0, -1.0), (-1.0, 1.0))
         with pytest.raises(NotRealizable):
             model_form_pair(FormKind.THREE_D_FULL, ModelFormParams(lam=bad, c=1.0))
+
+
+class CornerFailure:
+    """Fields for :func:`_realize_on_box` in three dimensions, both metrics the
+    identity, where ``which`` (``g``, ``gbar`` or ``extra``) fails only at the last
+    grid point, the box's upper corner, on the first ``boxes`` boxes tried; each
+    box's ``g`` calls are counted."""
+
+    def __init__(self, which: str, boxes: int):
+        self.which, self.boxes, self.g_calls = which, boxes, []
+
+    def at_corner(self, xs):
+        failing = len(self.g_calls) <= self.boxes
+        return failing & np.all(xs == 0.5 ** len(self.g_calls), axis=-1)
+
+    def fields(self):
+        self.g_calls.append(0)
+
+        def metric(name):
+            def evaluate(xs):
+                if name == "g":
+                    self.g_calls[-1] += 1
+                out = np.broadcast_to(np.eye(3), xs.shape[:-1] + (3, 3)).copy()
+                if name == self.which:
+                    out[self.at_corner(xs), 2, 2] = -1.0
+                return out
+            return evaluate
+
+        return metric("g"), metric("gbar")
+
+    def extra(self, xs):
+        return self.which != "extra" or not np.any(self.at_corner(xs))
+
+
+class TestBoxCheck:
+    PIECES = -(-46**3 // CHUNK)  # the last grid point is in piece 24
+
+    @pytest.mark.parametrize("which", ["g", "gbar", "extra"])
+    def test_a_failure_at_the_last_grid_point_halves_the_box(self, which):
+        failure = CornerFailure(which, boxes=2)
+        pair = _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, 0.5,
+                               extra_ok=failure.extra)
+        assert pair.chart.box == ((-0.125, 0.125),) * 3
+        # Both failing boxes were read to their last piece, as was the one kept.
+        assert failure.g_calls == [self.PIECES] * 3
+
+    @pytest.mark.parametrize("which", ["g", "gbar", "extra"])
+    def test_a_failure_at_every_last_grid_point_is_not_realizable(self, which):
+        failure = CornerFailure(which, boxes=7)
+        with pytest.raises(NotRealizable, match="after six box halvings"):
+            _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, 0.5,
+                            extra_ok=failure.extra)
+        assert failure.g_calls == [self.PIECES] * 7
+
+    def test_every_registry_closed_form_family_keeps_its_box(self):
+        names = [name for name in STANDARD_FAMILIES if standard_form_spec(name) is not None]
+        assert len(names) == 6
+        for name in names:
+            pair = standard_pair(name)
+            assert pair.chart.box == ((-0.5, 0.5),) * pair.dim, name
+
+    @pytest.mark.parametrize("name", ["three_d_axial", "three_d_full"])
+    def test_a_3d_family_is_built_without_its_whole_grid(self, name):
+        # tracemalloc peaks are deterministic where RSS is not.  Read in pieces
+        # the builds peak at 0.9 and 1.4 MiB; the whole 46^3-point grid took 16
+        # and 28 MiB.  The bound leaves about three times the measured peak.
+        standard_pair(name)  # warm-up: imports and cached tables
+        tracemalloc.start()
+        try:
+            standard_pair(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def fd_jacobian(forward, pts, h=1e-6):

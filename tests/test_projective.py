@@ -667,8 +667,9 @@ def test_torsion_and_bracket_evaluate_each_metric_once(name):
     assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
     log.clear()
     poisson_bracket_fd(pair, x, np.ones(n), 0.3, 0.7)
-    # The phase point (x, p), then its shifts along each of the 2n phase axes.
-    assert log == [("g", "eval", 4 * n + 1), ("gbar", "eval", 4 * n + 1)]
+    # The phase point's x, then its shifts along each of the n position axes;
+    # the momentum shifts share the centre's x.
+    assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
 
 
 NON_FINITE = {"nan-diagonal": (np.nan, 0), "nan-off-diagonal": (np.nan, -1),
