@@ -128,7 +128,11 @@ class Chart:
         return rng.uniform(self.center - half, self.center + half, size=(count, self.dim))
 
 
-def positivity_grid_size(dim: int, per_axis_cap: int = 64, total_cap: int = 100_000) -> int:
+MAX_GRID_POINTS = 100_000  # the most points of a dense grid
+
+
+def positivity_grid_size(dim: int, per_axis_cap: int = 64,
+                         total_cap: int = MAX_GRID_POINTS) -> int:
     """Points per axis for dense positivity sampling: ``per_axis_cap`` per
     axis, capped so the full grid stays below ``total_cap`` points."""
     return max(2, min(per_axis_cap, int(total_cap ** (1.0 / dim))))

@@ -23,7 +23,7 @@ from click.core import ParameterSource
 from . import __version__
 from ._validate import (expect_int, expect_interval, expect_number, expect_numbers,
                         expect_tol, fail)
-from .charts import Chart
+from .charts import MAX_GRID_POINTS, Chart
 from .constructions import (LinearMap, SphereChart, beltrami_pair,
                             circle_planarity, sphere_chart, spheres_product)
 from .errors import GeqError, ParseError
@@ -301,7 +301,8 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
             "epsilon": rep.epsilon,
         }, []
     if name == "roundtrip":
-        glued = glue_pair(*split_factors(split_pair(pair, params["block"]))).pair
+        block = expect_int(params["block"], "checks.roundtrip.block", 1, pair.dim - 1)
+        glued = glue_pair(*split_factors(split_pair(pair, block))).pair
         xs = pair.chart.sample(np.random.default_rng(seed), params["points"])
         # Each metric's error relative to max(1, its largest entry) is judged.
         errors = [(float(np.max(np.abs(rebuilt.eval(xs) - ref))),
@@ -309,7 +310,7 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
                   for ref, rebuilt in ((pair.g.eval(xs), glued.g), (pair.gbar.eval(xs), glued.gbar))]
         err, rel = max(e for e, _ in errors), max(e / scale for e, scale in errors)
         return rel < params["threshold"], {
-            "block": params["block"],
+            "block": block,
             "points": params["points"],
             "max_error": err,
             "max_relative_error": rel,
@@ -330,36 +331,41 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
     }, []
 
 
-def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
-    """Run all configured checks.
-
-    Returns (report, csv_rows, timings, exit_code); the report is written
-    by the caller even when a check fails or a build error interrupts the
-    run (partial report, exit code 1).
-    """
-    checks: list[dict] = []
-    csv_rows: list = []
-    timings: dict[str, float] = {}
-    report = _report("suite", family_label(config.family), config.seed,
-                     config.canonical(), checks)
-    exit_code = 0
-    try:
+def _run_checks(config: SuiteConfig, checks: list[dict], csv_rows: list,
+                timings: dict[str, float]) -> None:
+    """Build the configured family, then run each configured check in turn,
+    appending its entry to ``checks``, its rows to ``csv_rows`` and its wall
+    time to ``timings``; an error propagates with the checks before it kept."""
+    begin = time.perf_counter()
+    pair = build_family(config.family)
+    timings["build"] = time.perf_counter() - begin
+    for name, params in config.checks.items():
         begin = time.perf_counter()
-        pair = build_family(config.family)
-        timings["build"] = time.perf_counter() - begin
-        for name, params in config.checks.items():
-            begin = time.perf_counter()
-            passed, metrics, rows = _run_one_check(name, pair, config.family,
-                                                   params, config.seed, config.tol)
-            timings[name] = time.perf_counter() - begin
-            checks.append({"name": name, "pass": passed, "metrics": metrics})
-            csv_rows.extend(rows)
-            if not passed:
-                exit_code = 2
+        passed, metrics, rows = _run_one_check(name, pair, config.family,
+                                               params, config.seed, config.tol)
+        timings[name] = time.perf_counter() - begin
+        checks.append({"name": name, "pass": passed, "metrics": metrics})
+        csv_rows.extend(rows)
+
+
+def _suite_run(config: SuiteConfig) -> _Run:
+    """The suite's run of ``config``: an error of the build or of a check is
+    kept in ``error``, with the checks before it, for a partial report."""
+    run = _Run(family_label(config.family), config.seed, config.canonical(), [],
+               config.out, {}, [])
+    try:
+        _run_checks(config, run.checks, run.csv_rows, run.timings)
     except GeqError as exc:
-        report["error"] = f"{type(exc).__name__}: {exc}"
-        exit_code = 1
-    return report, csv_rows, timings, exit_code
+        return run._replace(error=f"{type(exc).__name__}: {exc}")
+    return run
+
+
+def run_suite(config: SuiteConfig) -> tuple[dict, list, dict, int]:
+    """Run all configured checks as ``geq suite`` does; returns (report,
+    csv_rows, timings, exit_code), a partial report after an error (exit 1)."""
+    run = _suite_run(config)
+    report, exit_code = _finish("suite", run)
+    return report, run.csv_rows, run.timings, exit_code
 
 
 # --- Report output ---------------------------------------------------------
@@ -389,28 +395,30 @@ def _write_outputs(out_dir: str | None, stem: str, report: dict,
                                                  encoding="utf-8")
 
 
-def _report(command: str, label: str, seed: int, fingerprint: dict,
-            checks: list[dict]) -> dict:
-    """The report skeleton; ``config_hash`` is the SHA-256 of the
-    key-sorted JSON of ``fingerprint``."""
+def _finish(command: str, run: _Run) -> tuple[dict, int]:
+    """The report of a run and its exit code: 1 after an error, whose report
+    carries ``error``, else 0, or 2 when a check failed.  ``config_hash`` is
+    the SHA-256 of the key-sorted JSON of the run's fingerprint."""
     config_hash = hashlib.sha256(
-        json.dumps(fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
-    return {
+        json.dumps(run.fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
+    report = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": config_hash,
-        "checks": checks,
+        "checks": run.checks,
         "provenance": {
             "package": "artifact",
             "version": __version__,
             "command": command,
-            "family": label,
-            "seed": seed,
+            "family": run.label,
+            "seed": run.seed,
         },
     }
-
-
-def _echo_error(exc: Exception) -> None:
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+    if run.data is not None:
+        report["data"] = run.data
+    if run.error is not None:
+        report["error"] = run.error
+        return report, 1
+    return report, 0 if all(check["pass"] for check in run.checks) else 2
 
 
 # --- Commands ----------------------------------------------------------------
@@ -422,13 +430,12 @@ _CONFIG_OPT = click.option("--config", type=click.Path(), default=None,
                            help="Defaults from a config file (flags override).")
 _TOL_OPT = click.option("--tol", type=str, default=DEFAULT_TOL,
                         show_default=True, help="Integrator tolerance.")
-_FORMAT_OPT = click.option("--format", "fmt", type=str, default="json", show_default=True,
-                           help="json, or csv to add per-trajectory drift rows.")
 _COMMON_OPTS = (
     click.option("--seed", type=str, default=0, show_default=True),
     click.option("--out", type=click.Path(file_okay=False), default=None,
                  help="Report directory (default: print JSON to stdout)."),
-    _FORMAT_OPT,
+    click.option("--format", "fmt", type=str, default="json", show_default=True,
+                 help="json, or csv to add per-trajectory drift rows."),
 )
 
 
@@ -447,19 +454,21 @@ class _Run(NamedTuple):
     fingerprint: dict  # hashed into the report's config_hash
     checks: list[dict]
     out: str | None
-    timings: dict[str, float] = {}
+    timings: dict[str, float] = {}  # shared defaults: never appended to
     csv_rows: list = []
     data: dict | None = None
+    error: str | None = None  # ``<Type>: <msg>`` of an error kept for a partial report
 
 
 def _command(name: str):
     """Register a command whose body returns a :class:`_Run`.
 
     The runner adds ``--seed``, ``--out`` and ``--format``, resolves the
-    parameters (:func:`_resolved`), and owns what every command but ``suite``
-    shares: an error prints
-    ``error: <Type>: <msg>`` and exits 1 with stdout empty; otherwise the
-    report is written and the exit code is 0, or 2 when a check failed.
+    parameters (:func:`_resolved`), and owns what every command shares: an
+    error raised by the body or by writing prints ``error: <Type>: <msg>`` and
+    exits 1 with stdout empty; otherwise the report (:func:`_finish`) is
+    written with the exit code that goes with it.  A run that kept an error
+    prints it the same way and still writes its partial report.
     """
 
     def register(body):
@@ -468,16 +477,15 @@ def _command(name: str):
                 params = _resolved(kwargs)
                 fmt = params.pop("fmt")
                 run = body(**params)
-                report = _report(name, run.label, run.seed, run.fingerprint,
-                                 run.checks)
-                if run.data is not None:
-                    report["data"] = run.data
+                report, exit_code = _finish(name, run)
+                if run.error is not None:
+                    click.echo(f"error: {run.error}", err=True)
                 _write_outputs(run.out, name.replace("-", "_"), report,
                                run.timings, fmt, run.csv_rows)
             except (GeqError, OSError) as exc:
-                _echo_error(exc)
+                click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
                 ctx.exit(1)
-            ctx.exit(0 if all(check["pass"] for check in run.checks) else 2)
+            ctx.exit(exit_code)
 
         command = main.command(name)(
             click.pass_context(functools.update_wrapper(callback, body)))
@@ -527,17 +535,13 @@ def _check_command(name: str, command: str, help_text: str):
         given = {key: _flag_value(text, f"checks.{name}.{key}", type(CHECK_DEFAULTS[name][key]))
                  for key in CHECK_DEFAULTS[name] if (text := flags[f"check_{key}"]) is not None}
         params = _validate_checks({name: {**params, **given}})[name]
-        pair = build_family(family)
-        begin = time.perf_counter()
-        passed, metrics, csv_rows = _run_one_check(name, pair, family, params,
-                                                   seed, tol)
-        timings = {name: time.perf_counter() - begin}
         label = family_label(family)
         fingerprint = {"command": command, "family": label, "seed": seed,
                        "tol": tol, "params": params}
-        return _Run(label, seed, fingerprint,
-                    [{"name": name, "pass": passed, "metrics": metrics}],
-                    out, timings, csv_rows)
+        run = _Run(label, seed, fingerprint, [], out, {}, [])
+        _run_checks(SuiteConfig(SCHEMA_VERSION, seed, family, tol, out, {name: params}),
+                    run.checks, run.csv_rows, run.timings)
+        return run
 
     body.__doc__ = help_text
     body = _TOL_OPT(body)
@@ -574,6 +578,9 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
         click.echo("\n".join(STANDARD_FAMILIES))
         click.get_current_context().exit(0)
     pair = build_family(family)
+    if grid ** pair.dim > MAX_GRID_POINTS:
+        fail("grid", f"must give at most {MAX_GRID_POINTS} points; {grid} per axis "
+                     f"in dimension {pair.dim} gives {grid ** pair.dim}")
     xs = pair.chart.grid(grid)
     data = {
         "dim": pair.dim,
@@ -595,7 +602,7 @@ def build_cmd(family, config, grid, list_families, seed, out) -> _Run:
 def split_cmd(family, config, block, seed, out) -> _Run:
     """Split a pair along an eigenvalue gap into block-diagonal factors."""
     pair = build_family(family)
-    result = split_pair(pair, block)
+    result = split_pair(pair, expect_int(block, "block", 1, pair.dim - 1))
     xs = pair.chart.sample(np.random.default_rng(seed), 200)
     h = result.h.eval(xs)
     hbar = result.hbar.eval(xs)
@@ -625,13 +632,12 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
         fail("levels", "expected at least two comma-separated numbers")
     glued = oplus([make_triple(levi_civita_pair(_lc_data_from_recipe(
         {"profiles": [[value]], "interval": [-0.5, 0.5]}))) for value in values])
-    xs = glued.pair.chart.grid(grid)
     metrics = {
         "dim": glued.pair.dim,
         "eigen_range": list(glued.eigen_range),
         "g_center": glued.pair.g.eval(glued.pair.chart.center).tolist(),
         "gbar_center": glued.pair.gbar.eval(glued.pair.chart.center).tolist(),
-        "points": xs.shape[0],
+        "points": grid ** glued.pair.dim,
     }
     return _Run(f"glue({levels})", seed,
                 {"command": "glue", "levels": values, "grid": grid},
@@ -702,28 +708,13 @@ def product_cmd(factors, seed, out) -> _Run:
                 [{"name": "product", "pass": True, "metrics": metrics}], out)
 
 
-@main.command("suite")
-@click.option("--config", type=click.Path(), required=True)
-@click.option("--seed", type=str, default=None, help="Override the config seed.")
-@click.option("--tol", type=str, default=None, help="Override the config tol.")
-@click.option("--out", type=click.Path(file_okay=False), default=None,
-              help="Override the config output directory.")
-@_FORMAT_OPT
-@click.pass_context
-def suite_cmd(ctx, **params) -> None:
+@_command("suite")
+@click.option("--config", type=click.Path(), required=True,
+              help="The config file; flags override its seed, tol and out.")
+@_TOL_OPT
+def suite_cmd(config, tol, seed, out) -> _Run:
     """Run every check requested by a config file."""
-    try:
-        params = _resolved(params)
-        fmt = params.pop("fmt")
-        cfg = dataclasses.replace(params.pop("config"), **params)  # seed, tol and out
-    except GeqError as exc:
-        _echo_error(exc)
-        ctx.exit(1)
-    report, csv_rows, timings, exit_code = run_suite(cfg)
-    if "error" in report:
-        click.echo(f"error: {report['error']}", err=True)
-    _write_outputs(cfg.out, "suite", report, timings, fmt, csv_rows)
-    ctx.exit(exit_code)
+    return _suite_run(dataclasses.replace(config, seed=seed, tol=tol, out=out))
 
 
 if __name__ == "__main__":

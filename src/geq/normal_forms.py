@@ -477,16 +477,10 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
             raise NotPositive("the constant eigenvalue must be positive")
         f, lam_const = params.f, params.lam_const
         minus = kind is FormKind.TWO_D_POLAR_MINUS
-
-        def extra(grid: Array) -> bool:
-            r2 = grid[:, 0] ** 2 + grid[:, 1] ** 2
-            fv = f(r2)
-            if np.min(fv) <= 0:
-                return False
-            return (not minus) or bool(np.min(1.0 - r2 * fv) > 0)
-
+        # No check beyond positivity: g = f·I is positive definite exactly when
+        # f > 0, and det ḡ = k²(1 ± r²f) then asks 1 − r²f > 0 of the minus family.
         return _realize_on_box(kind, lambda: _polar_fields(f, lam_const, minus),
-                               2, params.box_half, extra_ok=extra)
+                               2, params.box_half)
 
     if kind is FormKind.THREE_D_AXIAL:
         if params.lam is None or params.f is None:

@@ -332,6 +332,10 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     (["roundtrip", "--block", "0"], "checks.roundtrip.block: must be at least 1"),
     (["check-equivalence", "--tol", "x"], "tol: expected a number, got 'x'"),
     (["build", "--format", "xml"], "format: unknown format 'xml'; known: json, csv"),
+    (["split", "--block", "3"], "block: must be at most 2"),
+    (["roundtrip", "--block", "3"], "checks.roundtrip.block: must be at most 2"),
+    (["build", "--grid", "47"],
+     "grid: must give at most 100000 points; 47 per axis in dimension 3 gives 103823"),
 ], ids=["glue-nan-level", "glue-inf-level", "beltrami-nan-diag", "product-text-dim",
         "product-nan-diag", "beltrami-zero-circles", "beltrami-negative-circles",
         "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol",
@@ -341,7 +345,8 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
         "split-fractional-block", "beltrami-fractional-dim", "beltrami-fractional-circles",
         "product-fractional-dim", "glue-fractional-seed", "equivalence-fractional-trajectories",
         "roundtrip-fractional-block", "roundtrip-zero-block", "equivalence-text-tol",
-        "build-unknown-format"])
+        "build-unknown-format", "split-block-past-dim", "roundtrip-block-past-dim",
+        "build-grid-past-cap"])
 def test_command_flags_are_schema_errors(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
@@ -418,6 +423,23 @@ def test_negative_seed_is_a_schema_error(runner, tmp_path, command):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "SchemaError: seed: must be at least 0" in result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_an_unwritable_out_is_a_named_error(runner, tmp_path, command):
+    # Every command writes through the one runner, the suite included.
+    config = write_config(tmp_path, minimal_config(checks={
+        "equivalence": {"trajectories": 2}, "conservation": {"trajectories": 2},
+        "interlacing": {"points": 2, "vectors": 2}, "roundtrip": {"points": 5}}))
+    (tmp_path / "afile").write_text("")
+    args = [command, "--out", str(tmp_path / "afile" / "sub")]
+    if any(param.name == "config" for param in main.commands[command].params):
+        args += ["--config", config]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("error: NotADirectoryError: ")
     assert result.stdout == ""
     assert "Traceback" not in result.output
 
@@ -555,6 +577,7 @@ def test_split_and_glue_commands(runner):
     report = json.loads(result.output)
     metrics = report["checks"][0]["metrics"]
     assert metrics["eigen_range"] == [2.0, 3.0]
+    assert metrics["points"] == 3 ** 2  # the default grid, per axis
     assert metrics["gbar_center"][0][0] == pytest.approx(1.0 / 12.0)
     assert metrics["gbar_center"][1][1] == pytest.approx(1.0 / 18.0)
 
