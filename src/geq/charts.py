@@ -433,29 +433,32 @@ class ChartMap:
 
     ``forward`` maps points of ``source`` into the target chart;
     ``jacobian`` returns ``(..., target_dim, source_dim)`` arrays.
-    ``inverse`` and ``inverse_jacobian`` describe the reverse direction when
-    available; ``inverse_source`` is the chart on which the inverse is
-    defined.
+    ``inverse`` describes the reverse direction when available;
+    ``inverse_source`` is the chart on which the inverse is defined.
     """
 
     source: Chart
     forward: Callable[[Array], Array]
     jacobian: Callable[[Array], Array]
     inverse: Optional[Callable[[Array], Array]] = None
-    inverse_jacobian: Optional[Callable[[Array], Array]] = None
     inverse_source: Optional[Chart] = None
 
     def inverted(self) -> "ChartMap":
-        if self.inverse is None or self.inverse_jacobian is None or self.inverse_source is None:
+        """The reverse map, whose Jacobian at ``w`` is the matrix inverse of
+        ``jacobian(inverse(w))``, or NaN where that has a non-finite entry or
+        ``|det| < 1e-12``, so :func:`pushforward_metric` refuses it there too."""
+        if self.inverse is None or self.inverse_source is None:
             fail("inverse", "this chart map does not carry one")
-        return ChartMap(
-            source=self.inverse_source,
-            forward=self.inverse,
-            jacobian=self.inverse_jacobian,
-            inverse=self.forward,
-            inverse_jacobian=self.jacobian,
-            inverse_source=self.source,
-        )
+
+        def jacobian(w: Array) -> Array:
+            j = np.asarray(self.jacobian(self.inverse(w)), dtype=float)
+            eye = np.broadcast_to(np.eye(j.shape[-1]), j.shape)
+            bad = ~np.isfinite(j).all(axis=(-2, -1), keepdims=True)
+            bad |= np.abs(np.linalg.det(np.where(bad, eye, j)))[..., None, None] < 1e-12
+            return np.where(bad, np.nan, np.linalg.solve(np.where(bad, eye, j), eye))
+
+        return ChartMap(source=self.inverse_source, forward=self.inverse, jacobian=jacobian,
+                        inverse=self.forward, inverse_source=self.source)
 
 
 def pushforward_metric(chart_map: ChartMap, field: MetricField) -> MetricField:

@@ -60,13 +60,7 @@ class SuiteConfig:
     checks: dict[str, dict[str, Any]]
 
     def canonical(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "seed": self.seed,
-            "family": self.family,
-            "tol": self.tol,
-            "checks": self.checks,
-        }
+        return {key: value for key, value in vars(self).items() if key != "out"}
 
 
 def _expect_mapping(value, path: str) -> dict:
@@ -156,6 +150,8 @@ def _validate_family(raw, path: str = "family"):
 def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
     requested = (dict.fromkeys(("equivalence", "conservation", "interlacing"))
                  if raw is None else _expect_mapping(raw, path))
+    if not requested:
+        fail(path, "expected at least one check")
     checks: dict[str, dict[str, Any]] = {}
     for name, body in requested.items():
         if name not in CHECK_DEFAULTS:
@@ -263,43 +259,31 @@ def _form_spec_for(family):
 # --- Check execution -------------------------------------------------------
 
 
+def _fields(report, **extra) -> dict[str, Any]:
+    """A library report's fields but ``seed``, a shallow copy, updated by ``extra``."""
+    return {**{key: value for key, value in vars(report).items() if key != "seed"}, **extra}
+
+
 def _run_one_check(name: str, pair: MetricPair, family, params: dict,
                    seed: int, tol: float) -> tuple[bool, dict[str, Any], list]:
-    """Run a single named check; returns (passed, metrics, csv_rows)."""
+    """Run a single named check; returns (passed, metrics, csv_rows).  The
+    library checks' metrics are their reports' own fields (:func:`_fields`)."""
     if name == "equivalence":
         rep = check_equivalence(pair, n_traj=params["trajectories"],
                                 duration=params["duration"], tol=tol, seed=seed)
-        return rep.max_tangential_defect < params["threshold"], {
-            "trajectories": rep.trajectories,
-            "truncated": rep.truncated,
-            "max_tangential_defect": rep.max_tangential_defect,
-            "defect_histogram": list(rep.defect_histogram),
-            "threshold": params["threshold"],
-            "integrator_tol": tol,
-        }, []
+        return (rep.max_tangential_defect < params["threshold"],
+                _fields(rep, threshold=params["threshold"]), [])
     if name == "conservation":
         rep = check_conservation(pair, n_traj=params["trajectories"],
                                  duration=params["duration"], tol=tol, seed=seed)
-        csv_rows = [(row.index, row.integral_id, row.start_value,
-                     row.end_value, row.rel_drift) for row in rep.rows]
-        return rep.max_drift < params["threshold"], {
-            "max_drift": rep.max_drift,
-            "t_values": list(rep.t_values),
-            "rows": len(rep.rows),
-            "threshold": params["threshold"],
-            "integrator_tol": tol,
-        }, csv_rows
+        return (rep.max_drift < params["threshold"],
+                _fields(rep, rows=len(rep.rows), threshold=params["threshold"]),
+                [dataclasses.astuple(row) for row in rep.rows])
     if name == "interlacing":
         rep = check_interlacing(pair, n_points=params["points"],
                                 n_vectors=params["vectors"], seed=seed,
                                 epsilon=params["epsilon"])
-        return rep.violations == 0, {
-            "samples": rep.samples,
-            "violations": rep.violations,
-            "max_excess": rep.max_excess,
-            "max_pin_deviation": rep.max_pin_deviation,
-            "epsilon": rep.epsilon,
-        }, []
+        return rep.violations == 0, _fields(rep), []
     if name == "roundtrip":
         block = expect_int(params["block"], "checks.roundtrip.block", 1, pair.dim - 1)
         glued = glue_pair(*split_factors(split_pair(pair, block))).pair
@@ -429,9 +413,11 @@ _FAMILY_OPT = click.option("--family", default="lc_nd", show_default=True,
 _CONFIG_OPT = click.option("--config", type=click.Path(), default=None,
                            help="Defaults from a config file (flags override).")
 _TOL_OPT = click.option("--tol", type=str, default=DEFAULT_TOL,
-                        show_default=True, help="Integrator tolerance.")
+                        help="Integrator tolerance; without this flag, the --config "
+                             f"file's tol, else {DEFAULT_TOL}.")
 _COMMON_OPTS = (
-    click.option("--seed", type=str, default=0, show_default=True),
+    click.option("--seed", type=str, default=0,
+                 help="Random seed; without this flag, the --config file's seed, else 0."),
     click.option("--out", type=click.Path(file_okay=False), default=None,
                  help="Report directory (default: print JSON to stdout)."),
     click.option("--format", "fmt", type=str, default="json", show_default=True,

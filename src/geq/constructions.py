@@ -38,9 +38,11 @@ class LinearMap:
 
     def __post_init__(self) -> None:
         m = expect_finite(self.matrix, "matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            fail("matrix", "expected a square matrix")
-        if abs(np.linalg.det(m)) <= 1e-12:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            fail("matrix", "expected a non-empty square matrix")
+        # x -> Ax/|Ax| does not see the scale of A: judge its conditioning.
+        sigma = np.linalg.svd(m, compute_uv=False)
+        if sigma[-1] <= 1e-12 * sigma[0]:
             raise DegenerateMap("the transformation matrix is singular")
         object.__setattr__(self, "matrix", m)
 

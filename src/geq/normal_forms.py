@@ -132,15 +132,13 @@ class ModelFormParams:
     function-valued eigenvalue profile (elliptic, axial, full),
     ``f`` the radial profile (polar, axial), ``lam_const`` the constant
     eigenvalue of the polar families, ``c`` the angular scale constant of
-    the full spatial family, and ``box_half`` the starting half-width of
-    the chart box.
+    the full spatial family.
     """
 
     lam: Optional[ScalarFunction1D] = None
     f: Optional[ScalarFunction1D] = None
     lam_const: Optional[float] = None
     c: Optional[float] = None
-    box_half: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("lam", "f"):
@@ -267,6 +265,8 @@ def random_levi_civita_data(n: int, rng: np.random.Generator) -> LeviCivitaData:
 
 # ---------------------------------------------------------------------------
 # Bifurcation normal forms
+
+START_HALF_WIDTH = 0.5  # every bifurcation family's box starts at [-0.5, 0.5]^dim
 
 
 def _sym2(a11: Array, a12: Array, a22: Array) -> Array:
@@ -420,17 +420,16 @@ def _certified_positive(evaluate, xs: Array) -> bool:
     return bool(np.all(np.isfinite(mats))) and positive_definite(mats)
 
 
-def _realize_on_box(kind: FormKind, make_fields, dim: int, box_half: float,
-                    extra_ok=None) -> MetricPair:
-    """Build the pair on the largest box (starting half-width, halved up to
-    six times) where dense sampling certifies both metrics positive definite
+def _realize_on_box(kind: FormKind, make_fields, dim: int, extra_ok=None) -> MetricPair:
+    """Build the pair on the largest box (half-width :data:`START_HALF_WIDTH`, halved
+    up to six times) where dense sampling certifies both metrics positive definite
     (:func:`_certified_positive`) and ``extra_ok`` holds.  The grid is read in
     pieces of at most :data:`~geq._batch.CHUNK` points (:meth:`Chart.grid_pieces`),
     each checked on ``g``, then ``gbar``, then ``extra_ok``, and the box is halved
     at the first piece that fails; so the matrices of one metric on one piece,
     0.3 MB for a 3-D family, are all that is held, where the whole 46^3-point
     grid's were 7 MB per metric."""
-    half = box_half
+    half = START_HALF_WIDTH
     for _ in range(7):
         chart = Chart(dim, tuple((-half, half) for _ in range(dim)))
         g_eval, gbar_eval = make_fields()
@@ -468,7 +467,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
         if params.lam is None:
             fail("params.lam", "TWO_D_ELLIPTIC requires the profile lam")
         lam = params.lam
-        return _realize_on_box(kind, lambda: _elliptic_fields(lam), 2, params.box_half)
+        return _realize_on_box(kind, lambda: _elliptic_fields(lam), 2)
 
     if kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
         if params.f is None or params.lam_const is None:
@@ -479,8 +478,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
         minus = kind is FormKind.TWO_D_POLAR_MINUS
         # No check beyond positivity: g = f·I is positive definite exactly when
         # f > 0, and det ḡ = k²(1 ± r²f) then asks 1 − r²f > 0 of the minus family.
-        return _realize_on_box(kind, lambda: _polar_fields(f, lam_const, minus),
-                               2, params.box_half)
+        return _realize_on_box(kind, lambda: _polar_fields(f, lam_const, minus), 2)
 
     if kind is FormKind.THREE_D_AXIAL:
         if params.lam is None or params.f is None:
@@ -492,8 +490,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
             fv = f(grid[:, 1] ** 2 + grid[:, 2] ** 2)
             return bool(np.min(lv) > 0 and np.max(lv) < 1 and np.min(fv) > 0)
 
-        return _realize_on_box(kind, lambda: _axial_fields(lam, f), 3,
-                               params.box_half, extra_ok=extra)
+        return _realize_on_box(kind, lambda: _axial_fields(lam, f), 3, extra_ok=extra)
 
     if kind is FormKind.THREE_D_FULL:
         if params.lam is None or params.c is None:
@@ -504,7 +501,7 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
         dlam0 = float(lam.derivative()(0.0))
         if dlam0 <= 0:
             raise NotRealizable("the profile must be strictly increasing at 0")
-        return _realize_on_box(kind, lambda: _full_fields(lam, c), 3, params.box_half)
+        return _realize_on_box(kind, lambda: _full_fields(lam, c), 3)
 
     fail("kind", f"unknown family {kind}")
 
@@ -574,18 +571,8 @@ def _elliptic_map() -> ChartMap:
         rho = np.hypot(u, v)
         return np.stack([np.sqrt(rho - u), np.sqrt(rho + u)], axis=-1)
 
-    def inverse_jacobian(w: Array) -> Array:
-        w = np.asarray(w, dtype=float)
-        u, v = w[..., 0], w[..., 1]
-        rho = np.hypot(u, v)
-        x1 = np.sqrt(rho - u)
-        x2 = np.sqrt(rho + u)
-        return _matrix(((u / rho - 1.0) / (2.0 * x1), (v / rho) / (2.0 * x1)),
-                       ((u / rho + 1.0) / (2.0 * x2), (v / rho) / (2.0 * x2)))
-
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
-                    inverse=inverse, inverse_jacobian=inverse_jacobian,
-                    inverse_source=inverse_source)
+                    inverse=inverse, inverse_source=inverse_source)
 
 
 def _log_polar_map() -> ChartMap:
@@ -608,15 +595,8 @@ def _log_polar_map() -> ChartMap:
         u, v = w[..., 0], w[..., 1]
         return np.stack([0.5 * np.log(u**2 + v**2), np.arctan2(v, u)], axis=-1)
 
-    def inverse_jacobian(w: Array) -> Array:
-        w = np.asarray(w, dtype=float)
-        u, v = w[..., 0], w[..., 1]
-        r2 = u**2 + v**2
-        return _matrix((u / r2, v / r2), (-v / r2, u / r2))
-
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
-                    inverse=inverse, inverse_jacobian=inverse_jacobian,
-                    inverse_source=inverse_source)
+                    inverse=inverse, inverse_source=inverse_source)
 
 
 def _cylindrical_elliptic_map(c: float) -> ChartMap:
@@ -649,19 +629,8 @@ def _cylindrical_elliptic_map(c: float) -> ChartMap:
         theta = x1 / rc
         return np.stack([u0, s * np.cos(theta), s * np.sin(theta)], axis=-1)
 
-    def inverse_jacobian(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
-        s = np.sqrt(x0 * x2)
-        theta = x1 / rc
-        ct, st = np.cos(theta), np.sin(theta)
-        return _matrix((-0.5, 0.0, 0.5),
-                       (x2 * ct / (2.0 * s), -s * st / rc, x0 * ct / (2.0 * s)),
-                       (x2 * st / (2.0 * s), s * ct / rc, x0 * st / (2.0 * s)))
-
     return ChartMap(source=source, forward=forward, jacobian=jacobian,
-                    inverse=inverse, inverse_jacobian=inverse_jacobian,
-                    inverse_source=inverse_source)
+                    inverse=inverse, inverse_source=inverse_source)
 
 
 def canonical_chart_map(kind: FormKind, c: float = 1.0) -> ChartMap:

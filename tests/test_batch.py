@@ -3,14 +3,13 @@ sides of the size threshold and across a chunk boundary, the errors of a
 failed pivot, the Cholesky-pivot positivity certificate, and the chart boxes
 it certifies."""
 import ast
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import geq
-from geq import STANDARD_FAMILIES, standard_pair
+from geq import STANDARD_FAMILIES, normal_forms, standard_pair
 from geq._batch import CHUNK, cholesky_inverse, positive_definite, transposed
 from geq.errors import NotPositiveDefinite
 from geq.normal_forms import model_form_pair
@@ -166,9 +165,9 @@ def test_every_family_keeps_its_chart_box(name):
     ("two_d_elliptic", 4.0, 1.0), ("three_d_full", 4.0, 1.0),  # positivity halves
     ("two_d_polar_minus", 4.0, 0.5), ("three_d_axial", 8.0, 4.0),  # family conditions
 ])
-def test_a_wide_start_halves_to_the_same_box(name, start, half):
-    kind, params = standard_form_spec(name)
-    pair = model_form_pair(kind, dataclasses.replace(params, box_half=start))
+def test_a_wide_start_halves_to_the_same_box(name, start, half, monkeypatch):
+    monkeypatch.setattr(normal_forms, "START_HALF_WIDTH", start)
+    pair = model_form_pair(*standard_form_spec(name))
     assert pair.chart.box == ((-half, half),) * pair.dim
 
 

@@ -607,19 +607,54 @@ class TestPushforward:
     def test_inverted_swaps_directions(self):
         source = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
         target = Chart(2, ((0.0, 2.0), (0.0, 2.0)))
+        a = np.array([[2.0, 1.0], [0.0, 4.0]])
         cm = ChartMap(
             source=source,
-            forward=lambda y: 2.0 * np.asarray(y, dtype=float),
-            jacobian=lambda y: 2.0 * np.eye(2),
-            inverse=lambda x: 0.5 * np.asarray(x, dtype=float),
-            inverse_jacobian=lambda x: 0.5 * np.eye(2),
+            forward=lambda y: np.asarray(y, dtype=float) @ a.T,
+            jacobian=lambda y: np.broadcast_to(a, np.shape(y)[:-1] + (2, 2)),
+            inverse=lambda x: np.linalg.solve(a, np.asarray(x, dtype=float).T).T,
             inverse_source=target,
         )
         inv = cm.inverted()
-        assert inv.source is target
-        assert np.allclose(inv.forward(np.array([1.0, 2.0])), [0.5, 1.0])
-        assert np.allclose(inv.inverse(np.array([0.5, 1.0])), [1.0, 2.0])
-        assert np.allclose(inv.jacobian(np.array([1.0, 2.0])), 0.5 * np.eye(2))
-        assert np.allclose(inv.inverse_jacobian(np.array([0.5, 1.0])), 2.0 * np.eye(2))
-        with pytest.raises(SchemaError, match="inverse"):
-            dataclasses.replace(cm, inverse_jacobian=None).inverted()
+        assert inv.source is target and inv.inverse_source is source
+        assert np.allclose(inv.forward(np.array([3.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(inv.inverse(np.array([1.0, 1.0])), [3.0, 4.0])
+        # The reverse Jacobian is derived: the inverse of the forward one, batched.
+        ws = target.sample(np.random.default_rng(7), 5)
+        assert np.allclose(inv.jacobian(ws), np.broadcast_to([[0.5, -0.125], [0.0, 0.25]],
+                                                              (5, 2, 2)), rtol=0, atol=1e-15)
+        assert np.allclose(inv.inverted().jacobian(source.sample(np.random.default_rng(8), 5)),
+                           a, rtol=0, atol=1e-15)
+        for missing in ("inverse", "inverse_source"):
+            with pytest.raises(SchemaError, match="inverse"):
+                dataclasses.replace(cm, **{missing: None}).inverted()
+
+    def test_an_inverted_map_with_a_singular_forward_jacobian_is_refused(self):
+        # The fold y_0 -> y_0^2 / 2 is singular on y_0 = 0, which the
+        # reverse map's grid reaches at x_0 = 0.
+        def fold(y):
+            y = np.asarray(y, dtype=float)
+            return np.stack([y[..., 0] ** 2 / 2.0, y[..., 1]], axis=-1)
+
+        def unfold(x):
+            x = np.asarray(x, dtype=float)
+            return np.stack([np.sqrt(2.0 * x[..., 0]), x[..., 1]], axis=-1)
+
+        def fold_jacobian(y):
+            j = np.zeros(np.shape(y) + (2,))
+            j[..., 0, 0], j[..., 1, 1] = np.asarray(y)[..., 0], 1.0
+            return j
+
+        cm = ChartMap(source=Chart(2, ((0.0, 1.0), (0.0, 1.0))), forward=fold,
+                      jacobian=fold_jacobian, inverse=unfold,
+                      inverse_source=Chart(2, ((0.0, 0.5), (0.0, 1.0))))
+        inv = cm.inverted()
+        jac = inv.jacobian(np.array([[0.0, 0.5], [0.125, 0.5]]))
+        assert np.isnan(jac[0]).all()
+        assert np.allclose(jac[1], [[2.0, 0.0], [0.0, 1.0]])
+        field = constant_field(Chart(2, ((-2.0, 2.0), (-2.0, 2.0))), np.eye(2))
+        with pytest.raises(DegenerateJacobian):
+            pushforward_metric(inv, field)
+        # Away from the fold the same map is accepted.
+        away = dataclasses.replace(cm, inverse_source=Chart(2, ((0.125, 0.5), (0.0, 1.0))))
+        pushforward_metric(away.inverted(), field)

@@ -109,6 +109,20 @@ def test_an_exponent_without_a_dot_is_refused_with_its_text(runner, tmp_path, te
         expect_number("abc", "epsilon")
 
 
+def test_a_suite_that_runs_no_check_is_a_schema_error(runner, tmp_path):
+    with pytest.raises(SchemaError, match="^checks: expected at least one check$"):
+        validate_config(minimal_config(checks={}))
+    result = runner.invoke(main, ["suite", "--config", write_config(
+        tmp_path, minimal_config(checks={}))])
+    assert result.exit_code == 1
+    assert result.stderr == "error: SchemaError: checks: expected at least one check\n"
+    assert result.stdout == ""
+    # An absent or null mapping keeps the default checks.
+    for cfg in (minimal_config(), minimal_config(checks=None)):
+        assert list(validate_config(cfg).checks) == ["equivalence", "conservation",
+                                                     "interlacing"]
+
+
 def test_normal_form_check_requires_a_form_family():
     with pytest.raises(SchemaError, match="normal_form"):
         validate_config(minimal_config(family="beltrami_2",

@@ -10,7 +10,8 @@ from geq.charts import (Chart, MetricField, PhasePoint, fd_partials,
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
                                spheres_product)
-from geq.errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite
+from geq.errors import (DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite,
+                        SchemaError)
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import _l_values, l_eigen, max_eigen_multiplicity
 from geq.split_glue import _factor_pass, _field_terms, make_triple
@@ -31,11 +32,27 @@ def test_linear_map_validation():
         LinearMap(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(ValueError):
         LinearMap(np.ones((2, 3)))
+    with pytest.raises(SchemaError, match="non-empty square"):
+        LinearMap(np.zeros((0, 0)))
     ident = LinearMap.identity(3)
     assert ident.apply(np.array([1.0, 2.0, 3.0])) == pytest.approx([1.0, 2.0, 3.0])
     diag = LinearMap.diagonal([1.0, 2.0, 3.0])
     assert diag.apply(np.array([1.0, 1.0, 1.0])) == pytest.approx([1.0, 2.0, 3.0])
     assert diag.ambient_dim == 3
+
+
+@pytest.mark.parametrize("values, degenerate", [
+    ((1e-5, 1e-5, 1e-5), False),  # small, but x -> Ax/|Ax| is the identity
+    ((1.0, 1e5, 1e10), False),  # condition number 1e10
+    ((1e7, 1e7, 1e-6), True),  # condition number 1e13, though det A = 1e8
+    ((1.0, 1.0, 0.0), True),
+])
+def test_linear_map_singularity_is_judged_by_conditioning(values, degenerate):
+    if degenerate:
+        with pytest.raises(DegenerateMap, match="singular"):
+            LinearMap.diagonal(values)
+    else:
+        assert LinearMap.diagonal(values).ambient_dim == 3
 
 
 def test_sphere_chart_embedding_is_on_the_sphere():

@@ -427,8 +427,7 @@ class TestBoxCheck:
     @pytest.mark.parametrize("which", ["g", "gbar", "extra"])
     def test_a_failure_at_the_last_grid_point_halves_the_box(self, which):
         failure = CornerFailure(which, boxes=2)
-        pair = _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, 0.5,
-                               extra_ok=failure.extra)
+        pair = _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, extra_ok=failure.extra)
         assert pair.chart.box == ((-0.125, 0.125),) * 3
         # Both failing boxes were read to their last piece, as was the one kept.
         assert failure.g_calls == [self.PIECES] * 3
@@ -437,8 +436,7 @@ class TestBoxCheck:
     def test_a_failure_at_every_last_grid_point_is_not_realizable(self, which):
         failure = CornerFailure(which, boxes=7)
         with pytest.raises(NotRealizable, match="after six box halvings"):
-            _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, 0.5,
-                            extra_ok=failure.extra)
+            _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, extra_ok=failure.extra)
         assert failure.g_calls == [self.PIECES] * 7
 
     def test_every_registry_closed_form_family_keeps_its_box(self):

@@ -248,8 +248,7 @@ def test_the_axial_form_is_a_line_glued_to_the_polar_form():
     axial = model_form_pair(kind, params)
     box = axial.chart.box
     line = levi_civita_pair(LeviCivitaData(lambdas=(params.lam,), chart=Chart(1, box[:1])))
-    disc = model_form_pair(FormKind.TWO_D_POLAR_PLUS, ModelFormParams(
-        f=params.f, lam_const=1.0, box_half=box[1][1]))
+    disc = model_form_pair(FormKind.TWO_D_POLAR_PLUS, ModelFormParams(f=params.f, lam_const=1.0))
     assert disc.chart.box == box[1:]
     assert max_eigen_multiplicity(disc, disc.chart.center[None, :]) == 2
     glued = glue_pair(make_triple(line), make_triple(disc)).pair
