@@ -145,10 +145,13 @@ class MetricField:
     ``eval`` maps points ``(..., dim)`` to symmetric matrices
     ``(..., dim, dim)``.  ``jet``, where a builder can share work, maps points to
     ``(value, partials)``: ``value`` bitwise equal to ``eval``, ``partials[..., k, i, j]``
-    equal to ``d g_ij / d x_k``.  The separable pairs, the round sphere metric and
-    both fields of a glued pair carry one; a glued jet differences each factor on
-    its own stencil and combines the factors by the product rule.  A field without
-    one is differentiated by central differences (:func:`fd_partials`): ``eval``
+    equal to ``d g_ij / d x_k``; both fields of a glued pair carry one, which differences
+    each factor on its own stencil and combines them by the product rule.  A field whose
+    ``eval`` is diagonal (other entries exactly 0) may carry a ``diagonal_jet`` instead,
+    never both: ``(a, da)``, ``a (..., dim)`` bitwise the diagonal of ``eval`` and
+    ``da[..., k, i] = d g_ii / d x_k``.  The separable pairs and the round sphere metric
+    carry one, and their geodesic spray divides by ``a`` (:func:`_spray`).  A field with
+    neither is differentiated by central differences (:func:`fd_partials`): ``eval``
     is called once per batch, on a ``(2 dim + 1, ..., dim)`` stack of the points
     and their shifts ``+-h_k e_k``, the points first.
     """
@@ -156,6 +159,11 @@ class MetricField:
     chart: Chart
     eval: Callable[[Array], Array]
     jet: Optional[Callable[[Array], tuple[Array, Array]]] = None
+    diagonal_jet: Optional[Callable[[Array], tuple[Array, Array]]] = None
+
+    def __post_init__(self) -> None:
+        if self.jet is not None and self.diagonal_jet is not None:
+            fail("diagonal_jet", "a field carries a jet or a diagonal jet, not both")
 
 
 def metric_at(field: MetricField, x: Array) -> Array:
@@ -206,9 +214,21 @@ def fd_partials(field: MetricField, x: Array) -> Array:
     return np.moveaxis(_central_differences(field.eval, x, *field.chart._fd_stencil)[1], 0, -3)
 
 
+def _diagonal(d: Array) -> Array:
+    """The diagonal matrices ``(..., m, m)`` of ``d`` ``(..., m)``, off-diagonal entries 0."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
-    """The metric and its partials: one ``field.jet`` call, else one
-    ``field.eval`` call on the centre and the stencil (:func:`_central_differences`)."""
+    """The metric and its partials: one ``field.jet`` call, or one ``field.diagonal_jet``
+    call embedded in full matrices, else one ``field.eval`` call on the centre and the
+    stencil (:func:`_central_differences`)."""
+    if field.diagonal_jet is not None:
+        a, da = field.diagonal_jet(x)
+        return _diagonal(a), _diagonal(da)
     if field.jet is not None:
         return field.jet(x)
     m, d = _central_differences(field.eval, x, *field.chart._fd_stencil)
@@ -226,7 +246,7 @@ def christoffel(field: MetricField, x: Array) -> Array:
     """Batched Christoffel symbols ``Gamma^k_ij`` of shape
     ``(..., dim, dim, dim)`` with the upper index first.
 
-    A field without a ``jet`` is evaluated once per batch, on the
+    A field with neither jet is evaluated once per batch, on the
     point batch and its finite-difference stencil together."""
     chart = expect_instance(field, MetricField, "field").chart
     n, x = chart.dim, chart.points(x, "x")
@@ -242,7 +262,14 @@ def christoffel(field: MetricField, x: Array) -> Array:
 def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
     """The metric and the contraction ``Gamma^k_ij v^i v^j`` on batches
     ``(B, dim)`` of points and velocities, from one solve with a single
-    right-hand side per point."""
+    right-hand side per point; a diagonal metric ``a`` is divided by instead:
+    ``Gamma(v, v)_l = (2 v_l sum_k v_k d_k a_l - sum_i v_i^2 d_l a_i) / (2 a_l)``."""
+    if field.diagonal_jet is not None:
+        a, da = field.diagonal_jet(x)
+        if not np.all(a):
+            raise SingularMetric("zero diagonal metric entry while forming Christoffel symbols")
+        t = 2.0 * v * (v[:, None, :] @ da)[:, 0] - (da @ (v * v)[..., None])[..., 0]
+        return _diagonal(a), t / (2.0 * a)
     g, dg = _metric_and_partials(field, x)
     # T_l = 2 v^k v^j d_k g_{jl} - v^i v^j d_l g_{ij}
     dgv = np.einsum("bkij,bj->bki", dg, v)
@@ -394,25 +421,21 @@ def integrate_geodesics(
         if small.size:
             raise StepFailure(f"step size underflow in trajectory {small[0]}")
 
-    # A stable sort keeps each trajectory's samples in step order.
+    # A stable sort keeps each trajectory's samples in step order, in one slice.
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
-    cuts = np.cumsum(np.bincount(owner, minlength=B))[:-1]
-    states = np.concatenate(ys)
+    ends = np.cumsum(np.bincount(owner, minlength=B)).tolist()
+    times, states, accels = (np.concatenate(stack)[order] for stack in (ts, ys, ks))
     return [
         Trajectory(
-            times=times,
-            points=points,
-            velocities=velocities,
-            accelerations=accelerations,
+            times=times[lo:hi],
+            points=states[lo:hi, :n],
+            velocities=states[lo:hi, n:],
+            accelerations=accels[lo:hi],
             left_chart=bool(left[b]),
             stepper_stats=StepperStats(int(accepted[b]), int(rejected[b])),
         )
-        for b, (times, points, velocities, accelerations) in enumerate(zip(
-            np.split(np.concatenate(ts)[order], cuts),
-            np.split(states[order, :n], cuts),
-            np.split(states[order, n:], cuts),
-            np.split(np.concatenate(ks)[order], cuts)))
+        for b, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))
     ]
 
 

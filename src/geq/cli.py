@@ -408,8 +408,9 @@ def _finish(command: str, run: _Run) -> tuple[dict, int]:
 # --- Commands ----------------------------------------------------------------
 
 
-_FAMILY_OPT = click.option("--family", default="lc_nd", show_default=True,
-                           help="Registry family name (see `geq build --list`).")
+_FAMILY_OPT = click.option("--family", default="lc_nd",
+                           help="Registry family name (see `geq build --list`); without "
+                                "this flag, the --config file's family, else lc_nd.")
 _CONFIG_OPT = click.option("--config", type=click.Path(), default=None,
                            help="Defaults from a config file (flags override).")
 _TOL_OPT = click.option("--tol", type=str, default=DEFAULT_TOL,
@@ -419,7 +420,8 @@ _COMMON_OPTS = (
     click.option("--seed", type=str, default=0,
                  help="Random seed; without this flag, the --config file's seed, else 0."),
     click.option("--out", type=click.Path(file_okay=False), default=None,
-                 help="Report directory (default: print JSON to stdout)."),
+                 help="Report directory; without this flag, the --config file's out, "
+                      "else the JSON report is printed to stdout."),
     click.option("--format", "fmt", type=str, default="json", show_default=True,
                  help="json, or csv to add per-trajectory drift rows."),
 )
@@ -533,7 +535,8 @@ def _check_command(name: str, command: str, help_text: str):
     body = _TOL_OPT(body)
     for key, default in reversed(CHECK_DEFAULTS[name].items()):
         body = click.option(f"--{key}", f"check_{key}", type=str, default=None,
-                            help=f"[default: {default}]")(body)
+                            help=f"Without this flag, the --config file's "
+                                 f"checks.{name}.{key}, else {default}.")(body)
     body = _FAMILY_OPT(_CONFIG_OPT(body))
     return _command(command)(body)
 

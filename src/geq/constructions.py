@@ -228,12 +228,13 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
     def round_metric(ys: Array) -> tuple[Array, Array, Array]:
         ys = np.asarray(ys, dtype=float)
         d = 1.0 + np.sum(ys * ys, axis=-1)
-        return ys, d, (4.0 / (d * d))[..., None, None] * np.eye(dim)
+        return ys, d, 4.0 / (d * d)
 
     def g_jet(ys: Array) -> tuple[Array, Array]:
-        # d_k g_ij = -16 y_k / (1 + |y|^2)^3 delta_ij
-        ys, d, g = round_metric(ys)
-        return g, (-16.0 * ys / (d ** 3)[..., None])[..., None, None] * np.eye(dim)
+        # d_k g_ii = -16 y_k / (1 + |y|^2)^3
+        ys, d, a = round_metric(ys)
+        return (np.repeat(a[..., None], dim, axis=-1),
+                np.repeat((-16.0 * ys / (d ** 3)[..., None])[..., None], dim, axis=-1))
 
     ar = a_map.matrix @ sphere._reflection
     ar_t = transposed(ar)
@@ -242,7 +243,8 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
         return _gram_companion(ar, ar_t, *sphere._unreflected(ys))
 
     pair = MetricPair(
-        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2], jet=g_jet),
+        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2][..., None, None]
+                      * np.eye(dim), diagonal_jet=g_jet),
         gbar=MetricField(chart=sphere.chart, eval=gbar_eval),
     )
     return dataclasses.replace(make_triple(pair), closed_l=_SphereL(
@@ -265,12 +267,12 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
     def g_eval(xs: Array) -> Array:
         return factor * base.eval(xs)
 
-    def g_jet(xs: Array) -> tuple[Array, Array]:
-        m, dm = base.jet(xs)
-        return factor * m, factor * dm
+    def scaled_jet(jet):
+        return None if jet is None else lambda xs: tuple(factor * a for a in jet(xs))
 
     scaled = MetricPair(
-        g=MetricField(chart=pair.chart, eval=g_eval, jet=None if base.jet is None else g_jet),
+        g=MetricField(chart=pair.chart, eval=g_eval, jet=scaled_jet(base.jet),
+                      diagonal_jet=scaled_jet(base.diagonal_jet)),
         gbar=pair.gbar,
     )
     form = triple.closed_l

@@ -20,7 +20,7 @@ import numpy as np
 from ._batch import positive_definite
 from ._validate import (expect_instance, expect_int, expect_interval, expect_number,
                         expect_numbers, fail)
-from .charts import Chart, ChartMap, MetricField, positivity_grid_size
+from .charts import Chart, ChartMap, MetricField, _diagonal, positivity_grid_size
 from .errors import NotPositive, NotRealizable, SeparationViolated
 from .projective import MetricPair
 
@@ -169,19 +169,22 @@ def _profile_values(table: Array, xs: Array) -> Array:
     return np.moveaxis(_horner(table.reshape(table.shape + (1,) * (xs.ndim - 1)), columns), 0, -1)
 
 
-def _pi_factors(vals: Array) -> Array:
+def _pi_factors(diffs: Array) -> Array:
     """The diagonal factors: signed products of eigenvalue differences.
 
-    ``vals`` has shape ``(..., n)``; the result too, entry ``i`` being
-    ``(-1)^i * prod_{j != i}(vals_j - vals_i)`` (positive under the
-    separation ordering).
+    ``diffs[..., i, j]`` is ``vals_j - vals_i`` for eigenvalues ``vals`` ``(..., n)``;
+    its diagonal is overwritten.  Entry ``i`` of the result ``(..., n)`` is
+    ``(-1)^i * prod_{j != i}(vals_j - vals_i)`` (positive under the separation ordering).
     """
-    n = vals.shape[-1]
-    diffs = vals[..., None, :] - vals[..., :, None]
+    n = diffs.shape[-1]
     idx = np.arange(n)
     diffs[..., idx, idx] = 1.0
-    prods = np.prod(diffs, axis=-1)
-    return prods * (-1.0) ** idx
+    return np.prod(diffs, axis=-1) * (-1.0) ** idx
+
+
+def _differences(vals: Array) -> Array:
+    """``out[..., i, j] = vals_j - vals_i``, the input of :func:`_pi_factors`."""
+    return vals[..., None, :] - vals[..., :, None]
 
 
 def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
@@ -189,64 +192,52 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     profiles; the compatibility tensor of the result is exactly
     ``diag(lambda_1(x_1), ..., lambda_n(x_n))``.
 
-    Both diagonal metrics carry a ``jet``: one pass over the profile table and one over
-    its slope table, and the factors ``Pi`` and their log-derivatives formed once.
+    Both diagonal metrics carry a ``diagonal_jet``: one pass over the profile and slope
+    tables joined, and the factors ``Pi`` and their log-derivatives formed from one
+    difference matrix.
     """
     n = data.chart.dim
     idx = np.arange(n)
 
     @functools.cache
     def tables() -> tuple[Array, Array]:
-        # The profile and slope tables, built on the first evaluation, not with the pair.
+        # Profiles, and profiles beside their slopes, tabled on first use, not with the pair.
         table = _profile_table(data.lambdas)
-        slopes = np.arange(1, len(table))[:, None] * table[1:]
-        return table, slopes if len(slopes) else np.zeros((1, n))
-
-    def diag_embed(d: Array) -> Array:
-        out = np.zeros(d.shape[:-1] + (n, n))
-        out[..., idx, idx] = d
-        return out
+        slopes = np.concatenate([np.arange(1, len(table))[:, None] * table[1:], np.zeros((1, n))])
+        return table, np.concatenate([table, slopes], axis=1)
 
     def rho_of(vals: Array) -> Array:
         return 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
 
     def g_eval(xs: Array) -> Array:
-        return diag_embed(_pi_factors(_profile_values(tables()[0], xs)))
+        return _diagonal(_pi_factors(_differences(_profile_values(tables()[0], xs))))
 
     def gbar_eval(xs: Array) -> Array:
         vals = _profile_values(tables()[0], xs)
-        return diag_embed(rho_of(vals) * _pi_factors(vals))
+        return _diagonal(rho_of(vals) * _pi_factors(_differences(vals)))
 
-    def _log_pi_grad(vals: Array, ders: Array) -> Array:
-        """``out[..., k, i]`` is the log-derivative of factor ``i`` along
-        coordinate ``k``."""
-        diffs = vals[..., :, None] - vals[..., None, :]  # [i, j] = vals_i - vals_j
-        inv = np.zeros_like(diffs)
-        np.divide(1.0, diffs, out=inv, where=np.abs(diffs) > 0)
-        inv[..., idx, idx] = 0.0
-        # k != i: lam_k' / (lam_k - lam_i); inv[k, i] = 1/(vals_k - vals_i)
-        out = ders[..., :, None] * inv
-        # k == i: -lam_i' * sum_{j != i} 1/(lam_j - lam_i) = +lam_i' * sum_j inv[i, j]
-        out[..., idx, idx] = ders * np.sum(inv, axis=-1)
-        return out
-
-    def jet(xs: Array, companion: bool) -> tuple[Array, Array]:
-        """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i, i]``."""
-        vals, ders = (_profile_values(table, xs) for table in tables())
-        diagonal, log_grad = _pi_factors(vals), _log_pi_grad(vals, ders)
+    def diagonal_jet(xs: Array, companion: bool) -> tuple[Array, Array]:
+        """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i]``."""
+        both = _profile_values(tables()[1], np.concatenate([xs, xs], axis=-1))
+        vals, ders = both[..., :n], both[..., n:]
+        diffs = _differences(vals)
+        inv = np.divide(1.0, diffs, out=np.zeros_like(diffs), where=diffs != 0)
+        diagonal = _pi_factors(diffs)
+        # Log-derivative of factor i along k: lam_k' / (lam_k - lam_i) for k != i,
+        # -lam_i' * sum_{j != i} 1 / (lam_j - lam_i) for k == i.
+        log_grad = ders[..., :, None] * np.swapaxes(inv, -1, -2)
+        log_grad[..., idx, idx] = -ders * np.sum(inv, axis=-1)
         if companion:
             diagonal = rho_of(vals) * diagonal
-            log_slopes = -ders / vals
-            log_rho = np.broadcast_to(log_slopes[..., :, None], log_grad.shape).copy()
-            log_rho[..., idx, idx] += log_slopes
-            log_grad = log_grad + log_rho
-        d = np.zeros(vals.shape[:-1] + (n, n, n))
-        d[..., :, idx, idx] = diagonal[..., None, :] * log_grad
-        return diag_embed(diagonal), d
+            # d_k log rho_i = -(1 + [k == i]) lam_k' / lam_k
+            log_grad += (-ders / vals)[..., :, None] * (1.0 + np.eye(n))
+        return diagonal, diagonal[..., None, :] * log_grad
 
     return MetricPair(
-        g=MetricField(chart=data.chart, eval=g_eval, jet=lambda xs: jet(xs, False)),
-        gbar=MetricField(chart=data.chart, eval=gbar_eval, jet=lambda xs: jet(xs, True)),
+        g=MetricField(chart=data.chart, eval=g_eval,
+                      diagonal_jet=lambda xs: diagonal_jet(xs, False)),
+        gbar=MetricField(chart=data.chart, eval=gbar_eval,
+                         diagonal_jet=lambda xs: diagonal_jet(xs, True)),
     )
 
 

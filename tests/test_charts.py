@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import geq
-from geq import split_glue
+from geq import charts, split_glue
 from geq._batch import CHUNK
 from geq.charts import (
     FD_STEP,
@@ -15,6 +15,8 @@ from geq.charts import (
     ChartMap,
     MetricField,
     PhasePoint,
+    _diagonal,
+    _metric_and_partials,
     _spray,
     christoffel,
     fd_partials,
@@ -24,12 +26,15 @@ from geq.charts import (
     positivity_grid_size,
     pushforward_metric,
 )
+from geq.constructions import beltrami_pair, scale_triple
 from geq.errors import (
     DegenerateJacobian,
     NotPositiveDefinite,
     OutOfChart,
     SchemaError,
+    SingularMetric,
 )
+from geq.normal_forms import levi_civita_pair, random_levi_civita_data
 from geq.verify import standard_pair
 
 
@@ -291,6 +296,77 @@ class TestSpray:
             assert traj.accelerations.shape == traj.velocities.shape
             assert_rows_close(traj.accelerations,
                               -contracted(field, traj.points, traj.velocities))
+
+
+DIAGONAL_FIELDS = {
+    **{f"separable_{n}_{which}": (lambda n=n, which=which: getattr(levi_civita_pair(
+        random_levi_civita_data(n, np.random.default_rng(n))), which))
+       for n in (2, 3, 4, 5) for which in ("g", "gbar")},
+    **{f"round_{dim}": (lambda dim=dim: beltrami_pair(dim).pair.g) for dim in (1, 2, 3)},
+    "round_2_scaled": lambda: scale_triple(beltrami_pair(2), 5.0).pair.g,
+}
+
+
+def dense(field: MetricField) -> MetricField:
+    """``field`` with its diagonal jet embedded as a full jet."""
+    return dataclasses.replace(field, diagonal_jet=None,
+                               jet=lambda x: _metric_and_partials(field, x))
+
+
+class TestDiagonalSpray:
+    @pytest.mark.parametrize("build", DIAGONAL_FIELDS.values(), ids=DIAGONAL_FIELDS.keys())
+    def test_the_diagonal_route_is_the_dense_route_row_by_row(self, build):
+        field = build()
+        rng = np.random.default_rng(21)
+        x = field.chart.sample(rng, 50, shrink=0.9)
+        v = rng.normal(size=x.shape)
+        g, spray = _spray(field, x, v)
+        dense_g, dense_spray = _spray(dense(field), x, v)
+        assert np.array_equal(g, field.eval(x)) and np.array_equal(g, dense_g)
+        assert_rows_close(spray, dense_spray, rel=1e-14)
+
+    def test_the_diagonal_route_takes_no_dense_partials_einsum_or_solve(self, monkeypatch):
+        field = DIAGONAL_FIELDS["separable_4_g"]()
+        rng = np.random.default_rng(22)
+        x = field.chart.sample(rng, 30, shrink=0.9)
+        v = rng.normal(size=x.shape)
+        reference = _spray(field, x, v)
+        a, da = field.diagonal_jet(x)
+        assert a.shape == (30, 4) and da.shape == (30, 4, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        for name in ("solve", "inv", "lstsq", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(charts, "_metric_and_partials", refuse)
+        for got, ref in zip(_spray(field, x, v), reference):
+            assert np.array_equal(got, ref)
+
+    def test_a_zero_diagonal_entry_is_a_singular_metric(self):
+        chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
+
+        def diagonal_jet(x):  # g = diag(x_0^2, 1): singular on the line x_0 = 0
+            x = np.asarray(x, dtype=float)
+            a = np.stack([x[..., 0] ** 2, np.ones_like(x[..., 0])], axis=-1)
+            da = np.zeros(x.shape + (2,))
+            da[..., 0, 0] = 2.0 * x[..., 0]
+            return a, da
+
+        field = MetricField(chart=chart, eval=lambda x: _diagonal(diagonal_jet(x)[0]),
+                            diagonal_jet=diagonal_jet)
+        x = np.array([[0.5, 0.1], [0.0, 0.3]])
+        v = np.ones_like(x)
+        for route in (field, dense(field)):
+            with pytest.raises(SingularMetric):
+                _spray(route, x, v)
+        assert np.all(np.isfinite(_spray(field, x[:1], v[:1])[1]))  # off the line
+
+    def test_a_field_carries_one_kind_of_jet(self):
+        field = DIAGONAL_FIELDS["round_2"]()
+        with pytest.raises(SchemaError, match="diagonal_jet"):
+            dataclasses.replace(field, jet=lambda x: _metric_and_partials(field, x))
 
 
 def stencil_reference(field: MetricField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ import pytest
 
 import geq.constructions as constructions
 from geq._batch import positive_definite
-from geq.charts import (Chart, MetricField, PhasePoint, fd_partials,
+from geq.charts import (Chart, MetricField, PhasePoint, _diagonal, fd_partials,
                         integrate_geodesic, positivity_grid_size)
 from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
                                circle_planarity, scale_triple, sphere_chart,
@@ -114,9 +114,10 @@ def test_round_metric_partials_match_finite_differences(dim):
     g = triple.pair.g
     xs = g.chart.sample(np.random.default_rng(3), 50, shrink=0.9)
     bare = MetricField(chart=g.chart, eval=g.eval)
-    assert np.max(np.abs(g.jet(xs)[1] - fd_partials(bare, xs))) < 1e-8
+    assert np.max(np.abs(_diagonal(g.diagonal_jet(xs)[1]) - fd_partials(bare, xs))) < 1e-8
     scaled = scale_triple(triple, 5.0)
-    assert np.allclose(scaled.pair.g.jet(xs)[1], 5.0 * g.jet(xs)[1], rtol=1e-15, atol=0.0)
+    assert np.allclose(scaled.pair.g.diagonal_jet(xs)[1], 5.0 * g.diagonal_jet(xs)[1],
+                       rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -124,10 +125,21 @@ def test_round_and_scaled_jets_are_eval_and_the_stencil_partials(dim):
     triple = beltrami_pair(dim)
     xs = triple.pair.chart.sample(np.random.default_rng(4), 40, shrink=0.9)
     for field in (triple.pair.g, scale_triple(triple, 5.0).pair.g):
-        value, partials = field.jet(xs)
-        assert value.tobytes() == field.eval(xs).tobytes()
+        assert field.jet is None
+        value, partials = field.diagonal_jet(xs)
+        # The diagonal of eval, bitwise, and eval's other entries exactly 0.
+        assert _diagonal(value).tobytes() == field.eval(xs).tobytes()
         bare = MetricField(chart=field.chart, eval=field.eval)
-        assert np.max(np.abs(partials - fd_partials(bare, xs))) < 1e-8
+        assert np.max(np.abs(_diagonal(partials) - fd_partials(bare, xs))) < 1e-8
+
+
+def test_a_scaled_glued_base_scales_its_full_jet():
+    triple = spheres_product([(1, None), (2, None)])
+    xs = triple.pair.chart.sample(np.random.default_rng(5), 20, shrink=0.8)
+    scaled = scale_triple(triple, 3.0).pair.g
+    assert scaled.diagonal_jet is None
+    for got, base in zip(scaled.jet(xs), triple.pair.g.jet(xs)):
+        assert np.array_equal(got, 3.0 * base)
 
 
 def projector_companion(sphere, a_map):

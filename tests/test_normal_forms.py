@@ -11,6 +11,7 @@ from geq._batch import CHUNK
 from geq.charts import (
     Chart,
     PhasePoint,
+    _diagonal,
     fd_partials,
     integrate_geodesic,
     metric_at,
@@ -163,9 +164,9 @@ class TestLeviCivita:
         pts = data.chart.sample(rng, 10, shrink=0.8)
         for field in (pair.g, pair.gbar):
             fd = fd_partials(field, pts)
-            exact = field.jet(pts)[1]
+            exact = field.diagonal_jet(pts)[1]  # [..., k, i] is d_k g_ii
             scale = max(1.0, float(np.max(np.abs(exact))))
-            assert np.max(np.abs(fd - exact)) < 1e-6 * scale
+            assert np.max(np.abs(fd - _diagonal(exact))) < 1e-6 * scale
 
     # 12 points and, at 300, batches past the transposed-evaluation threshold.
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -178,18 +179,21 @@ class TestLeviCivita:
         pair = levi_civita_pair(data)
         pts = data.chart.sample(rng, count, shrink=0.8)
         for field in (pair.g, pair.gbar):
-            value, partials = field.jet(pts)
-            assert bits(value) == bits(field.eval(pts))
+            assert field.jet is None
+            value, partials = field.diagonal_jet(pts)
+            assert value.shape == pts.shape and partials.shape == pts.shape + (n,)
+            # The diagonal of eval, bitwise, and eval's other entries exactly 0.
+            assert bits(_diagonal(value)) == bits(field.eval(pts))
             fd = fd_partials(field, pts)
             scale = max(1.0, float(np.max(np.abs(partials))))
-            assert np.max(np.abs(fd - partials)) < 1e-6 * scale
+            assert np.max(np.abs(fd - _diagonal(partials))) < 1e-6 * scale
 
     def test_constant_profiles_have_zero_partials(self):
         pair = levi_civita_pair(constant_lc(1.0, 2.0, 3.0))
         pts = pair.chart.sample(np.random.default_rng(5), 6)
         for field in (pair.g, pair.gbar):
-            value, partials = field.jet(pts)
-            assert bits(value) == bits(field.eval(pts))
+            value, partials = field.diagonal_jet(pts)
+            assert bits(_diagonal(value)) == bits(field.eval(pts))
             assert not np.any(partials)
 
     def test_separation_validation(self):

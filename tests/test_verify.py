@@ -88,7 +88,9 @@ def counted(field, log: list, name: str):
 
     return dataclasses.replace(
         field, eval=wrap(field.eval, "eval"),
-        jet=None if field.jet is None else wrap(field.jet, "jet"))
+        jet=None if field.jet is None else wrap(field.jet, "jet"),
+        diagonal_jet=None if field.diagonal_jet is None else wrap(field.diagonal_jet,
+                                                                  "diagonal_jet"))
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -100,7 +102,7 @@ def test_a_separable_spray_is_one_jet_call(n):
     x = pair.chart.sample(rng, 9)
     v = rng.normal(size=x.shape)
     g, _ = _spray(field, x, v)
-    assert log == [("g", "jet", 9)]
+    assert log == [("g", "diagonal_jet", 9)]
     assert np.array_equal(g, pair.g.eval(x))
 
 
