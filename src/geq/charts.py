@@ -81,7 +81,7 @@ class Chart:
         if margin:
             pad = margin * self.widths
             lows, highs = lows + pad, highs - pad
-        return np.all((x >= lows) & (x <= highs), axis=-1)
+        return ((x >= lows) & (x <= highs)).all(axis=-1)
 
     def point(self, x: Array, margin: float = 0.0) -> Array:
         """``x`` as one float point of this chart; :class:`OutOfChart` unless it
@@ -150,7 +150,7 @@ class MetricField:
     ``eval`` is diagonal (other entries exactly 0) may carry a ``diagonal_jet`` instead,
     never both: ``(a, da)``, ``a (..., dim)`` bitwise the diagonal of ``eval`` and
     ``da[..., k, i] = d g_ii / d x_k``.  The separable pairs and the round sphere metric
-    carry one, and their geodesic spray divides by ``a`` (:func:`_spray`).  A field with
+    carry one, and their geodesic spray divides by ``a`` (:func:`_diagonal_spray`).  A field with
     neither is differentiated by central differences (:func:`fd_partials`): ``eval``
     is called once per batch, on a ``(2 dim + 1, ..., dim)`` stack of the points
     and their shifts ``+-h_k e_k``, the points first.
@@ -259,17 +259,24 @@ def christoffel(field: MetricField, x: Array) -> Array:
     return gamma.reshape(t.shape)
 
 
+def _diagonal_spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
+    """The diagonal ``a`` of a field with a ``diagonal_jet`` and its spray
+    ``Gamma(v, v)_l = (2 v_l sum_k v_k d_k a_l - sum_i v_i^2 d_l a_i) / (2 a_l)``."""
+    a, da = field.diagonal_jet(x)
+    if not a.all():
+        raise SingularMetric("zero diagonal metric entry while forming Christoffel symbols")
+    t = 2.0 * v * (v[:, None, :] @ da)[:, 0] - (da @ (v * v)[..., None])[..., 0]
+    return a, t / (2.0 * a)
+
+
 def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:
     """The metric and the contraction ``Gamma^k_ij v^i v^j`` on batches
     ``(B, dim)`` of points and velocities, from one solve with a single
-    right-hand side per point; a diagonal metric ``a`` is divided by instead:
-    ``Gamma(v, v)_l = (2 v_l sum_k v_k d_k a_l - sum_i v_i^2 d_l a_i) / (2 a_l)``."""
+    right-hand side per point; a diagonal metric is divided by instead
+    (:func:`_diagonal_spray`)."""
     if field.diagonal_jet is not None:
-        a, da = field.diagonal_jet(x)
-        if not np.all(a):
-            raise SingularMetric("zero diagonal metric entry while forming Christoffel symbols")
-        t = 2.0 * v * (v[:, None, :] @ da)[:, 0] - (da @ (v * v)[..., None])[..., 0]
-        return _diagonal(a), t / (2.0 * a)
+        a, spray = _diagonal_spray(field, x, v)
+        return _diagonal(a), spray
     g, dg = _metric_and_partials(field, x)
     # T_l = 2 v^k v^j d_k g_{jl} - v^i v^j d_l g_{ij}
     dgv = np.einsum("bkij,bj->bki", dg, v)
@@ -335,12 +342,14 @@ _DP_E = _DP_B5 - _DP_B4
 _MAX_STEPS = 1_000_000
 
 
-def _geodesic_rhs(field: MetricField, y: Array) -> Array:
-    """Right-hand side of the first-order geodesic system on states
-    ``y = (x, v)`` of shape ``(B, 2 dim)``."""
+def _geodesic_rhs(field: MetricField, y: Array, out: Array) -> None:
+    """Write the right-hand side of the first-order geodesic system on states
+    ``y = (x, v)`` of shape ``(B, 2 dim)`` into ``out``: ``v``, then ``-Gamma(v, v)``."""
     n = field.chart.dim
-    v = y[:, n:]
-    return np.concatenate([v, -_spray(field, y[:, :n], v)[1]], axis=1)
+    x, v = y[:, :n], y[:, n:]
+    out[:, :n] = v
+    spray = _diagonal_spray if field.diagonal_jet is not None else _spray
+    np.negative(spray(field, x, v)[1], out=out[:, n:])
 
 
 def integrate_geodesics(
@@ -355,7 +364,9 @@ def integrate_geodesics(
     Adaptive embedded Runge-Kutta 5(4) with per-trajectory step control and
     first-same-as-last stage reuse.  Trajectories that reach the chart
     boundary are truncated and flagged.  A start outside the chart box raises
-    :class:`OutOfChart` naming the first one (:meth:`Chart.points`).
+    :class:`OutOfChart` naming the first one (:meth:`Chart.points`).  The
+    returned trajectories' arrays are views of one stack of all kept samples,
+    sorted by trajectory.
     """
     tol = expect_tol(tol)
     T = expect_number(T, "T", positive=True)
@@ -375,67 +386,84 @@ def integrate_geodesics(
     left = np.zeros(B, dtype=bool)
     accepted = np.zeros(B, dtype=int)
     rejected = np.zeros(B, dtype=int)
-    k1 = _geodesic_rhs(field, y)
+    k1 = np.empty_like(y)
+    _geodesic_rhs(field, y, k1)
     # Kept samples, one (owner, t, state, acceleration) block per step.
     owners, ts, ys, ks = [np.arange(B)], [t.copy()], [y.copy()], [k1[:, n:].copy()]
+    floor = 1e-14 * max(T, 1.0)
+    buffer = np.empty(7 * y.size)  # every iteration's stage stack, at its active rows
+    idx = owners[0]  # the active trajectories
     total_steps = 0
-    while active.any():
+    while idx.size:
         total_steps += 1
         if total_steps > _MAX_STEPS:
             raise StepFailure("step cap exceeded")
-        idx = np.nonzero(active)[0]
-        ya, dta, k1a = y[idx], np.minimum(dt[idx], T - t[idx]), k1[idx]
-        k = np.empty((7, len(idx), ya.shape[1]))
+        # With every trajectory active, the state arrays are read and written whole.
+        at = slice(None) if idx.size == B else idx
+        ya, ta, dta = y[at], t[at], dt[at]
+        dta = np.minimum(dta, T - ta)
+        h = dta[:, None]
+        k = buffer[:7 * ya.size].reshape((7,) + ya.shape)
         stages = k.reshape(7, -1)  # a view: the stage sums are one matrix product each
-        k[0] = k1a
+        k[0] = k1[at]
         for s in range(1, 7):
-            incr = (_DP_A[s] @ stages[:s]).reshape(ya.shape)
-            k[s] = _geodesic_rhs(field, ya + dta[:, None] * incr)
-        y5 = ya + dta[:, None] * (_DP_B5 @ stages).reshape(ya.shape)
-        err_vec = dta[:, None] * (_DP_E @ stages).reshape(ya.shape)
+            _geodesic_rhs(field, ya + h * (_DP_A[s] @ stages[:s]).reshape(ya.shape), k[s])
+        y5 = ya + h * (_DP_B5 @ stages).reshape(ya.shape)
+        err_vec = h * (_DP_E @ stages).reshape(ya.shape)
         scale = tol + tol * np.maximum(np.abs(ya), np.abs(y5))
         err = np.sqrt(((err_vec / scale) ** 2).sum(axis=1) / (2 * n))
         err = np.where(np.isfinite(err), err, np.inf)
-
         ok = err <= 1.0
-        factor = np.where(err > 0, 0.9 * err ** -0.2, 5.0)
-        factor = np.minimum(np.maximum(np.where(np.isfinite(factor), factor, 0.2), 0.2), 5.0)
+        # err = 0 gives an infinite factor and err = inf a zero one, clipped to 5 and 0.2.
+        factor = np.minimum(np.maximum(0.9 * err ** -0.2, 0.2), 5.0)
 
-        stepped = idx[ok]
-        accepted[stepped] += 1
-        rejected[idx[~ok]] += 1
-        t[stepped] += dta[ok]
-        y[stepped] = y5[ok]
-        k1[stepped] = k[6, ok]
-        inside = field.chart.contains(y[stepped, :n])
-        kept, out = stepped[inside], stepped[~inside]
-        owners.append(kept)
-        ts.append(t[kept])
-        ys.append(y[kept])
-        ks.append(k1[kept, n:])
-        active[kept[t[kept] >= T - 1e-14]] = False
-        left[out] = True
-        active[out] = False
-        dt[idx] = dta * factor
-        small = idx[active[idx] & (dt[idx] < 1e-14 * max(T, 1.0))]
-        if small.size:
-            raise StepFailure(f"step size underflow in trajectory {small[0]}")
+        # Rejections, boundary exits and finished trajectories take the gathers below.
+        if ok.all():
+            stepped, at_ok, t_ok, y_ok, k_ok = idx, at, ta + dta, y5, k[6]
+        else:
+            rejected[idx[~ok]] += 1
+            stepped = at_ok = idx[ok]
+            t_ok, y_ok, k_ok = ta[ok] + dta[ok], y5[ok], k[6, ok]
+        accepted[at_ok] += 1
+        t[at_ok] = t_ok
+        y[at_ok] = y_ok
+        k1[at_ok] = k_ok
+        inside = field.chart.contains(y_ok[:, :n])
+        deactivated = not inside.all()
+        if deactivated:
+            out = stepped[~inside]
+            left[out] = True
+            active[out] = False
+            stepped, t_ok, y_ok, k_ok = stepped[inside], t_ok[inside], y_ok[inside], k_ok[inside]
+        owners.append(stepped)
+        ts.append(t_ok)
+        ys.append(y_ok)
+        ks.append(k_ok[:, n:].copy())
+        done = t_ok >= T - 1e-14
+        if done.any():
+            active[stepped[done]] = False
+            deactivated = True
+        dt[at] = new_dt = dta * factor
+        tiny = new_dt < floor
+        if tiny.any():
+            small = idx[tiny & active[idx]]
+            if small.size:
+                raise StepFailure(f"step size underflow in trajectory {small[0]}")
+        if deactivated:
+            idx = np.flatnonzero(active)
 
     # A stable sort keeps each trajectory's samples in step order, in one slice.
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     ends = np.cumsum(np.bincount(owner, minlength=B)).tolist()
     times, states, accels = (np.concatenate(stack)[order] for stack in (ts, ys, ks))
+    points, velocities = states[:, :n], states[:, n:]
     return [
-        Trajectory(
-            times=times[lo:hi],
-            points=states[lo:hi, :n],
-            velocities=states[lo:hi, n:],
-            accelerations=accels[lo:hi],
-            left_chart=bool(left[b]),
-            stepper_stats=StepperStats(int(accepted[b]), int(rejected[b])),
-        )
-        for b, (lo, hi) in enumerate(zip([0] + ends[:-1], ends))
+        Trajectory(times=times[lo:hi], points=points[lo:hi], velocities=velocities[lo:hi],
+                   accelerations=accels[lo:hi], left_chart=exited,
+                   stepper_stats=StepperStats(acc, rej))
+        for lo, hi, exited, acc, rej in zip([0] + ends[:-1], ends, left.tolist(),
+                                         accepted.tolist(), rejected.tolist())
     ]
 
 

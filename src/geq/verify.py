@@ -172,9 +172,9 @@ def check_conservation(pair: MetricPair, n_traj: int = 20, duration: float = 1.0
     end = values[first + lengths - 1]
     deviation = np.abs(values - np.repeat(start, lengths, axis=0))
     drift = np.maximum.reduceat(deviation, first, axis=0) / np.maximum(1.0, np.abs(start))
-    rows = tuple(DriftRow(index=idx, integral_id=name, start_value=float(start[idx, j]),
-                          end_value=float(end[idx, j]), rel_drift=float(drift[idx, j]))
-                 for idx in range(n_traj) for j, name in enumerate(names))
+    rows = tuple(DriftRow(idx, name, s, e, d)
+                 for idx, row in enumerate(zip(start.tolist(), end.tolist(), drift.tolist()))
+                 for name, s, e, d in zip(names, *row))
     return ConservationReport(
         t_values=tuple(float(t) for t in t_values),
         rows=rows,

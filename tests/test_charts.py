@@ -33,6 +33,7 @@ from geq.errors import (
     OutOfChart,
     SchemaError,
     SingularMetric,
+    StepFailure,
 )
 from geq.normal_forms import levi_civita_pair, random_levi_civita_data
 from geq.verify import standard_pair
@@ -568,6 +569,53 @@ class TestIntegrateGeodesic:
             assert np.array_equal(single.accelerations, batch[b].accelerations)
             assert single.left_chart == batch[b].left_chart
             assert single.stepper_stats == batch[b].stepper_stats
+
+    def test_rejections_exits_and_finishes_in_one_batch_match_single(self):
+        # Trajectory 0 circles fast near the colatitude bound, where steps get
+        # rejected; 1 has a step rejected and then leaves the box; 2 reaches T
+        # first, while the others still run.
+        field = sphere_field()
+        starts_x = np.array([[0.35, 0.0], [2.7, 0.3], [1.4, 0.3], [1.0, 0.5]])
+        starts_v = np.array([[0.0, 6.0], [1.0, 0.2], [-0.2, 0.5], [0.3, 0.7]])
+        batch = integrate_geodesics(field, starts_x, starts_v, T=1.0, tol=1e-9)
+        assert [traj.left_chart for traj in batch] == [False, True, False, False]
+        assert batch[0].stepper_stats.rejected > 0 and batch[1].stepper_stats.rejected > 0
+        assert batch[2].times[-1] == 1.0
+        assert len(batch[2].times) < min(len(batch[b].times) for b in (0, 1, 3))
+        for traj in batch:
+            # A step after a rejection must start from the kept state's stage.
+            energy = (traj.velocities[:, 0] ** 2
+                      + np.sin(traj.points[:, 0]) ** 2 * traj.velocities[:, 1] ** 2)
+            assert np.max(np.abs(energy - energy[0])) < 10 * 1e-9 * energy[0]
+        for b in range(4):
+            single = integrate_geodesic(field, PhasePoint(starts_x[b], starts_v[b]),
+                                        T=1.0, tol=1e-9)
+            for name in ("times", "points", "velocities", "accelerations"):
+                assert np.array_equal(getattr(single, name), getattr(batch[b], name)), name
+            assert single.left_chart == batch[b].left_chart
+            assert single.stepper_stats == batch[b].stepper_stats
+
+    def test_a_spray_that_turns_non_finite_is_a_step_failure(self):
+        # Past x_0 = 0.25 the partials are NaN: every step that crosses the
+        # line is rejected, so trajectory 1's steps shrink until they underflow.
+        chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
+        calls = []
+
+        def diagonal_jet(x):
+            calls.append(len(x))
+            a = np.broadcast_to(1.0 + x[:, :1] ** 2, x.shape).copy()
+            da = np.zeros(x.shape + x.shape[-1:])
+            da[:, 0, :] = 2.0 * x[:, :1]
+            da[x[:, 0] > 0.25] = np.nan
+            return a, da
+
+        field = MetricField(chart=chart, eval=lambda x: _diagonal(diagonal_jet(x)[0]),
+                            diagonal_jet=diagonal_jet)
+        starts_x = np.array([[0.0, 0.0], [0.0, 0.0]])
+        starts_v = np.array([[-0.5, 0.1], [1.0, 0.2]])
+        with pytest.raises(StepFailure, match=r"step size underflow in trajectory 1$"):
+            integrate_geodesics(field, starts_x, starts_v, T=1.0, tol=1e-9)
+        assert len(calls) < 2_000
 
     def test_tol_validation(self):
         field = flat_field()

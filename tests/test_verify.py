@@ -1,5 +1,6 @@
 """Tests for the verification procedures and the family registry."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from geq.projective import _integrals, eigen_range, frame_weights, integral_root
 from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,
                         STANDARD_FAMILIES, check_conservation,
                         check_equivalence, check_interlacing,
-                        control_conformal_pair, nijenhuis_control_pair,
+                        DriftRow, control_conformal_pair, nijenhuis_control_pair,
                         seeded_starts, standard_pair)
 
 INTERVAL = (-0.5, 0.5)
@@ -228,6 +229,26 @@ def test_conservation_rows_match_a_per_trajectory_recomputation():
         assert row.end_value == pytest.approx(end, abs=1e-12)
         assert row.rel_drift == pytest.approx(drift, abs=1e-12)
     assert report.max_drift == max(row.rel_drift for row in report.rows)
+
+
+def test_report_scalars_are_python_types():
+    pair = lc_pair((0.5, 0.2), (1.0, 0.3))
+    report = check_conservation(pair, n_traj=8, duration=10.0, tol=1e-8, seed=5)
+    assert {tuple(map(type, dataclasses.astuple(row))) for row in report.rows} == {
+        (int, str, float, float, float)}
+    # The CSV writes values by repr, where a numpy scalar reads np.float64(...),
+    # and JSON refuses numpy integers.
+    for row in report.rows:
+        line = "{},{},{!r},{!r},{!r}".format(*dataclasses.astuple(row))
+        idx, name, *values = line.split(",")
+        assert DriftRow(int(idx), name, *map(float, values)) == row
+    fields = [dataclasses.asdict(row) for row in report.rows]
+    assert json.loads(json.dumps(fields)) == fields
+    starts, vels = seeded_starts(pair, 8, np.random.default_rng(5))
+    trajectories = integrate_geodesics(pair.g, starts, vels, 10.0, 1e-8)
+    assert {type(t.left_chart) for t in trajectories} == {bool}
+    assert {tuple(map(type, dataclasses.astuple(t.stepper_stats))) for t in trajectories} == {
+        (int, int)}
 
 
 @pytest.mark.parametrize("kwargs", [{"n_points": 0}, {"n_points": -3}, {"n_vectors": 0},
