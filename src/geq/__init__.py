@@ -27,12 +27,11 @@ from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,  # noqa: E
 from .split_glue import (EquivTriple, SplitResult, glue_pair, make_triple,  # noqa: E402
                          oplus, split_factors, split_pair, split_tensors)
 from .constructions import (LinearMap, SphereChart, beltrami_pair,  # noqa: E402
-                            circle_planarity, scale_triple, sphere_chart,
-                            spheres_product)
+                            scale_triple, sphere_chart, spheres_product)
 from .verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES,  # noqa: E402
                      STANDARD_FAMILIES, ConservationReport, DriftRow,
                      EquivalenceReport, InterlacingReport, check_conservation,
-                     check_equivalence, check_interlacing,
+                     check_equivalence, check_interlacing, circle_planarity,
                      control_conformal_pair, nijenhuis_control_pair,
                      standard_form_spec, standard_pair)
 

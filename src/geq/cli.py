@@ -24,15 +24,14 @@ from . import __version__
 from ._validate import (expect_int, expect_interval, expect_number, expect_numbers,
                         expect_tol, fail)
 from .charts import MAX_GRID_POINTS, Chart
-from .constructions import (LinearMap, SphereChart, beltrami_pair,
-                            circle_planarity, sphere_chart, spheres_product)
+from .constructions import LinearMap, SphereChart, beltrami_pair, sphere_chart, spheres_product
 from .errors import GeqError, ParseError
 from .normal_forms import (FormKind, LeviCivitaData, ScalarFunction1D,
                            levi_civita_pair, model_eigenvalues)
 from .projective import MetricPair, _l_values, max_eigen_multiplicity
 from .split_glue import glue_pair, make_triple, oplus, split_factors, split_pair
 from .verify import (STANDARD_FAMILIES, check_conservation, check_equivalence,
-                     check_interlacing, standard_form_spec, standard_pair)
+                     check_interlacing, circle_planarity, standard_form_spec, standard_pair)
 
 SCHEMA_VERSION = 1
 

@@ -18,11 +18,10 @@ import numpy as np
 from ._batch import transposed
 from ._validate import (as_floats, expect_finite, expect_instance, expect_int, expect_number,
                         fail)
-from .charts import Chart, MetricField, integrate_geodesics
+from .charts import Chart, MetricField
 from .errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite
 from .projective import MetricPair
 from .split_glue import EquivTriple, _gl_powers, _poly_from_linear_factors, make_triple, oplus
-from .verify import seeded_starts
 
 Array = np.ndarray
 
@@ -360,35 +359,3 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
         scaled.append(scale_triple(triple, c))
         top = high * ratio
     return oplus(scaled)
-
-
-def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
-                     seed: int, tol: float = 1e-12) -> tuple[float, float]:
-    """Geodesy oracle: integrate geodesics of the round chart metric for unit
-    time, embed the sampled points into the ambient space, and measure how far
-    they are from lying on a plane through the origin — before and after
-    the normalized linear self-map.
-
-    Returns the largest third singular value of the centered point matrix
-    over all circles, for the original points and for their images; 0.0
-    on a circle (ambient R^2), where every curve lies in one plane.
-    """
-    n_circles = expect_int(n_circles, "n_circles", 1)
-    pair = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere).pair
-    rng = np.random.default_rng(expect_int(seed, "seed", 0))
-    starts, vels = seeded_starts(pair, n_circles, rng)
-    trajectories = integrate_geodesics(pair.g, starts, vels, 1.0, tol)
-
-    def off_plane(points: Array) -> float:
-        sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
-        return float(np.max(sv[2:], initial=0.0))
-
-    worst_before = 0.0
-    worst_after = 0.0
-    for traj in trajectories:
-        points = sphere.embed(traj.points)
-        worst_before = max(worst_before, off_plane(points))
-        mapped = a_map.apply(points)
-        worst_after = max(worst_after, off_plane(
-            mapped / np.linalg.norm(mapped, axis=-1, keepdims=True)))
-    return worst_before, worst_after

@@ -506,30 +506,28 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
     tensor at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
     if kind is FormKind.LC_ND:
-        return np.sort(_profile_values(_profile_table(params.lambdas), x), axis=-1)
-    if kind is FormKind.TWO_D_ELLIPTIC:
+        vals = _profile_values(_profile_table(params.lambdas), x)
+    elif kind is FormKind.TWO_D_ELLIPTIC:
         u, v = x[..., 0], x[..., 1]
         rho = np.hypot(u, v)
-        return np.sort(np.stack([params.lam(u - rho), params.lam(u + rho)], axis=-1), axis=-1)
-    if kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
+        vals = np.stack([params.lam(u - rho), params.lam(u + rho)], axis=-1)
+    elif kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
         r2 = x[..., 0] ** 2 + x[..., 1] ** 2
         sign = -1.0 if kind is FormKind.TWO_D_POLAR_MINUS else 1.0
         moved = params.lam_const * (1.0 + sign * r2 * params.f(r2))
-        fixed = np.broadcast_to(params.lam_const, r2.shape)
-        return np.sort(np.stack([fixed, moved], axis=-1), axis=-1)
-    if kind is FormKind.THREE_D_AXIAL:
+        vals = np.stack([np.broadcast_to(params.lam_const, r2.shape), moved], axis=-1)
+    elif kind is FormKind.THREE_D_AXIAL:
         r2 = x[..., 1] ** 2 + x[..., 2] ** 2
         lo = params.lam(x[..., 0])
-        mid = np.ones_like(lo)
-        hi = 1.0 + r2 * params.f(r2)
-        return np.sort(np.stack([lo, mid, hi], axis=-1), axis=-1)
-    if kind is FormKind.THREE_D_FULL:
+        vals = np.stack([lo, np.ones_like(lo), 1.0 + r2 * params.f(r2)], axis=-1)
+    elif kind is FormKind.THREE_D_FULL:
         u0 = x[..., 0]
         rho = np.sqrt(u0**2 + x[..., 1] ** 2 + x[..., 2] ** 2)
         mid = np.broadcast_to(params.lam(0.0), u0.shape)
-        return np.sort(np.stack([params.lam(u0 - rho), mid, params.lam(u0 + rho)],
-                                axis=-1), axis=-1)
-    fail("kind", f"unknown family {kind}")
+        vals = np.stack([params.lam(u0 - rho), mid, params.lam(u0 + rho)], axis=-1)
+    else:
+        fail("kind", f"unknown family {kind}")
+    return np.sort(vals, axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -124,25 +124,34 @@ def l_tensor(pair: MetricPair, x: Array) -> Array:
     return _l_from(pair.g.eval(xs), pair.gbar.eval(xs))[0]
 
 
-def _congruence(g: Array, gb: Array) -> tuple[Array, Array]:
-    """``K^-T`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
-    (Cholesky).  ``gb^-1 g = K^-T B K^T``, so ``L`` is similar to
-    ``ratio B``, and congruence keeps the inertia of ``g``.
+def _congruence(g: Array, gb: Array) -> tuple[Array, Array, Array]:
+    """``K^-T``, ``K^-1 g`` and the symmetric ``B = K^-1 g K^-T``, where ``gb = K K^T``
+    (Cholesky).  ``gb^-1 g = K^-T B K^T``, so ``L`` is similar to ``ratio B``, and
+    congruence keeps the inertia of ``g``.
 
     From :data:`BATCH_KERNEL_MIN` matrices on, ``K^-T`` comes from the batch
-    kernel (:func:`~geq._batch.cholesky_inverse`).  Below it LAPACK, whose
-    per-matrix cost is then the smaller, solves ``K X = I``: the call, and so
-    the bits, of a general inverse, copied out transposed."""
-    _expect_finite(g, gb)
+    kernel (:func:`_kernel_congruence`).  Below it LAPACK, whose per-matrix cost
+    is then the smaller, solves ``K X = I``: the call, and so the bits, of a
+    general inverse, copied out transposed."""
     n = gb.shape[-1]
     if gb.size >= BATCH_KERNEL_MIN * n * n:
-        k_inv_t = cholesky_inverse(gb)
-    else:
-        try:
-            k_inv_t = transposed(np.linalg.solve(np.linalg.cholesky(gb), np.eye(n)))
-        except np.linalg.LinAlgError:
-            k_inv_t = None
-    return k_inv_t, _congruent(g, k_inv_t)[1]
+        return _kernel_congruence(g, gb)
+    _expect_finite(g, gb)
+    try:
+        k_inv_t = transposed(np.linalg.solve(np.linalg.cholesky(gb), np.eye(n)))
+    except np.linalg.LinAlgError:
+        k_inv_t = None
+    return (k_inv_t, *_congruent(g, k_inv_t))
+
+
+def _kernel_congruence(g: Array, gb: Array) -> tuple[Array, Array, Array]:
+    """:func:`_congruence` with ``K^-T`` from the batch kernel
+    (:func:`~geq._batch.cholesky_inverse`) at every batch size, so no bit of a
+    point depends on its batch; a non-finite entry or a failed pivot raises
+    :class:`NotPositiveDefinite`."""
+    _expect_finite(g, gb)
+    k_inv_t = cholesky_inverse(gb)
+    return (k_inv_t, *_congruent(g, k_inv_t))
 
 
 def _expect_finite(g: Array, gb: Array) -> None:
@@ -164,23 +173,15 @@ def _congruent(g: Array, k_inv_t: Array | None) -> tuple[Array, Array]:
 
 
 def _l_scale(nu: Array) -> Array:
-    """The factor ``ratio = (prod nu)^(-1/(n+1))`` that takes the eigenvalues
-    ``nu`` of ``B`` (ascending, ``prod nu = det g / det gb``) to those of ``L``;
-    ``nu[..., 0]`` not above :data:`DEFINITE_FLOOR` times ``nu[..., -1]`` means a
-    singular or indefinite base metric.  The power is an array power at every
-    shape (a numpy scalar's rounds differently), so no bit of a point depends on
-    its batch."""
+    """The ascending eigenvalues ``mu = ratio nu`` of ``L`` from those ``nu`` of ``B``
+    (:func:`_congruence`; ascending, ``prod nu = det g / det gb``), with ``ratio =
+    (prod nu)^(-1/(n+1))``; ``nu[..., 0]`` not above :data:`DEFINITE_FLOOR` times
+    ``nu[..., -1]`` means a singular or indefinite base metric.  The power is an
+    array power at every shape (a numpy scalar's rounds differently), so no bit of
+    a point depends on its batch."""
     if not np.all(nu[..., 0] > DEFINITE_FLOOR * nu[..., -1]):
         raise NotPositiveDefinite("base metric is not positive definite")
-    return (np.prod(nu, axis=-1, keepdims=True) ** (-1.0 / (nu.shape[-1] + 1)))[..., 0]
-
-
-def _spectrum(b: Array) -> tuple[Array, Array]:
-    """The factor ``ratio`` (:func:`_l_scale`) and the ascending eigenvalues
-    ``mu = ratio nu`` of ``L``, from those ``nu`` of ``B`` (:func:`_congruence`)."""
-    nu = _eigen(np.linalg.eigvalsh, b)
-    ratio = _l_scale(nu)
-    return ratio, ratio[..., None] * nu
+    return np.prod(nu, axis=-1, keepdims=True) ** (-1.0 / (nu.shape[-1] + 1)) * nu
 
 
 def _eigen(solve, b: Array):
@@ -194,8 +195,8 @@ def _eigen(solve, b: Array):
 
 def _l_values(g: Array, gb: Array) -> Array:
     """Ascending eigenvalues ``(..., n)`` of ``L`` from both metrics, without
-    forming ``L`` (:func:`_spectrum`)."""
-    return _spectrum(_congruence(g, gb)[1])[1]
+    forming ``L``: those of ``B`` (:func:`_congruence`), scaled (:func:`_l_scale`)."""
+    return _l_scale(_eigen(np.linalg.eigvalsh, _congruence(g, gb)[2]))
 
 
 def _char_scale(b: Array) -> tuple[Array, Array]:
@@ -230,11 +231,9 @@ def _l_frame(g: Array, gb: Array) -> tuple[Array, Array]:
     """Ascending eigenvalues ``(..., n)`` of ``L`` and eigenvector columns
     ``(..., n, n)`` orthonormal in ``g``: with ``B y = nu y`` (:func:`_congruence`),
     ``v = K^-T y / sqrt(nu)`` has ``L v = ratio nu v`` and ``g(v, v) = 1``."""
-    k_inv_t, b = _congruence(g, gb)
+    k_inv_t, b = _congruence(g, gb)[::2]
     nu, y = _eigen(np.linalg.eigh, b)
-    ratio = _l_scale(nu)
-    vecs = (k_inv_t @ y) / np.sqrt(nu)[..., None, :]
-    return ratio[..., None] * nu, vecs
+    return _l_scale(nu), (k_inv_t @ y) / np.sqrt(nu)[..., None, :]
 
 
 def l_eigen(pair: MetricPair, x: Array) -> tuple[Array, Array]:

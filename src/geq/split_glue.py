@@ -22,11 +22,11 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ._batch import cholesky_inverse, transposed
+from ._batch import transposed
 from ._validate import expect_instance, expect_int, fail
 from .charts import Chart, MetricField, _central_differences
 from .errors import EigenOrderViolated, GapViolated, NotPositive
-from .projective import MetricPair, _char_scale, _congruent, _eigen, _expect_finite, _l_scale
+from .projective import MetricPair, _char_scale, _eigen, _kernel_congruence, _l_scale
 
 Array = np.ndarray
 
@@ -36,7 +36,8 @@ class SplitResult:
     """Block factorization of a pair: block size, the two block-diagonal
     metrics, the coordinate-index partition, and each block's eigenvalue
     range over the gap scan's grid, read from the pair's one scan, which
-    every cut of the pair shares."""
+    every cut of the pair shares.  A range is a sample, not a bound: the
+    minimum and maximum over the scan's points (``MetricPair._eigen_ranges``)."""
 
     r: int
     h: MetricField
@@ -48,7 +49,9 @@ class SplitResult:
 @dataclasses.dataclass(frozen=True)
 class EquivTriple:
     """A compatible pair together with the sampled range of its
-    compatibility-tensor eigenvalues.
+    compatibility-tensor eigenvalues: the minimum and maximum over the points
+    of a scan (:func:`make_triple`), not a bound, so :func:`glue_pair` orders
+    samples.
 
     ``closed_l``, if given, is a closed form of the pair's ``L`` for the glue
     (the Beltrami factors of :mod:`geq.constructions` carry one): an object with
@@ -72,7 +75,10 @@ class EquivTriple:
 
 def make_triple(pair: MetricPair) -> EquivTriple:
     """Wrap a pair with its eigenvalue range, read from the pair's one gap scan
-    (``MetricPair._eigen_ranges``), whose grid holds the chart centre."""
+    (``MetricPair._eigen_ranges``): the minimum and maximum of ``L``'s eigenvalues
+    over a grid of up to 16 points per axis and the chart centre, at most 20,001
+    points.  The range is a sample, not a bound: an extreme between grid points
+    is missed."""
     ranges = expect_instance(pair, MetricPair, "pair")._eigen_ranges
     return EquivTriple(pair=pair, eigen_range=(ranges[0][0], ranges[-1][1]))
 
@@ -94,20 +100,16 @@ def _poly_from_linear_factors(roots: Array) -> Array:
 def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, ...]:
     """The eigenframe of the splitting after position ``r`` at a batch of points:
     ``K^-T`` and the eigenpairs ``(nu, Y)`` of ``B = K^-1 g K^-T`` (``gb = K K^T``,
-    ``K^-T`` from the batch kernel at every batch size, so no bit of a point
-    depends on its batch), ``Z^T = Y^T K^-1 g / nu``, which is ``P^-1`` for the
-    eigenvectors ``P = K^-T Y`` of ``L``, and the weights ``(..., 2, n)`` of the two
-    tensors of :func:`split_tensors` on them: ``d_i = prod |mu_j - mu_i|`` over the
-    other block's eigenvalues ``mu_j`` of ``L``, and ``prod |mu_j - mu_i| / mu_j``.  A
-    point where the eigenvalues on the two sides of the cut meet, so that a weight
-    vanishes, raises :class:`GapViolated` naming it."""
+    :func:`~geq.projective._kernel_congruence`), ``Z^T = Y^T K^-1 g / nu``, which is
+    ``P^-1`` for the eigenvectors ``P = K^-T Y`` of ``L``, and the weights ``(..., 2,
+    n)`` of the two tensors of :func:`split_tensors` on them: ``d_i = prod |mu_j -
+    mu_i|`` over the other block's eigenvalues ``mu_j`` of ``L``, and ``prod |mu_j -
+    mu_i| / mu_j``.  A point where the eigenvalues on the two sides of the cut meet,
+    so that a weight vanishes, raises :class:`GapViolated` naming it."""
     xs = np.asarray(xs, dtype=float)
-    g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    _expect_finite(g, gb)
-    k_inv_t = cholesky_inverse(gb)
-    kg, b = _congruent(g, k_inv_t)
+    k_inv_t, kg, b = _kernel_congruence(pair.g.eval(xs), pair.gbar.eval(xs))
     nu, y = _eigen(np.linalg.eigh, b)
-    mu = _l_scale(nu)[..., None] * nu
+    mu = _l_scale(nu)
     crossed = mu[..., r - 1] >= mu[..., r]
     if np.any(crossed):
         raise GapViolated(f"eigenvalues {r} and {r + 1} of L meet across the cut at "
@@ -174,7 +176,8 @@ def split_pair(pair: MetricPair, r: int) -> SplitResult:
     Raises :class:`GapViolated` when the eigenvalue ranges on the two sides
     of the cut overlap on the scan's grid, which holds the chart centre
     (where the closed-form bifurcation families make their eigenvalues
-    meet).  The scan also gives each block's range:
+    meet).  The ranges are samples over the scan's points (:func:`make_triple`),
+    not bounds.  The scan also gives each block's range:
     by the splitting lemma a block's eigenvalues depend only on its own
     coordinates.  The scan is made once per pair, on its first cut, and
     every later cut of the same pair reads it (``MetricPair._eigen_ranges``).
@@ -274,11 +277,9 @@ def _factor_pass(pair: MetricPair, xs: Array) -> tuple:
     companion, ``ratio`` and the coefficients of ``det(L - t I)``
     (:func:`~geq.projective._char_scale`), and the terms ``g L^j = ratio W^T (ratio
     B)^(j-1) W`` (:func:`_gl_powers`), from ``W = K^-1 g`` and ``B = W K^-T`` of the
-    congruence ``gb = K K^T`` (``K^-T`` from the batch kernel at every batch size,
-    so no bit of a point depends on its batch)."""
+    congruence ``gb = K K^T`` (:func:`~geq.projective._kernel_congruence`)."""
     g, gb = pair.g.eval(xs), pair.gbar.eval(xs)
-    _expect_finite(g, gb)
-    w, b = _congruent(g, cholesky_inverse(gb))
+    w, b = _kernel_congruence(g, gb)[1:]
     ratio, c = _char_scale(b)
     r = ratio[..., None, None]
     return g, lambda: gb, ratio, c, _gl_powers(w, lambda p: (r * b) @ p, r)
@@ -325,7 +326,10 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
 
     Requires the eigenvalue range of the first factor to lie strictly
     below that of the second (:class:`EigenOrderViolated` otherwise); the
-    eigenvalues of the result are the union of the factors'.
+    eigenvalues of the result are the union of the factors'.  The ranges are
+    the triples' samples (:class:`EquivTriple`), not bounds, so the test
+    compares samples; :func:`~geq.constructions.spheres_product` is the one
+    builder that also checks closed-form bounds.
 
     Each block of a glued field is linear in quantities of one factor, weighted
     by coefficients of the other (:func:`_field_terms`): with ``c_f`` those of

@@ -1,7 +1,7 @@
 """Numerical verification procedures: the unparametrized-geodesic test,
 conservation of the integral family along geodesics, interlacing scans,
-and a registry of ready-made families for the CLI and the acceptance
-suite.
+the great-circle planarity probe of the sphere pairs, and a registry of
+ready-made families for the CLI and the acceptance suite.
 
 The equivalence criterion is residual parallelism: along a geodesic of
 the base metric, the second metric's geodesic residual
@@ -22,6 +22,7 @@ import numpy as np
 from ._batch import positive_definite
 from ._validate import as_floats, expect_instance, expect_int, expect_number, fail
 from .charts import Chart, MetricField, _spray, integrate_geodesics
+from .constructions import LinearMap, SphereChart, beltrami_pair, spheres_product
 from .errors import NotPositiveDefinite
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
@@ -220,21 +221,23 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     )
 
 
+def _flat_metric(xs: Array) -> Array:
+    """The flat metric of the plane, the base metric of both controls."""
+    xs = np.asarray(xs, dtype=float)
+    return np.broadcast_to(np.eye(2), xs.shape[:-1] + (2, 2)).copy()
+
+
 def control_conformal_pair() -> MetricPair:
     """Flat metric paired with a conformal rescaling that is *not*
     projectively equivalent to it — the designated failing control."""
     chart = Chart(2, ((-0.5, 0.5), (-0.5, 0.5)))
-
-    def g_eval(xs: Array) -> Array:
-        xs = np.asarray(xs, dtype=float)
-        return np.broadcast_to(np.eye(2), xs.shape[:-1] + (2, 2)).copy()
 
     def gbar_eval(xs: Array) -> Array:
         xs = np.asarray(xs, dtype=float)
         factor = 1.0 + xs[..., 0] ** 2
         return factor[..., None, None] * np.eye(2)
 
-    return MetricPair(g=MetricField(chart=chart, eval=g_eval),
+    return MetricPair(g=MetricField(chart=chart, eval=_flat_metric),
                       gbar=MetricField(chart=chart, eval=gbar_eval))
 
 
@@ -242,10 +245,6 @@ def nijenhuis_control_pair() -> MetricPair:
     """Pair whose compatibility tensor swaps the coordinates — its torsion
     is nonzero, the designated failing control for the torsion test."""
     chart = Chart(2, ((1.0, 2.0), (1.0, 2.0)))
-
-    def g_eval(xs: Array) -> Array:
-        xs = np.asarray(xs, dtype=float)
-        return np.broadcast_to(np.eye(2), xs.shape[:-1] + (2, 2)).copy()
 
     def gbar_eval(xs: Array) -> Array:
         xs = np.asarray(xs, dtype=float)
@@ -255,20 +254,84 @@ def nijenhuis_control_pair() -> MetricPair:
         out[..., 1, 1] = 1.0 / (a * a * b)
         return out
 
-    return MetricPair(g=MetricField(chart=chart, eval=g_eval),
+    return MetricPair(g=MetricField(chart=chart, eval=_flat_metric),
                       gbar=MetricField(chart=chart, eval=gbar_eval))
 
 
+def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
+                     seed: int, tol: float = 1e-12) -> tuple[float, float]:
+    """Geodesy oracle: integrate geodesics of the round chart metric for unit
+    time, embed the sampled points into the ambient space, and measure how far
+    they are from lying on a plane through the origin — before and after
+    the normalized linear self-map.
+
+    Returns the largest third singular value of the centered point matrix
+    over all circles, for the original points and for their images; 0.0
+    on a circle (ambient R^2), where every curve lies in one plane.
+    """
+    n_circles = expect_int(n_circles, "n_circles", 1)
+    pair = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere).pair
+    rng = np.random.default_rng(expect_int(seed, "seed", 0))
+    starts, vels = seeded_starts(pair, n_circles, rng)
+    trajectories = integrate_geodesics(pair.g, starts, vels, 1.0, tol)
+
+    def off_plane(points: Array) -> float:
+        sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+        return float(np.max(sv[2:], initial=0.0))
+
+    worst_before = 0.0
+    worst_after = 0.0
+    for traj in trajectories:
+        points = sphere.embed(traj.points)
+        worst_before = max(worst_before, off_plane(points))
+        mapped = a_map.apply(points)
+        worst_after = max(worst_after, off_plane(
+            mapped / np.linalg.norm(mapped, axis=-1, keepdims=True)))
+    return worst_before, worst_after
+
+
 # --- Ready-made families -------------------------------------------------
+#
+# One table per kind of family, each name written once; the registry tuples
+# are read off the tables, in their order.
 
 INTERVAL = (-0.5, 0.5)
 
-EQUIVALENT_FAMILIES = (
-    "lc_nd", "two_d_elliptic", "two_d_polar_plus", "two_d_polar_minus",
-    "three_d_axial", "three_d_full", "beltrami_2", "beltrami_3",
-    "product_s1_s2", "product_s2_s2",
-)
-CONTROL_FAMILIES = ("control_conformal", "control_torsion")
+# Closed forms, named by their FormKind's value: each entry makes the params.
+_FORMS = {
+    "lc_nd": lambda: LeviCivitaData(
+        lambdas=tuple(ScalarFunction1D(row, INTERVAL)
+                      for row in ((0.5, 0.2), (1.0, 0.3), (2.0, 0.4))),
+        chart=Chart(3, (INTERVAL,) * 3)),
+    # A quadratic profile keeps the base metric genuinely curved.
+    "two_d_elliptic": lambda: ModelFormParams(
+        lam=ScalarFunction1D((2.0, 1.0, 0.25), (-2.0, 2.0))),
+    "two_d_polar_plus": lambda: ModelFormParams(
+        f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)), lam_const=1.0),
+    "two_d_polar_minus": lambda: ModelFormParams(
+        f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)), lam_const=1.0),
+    "three_d_axial": lambda: ModelFormParams(
+        lam=ScalarFunction1D((0.5, 0.1), INTERVAL),
+        f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0))),
+    "three_d_full": lambda: ModelFormParams(
+        lam=ScalarFunction1D((0.6, 0.2), (-1.5, 1.5)), c=20.0),
+}
+
+# Sphere pairs: each entry builds its triple.
+_SPHERE_PAIRS = {
+    "beltrami_2": lambda: beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0])),
+    "beltrami_3": lambda: beltrami_pair(3, LinearMap.diagonal([1.0, 2.0, 3.0, 4.0])),
+    "product_s1_s2": lambda: spheres_product(
+        [(1, None), (2, LinearMap.diagonal([1.0, 2.0, 3.0]))]),
+    "product_s2_s2": lambda: spheres_product(
+        [(2, LinearMap.diagonal([1.0, 2.0, 3.0]))] * 2),
+}
+
+_CONTROLS = {"control_conformal": control_conformal_pair,
+             "control_torsion": nijenhuis_control_pair}
+
+EQUIVALENT_FAMILIES = (*_FORMS, *_SPHERE_PAIRS)
+CONTROL_FAMILIES = tuple(_CONTROLS)
 STANDARD_FAMILIES = EQUIVALENT_FAMILIES + CONTROL_FAMILIES
 
 
@@ -276,51 +339,16 @@ def standard_form_spec(name: str):
     """The closed-form family and parameters behind a registry name
     (``(FormKind, params)``), or None when the name is not a closed-form
     family.  The separable family's params are its profile data."""
-    if name == "lc_nd":
-        lams = tuple(ScalarFunction1D(row, INTERVAL)
-                     for row in ((0.5, 0.2), (1.0, 0.3), (2.0, 0.4)))
-        data = LeviCivitaData(lambdas=lams, chart=Chart(3, (INTERVAL,) * 3))
-        return FormKind.LC_ND, data
-    if name == "two_d_elliptic":
-        # A quadratic profile keeps the base metric genuinely curved.
-        return FormKind.TWO_D_ELLIPTIC, ModelFormParams(
-            lam=ScalarFunction1D((2.0, 1.0, 0.25), (-2.0, 2.0)))
-    if name == "two_d_polar_plus":
-        return FormKind.TWO_D_POLAR_PLUS, ModelFormParams(
-            f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)), lam_const=1.0)
-    if name == "two_d_polar_minus":
-        return FormKind.TWO_D_POLAR_MINUS, ModelFormParams(
-            f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)), lam_const=1.0)
-    if name == "three_d_axial":
-        return FormKind.THREE_D_AXIAL, ModelFormParams(
-            lam=ScalarFunction1D((0.5, 0.1), INTERVAL),
-            f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)))
-    if name == "three_d_full":
-        return FormKind.THREE_D_FULL, ModelFormParams(
-            lam=ScalarFunction1D((0.6, 0.2), (-1.5, 1.5)), c=20.0)
-    return None
+    make = _FORMS.get(name) if isinstance(name, str) else None
+    return None if make is None else (FormKind(name), make())
 
 
 def standard_pair(name: str) -> MetricPair:
     """Build one of the named ready-made pairs (used by the CLI and the
     acceptance suite)."""
-    from .constructions import LinearMap, beltrami_pair, spheres_product
-
+    if name not in STANDARD_FAMILIES:
+        fail("name", f"unknown family {name!r}; known: {', '.join(STANDARD_FAMILIES)}")
     form = standard_form_spec(name)
     if form is not None:
         return model_form_pair(*form)
-    if name == "beltrami_2":
-        return beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0])).pair
-    if name == "beltrami_3":
-        return beltrami_pair(3, LinearMap.diagonal([1.0, 2.0, 3.0, 4.0])).pair
-    if name == "product_s1_s2":
-        return spheres_product(
-            [(1, None), (2, LinearMap.diagonal([1.0, 2.0, 3.0]))]).pair
-    if name == "product_s2_s2":
-        diag = LinearMap.diagonal([1.0, 2.0, 3.0])
-        return spheres_product([(2, diag), (2, diag)]).pair
-    if name == "control_conformal":
-        return control_conformal_pair()
-    if name == "control_torsion":
-        return nijenhuis_control_pair()
-    fail("name", f"unknown family {name!r}; known: {', '.join(STANDARD_FAMILIES)}")
+    return _SPHERE_PAIRS[name]().pair if name in _SPHERE_PAIRS else _CONTROLS[name]()

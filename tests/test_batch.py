@@ -30,9 +30,11 @@ def test_congruence_agrees_with_lapack(n, m):
     gb = spd_batch(m, n)
     g = spd_batch(m, n, seed=1)
     ref = np.swapaxes(np.linalg.inv(np.linalg.cholesky(gb)), -1, -2)  # K^-T
-    k_inv_t, b = _congruence(g, gb)
+    k_inv_t, kg, b = _congruence(g, gb)
     assert np.max(np.abs(k_inv_t - ref)) <= 1e-15 * np.max(np.abs(ref))
-    ref_b = np.swapaxes(ref, -1, -2) @ g @ ref
+    ref_kg = np.swapaxes(ref, -1, -2) @ g
+    assert np.max(np.abs(kg - ref_kg)) <= 1e-14 * np.max(np.abs(ref_kg))
+    ref_b = ref_kg @ ref
     assert np.max(np.abs(b - ref_b)) <= 1e-14 * np.max(np.abs(ref_b))
     if m < BATCH_KERNEL_MIN:  # below the threshold, LAPACK's own bits
         assert np.array_equal(k_inv_t, ref)

@@ -1,8 +1,12 @@
 """Tests for the command-line interface: config validation, report
 shapes, determinism, and the exit-code contract."""
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import click
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import geq
+from geq._threads import _TARGET_VARS
 from geq._validate import expect_number
 from geq.cli import (SCHEMA_VERSION, SuiteConfig, build_family, family_label,
                      load_config, main, run_suite, validate_config)
@@ -160,6 +166,30 @@ def test_sphere_factor_validation():
         validate_config(minimal_config(family={"product": {"factors": []}}))
 
 
+PROFILE_OF_DEGREE_4 = [1.0, 0.0, 0.0, 0.0, 0.1]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"family": 3}, "family: expected a mapping"),
+    ({"family": {"bogus": {}}},
+     "family: expected a name or one recipe key of ['beltrami', 'lc', 'product']"),
+    ({"family": {"lc": {"profiles": []}}},
+     "family.lc.profiles: expected a non-empty list of coefficient lists"),
+    ({"family": {"lc": {"profiles": [PROFILE_OF_DEGREE_4]}}},
+     "family.lc.profiles[0]: profiles have degree at most 3"),
+    ({"out": 5}, "out: expected a path string"),
+    ({"family": {"beltrami": {"dim": 2}}, "checks": {"normal_form": {}}},
+     "checks.normal_form: the configured family has no closed-form eigenvalue model"),
+    ({"family": {"product": {"factors": [{"dim": 1}, {"dim": 2}]}},
+      "checks": {"normal_form": {}}},
+     "checks.normal_form: the configured family has no closed-form eigenvalue model"),
+], ids=["family-number", "family-unknown-recipe", "lc-no-profiles", "lc-degree-4-profile",
+        "out-number", "beltrami-normal-form", "product-normal-form"])
+def test_config_refusals_name_their_field(overrides, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        validate_config(minimal_config(**overrides))
+
+
 # --- run_suite ----------------------------------------------------------------
 
 
@@ -216,6 +246,41 @@ def test_suite_reports_are_byte_identical(runner, tmp_path):
     second = (tmp_path / "b" / "suite_report.json").read_bytes()
     assert first == second
     assert (tmp_path / "a" / "suite_timings.json").exists()
+
+
+def test_suite_runs_a_product_recipe(runner, tmp_path):
+    config = write_config(tmp_path, minimal_config(
+        family={"product": {"factors": [{"dim": 1}, {"dim": 2, "diag": [1, 2, 3]}]}},
+        checks={"equivalence": {"trajectories": 3}, "interlacing": {"points": 10, "vectors": 2}}))
+    result = runner.invoke(main, ["suite", "--config", config])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["provenance"]["family"] == "product(1x2)"
+    assert [check["name"] for check in report["checks"]] == ["equivalence", "interlacing"]
+
+
+def test_a_failed_build_prints_the_error_and_keeps_the_partial_report(runner, tmp_path):
+    config = write_config(tmp_path, minimal_config(
+        family={"lc": {"profiles": [[1.0, 0.8], [1.2]]}}))
+    result = runner.invoke(main, ["suite", "--config", config, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: SeparationViolated: profiles 0 and 1 overlap")
+    assert result.stdout == ""
+    report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
+    assert report["error"] == result.stderr[len("error: "):].rstrip("\n")
+    assert report["checks"] == []
+
+
+@pytest.mark.parametrize("cap, expected", [("2", "2"), ("0", None), ("x", None)])
+def test_geq_threads_caps_the_linear_algebra_threads(cap, expected):
+    env = {key: value for key, value in os.environ.items() if key not in _TARGET_VARS}
+    env["GEQ_THREADS"] = cap
+    env["PYTHONPATH"] = str(Path(geq.__file__).resolve().parents[1])
+    code = ("import json, os, geq, geq._threads as t; "
+            "print(json.dumps([os.environ.get(v) for v in t._TARGET_VARS]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [expected] * len(_TARGET_VARS)
 
 
 def test_exit_code_matrix(runner, tmp_path):

@@ -7,15 +7,14 @@ import geq.constructions as constructions
 from geq._batch import positive_definite
 from geq.charts import (Chart, MetricField, PhasePoint, _diagonal, fd_partials,
                         integrate_geodesic, positivity_grid_size)
-from geq.constructions import (LinearMap, SphereChart, beltrami_pair,
-                               circle_planarity, scale_triple, sphere_chart,
-                               spheres_product)
+from geq.constructions import (LinearMap, SphereChart, beltrami_pair, scale_triple,
+                               sphere_chart, spheres_product)
 from geq.errors import (DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite,
                         SchemaError)
 from geq.normal_forms import LeviCivitaData, ScalarFunction1D, levi_civita_pair
 from geq.projective import _l_values, l_eigen, max_eigen_multiplicity
 from geq.split_glue import _factor_pass, _field_terms, make_triple
-from geq.verify import standard_pair
+from geq.verify import circle_planarity, standard_pair
 
 INTERVAL = (-0.5, 0.5)
 

@@ -376,7 +376,7 @@ def counting_factorizations(monkeypatch) -> list:
     and of the batch kernel as the split reads it."""
     calls = []
     for module, name in [(np.linalg, "solve"), (np.linalg, "cholesky"), (np.linalg, "eigh"),
-                         (split_glue, "cholesky_inverse")]:
+                         (projective, "cholesky_inverse")]:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=original, _name=name: calls.append(
             _name) or _f(*args))
@@ -612,8 +612,7 @@ def test_a_base_spray_of_a_sphere_product_reads_no_companion_and_no_cholesky(mon
     pair = standard_pair("product_s2_s2")
     calls = []
     for module, name in [(_batch, "cholesky_inverse"), (projective, "cholesky_inverse"),
-                         (split_glue, "cholesky_inverse"), (constructions, "_gram_companion"),
-                         (split_glue, "_factor_pass")]:
+                         (constructions, "_gram_companion"), (split_glue, "_factor_pass")]:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=original, _name=name: calls.append(
             _name) or _f(*args))

@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 
 import geq
-from geq import (LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D, beltrami_pair,
-                 check_conservation, check_equivalence, check_interlacing, circle_planarity,
-                 eigen_range, frame_weights, integral_roots_many, integrate_geodesics, l_tensor,
-                 max_eigen_multiplicity, oplus, poisson_bracket_fd, random_levi_civita_data,
-                 sphere_chart, split_pair, split_tensors, spheres_product, standard_pair)
+from geq import (FormKind, LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D,
+                 SphereChart, beltrami_pair, check_conservation, check_equivalence,
+                 check_interlacing, circle_planarity, eigen_range, frame_weights,
+                 integral_roots_many, integrate_geodesics, l_tensor, max_eigen_multiplicity,
+                 model_eigenvalues, model_form_pair, oplus, poisson_bracket_fd,
+                 random_levi_civita_data, sphere_chart, split_pair, split_tensors,
+                 spheres_product, standard_form_spec, standard_pair)
+from geq._validate import expect_number, expect_numbers
 from geq.charts import Chart, MetricField, PhasePoint, christoffel, fd_partials
-from geq.errors import GeqError, NotPositiveDefinite, OutOfChart, SchemaError
+from geq.errors import GeqError, NotPositive, NotPositiveDefinite, OutOfChart, SchemaError
 from geq.projective import MetricPair
 from geq.verify import START_SHRINK
 
@@ -28,6 +31,9 @@ NAN, INF = float("nan"), float("inf")
 INTERVAL = (-0.5, 0.5)
 polar = functools.cache(lambda: standard_pair("two_d_polar_plus"))
 X, P = [0.1, -0.2], [0.3, 0.4]
+LAM = ScalarFunction1D((0.6, 0.2), (-1.5, 1.5))
+F = ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0))
+PLANE = Chart(2, (INTERVAL, INTERVAL))
 
 
 def run_cases(prefix, check):
@@ -121,6 +127,37 @@ CASES = {
     "fd-partials-short-point": ("x", lambda pair: fd_partials(pair.g, [0.0, 0.0])),
     "christoffel-short-point": ("x", lambda pair: christoffel(pair.g, np.zeros((4, 2)))),
     "fd-partials-no-field": ("field", lambda pair: fd_partials(pair, [0.0, 0.0, 0.0])),
+    # Closed-form families: the params of the other kind, each bifurcation
+    # kind without a parameter it reads, and a family that is not one.
+    "model-form-lc-params": ("params", lambda pair: model_form_pair(
+        FormKind.LC_ND, ModelFormParams(lam=LAM))),
+    "model-form-bifurcation-params": ("params", lambda pair: model_form_pair(
+        FormKind.TWO_D_ELLIPTIC, standard_form_spec("lc_nd")[1])),
+    "model-form-elliptic-no-lam": ("params.lam", lambda pair: model_form_pair(
+        FormKind.TWO_D_ELLIPTIC, ModelFormParams(f=F))),
+    "model-form-polar-plus-no-f": ("params", lambda pair: model_form_pair(
+        FormKind.TWO_D_POLAR_PLUS, ModelFormParams(lam_const=1.0))),
+    "model-form-polar-minus-no-constant": ("params", lambda pair: model_form_pair(
+        FormKind.TWO_D_POLAR_MINUS, ModelFormParams(f=F))),
+    "model-form-axial-no-f": ("params", lambda pair: model_form_pair(
+        FormKind.THREE_D_AXIAL, ModelFormParams(lam=LAM))),
+    "model-form-full-no-c": ("params", lambda pair: model_form_pair(
+        FormKind.THREE_D_FULL, ModelFormParams(lam=LAM))),
+    "model-eigenvalues-unknown-kind": ("kind", lambda pair: model_eigenvalues(
+        "lc_nd", standard_form_spec("lc_nd")[1], np.zeros(3))),
+    # Charts, points and starts of the wrong dimension or shape.
+    "chart-too-few-intervals": ("box", lambda pair: Chart(2, (INTERVAL,))),
+    "chart-point-short": ("x", lambda pair: pair.chart.point([0.0, 0.0])),
+    "integrate-unequal-starts": ("starts_x", lambda pair: integrate_geodesics(
+        pair.g, np.zeros((2, 3)), np.ones((3, 3)), 1.0, 1e-8)),
+    "sphere-chart-dimension": ("chart", lambda pair: SphereChart(3, PLANE, np.eye(4)[3])),
+    "sphere-chart-short-pole": ("pole", lambda pair: SphereChart(2, PLANE, [0.0, 1.0])),
+    "sphere-chart-zero-pole": ("pole", lambda pair: SphereChart(2, PLANE, np.zeros(3))),
+    "beltrami-sphere-dimension": ("sphere", lambda pair: beltrami_pair(3, None, sphere_chart(2))),
+    "beltrami-map-dimension": ("a_map", lambda pair: beltrami_pair(2, LinearMap.identity(4))),
+    # The number rules on a value of the wrong type.
+    "number-list": ("value", lambda pair: expect_number([1.0], "value")),
+    "numbers-scalar": ("values", lambda pair: expect_numbers(1.0, "values")),
 }
 
 
@@ -139,6 +176,26 @@ def test_bad_input_raises_a_named_error(lc_nd, name, call):
     assert time.perf_counter() - begin < 5.0
     assert isinstance(info.value, ValueError)
     assert str(info.value).startswith(f"{name}: ")
+
+
+# Refusals of a value that is well formed but out of its family's range: a
+# named error other than SchemaError, with its whole message.
+NAMED_CASES = {
+    "model-form-full-zero-c": (NotPositive, "the angular constant must be positive",
+                               lambda: model_form_pair(FormKind.THREE_D_FULL,
+                                                       ModelFormParams(lam=LAM, c=0.0))),
+    "model-form-full-negative-c": (NotPositive, "the angular constant must be positive",
+                                   lambda: model_form_pair(FormKind.THREE_D_FULL,
+                                                           ModelFormParams(lam=LAM, c=-1.0))),
+}
+
+
+@pytest.mark.parametrize("error, message, call", NAMED_CASES.values(), ids=NAMED_CASES.keys())
+def test_out_of_range_input_raises_its_named_error(error, message, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # Batched reads at points outside the chart box, the first at row 1: lc_nd's
@@ -259,6 +316,48 @@ def test_the_package_imports_nothing_it_does_not_use():
                     if name not in used:
                         offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def _package_imports(path: Path, modules: set[str]) -> tuple[set[str], set[str]]:
+    """The package modules that one module imports at module level, and those it
+    imports inside a function; ``__init__`` stands for the package itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = {id(node) for function in ast.walk(tree)
+              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(function)}
+    top, inner = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "geq":
+                    continue
+                module = module.removeprefix("geq").lstrip(".")
+            names = ({module.split(".")[0]} if module else
+                     {a.name if a.name in modules else "__init__" for a in node.names})
+        elif isinstance(node, ast.Import):
+            names = {(a.name.split(".") + ["__init__"])[1] for a in node.names
+                     if a.name.split(".")[0] == "geq"}
+        else:
+            continue
+        (inner if id(node) in nested else top).update(names)
+    return top, inner
+
+
+def test_no_function_imports_the_package_and_the_module_graph_is_acyclic():
+    package = Path(geq.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph, offenders = {}, []
+    for path in sorted(package.glob("*.py")):
+        graph[path.stem], inner = _package_imports(path, modules)
+        offenders += [f"{path.name} imports {name} in a function" for name in sorted(inner)]
+    assert offenders == []
+    # Peel off the modules that import nothing left; what remains lies on a cycle
+    # or imports a module that does.
+    while leaves := [m for m, deps in graph.items() if not deps & graph.keys()]:
+        for m in leaves:
+            del graph[m]
+    assert graph == {}
 
 
 def test_every_public_function_has_a_reader():
