@@ -265,8 +265,11 @@ def _diagonal_spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Arra
     a, da = field.diagonal_jet(x)
     if not a.all():
         raise SingularMetric("zero diagonal metric entry while forming Christoffel symbols")
-    t = 2.0 * v * (v[:, None, :] @ da)[:, 0] - (da @ (v * v)[..., None])[..., 0]
-    return a, t / (2.0 * a)
+    t = (v[:, None, :] @ da)[:, 0]
+    t *= 2.0 * v
+    t -= (da @ (v * v)[..., None])[..., 0]
+    t /= 2.0 * a
+    return a, t
 
 
 def _spray(field: MetricField, x: Array, v: Array) -> tuple[Array, Array]:

@@ -206,12 +206,35 @@ class _SphereL:
                 zz @ rows, _gl_powers(root_qt @ j0, step, self.c))
 
 
+def _round_metric(sphere: SphereChart) -> MetricField:
+    """The round metric ``4 / (1 + |y|^2)^2 I`` of the unit sphere in the chart of
+    ``sphere``, with a closed-form ``diagonal_jet``: the base metric of
+    :func:`beltrami_pair`, and the metric whose geodesics
+    :func:`~geq.verify.circle_planarity` integrates."""
+    dim = sphere.dim
+
+    def parts(ys: Array) -> tuple[Array, Array, Array]:
+        ys = np.asarray(ys, dtype=float)
+        d = 1.0 + np.sum(ys * ys, axis=-1)
+        return ys, d, 4.0 / (d * d)
+
+    def diagonal_jet(ys: Array) -> tuple[Array, Array]:
+        # d_k g_ii = -16 y_k / (1 + |y|^2)^3
+        ys, d, a = parts(ys)
+        return (np.repeat(a[..., None], dim, axis=-1),
+                np.repeat((-16.0 * ys / (d ** 3)[..., None])[..., None], dim, axis=-1))
+
+    return MetricField(chart=sphere.chart,
+                       eval=lambda ys: parts(ys)[2][..., None, None] * np.eye(dim),
+                       diagonal_jet=diagonal_jet)
+
+
 def beltrami_pair(dim: int, a_map: LinearMap | None = None,
                   sphere: SphereChart | None = None) -> EquivTriple:
     """Round metric on a sphere chart paired with its pull-back under the
     normalized linear self-map of the sphere; the round metric carries a
-    closed-form ``jet``, and the triple a closed form of ``L`` for the glue
-    (:class:`_SphereL`)."""
+    closed-form ``diagonal_jet`` (:func:`_round_metric`), and the triple a closed
+    form of ``L`` for the glue (:class:`_SphereL`)."""
     dim = expect_int(dim, "dim", 1)
     if sphere is None:
         sphere = sphere_chart(dim)
@@ -224,28 +247,14 @@ def beltrami_pair(dim: int, a_map: LinearMap | None = None,
     if a_map.ambient_dim != dim + 1:
         fail("a_map", f"expected a map of the ambient space R^{dim + 1}")
 
-    def round_metric(ys: Array) -> tuple[Array, Array, Array]:
-        ys = np.asarray(ys, dtype=float)
-        d = 1.0 + np.sum(ys * ys, axis=-1)
-        return ys, d, 4.0 / (d * d)
-
-    def g_jet(ys: Array) -> tuple[Array, Array]:
-        # d_k g_ii = -16 y_k / (1 + |y|^2)^3
-        ys, d, a = round_metric(ys)
-        return (np.repeat(a[..., None], dim, axis=-1),
-                np.repeat((-16.0 * ys / (d ** 3)[..., None])[..., None], dim, axis=-1))
-
     ar = a_map.matrix @ sphere._reflection
     ar_t = transposed(ar)
 
     def gbar_eval(ys: Array) -> Array:
         return _gram_companion(ar, ar_t, *sphere._unreflected(ys))
 
-    pair = MetricPair(
-        g=MetricField(chart=sphere.chart, eval=lambda ys: round_metric(ys)[2][..., None, None]
-                      * np.eye(dim), diagonal_jet=g_jet),
-        gbar=MetricField(chart=sphere.chart, eval=gbar_eval),
-    )
+    pair = MetricPair(g=_round_metric(sphere),
+                      gbar=MetricField(chart=sphere.chart, eval=gbar_eval))
     return dataclasses.replace(make_triple(pair), closed_l=_SphereL(
         g=pair.g, gbar=pair.gbar, sphere=sphere, ar=ar, ar_t=ar_t))
 

@@ -20,7 +20,8 @@ import numpy as np
 from ._batch import positive_definite
 from ._validate import (expect_instance, expect_int, expect_interval, expect_number,
                         expect_numbers, fail)
-from .charts import Chart, ChartMap, MetricField, _diagonal, positivity_grid_size
+from .charts import (Chart, ChartMap, MetricField, _diagonal, _read_only,
+                     positivity_grid_size)
 from .errors import NotPositive, NotRealizable, SeparationViolated
 from .projective import MetricPair
 
@@ -161,7 +162,12 @@ def _profile_table(lambdas: tuple[ScalarFunction1D, ...]) -> Array:
 
 def _profile_values(table: Array, xs: Array) -> Array:
     """``out[..., i]`` is profile ``i`` of ``table`` at ``xs[..., i]``.  From 512 entries on, the
-    coordinate axis leads, so numpy's inner loops here and on the result run along the batch."""
+    coordinate axis leads, so numpy's inner loops here and on the result run along the batch.
+
+    The bits of every entry are the same either way; only the memory layout of the result, and
+    of arithmetic on it, follows the batch size.  A matrix product's bits follow its operands'
+    strides, so the separable jet, whose partials feed the spray's products, copies them into
+    one layout."""
     xs = np.asarray(xs, dtype=float)
     if xs.size < 512:
         return _horner(table, xs)
@@ -169,22 +175,13 @@ def _profile_values(table: Array, xs: Array) -> Array:
     return np.moveaxis(_horner(table.reshape(table.shape + (1,) * (xs.ndim - 1)), columns), 0, -1)
 
 
-def _pi_factors(diffs: Array) -> Array:
-    """The diagonal factors: signed products of eigenvalue differences.
-
-    ``diffs[..., i, j]`` is ``vals_j - vals_i`` for eigenvalues ``vals`` ``(..., n)``;
-    its diagonal is overwritten.  Entry ``i`` of the result ``(..., n)`` is
-    ``(-1)^i * prod_{j != i}(vals_j - vals_i)`` (positive under the separation ordering).
-    """
-    n = diffs.shape[-1]
+@functools.cache
+def _diagonal_constants(n: int) -> tuple[Array, Array, Array]:
+    """The diagonal index, the signs ``(-1)^i`` and ``1 + I`` in dimension ``n``: read-only,
+    made once per dimension and shared by every separable pair.  The signs are written on
+    the diagonal of the differences, so the product of a row carries its sign exactly."""
     idx = np.arange(n)
-    diffs[..., idx, idx] = 1.0
-    return np.prod(diffs, axis=-1) * (-1.0) ** idx
-
-
-def _differences(vals: Array) -> Array:
-    """``out[..., i, j] = vals_j - vals_i``, the input of :func:`_pi_factors`."""
-    return vals[..., None, :] - vals[..., :, None]
+    return tuple(_read_only(a) for a in (idx, (-1.0) ** idx, 1.0 + np.eye(n)))
 
 
 def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
@@ -192,12 +189,16 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     profiles; the compatibility tensor of the result is exactly
     ``diag(lambda_1(x_1), ..., lambda_n(x_n))``.
 
-    Both diagonal metrics carry a ``diagonal_jet``: one pass over the profile and slope
-    tables joined, and the factors ``Pi`` and their log-derivatives formed from one
-    difference matrix.
+    Both metrics are diagonal, with the factors ``Pi_i = (-1)^i prod_{j != i} (lambda_j -
+    lambda_i)`` (positive under the separation ordering) from one difference matrix.  Both
+    carry a ``diagonal_jet``: one Horner pass over the profile and slope tables joined, the
+    log-derivatives of ``Pi`` from the reciprocals of the same differences, and the partials
+    laid out alike at every batch size, so a row of the geodesic spray has the same bits in
+    a batch of any size.  Where two profiles coincide, both their factors are 0 and some of
+    those factors' partials are not finite; the spray refuses a zero diagonal.
     """
     n = data.chart.dim
-    idx = np.arange(n)
+    idx, sign, doubled = _diagonal_constants(n)
 
     @functools.cache
     def tables() -> tuple[Array, Array]:
@@ -206,32 +207,41 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         slopes = np.concatenate([np.arange(1, len(table))[:, None] * table[1:], np.zeros((1, n))])
         return table, np.concatenate([table, slopes], axis=1)
 
+    def factors(vals: Array) -> tuple[Array, Array]:
+        """``diffs[..., i, j] = vals_j - vals_i``, ``(-1)^i`` on the diagonal, and ``Pi``
+        ``(..., n)``."""
+        diffs = vals[..., None, :] - vals[..., :, None]
+        diffs[..., idx, idx] = sign
+        return diffs, np.multiply.reduce(diffs, axis=-1)
+
     def rho_of(vals: Array) -> Array:
-        return 1.0 / (vals * np.prod(vals, axis=-1, keepdims=True))
+        return 1.0 / (vals * np.multiply.reduce(vals, axis=-1, keepdims=True))
 
     def g_eval(xs: Array) -> Array:
-        return _diagonal(_pi_factors(_differences(_profile_values(tables()[0], xs))))
+        return _diagonal(factors(_profile_values(tables()[0], xs))[1])
 
     def gbar_eval(xs: Array) -> Array:
         vals = _profile_values(tables()[0], xs)
-        return _diagonal(rho_of(vals) * _pi_factors(_differences(vals)))
+        return _diagonal(rho_of(vals) * factors(vals)[1])
 
     def diagonal_jet(xs: Array, companion: bool) -> tuple[Array, Array]:
-        """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i]``."""
+        """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i]``,
+        the transpose of a C-ordered array at every batch size."""
         both = _profile_values(tables()[1], np.concatenate([xs, xs], axis=-1))
         vals, ders = both[..., :n], both[..., n:]
-        diffs = _differences(vals)
-        inv = np.divide(1.0, diffs, out=np.zeros_like(diffs), where=diffs != 0)
-        diagonal = _pi_factors(diffs)
-        # Log-derivative of factor i along k: lam_k' / (lam_k - lam_i) for k != i,
-        # -lam_i' * sum_{j != i} 1 / (lam_j - lam_i) for k == i.
-        log_grad = ders[..., :, None] * np.swapaxes(inv, -1, -2)
-        log_grad[..., idx, idx] = -ders * np.sum(inv, axis=-1)
-        if companion:
-            diagonal = rho_of(vals) * diagonal
-            # d_k log rho_i = -(1 + [k == i]) lam_k' / lam_k
-            log_grad += (-ders / vals)[..., :, None] * (1.0 + np.eye(n))
-        return diagonal, diagonal[..., None, :] * log_grad
+        diffs, diagonal = factors(vals)
+        with np.errstate(divide="ignore", invalid="ignore"):  # where profiles coincide
+            inv = 1.0 / diffs
+            inv[..., idx, idx] = 0.0
+            # grad[..., i, k], the log-derivative of factor i along k: lam_k' / (lam_k -
+            # lam_i) for k != i, -lam_i' * sum_{j != i} 1 / (lam_j - lam_i) for k == i.
+            inv[..., idx, idx] = -np.add.reduce(inv, axis=-1)
+            grad = ders[..., None, :] * inv
+            if companion:
+                diagonal = rho_of(vals) * diagonal
+                # d_k log rho_i = -(1 + [k == i]) lam_k' / lam_k
+                grad -= (ders / vals)[..., None, :] * doubled
+            return diagonal, np.ascontiguousarray(diagonal[..., :, None] * grad).swapaxes(-1, -2)
 
     return MetricPair(
         g=MetricField(chart=data.chart, eval=g_eval,

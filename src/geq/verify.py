@@ -22,7 +22,8 @@ import numpy as np
 from ._batch import positive_definite
 from ._validate import as_floats, expect_instance, expect_int, expect_number, fail
 from .charts import Chart, MetricField, _spray, integrate_geodesics
-from .constructions import LinearMap, SphereChart, beltrami_pair, spheres_product
+from .constructions import (LinearMap, SphereChart, _round_metric, beltrami_pair,
+                            spheres_product)
 from .errors import NotPositiveDefinite
 from .normal_forms import (FormKind, LeviCivitaData, ModelFormParams,
                            ScalarFunction1D, model_form_pair)
@@ -270,10 +271,10 @@ def circle_planarity(sphere: SphereChart, a_map: LinearMap, n_circles: int,
     on a circle (ambient R^2), where every curve lies in one plane.
     """
     n_circles = expect_int(n_circles, "n_circles", 1)
-    pair = beltrami_pair(sphere.dim, LinearMap.identity(sphere.dim + 1), sphere).pair
+    g = _round_metric(expect_instance(sphere, SphereChart, "sphere"))
     rng = np.random.default_rng(expect_int(seed, "seed", 0))
-    starts, vels = seeded_starts(pair, n_circles, rng)
-    trajectories = integrate_geodesics(pair.g, starts, vels, 1.0, tol)
+    starts, vels = seeded_starts(MetricPair(g=g, gbar=g), n_circles, rng)  # reads only g
+    trajectories = integrate_geodesics(g, starts, vels, 1.0, tol)
 
     def off_plane(points: Array) -> float:
         sv = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)

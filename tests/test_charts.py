@@ -1,6 +1,7 @@
 """Charts, metric fields, Christoffel symbols, geodesics, pushforwards."""
 import ast
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from geq.charts import (
     MetricField,
     PhasePoint,
     _diagonal,
+    _geodesic_rhs,
     _metric_and_partials,
     _spray,
     christoffel,
@@ -35,8 +37,22 @@ from geq.errors import (
     SingularMetric,
     StepFailure,
 )
-from geq.normal_forms import levi_civita_pair, random_levi_civita_data
+from geq.normal_forms import (LeviCivitaData, ScalarFunction1D, levi_civita_pair,
+                              random_levi_civita_data)
 from geq.verify import standard_pair
+
+
+def rhs_states(field: MetricField, rows: int, seed: int) -> np.ndarray:
+    """Seeded states ``(x, v)`` of shape ``(rows, 2 dim)``, ``x`` inside the box."""
+    rng = np.random.default_rng(seed)
+    x = field.chart.sample(rng, rows, shrink=0.9)
+    return np.concatenate([x, rng.normal(size=x.shape)], axis=1)
+
+
+def rhs(field: MetricField, y: np.ndarray) -> np.ndarray:
+    out = np.empty_like(y)
+    _geodesic_rhs(field, y, out)
+    return out
 
 
 def constant_field(chart: Chart, matrix: np.ndarray) -> MetricField:
@@ -308,6 +324,34 @@ DIAGONAL_FIELDS = {
 }
 
 
+# SHA-256 prefixes of the geodesic right-hand side's bytes at 50 rows, an integrator
+# batch size (states from ``rhs_states(field, 50, 23)``), recorded before the separable
+# jet and the diagonal spray were rewritten for fewer numpy calls.  A change that moves
+# one of them moves every geodesic integrated through that field, and must say so.  They
+# hold for one numpy and BLAS build; on another, record them anew from the parent commit.
+RHS_DIGESTS = {
+    "separable_2_g": "89b71766e641ac10",
+    "separable_2_gbar": "8b2dcf032e21a3ef",
+    "separable_3_g": "c2f418574d8f4b48",
+    "separable_3_gbar": "ec7cc24228855886",
+    "separable_4_g": "2f4092f8cc5c8acb",
+    "separable_4_gbar": "8e39d6735a3f2afb",
+    "separable_5_g": "5bb677d498ff3d80",
+    "separable_5_gbar": "324bd5ebe45189ec",
+    "beltrami_2_g": "3ab29adccf45447c",
+    "beltrami_2_gbar": "69f4caf9d8645ac1",
+    "beltrami_3_g": "d0e8a70bbd533ac3",
+    "beltrami_3_gbar": "ad85653ad7e67595",
+}
+
+
+def pinned_field(name: str) -> MetricField:
+    if name in DIAGONAL_FIELDS:
+        return DIAGONAL_FIELDS[name]()
+    family, which = name.rsplit("_", 1)
+    return getattr(standard_pair(family), which)
+
+
 def dense(field: MetricField) -> MetricField:
     """``field`` with its diagonal jet embedded as a full jet."""
     return dataclasses.replace(field, diagonal_jet=None,
@@ -363,6 +407,37 @@ class TestDiagonalSpray:
             with pytest.raises(SingularMetric):
                 _spray(route, x, v)
         assert np.all(np.isfinite(_spray(field, x[:1], v[:1])[1]))  # off the line
+
+    @pytest.mark.parametrize("name", RHS_DIGESTS)
+    def test_right_hand_side_bytes_are_pinned(self, name):
+        field = pinned_field(name)
+        digest = hashlib.sha256(rhs(field, rhs_states(field, 50, 23)).tobytes()).hexdigest()
+        assert digest[:16] == RHS_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", [f"separable_{n}_{which}" for n in (2, 3, 4, 5)
+                                      for which in ("g", "gbar")])
+    def test_a_separable_spray_row_does_not_depend_on_its_batch(self, name):
+        # Profile values are evaluated batch-last from 512 entries on (2 dim rows >= 512);
+        # a row of the spray keeps its bits across that switch.
+        field = DIAGONAL_FIELDS[name]()
+        y = rhs_states(field, 120, 24)
+        whole = rhs(field, y)
+        for rows in (1, 51, 52, 63, 64, 85, 86):
+            assert rhs(field, y[:rows]).tobytes() == whole[:rows].tobytes(), rows
+
+    def test_coinciding_profiles_are_a_singular_metric(self):
+        # The profiles 1 + x_0 and 2 are separated on the box and meet at x_0 = 1.
+        interval = (-0.5, 0.5)
+        pair = levi_civita_pair(LeviCivitaData(
+            lambdas=(ScalarFunction1D((1.0, 1.0), interval), ScalarFunction1D((2.0,), interval)),
+            chart=Chart(2, (interval, interval))))
+        x = np.array([[0.2, 0.0], [1.0, 0.0]])
+        v = np.ones_like(x)
+        for field in (pair.g, pair.gbar):
+            assert field.diagonal_jet(x)[0][1].tolist() == [0.0, 0.0]
+            with pytest.raises(SingularMetric):
+                _spray(field, x, v)
+            assert np.all(np.isfinite(_spray(field, x[:1], v[:1])[1]))
 
     def test_a_field_carries_one_kind_of_jet(self):
         field = DIAGONAL_FIELDS["round_2"]()

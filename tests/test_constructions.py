@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geq.constructions as constructions
+import geq.projective as projective
 from geq._batch import positive_definite
 from geq.charts import (Chart, MetricField, PhasePoint, _diagonal, fd_partials,
                         integrate_geodesic, positivity_grid_size)
@@ -253,6 +254,16 @@ def test_great_circles_stay_planar_under_the_sphere_map():
                                      n_circles=5, seed=11, tol=1e-13)
     assert before < 1e-10
     assert after < 1e-10
+
+
+def test_the_planarity_probe_integrates_the_round_metric_and_scans_no_gap(monkeypatch):
+    def refuse(chart):
+        raise AssertionError("gap scan")
+
+    monkeypatch.setattr(projective, "_scan_grid", refuse)
+    before, after = circle_planarity(sphere_chart(3), LinearMap.diagonal([1.0, 2.0, 3.0, 4.0]),
+                                     n_circles=4, seed=3)
+    assert before < 1e-10 and after < 1e-10
 
 
 def test_every_curve_on_a_circle_is_planar():
