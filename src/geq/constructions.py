@@ -21,7 +21,7 @@ from ._validate import (as_floats, expect_finite, expect_instance, expect_int, e
 from .charts import Chart, MetricField
 from .errors import DegenerateMap, EigenOrderViolated, NotPositive, NotPositiveDefinite
 from .projective import MetricPair
-from .split_glue import EquivTriple, _gl_powers, _poly_from_linear_factors, make_triple, oplus
+from .split_glue import EquivTriple, _gl_powers, make_triple, oplus
 
 Array = np.ndarray
 
@@ -178,13 +178,13 @@ class _SphereL:
         m, q = np.linalg.eigh(self.ar_t @ self.ar)
         s = np.prod(m) ** (1.0 / (k + 1))
         tau = self.c ** (1.0 / (k + 1)) * s / m
-        others = np.array([np.delete(tau, i) for i in range(k + 1)])
+        rows = np.array([(-1) ** k * np.poly(np.delete(tau, i))[::-1] for i in range(k + 1)])
         root = np.sqrt(tau)
         # M's eigenvalues and frame, tau as a column, sqrt(tau), sqrt(tau) Q^T, the
         # rows prod_(m != i) (tau_m - t), and the numerator of ratio.
         object.__setattr__(self, "_frame", (
-            m, q, tau[:, None], root, root[:, None] * transposed(q),
-            _poly_from_linear_factors(others), self.c ** (-k / (k + 1)) * s))
+            m, q, tau[:, None], root, root[:, None] * transposed(q), rows,
+            self.c ** (-k / (k + 1)) * s))
 
     def read(self, ys: Array) -> tuple:
         """The state of :func:`~geq.split_glue._factor_pass` at the points ``ys``, with
@@ -290,9 +290,9 @@ def scale_triple(triple: EquivTriple, factor: float) -> EquivTriple:
                            form, g=scaled.g, c=form.c * factor))
 
 
-def _chart_eigen_bounds(a_map: LinearMap, sphere: SphereChart) -> tuple[float, float]:
-    """Bounds on the eigenvalues of ``L`` of :func:`beltrami_pair` over the
-    chart of ``sphere``.
+def _chart_eigen_bounds(form: _SphereL) -> tuple[float, float]:
+    """Bounds on the eigenvalues of ``L`` of the unscaled :func:`beltrami_pair` whose
+    closed form is ``form``, over the chart of its sphere.
 
     With ``M = A^T A`` and ``s = det(M)^(1/(n+1))``, ``L`` at a unit point
     ``x`` has the eigenvalues of ``s M^-1`` compressed to ``x^perp``.  A unit
@@ -304,16 +304,21 @@ def _chart_eigen_bounds(a_map: LinearMap, sphere: SphereChart) -> tuple[float, f
     cap holding the chart (the image of the box's circumscribed ball) clears
     the great sphere ``e^perp``; where the cap reaches it, the bound is that
     of the whole sphere.  On a circle both bounds are exact.
+
+    The eigenvalues and frame of ``M`` are the factor's own (:class:`_SphereL`), taken
+    in the unreflected chart, where ``M`` is ``(AR)^T AR``; so the cap's centre is
+    taken there too, and no eigenproblem is solved here.
     """
-    m, vecs = np.linalg.eigh(a_map.matrix.T @ a_map.matrix)
+    m, vecs = form._frame[:2]
     b, s = 1.0 / m, np.prod(m) ** (1.0 / m.size)
+    sphere = form.sphere
     chart = sphere.chart
     dist, rho = np.linalg.norm(chart.center), 0.5 * np.linalg.norm(chart.widths)
     axis = chart.center / dist if dist > 0.0 else np.eye(sphere.dim)[0]
     # The ball's points on the line through 0 and its centre sit at angles
     # 2 arctan(t) from the chart centre along one great circle.
     near, far = np.arctan(dist - rho), np.arctan(dist + rho)
-    centre = np.append(np.sin(near + far) * axis, -np.cos(near + far)) @ sphere._reflection.T
+    centre = np.append(np.sin(near + far) * axis, -np.cos(near + far))
 
     def clearance(e: Array) -> float:
         alpha = np.arcsin(min(1.0, abs(float(centre @ e))))
@@ -352,7 +357,7 @@ def spheres_product(factors: list[tuple]) -> EquivTriple:
         a_map = LinearMap.identity(dim + 1) if a_map is None else a_map
         sphere = rest[0] if rest else sphere_chart(dim)
         triples.append(beltrami_pair(dim, a_map, sphere))
-        bounds.append(_chart_eigen_bounds(a_map, sphere))
+        bounds.append(_chart_eigen_bounds(triples[-1].closed_l))
     scaled = [triples[0]]
     top = bounds[0][1]
     for i, (triple, (low, high)) in enumerate(zip(triples[1:], bounds[1:]), start=1):

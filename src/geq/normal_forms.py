@@ -85,7 +85,8 @@ class LeviCivitaData:
 
     Validated on construction: every profile's sampled range over the chart
     box must be finite, the ranges of consecutive profiles strictly
-    separated, and the first profile positive.
+    separated, and the first profile positive.  The profiles' coefficient table built
+    for that check is kept: every pair of the data, and :func:`model_eigenvalues`, reads it.
     """
 
     lambdas: tuple[ScalarFunction1D, ...]
@@ -98,9 +99,9 @@ class LeviCivitaData:
             expect_instance(profile, ScalarFunction1D, f"lambdas[{i}]")
         if len(self.lambdas) != self.chart.dim:
             fail("lambdas", f"expected {self.chart.dim} profiles, one per chart dimension")
+        object.__setattr__(self, "_table", _read_only(_profile_table(self.lambdas)))
         with np.errstate(over="ignore", invalid="ignore"):  # 64 samples per axis, one pass
-            vals = _profile_values(_profile_table(self.lambdas),
-                                   np.linspace(self.chart.lows, self.chart.highs, 64))
+            vals = _profile_values(self._table, np.linspace(self.chart.lows, self.chart.highs, 64))
         ranges = list(zip(np.min(vals, axis=0).tolist(), np.max(vals, axis=0).tolist()))
         for i, bounds in enumerate(ranges):
             if not all(map(math.isfinite, bounds)):
@@ -112,6 +113,15 @@ class LeviCivitaData:
                 raise SeparationViolated(
                     f"profiles {i} and {i + 1} overlap on the box: "
                     f"sup {ranges[i][1]} >= inf {ranges[i + 1][0]}")
+
+    @functools.cached_property
+    def _jet_table(self) -> Array:
+        """The profile table beside its zero-padded slopes, ``(degree + 1, 2 n)``: built on
+        the first jet read and shared, like the profile table, by every pair of the data."""
+        table = self._table
+        slopes = np.concatenate([np.arange(1, len(table))[:, None] * table[1:],
+                                 np.zeros((1, self.chart.dim))])
+        return _read_only(np.concatenate([table, slopes], axis=1))
 
 
 class FormKind(enum.Enum):
@@ -191,7 +201,7 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
 
     Both metrics are diagonal, with the factors ``Pi_i = (-1)^i prod_{j != i} (lambda_j -
     lambda_i)`` (positive under the separation ordering) from one difference matrix.  Both
-    carry a ``diagonal_jet``: one Horner pass over the profile and slope tables joined, the
+    carry a ``diagonal_jet``: one Horner pass over the data's profile and slope tables, the
     log-derivatives of ``Pi`` from the reciprocals of the same differences, and the partials
     laid out alike at every batch size, so a row of the geodesic spray has the same bits in
     a batch of any size.  Where two profiles coincide, both their factors are 0 and some of
@@ -199,13 +209,6 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
     """
     n = data.chart.dim
     idx, sign, doubled = _diagonal_constants(n)
-
-    @functools.cache
-    def tables() -> tuple[Array, Array]:
-        # Profiles, and profiles beside their slopes, tabled on first use, not with the pair.
-        table = _profile_table(data.lambdas)
-        slopes = np.concatenate([np.arange(1, len(table))[:, None] * table[1:], np.zeros((1, n))])
-        return table, np.concatenate([table, slopes], axis=1)
 
     def factors(vals: Array) -> tuple[Array, Array]:
         """``diffs[..., i, j] = vals_j - vals_i``, ``(-1)^i`` on the diagonal, and ``Pi``
@@ -218,16 +221,16 @@ def levi_civita_pair(data: LeviCivitaData) -> MetricPair:
         return 1.0 / (vals * np.multiply.reduce(vals, axis=-1, keepdims=True))
 
     def g_eval(xs: Array) -> Array:
-        return _diagonal(factors(_profile_values(tables()[0], xs))[1])
+        return _diagonal(factors(_profile_values(data._table, xs))[1])
 
     def gbar_eval(xs: Array) -> Array:
-        vals = _profile_values(tables()[0], xs)
+        vals = _profile_values(data._table, xs)
         return _diagonal(rho_of(vals) * factors(vals)[1])
 
     def diagonal_jet(xs: Array, companion: bool) -> tuple[Array, Array]:
         """The diagonal ``Pi`` (companion: ``rho Pi``) and its partials ``d[..., k, i]``,
         the transpose of a C-ordered array at every batch size."""
-        both = _profile_values(tables()[1], np.concatenate([xs, xs], axis=-1))
+        both = _profile_values(data._jet_table, np.concatenate([xs, xs], axis=-1))
         vals, ders = both[..., :n], both[..., n:]
         diffs, diagonal = factors(vals)
         with np.errstate(divide="ignore", invalid="ignore"):  # where profiles coincide
@@ -421,19 +424,20 @@ def _certified_positive(evaluate, xs: Array) -> bool:
     return bool(np.all(np.isfinite(mats))) and positive_definite(mats)
 
 
-def _realize_on_box(kind: FormKind, make_fields, dim: int, extra_ok=None) -> MetricPair:
-    """Build the pair on the largest box (half-width :data:`START_HALF_WIDTH`, halved
-    up to six times) where dense sampling certifies both metrics positive definite
-    (:func:`_certified_positive`) and ``extra_ok`` holds.  The grid is read in
-    pieces of at most :data:`~geq._batch.CHUNK` points (:meth:`Chart.grid_pieces`),
-    each checked on ``g``, then ``gbar``, then ``extra_ok``, and the box is halved
-    at the first piece that fails; so the matrices of one metric on one piece,
-    0.3 MB for a 3-D family, are all that is held, where the whole 46^3-point
-    grid's were 7 MB per metric."""
+def _realize_on_box(kind: FormKind, fields, dim: int, extra_ok=None) -> MetricPair:
+    """Build the pair of the evaluators ``fields = (g_eval, gbar_eval)`` on the largest
+    box (half-width :data:`START_HALF_WIDTH`, halved up to six times) where dense
+    sampling certifies both metrics positive definite (:func:`_certified_positive`) and
+    ``extra_ok`` holds.  The evaluators do not depend on the box: every box tried, and
+    the pair built, reads the same two.  The grid is read in pieces of at most
+    :data:`~geq._batch.CHUNK` points (:meth:`Chart.grid_pieces`), each checked on ``g``,
+    then ``gbar``, then ``extra_ok``, and the box is halved at the first piece that
+    fails; so the matrices of one metric on one piece, 0.3 MB for a 3-D family, are all
+    that is held, where the whole 46^3-point grid's were 7 MB per metric."""
+    g_eval, gbar_eval = fields
     half = START_HALF_WIDTH
     for _ in range(7):
         chart = Chart(dim, tuple((-half, half) for _ in range(dim)))
-        g_eval, gbar_eval = make_fields()
         if all(_certified_positive(g_eval, xs) and _certified_positive(gbar_eval, xs)
                and (extra_ok is None or extra_ok(xs))
                for xs in chart.grid_pieces(positivity_grid_size(dim))):
@@ -448,7 +452,8 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
     """Build a metric pair of the requested closed-form family.
 
     ``params`` is :class:`ModelFormParams` for the bifurcation families and
-    :class:`LeviCivitaData` for :data:`FormKind.LC_ND`.  The chart box is
+    :class:`LeviCivitaData` for :data:`FormKind.LC_ND`.  A bifurcation family's
+    two evaluators are made once, and its chart box is
     halved (up to six times) until dense sampling certifies positive
     definiteness: both metrics finite with every Cholesky pivot positive at
     every grid point (:func:`_certified_positive`); :class:`NotRealizable` is
@@ -467,19 +472,17 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
     if kind is FormKind.TWO_D_ELLIPTIC:
         if params.lam is None:
             fail("params.lam", "TWO_D_ELLIPTIC requires the profile lam")
-        lam = params.lam
-        return _realize_on_box(kind, lambda: _elliptic_fields(lam), 2)
+        return _realize_on_box(kind, _elliptic_fields(params.lam), 2)
 
     if kind in (FormKind.TWO_D_POLAR_PLUS, FormKind.TWO_D_POLAR_MINUS):
         if params.f is None or params.lam_const is None:
             fail("params", f"{kind.name} requires the profile f and lam_const")
         if expect_number(params.lam_const, "lam_const") <= 0:
             raise NotPositive("the constant eigenvalue must be positive")
-        f, lam_const = params.f, params.lam_const
         minus = kind is FormKind.TWO_D_POLAR_MINUS
         # No check beyond positivity: g = f·I is positive definite exactly when
         # f > 0, and det ḡ = k²(1 ± r²f) then asks 1 − r²f > 0 of the minus family.
-        return _realize_on_box(kind, lambda: _polar_fields(f, lam_const, minus), 2)
+        return _realize_on_box(kind, _polar_fields(params.f, params.lam_const, minus), 2)
 
     if kind is FormKind.THREE_D_AXIAL:
         if params.lam is None or params.f is None:
@@ -491,18 +494,16 @@ def model_form_pair(kind: FormKind, params) -> MetricPair:
             fv = f(grid[:, 1] ** 2 + grid[:, 2] ** 2)
             return bool(np.min(lv) > 0 and np.max(lv) < 1 and np.min(fv) > 0)
 
-        return _realize_on_box(kind, lambda: _axial_fields(lam, f), 3, extra_ok=extra)
+        return _realize_on_box(kind, _axial_fields(lam, f), 3, extra_ok=extra)
 
     if kind is FormKind.THREE_D_FULL:
         if params.lam is None or params.c is None:
             fail("params", "THREE_D_FULL requires the profile lam and the constant c")
         if expect_number(params.c, "c") <= 0:
             raise NotPositive("the angular constant must be positive")
-        lam, c = params.lam, params.c
-        dlam0 = float(lam.derivative()(0.0))
-        if dlam0 <= 0:
+        if float(params.lam.derivative()(0.0)) <= 0:
             raise NotRealizable("the profile must be strictly increasing at 0")
-        return _realize_on_box(kind, lambda: _full_fields(lam, c), 3)
+        return _realize_on_box(kind, _full_fields(params.lam, params.c), 3)
 
     fail("kind", f"unknown family {kind}")
 
@@ -516,7 +517,7 @@ def model_eigenvalues(kind: FormKind, params, point: Array) -> Array:
     tensor at a point (batched over leading axes)."""
     x = np.asarray(point, dtype=float)
     if kind is FormKind.LC_ND:
-        vals = _profile_values(_profile_table(params.lambdas), x)
+        vals = _profile_values(params._table, x)
     elif kind is FormKind.TWO_D_ELLIPTIC:
         u, v = x[..., 0], x[..., 1]
         rho = np.hypot(u, v)

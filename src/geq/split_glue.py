@@ -83,20 +83,6 @@ def make_triple(pair: MetricPair) -> EquivTriple:
     return EquivTriple(pair=pair, eigen_range=(ranges[0][0], ranges[-1][1]))
 
 
-def _poly_from_linear_factors(roots: Array) -> Array:
-    """Ascending-in-``t`` coefficients of ``prod_j (roots_j - t)``,
-    batched over leading axes."""
-    roots = np.asarray(roots, dtype=float)
-    m = roots.shape[-1]
-    c = np.zeros(roots.shape[:-1] + (m + 1,))
-    c[..., 0] = 1.0
-    for j in range(m):
-        shifted = np.zeros_like(c)
-        shifted[..., 1:] = c[..., :-1]
-        c = roots[..., j : j + 1] * c - shifted
-    return c
-
-
 def _split(pair: MetricPair, xs: Array, r: int) -> tuple[Array, ...]:
     """The eigenframe of the splitting after position ``r`` at a batch of points:
     ``K^-T`` and the eigenpairs ``(nu, Y)`` of ``B = K^-1 g K^-T`` (``gb = K K^T``,

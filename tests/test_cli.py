@@ -21,6 +21,7 @@ from geq.cli import (SCHEMA_VERSION, SuiteConfig, build_family, family_label,
                      load_config, main, run_suite, validate_config)
 from geq.constructions import LinearMap, beltrami_pair, sphere_chart
 from geq.errors import ParseError, SchemaError
+from geq.verify import STANDARD_FAMILIES, standard_form_spec
 
 
 @pytest.fixture
@@ -183,8 +184,12 @@ PROFILE_OF_DEGREE_4 = [1.0, 0.0, 0.0, 0.0, 0.1]
     ({"family": {"product": {"factors": [{"dim": 1}, {"dim": 2}]}},
       "checks": {"normal_form": {}}},
      "checks.normal_form: the configured family has no closed-form eigenvalue model"),
+    ({"family": {"lc": 3}}, "family.lc: expected a mapping"),
+    ({"family": {"beltrami": [2]}}, "family.beltrami: expected a mapping"),
+    ({"family": {"product": None}}, "family.product: expected a mapping"),
 ], ids=["family-number", "family-unknown-recipe", "lc-no-profiles", "lc-degree-4-profile",
-        "out-number", "beltrami-normal-form", "product-normal-form"])
+        "out-number", "beltrami-normal-form", "product-normal-form", "lc-number",
+        "beltrami-list", "product-null"])
 def test_config_refusals_name_their_field(overrides, message):
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         validate_config(minimal_config(**overrides))
@@ -269,6 +274,33 @@ def test_a_failed_build_prints_the_error_and_keeps_the_partial_report(runner, tm
     report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
     assert report["error"] == result.stderr[len("error: "):].rstrip("\n")
     assert report["checks"] == []
+
+
+def test_a_recipe_that_cannot_be_built_fails_alike_under_every_check(runner, tmp_path):
+    # Validation decides whether normal_form may run without building the recipe.
+    family = {"lc": {"profiles": [[1.0, 0.8], [1.2]]}}
+    errors = []
+    for check in ("equivalence", "normal_form"):
+        config = write_config(tmp_path, minimal_config(family=family, checks={check: {}}),
+                              name=f"{check}.yaml")
+        out = tmp_path / check
+        result = runner.invoke(main, ["suite", "--config", config, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        report = json.loads((out / "suite_report.json").read_text())
+        assert report["checks"] == []
+        errors.append(report["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("SeparationViolated: profiles 0 and 1 overlap")
+
+
+def test_a_family_admits_normal_form_exactly_when_it_has_a_closed_form():
+    for name in STANDARD_FAMILIES:
+        config = minimal_config(family=name, checks={"normal_form": {}})
+        if standard_form_spec(name) is None:
+            with pytest.raises(SchemaError, match="normal_form"):
+                validate_config(config)
+        else:
+            assert validate_config(config).family == name
 
 
 @pytest.mark.parametrize("cap, expected", [("2", "2"), ("0", None), ("x", None)])

@@ -1,5 +1,7 @@
 """Tests for the sphere constructions: stereographic charts, pulled-back
 pairs, rescaling, and products of spheres."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -364,24 +366,81 @@ def _random_sphere_chart(rng, dim):
 def test_chart_eigen_bounds_enclose_the_sampled_spectrum(dim):
     rng = np.random.default_rng(dim)
     for sphere in [sphere_chart(dim)] + [_random_sphere_chart(rng, dim) for _ in range(4)]:
-        a_map = LinearMap(rng.normal(size=(dim + 1, dim + 1)))
-        pair = beltrami_pair(dim, a_map, sphere).pair
+        triple = beltrami_pair(dim, LinearMap(rng.normal(size=(dim + 1, dim + 1))), sphere)
+        pair = triple.pair
         xs = pair.chart.sample(rng, 2000)
         mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
-        low, high = constructions._chart_eigen_bounds(a_map, sphere)
+        low, high = constructions._chart_eigen_bounds(triple.closed_l)
         assert low * (1.0 - 1e-9) <= np.min(mu) and np.max(mu) <= high * (1.0 + 1e-9)
 
 
 def test_chart_eigen_bounds_are_the_range_on_a_circle():
     rng = np.random.default_rng(5)
     for sphere in [sphere_chart(1)] + [_random_sphere_chart(rng, 1) for _ in range(4)]:
-        a_map = LinearMap(rng.normal(size=(2, 2)))
-        pair = beltrami_pair(1, a_map, sphere).pair
+        triple = beltrami_pair(1, LinearMap(rng.normal(size=(2, 2))), sphere)
+        pair = triple.pair
         xs = pair.chart.grid(20_001)
         mu = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
-        low, high = constructions._chart_eigen_bounds(a_map, sphere)
+        low, high = constructions._chart_eigen_bounds(triple.closed_l)
         assert low == pytest.approx(np.min(mu), rel=1e-6)
         assert high == pytest.approx(np.max(mu), rel=1e-6)
+
+
+def test_chart_eigen_bounds_read_the_frame_of_the_closed_form(monkeypatch):
+    triple = beltrami_pair(2, LinearMap.diagonal([1.0, 2.0, 3.0]),
+                           sphere_chart(2, pole=[0.3, -0.4, 1.0]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds solved an eigenproblem")
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    low, high = constructions._chart_eigen_bounds(triple.closed_l)
+    assert 0.0 < low <= triple.eigen_range[0] and triple.eigen_range[1] <= high
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# SHA-256 prefixes of the sphere closed form's bytes, recorded before its set-up was
+# shared with the chart bounds: each factor's frame (:class:`_SphereL`), with the default
+# pole and an oblique one, and the glued registry products' fields and jets.  A change
+# that moves one must say so.  They hold for one numpy and BLAS build; on another,
+# record them anew from a commit before any change that moves them.
+FRAME_DIGESTS = {
+    (1, 1.0): "c03ec7f4c81e613a",
+    (1, 7.5): "0a0038ac0077f771",
+    (2, 1.0): "14bfc3864c5c196e",
+    (2, 7.5): "565aa53aa9a14550",
+    (3, 1.0): "7a430386543785e7",
+    (3, 7.5): "8c939201b427d0aa",
+}
+
+
+@pytest.mark.parametrize("dim, c", FRAME_DIGESTS)
+def test_sphere_frame_bytes_are_pinned(dim, c):
+    rng = np.random.default_rng(40 + dim)
+    a_map = LinearMap(rng.normal(size=(dim + 1, dim + 1)))
+    frames = []
+    for pole in (None, rng.normal(size=dim + 1)):
+        form = scale_triple(beltrami_pair(dim, a_map, sphere_chart(dim, pole)), c).closed_l
+        frames += form._frame
+    assert _digest(*frames) == FRAME_DIGESTS[dim, c]
+
+
+PRODUCT_DIGESTS = {"product_s1_s2": "0724c3f3510b811b", "product_s2_s2": "75bbc45dfd965b9c"}
+
+
+@pytest.mark.parametrize("name", PRODUCT_DIGESTS)
+def test_glued_sphere_product_bytes_are_pinned(name):
+    pair = standard_pair(name)
+    xs = pair.chart.sample(np.random.default_rng(41), 50)
+    assert _digest(pair.g.eval(xs), pair.gbar.eval(xs), *pair.g.jet(xs),
+                   *pair.gbar.jet(xs)) == PRODUCT_DIGESTS[name]
 
 
 def test_product_with_a_steep_circle_off_its_chart_still_builds():

@@ -219,6 +219,24 @@ class TestLeviCivita:
         for x in pair.chart.sample(rng, 5, shrink=0.8):
             assert np.max(np.abs(nijenhuis_at(pair, x))) < 1e-6
 
+    def test_the_data_tables_its_profiles_once_for_all_its_pairs(self, monkeypatch):
+        data = random_levi_civita_data(3, np.random.default_rng(14))
+        expected = _profile_table(data.lambdas)
+
+        def refuse(lambdas):
+            raise AssertionError("the profile table was built again")
+
+        monkeypatch.setattr(geq.normal_forms, "_profile_table", refuse)
+        first, second = levi_civita_pair(data), levi_civita_pair(data)
+        pts = first.chart.sample(np.random.default_rng(15), 7)
+        for field in (first.g, first.gbar, second.g, second.gbar):
+            value, _ = field.diagonal_jet(pts)
+            assert bits(_diagonal(value)) == bits(field.eval(pts))
+        assert bits(model_eigenvalues(FormKind.LC_ND, data, pts)) == bits(
+            np.sort(_profile_values(expected, pts), axis=-1))
+        assert bits(data._table) == bits(expected)
+        assert bits(data._jet_table[:, :3]) == bits(expected)
+
 
 class TestEllipticFamily:
     def test_conformal_factor_example(self):
@@ -397,29 +415,29 @@ class CornerFailure:
     """Fields for :func:`_realize_on_box` in three dimensions, both metrics the
     identity, where ``which`` (``g``, ``gbar`` or ``extra``) fails only at the last
     grid point, the box's upper corner, on the first ``boxes`` boxes tried; each
-    box's ``g`` calls are counted."""
+    box's ``g`` calls are counted.  Box ``j`` (from 1) has the half-width ``0.5^j``,
+    and a ``g`` read that starts at the next box's lower corner, its first grid
+    point, opens that box's count."""
 
     def __init__(self, which: str, boxes: int):
         self.which, self.boxes, self.g_calls = which, boxes, []
+        self.fields = self.metric("g"), self.metric("gbar")
 
     def at_corner(self, xs):
         failing = len(self.g_calls) <= self.boxes
         return failing & np.all(xs == 0.5 ** len(self.g_calls), axis=-1)
 
-    def fields(self):
-        self.g_calls.append(0)
-
-        def metric(name):
-            def evaluate(xs):
-                if name == "g":
-                    self.g_calls[-1] += 1
-                out = np.broadcast_to(np.eye(3), xs.shape[:-1] + (3, 3)).copy()
-                if name == self.which:
-                    out[self.at_corner(xs), 2, 2] = -1.0
-                return out
-            return evaluate
-
-        return metric("g"), metric("gbar")
+    def metric(self, name):
+        def evaluate(xs):
+            if name == "g":
+                if np.all(xs[0] == -0.5 ** (len(self.g_calls) + 1)):
+                    self.g_calls.append(0)
+                self.g_calls[-1] += 1
+            out = np.broadcast_to(np.eye(3), xs.shape[:-1] + (3, 3)).copy()
+            if name == self.which:
+                out[self.at_corner(xs), 2, 2] = -1.0
+            return out
+        return evaluate
 
     def extra(self, xs):
         return self.which != "extra" or not np.any(self.at_corner(xs))
@@ -442,6 +460,21 @@ class TestBoxCheck:
         with pytest.raises(NotRealizable, match="after six box halvings"):
             _realize_on_box(FormKind.THREE_D_FULL, failure.fields, 3, extra_ok=failure.extra)
         assert failure.g_calls == [self.PIECES] * 7
+
+    def test_a_family_makes_its_evaluators_once_however_often_its_box_halves(
+            self, monkeypatch):
+        original, made = geq.normal_forms._axial_fields, []
+
+        def axial_fields(*profiles):
+            made.append(profiles)
+            return original(*profiles)
+
+        monkeypatch.setattr(geq.normal_forms, "_axial_fields", axial_fields)
+        # Past |x_0| = 5 the profile 0.5 + 0.1 x_0 leaves (0, 1): boxes 16 and 8 fail.
+        monkeypatch.setattr(geq.normal_forms, "START_HALF_WIDTH", 16.0)
+        pair = standard_pair("three_d_axial")
+        assert pair.chart.box == ((-4.0, 4.0),) * 3
+        assert len(made) == 1
 
     def test_every_registry_closed_form_family_keeps_its_box(self):
         names = [name for name in STANDARD_FAMILIES if standard_form_spec(name) is not None]

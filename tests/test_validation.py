@@ -360,6 +360,35 @@ def test_no_function_imports_the_package_and_the_module_graph_is_acyclic():
     assert graph == {}
 
 
+def test_every_private_module_level_name_is_read_in_the_package():
+    """A private name that a module binds at its top level (a function, class or
+    assignment, not an import) is loaded, imported or looked up as an attribute
+    somewhere in the package; one that nothing reads is dead code."""
+    bound, read = [], set()
+    for path in sorted(Path(geq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                continue
+            bound += [(path.name, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert [f"{module} {name}" for module, name in bound if name not in read] == []
+
+
 def test_every_public_function_has_a_reader():
     """Each function in ``geq.__all__`` is named by the acceptance suite, the CLI,
     the README or the benchmark.  Classes are exempt: they are the types those
