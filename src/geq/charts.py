@@ -53,9 +53,15 @@ class Chart:
 
     @functools.cached_property
     def _fd_stencil(self) -> tuple[Array, Array]:
-        """The stencil of :func:`_stencil` at the steps :data:`FD_STEP` times
-        the box widths, built on first use."""
-        return _stencil(FD_STEP * self.widths)
+        """The read-only offsets ``(2 dim + 1, dim)`` of the centre-first stencil of
+        steps ``h``, :data:`FD_STEP` times the box widths, built on first use: the
+        centre ``-0.0``, which leaves coordinates bitwise as they are, then ``+h_k e_k``
+        and ``-h_k e_k`` for every axis ``k``; and the divisors ``2 h`` of its central
+        differences."""
+        h, m = FD_STEP * self.widths, self.dim
+        axes = np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * m, m)
+        return (_read_only(np.concatenate([np.full((1, m), -0.0), axes])),
+                _read_only(2.0 * h))
 
     @functools.cached_property
     def lows(self) -> Array:
@@ -178,25 +184,14 @@ def metric_at(field: MetricField, x: Array) -> Array:
     return m
 
 
-def _stencil(h: Array) -> tuple[Array, Array]:
-    """The read-only offsets ``(2 m + 1, m)`` of the centre-first stencil of
-    steps ``h`` ``(m,)``: the centre ``-0.0``, which leaves coordinates bitwise
-    as they are, then ``+h_k e_k`` and ``-h_k e_k`` for every axis ``k``; and
-    the divisors ``2 h`` of its central differences."""
-    m = len(h)
-    axes = np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * m, m)
-    return (_read_only(np.concatenate([np.full((1, m), -0.0), axes])),
-            _read_only(2.0 * h))
-
-
-def _central_differences(fn: Callable, x: Array, offsets: Array,
-                         divisors: Array) -> tuple[Array, Array]:
-    """``fn`` at the points ``x`` ``(..., m)`` and its central difference
-    quotients along every axis, axis leading, from one call of ``fn`` on the
-    stencil ``x + offsets`` (:func:`_stencil`) and one subtraction of its
+def _central_differences(fn: Callable, x: Array, chart: Chart) -> tuple[Array, Array]:
+    """``fn`` at the points ``x`` ``(..., m)`` of ``chart`` and its central difference
+    quotients along every axis, axis leading, from one call of ``fn`` on the chart's
+    stencil ``x + offsets`` (:attr:`Chart._fd_stencil`) and one subtraction of its
     ``(+, -)`` pairs.
 
     The unshifted points lead the stack, so their row is ``fn(x)``."""
+    offsets, divisors = chart._fd_stencil
     values = fn(x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:]))
     return values[0], ((values[1::2] - values[2::2])
                        / divisors.reshape((-1,) + (1,) * (values.ndim - 1)))
@@ -211,7 +206,7 @@ def fd_partials(field: MetricField, x: Array) -> Array:
     times the box width ``k``.
     """
     x = expect_instance(field, MetricField, "field").chart.points(x, "x")
-    return np.moveaxis(_central_differences(field.eval, x, *field.chart._fd_stencil)[1], 0, -3)
+    return np.moveaxis(_central_differences(field.eval, x, field.chart)[1], 0, -3)
 
 
 def _diagonal(d: Array) -> Array:
@@ -231,7 +226,7 @@ def _metric_and_partials(field: MetricField, x: Array) -> tuple[Array, Array]:
         return _diagonal(a), _diagonal(da)
     if field.jet is not None:
         return field.jet(x)
-    m, d = _central_differences(field.eval, x, *field.chart._fd_stencil)
+    m, d = _central_differences(field.eval, x, field.chart)
     return m, np.moveaxis(d, 0, -3)
 
 

@@ -160,9 +160,12 @@ def _validate_checks(raw, path: str = "checks") -> dict[str, dict[str, Any]]:
             at = f"{path}.{name}.{key}"
             if key not in merged:
                 fail(at, "unknown field")
-            # As its default: a count, or a number that is positive but for the radius.
+            # As its default: a count, or a number that is positive but for the
+            # radius, which may be 0.
             merged[key] = (expect_int(value, at, 1) if isinstance(merged[key], int)
                            else expect_number(value, at, positive=key != "exclude_radius"))
+            if merged[key] < 0.0:
+                fail(at, "must not be negative")
         checks[name] = merged
     return {name: checks[name] for name in CHECK_DEFAULTS if name in checks}
 
@@ -306,6 +309,9 @@ def _run_one_check(name: str, pair: MetricPair, family, params: dict,
     xs = pair.chart.sample(np.random.default_rng(seed), params["points"])
     if kind is FormKind.THREE_D_FULL and params["exclude_radius"] > 0.0:
         xs = xs[np.linalg.norm(xs[:, 1:], axis=1) >= params["exclude_radius"]]
+        if not len(xs):
+            fail("checks.normal_form.exclude_radius",
+                 f"leaves none of the {params['points']} sample points")
     predicted = model_eigenvalues(kind, form_params, xs)
     actual = _l_values(pair.g.eval(xs), pair.gbar.eval(xs))
     mismatch = float(np.max(np.abs(predicted - actual)))
@@ -614,8 +620,7 @@ def split_cmd(family, config, block, seed, out) -> _Run:
 @_command("glue")
 @click.option("--levels", default="2,3", show_default=True,
               help="Comma-separated constant eigenvalues, one 1D factor each.")
-@click.option("--grid", type=str, default=3, show_default=True)
-def glue_cmd(levels, grid, seed, out) -> _Run:
+def glue_cmd(levels, seed, out) -> _Run:
     """Glue constant one-dimensional factors into a product pair."""
     values = _flag_numbers(levels, "levels")
     if len(values) < 2:
@@ -627,10 +632,8 @@ def glue_cmd(levels, grid, seed, out) -> _Run:
         "eigen_range": list(glued.eigen_range),
         "g_center": glued.pair.g.eval(glued.pair.chart.center).tolist(),
         "gbar_center": glued.pair.gbar.eval(glued.pair.chart.center).tolist(),
-        "points": grid ** glued.pair.dim,
     }
-    return _Run(f"glue({levels})", seed,
-                {"command": "glue", "levels": values, "grid": grid},
+    return _Run(f"glue({levels})", seed, {"command": "glue", "levels": values},
                 [{"name": "glue", "pass": True, "metrics": metrics}], out)
 
 

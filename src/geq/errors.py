@@ -31,8 +31,10 @@ class DegenerateJacobian(GeqError):
 
 
 class BracketFailure(GeqError):
-    """A certified root bracket lost its sign condition (numerical breakdown
-    or an input pair violating the structure the brackets rely on)."""
+    """The roots of ``t -> I_t`` cannot be taken: the eigenvalues of ``L`` or the
+    squared frame coordinates of the velocity are not finite, one of those
+    coordinates came out negative, or the velocity is zero, so every ``I_t``
+    vanishes."""
 
 
 class SeparationViolated(GeqError):

@@ -18,8 +18,7 @@ import numpy as np
 from ._batch import CHUNK, cholesky_inverse, transposed
 from ._validate import (expect_broadcast, expect_instance, expect_number, expect_points,
                         expect_vector, fail)
-from .charts import (FD_STEP, Chart, MetricField, _central_differences, _stencil,
-                     positivity_grid_size)
+from .charts import FD_STEP, Chart, MetricField, _central_differences, positivity_grid_size
 from .errors import BracketFailure, NotPositiveDefinite, SingularMetric
 
 Array = np.ndarray
@@ -42,8 +41,6 @@ BATCH_KERNEL_MIN = 128
 # pullback of ``diag(1, 1e5, 1e10)``, whose metrics' condition number reaches
 # 1e14, reads 1.75e-14.
 DEFINITE_FLOOR = 2e-15
-
-_BRACKET_STEP = 1e-5  # absolute, in every position and momentum coordinate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -332,7 +329,7 @@ def _l_partials(pair: MetricPair, x: Array) -> tuple[Array, Array]:
     holds the derivative of ``L^i_j`` along coordinate ``k``.  Both come from
     one evaluation of the metrics on the centre and the chart's stencil."""
     L, dL = _central_differences(lambda xs: _l_from(pair.g.eval(xs), pair.gbar.eval(xs)),
-                                 x, *pair.chart._fd_stencil)
+                                 x, pair.chart)
     return L, np.moveaxis(dL, 0, -3)
 
 
@@ -375,28 +372,26 @@ def max_eigen_multiplicity(pair: MetricPair, xs: Array) -> int:
 
 def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: float) -> float:
     """Canonical Poisson bracket of ``I_{t1}`` and ``I_{t2}`` at a
-    position/momentum point, by central differences of step
-    :data:`_BRACKET_STEP` in every phase coordinate: on the stencil of ``(x, p)``
+    position/momentum point.  With ``v = g^-1 p`` the frame weights are
+    ``(V^T p)^2`` (:func:`_l_frame`), so ``I_t = sum_i c_i(t) (V_i . p)^2`` with
+    ``c_i(t) = prod_{j != i} (mu_j - t)``, and no solve is needed.  The momentum
+    gradient ``2 V (c(t) * V^T p)`` is exact; the position gradient at fixed ``p``
+    is one central difference on the chart's stencil
     (:func:`~geq.charts._central_differences`), both metrics and the eigenframe
-    are evaluated once on the ``2 n + 1`` rows that move ``x`` (the centre
-    first), the ``2 n`` momentum shifts reuse the centre's, and both integrals
-    are read off the frame weights of the velocities ``v = g^-1 p`` (:func:`_integrals`)."""
-    chart = expect_instance(pair, MetricPair, "pair").chart
-    x = chart.point(x, margin=_BRACKET_STEP / np.min(chart.widths))  # the stencil fits
+    evaluated once on its ``2 n + 1`` rows.  The point must clear the stencil's
+    margin, as in :func:`nijenhuis_at`."""
+    x = expect_instance(pair, MetricPair, "pair").chart.point(x, margin=2.0 * FD_STEP)
     p = expect_vector(p, x.shape, "p")
     ts = np.array([expect_number(t1, "t1"), expect_number(t2, "t2")])
     n = pair.dim
-    rows = np.concatenate([np.arange(2 * n + 1), np.zeros(2 * n, dtype=int)])
 
-    def integrals(zs: Array) -> Array:
-        xs = zs[:2 * n + 1, :n]
-        g = pair.g.eval(xs)
-        mu, vecs = _l_frame(g, pair.gbar.eval(xs))
-        m = transposed(vecs) @ g
-        vs = np.linalg.solve(g[rows], zs[:, n:, None])
-        return _integrals(mu[rows], (m[rows] @ vs)[..., 0] ** 2, ts)
+    def integrals(xs: Array) -> Array:  # both integrals, then the eigenvalues and the frame
+        mu, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
+        values = _integrals(mu, (p @ vecs) ** 2, ts)
+        return np.concatenate([values, mu, vecs.reshape(-1, n * n)], axis=-1)
 
-    d = _central_differences(integrals, np.concatenate([x, p]),
-                             *_stencil(np.full(2 * n, _BRACKET_STEP)))[1]
-    (dx1, dp1), (dx2, dp2) = d.T.reshape(2, 2, n)  # (t, x|p, k)
+    centre, d = _central_differences(integrals, x, pair.chart)
+    mu, vecs = centre[2:n + 2], centre[n + 2:].reshape(n, n)
+    dp = 2.0 * vecs @ (_integrals(mu, np.eye(n), ts) * (p @ vecs)[:, None])  # (k, t)
+    (dx1, dx2), (dp1, dp2) = d[:, :2].T, dp.T
     return float(dx1 @ dp2 - dp1 @ dx2)

@@ -365,8 +365,8 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
                 coeffs, terms = _field_terms(which, source(ys), powers, negate)
                 return np.concatenate([coeffs, terms.reshape(terms.shape[:-3] + (-1,))], -1)
 
-            for out, a in zip((values, diffs), _central_differences(
-                    packed, xs[..., axes], *p.chart._fd_stencil)):
+            for out, a in zip((values, diffs),
+                              _central_differences(packed, xs[..., axes], p.chart)):
                 out.append((a[..., :k + 1], a[..., k + 1:].reshape(a.shape[:-1] + (-1, k, k))))
         (c1, t1), (c2, t2) = values
         (dc1, dt1), (dc2, dt2) = diffs  # differentiation axis leading

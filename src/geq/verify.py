@@ -191,7 +191,8 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
                       points: Array | None = None) -> InterlacingReport:
     """Scan random phase samples for violations of the eigenvalue
     bracketing of the integral roots, and measure how exactly roots are
-    pinned where neighboring eigenvalues coincide."""
+    pinned where neighboring eigenvalues coincide.  A one-dimensional pair has
+    no roots, so it holds vacuously: 0 violations, every maximum 0."""
     expect_instance(pair, MetricPair, "pair")
     n_vectors = expect_int(n_vectors, "n_vectors", 1)
     epsilon = expect_number(epsilon, "epsilon", positive=True)
@@ -208,7 +209,7 @@ def check_interlacing(pair: MetricPair, n_points: int = 100, n_vectors: int = 10
     hi = mu[..., 1:]
     excess = np.maximum(lo - roots - epsilon, roots - hi - epsilon)
     violations = int(np.count_nonzero(excess > 0.0))
-    max_excess = float(np.max(np.maximum(excess + epsilon, 0.0)))
+    max_excess = float(np.max(excess + epsilon, initial=0.0))
     pinned = (hi - lo) < CLUSTER_RADIUS
     deviation = np.minimum(np.abs(roots - lo), np.abs(roots - hi))
     max_pin = float(np.max(deviation[pinned], initial=0.0))

@@ -468,15 +468,17 @@ def _within(parents: dict, node: ast.AST, test) -> bool:
 
 
 def test_the_package_has_one_difference_quotient():
-    """Every finite difference goes through ``charts._central_differences``:
-    no other function divides a difference of two slices of one array, and a
-    step constant (``FD_STEP``, ``_BRACKET_STEP``) is read only as a chart
-    margin or as the steps handed to ``charts._stencil``, so no module
-    builds stencil offsets of its own."""
+    """Every finite difference goes through ``charts._central_differences`` on a
+    chart's own stencil: no other function divides a difference of two slices of
+    one array, no module but ``charts.py`` reads ``_fd_stencil`` or defines a step
+    constant, and a step constant is read only by ``Chart._fd_stencil`` or as a
+    chart margin, so there is one step rule and no module builds stencil offsets
+    of its own."""
     offenders = []
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        in_charts = path.name == "charts.py"
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
@@ -484,15 +486,20 @@ def test_the_package_has_one_difference_quotient():
                     and isinstance(node.left.left, ast.Subscript)
                     and isinstance(node.left.right, ast.Subscript)
                     and ast.dump(node.left.left.value) == ast.dump(node.left.right.value)
-                    and not (path.name == "charts.py" and _within(parents, node, lambda a: (
+                    and not (in_charts and _within(parents, node, lambda a: (
                         isinstance(a, ast.FunctionDef) and a.name == "_central_differences")))):
                 offenders.append(f"{where} quotient")
+            if isinstance(node, ast.Attribute) and node.attr == "_fd_stencil" and not in_charts:
+                offenders.append(f"{where} _fd_stencil")
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else "")
-            if (name.endswith("STEP") and isinstance(node.ctx, ast.Load)
-                    and not _within(parents, node, lambda a: (
-                        (isinstance(a, ast.keyword) and a.arg == "margin")
-                        or (isinstance(a, ast.Call) and getattr(a.func, "id", "") == "_stencil")))):
+            if not name.endswith("STEP"):
+                continue
+            if isinstance(node.ctx, ast.Store) and not in_charts:
+                offenders.append(f"{where} defines {name}")
+            if isinstance(node.ctx, ast.Load) and not _within(parents, node, lambda a: (
+                    (isinstance(a, ast.keyword) and a.arg == "margin")
+                    or (in_charts and isinstance(a, ast.FunctionDef) and a.name == "_fd_stencil"))):
                 offenders.append(f"{where} {name}")
     assert offenders == []
 

@@ -187,9 +187,11 @@ PROFILE_OF_DEGREE_4 = [1.0, 0.0, 0.0, 0.0, 0.1]
     ({"family": {"lc": 3}}, "family.lc: expected a mapping"),
     ({"family": {"beltrami": [2]}}, "family.beltrami: expected a mapping"),
     ({"family": {"product": None}}, "family.product: expected a mapping"),
+    ({"family": "three_d_full", "checks": {"normal_form": {"exclude_radius": -0.1}}},
+     "checks.normal_form.exclude_radius: must not be negative"),
 ], ids=["family-number", "family-unknown-recipe", "lc-no-profiles", "lc-degree-4-profile",
         "out-number", "beltrami-normal-form", "product-normal-form", "lc-number",
-        "beltrami-list", "product-null"])
+        "beltrami-list", "product-null", "normal-form-negative-radius"])
 def test_config_refusals_name_their_field(overrides, message):
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         validate_config(minimal_config(**overrides))
@@ -431,7 +433,6 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
     (["glue", "--levels", "3"], "levels: expected at least two comma-separated numbers"),
     (["product", "--factors", ";"], "factors: expected at least one factor"),
     (["build", "--grid", "1.5"], "grid: expected an integer, got '1.5'"),
-    (["glue", "--grid", "1.5"], "grid: expected an integer, got '1.5'"),
     (["split", "--block", "1.5"], "block: expected an integer, got '1.5'"),
     (["beltrami", "--dim", "1.5"], "dim: expected an integer, got '1.5'"),
     (["beltrami", "--circles", "1.5"], "circles: expected an integer, got '1.5'"),
@@ -452,9 +453,9 @@ def test_flag_overrides_go_through_the_schema(runner, tmp_path, args, message):
         "beltrami-nan-threshold", "beltrami-negative-threshold", "beltrami-coarse-tol",
         "product-negative-dim", "product-zero-dim", "beltrami-negative-dim",
         "beltrami-zero-dim", "beltrami-short-diag", "split-zero-block", "glue-one-level",
-        "product-no-factor", "build-fractional-grid", "glue-fractional-grid",
-        "split-fractional-block", "beltrami-fractional-dim", "beltrami-fractional-circles",
-        "product-fractional-dim", "glue-fractional-seed", "equivalence-fractional-trajectories",
+        "product-no-factor", "build-fractional-grid", "split-fractional-block",
+        "beltrami-fractional-dim", "beltrami-fractional-circles", "product-fractional-dim",
+        "glue-fractional-seed", "equivalence-fractional-trajectories",
         "roundtrip-fractional-block", "roundtrip-zero-block", "equivalence-text-tol",
         "build-unknown-format", "split-block-past-dim", "roundtrip-block-past-dim",
         "build-grid-past-cap"])
@@ -570,7 +571,7 @@ def test_negative_config_seed_is_a_schema_error(runner, tmp_path):
 DEFAULT_CONFIG_HASHES = {
     "build": "db598efd91a86d198a2a85a66e673929221ec3c5c0c516f9d87794f3346a1b11",
     "split": "d8547390fbf51ccd864917157626d8fe55dca5a0f19ba095d11f2004913a82e3",
-    "glue": "5d50588fe93746c32146ef1c550c095d778cbcef3a05195ea1a4eaedb1f48b4c",
+    "glue": "7607a49b34e01b51cb602c1cf7f00a740e82fedc9b666b95b79d9f806f7d3b51",
     "beltrami": "7363e3f6b4cb457867926377689d032689cebda44fb40fd89391997165370987",
     "product": "d124a98ad4da0a2df1cd75b7d99dd3a5c69518a4fae431deb9eeb92ef23d8e3a",
     "check-equivalence":
@@ -665,12 +666,8 @@ def test_build_emits_grid_values(runner):
     assert len(report["data"]["g"]) == 4
 
 
-@pytest.mark.parametrize("args", [
-    ["build", "--family", "lc_nd", "--grid", "0"],
-    ["glue", "--levels", "1,2", "--grid", "0"],
-], ids=["build", "glue"])
-def test_empty_grid_is_a_schema_error(runner, args):
-    result = runner.invoke(main, args)
+def test_empty_grid_is_a_schema_error(runner):
+    result = runner.invoke(main, ["build", "--family", "lc_nd", "--grid", "0"])
     assert result.exit_code == 1
     assert "SchemaError: grid: must be at least 1" in result.stderr
     assert result.stdout == ""
@@ -688,7 +685,8 @@ def test_split_and_glue_commands(runner):
     report = json.loads(result.output)
     metrics = report["checks"][0]["metrics"]
     assert metrics["eigen_range"] == [2.0, 3.0]
-    assert metrics["points"] == 3 ** 2  # the default grid, per axis
+    assert "points" not in metrics  # glue evaluates no grid, so it has no --grid
+    assert "grid" not in {param.name for param in main.commands["glue"].params}
     assert metrics["gbar_center"][0][0] == pytest.approx(1.0 / 12.0)
     assert metrics["gbar_center"][1][1] == pytest.approx(1.0 / 18.0)
 
@@ -752,6 +750,32 @@ def test_the_normal_form_check_matches_the_closed_form_eigenvalues(tmp_path, fam
     kept = int(np.sum(np.linalg.norm(xs[:, 1:], axis=1) >= radius))
     assert metrics["points"] == kept
     assert kept < 500 if radius > 0.0 else kept == 500
+
+
+def test_an_exclusion_that_leaves_no_point_keeps_the_partial_report(runner, tmp_path):
+    config = write_config(tmp_path, minimal_config(family="three_d_full", checks={
+        "interlacing": {"points": 2, "vectors": 2}, "normal_form": {"exclude_radius": 10.0}}))
+    result = runner.invoke(main, ["suite", "--config", config, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.stderr == ("error: SchemaError: checks.normal_form.exclude_radius: "
+                             "leaves none of the 500 sample points\n")
+    assert result.stdout == ""
+    report = json.loads((tmp_path / "out" / "suite_report.json").read_text())
+    assert report["error"] == result.stderr[len("error: "):].rstrip("\n")
+    assert [check["name"] for check in report["checks"]] == ["interlacing"]
+
+
+@pytest.mark.parametrize("command", ["check-interlacing", "suite"])
+def test_a_one_dimensional_recipe_interlaces_vacuously(runner, tmp_path, command):
+    # One eigenvalue, so no root: nothing can leave its bracket.
+    config = write_config(tmp_path, minimal_config(
+        family={"lc": {"profiles": [[0.5, 0.2]]}},
+        checks={"interlacing": {"points": 5, "vectors": 2}}))
+    result = runner.invoke(main, [command, "--config", config])
+    assert result.exit_code == 0, result.output
+    metrics = json.loads(result.stdout)["checks"][0]["metrics"]
+    assert metrics["violations"] == 0 and metrics["samples"] == 10
+    assert metrics["max_excess"] == metrics["max_pin_deviation"] == 0.0
 
 
 def test_beltrami_and_product_commands(runner):

@@ -31,7 +31,8 @@ from geq.projective import (
     poisson_bracket_fd,
 )
 from geq.split_glue import EquivTriple, glue_pair
-from geq.verify import EQUIVALENT_FAMILIES, STANDARD_FAMILIES, seeded_starts, standard_pair
+from geq.verify import (CONTROL_FAMILIES, EQUIVALENT_FAMILIES, STANDARD_FAMILIES,
+                        seeded_starts, standard_pair)
 from test_verify import counted
 
 
@@ -578,55 +579,41 @@ class TestDiagnostics:
         assert abs(val) < 1e-9
 
 
-def bracket_by_axis(pair, x, p, t1, t2, step=1e-5):
-    """The reference: the bracket from 8n single-point integrals, one per
-    integral, axis and sign, each evaluating both metrics at its point."""
-    x, p, n = np.asarray(x, dtype=float), np.asarray(p, dtype=float), pair.dim
-
-    def integral(t, xx, pp):
-        v = np.linalg.solve(pair.g.eval(xx[None, :])[0], pp)
-        return integral_at(pair, xx, v, t)[0]
-
-    def grad(t):
-        dx, dp = np.zeros(n), np.zeros(n)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = step
-            dx[k] = (integral(t, x + e, p) - integral(t, x - e, p)) / (2 * step)
-            dp[k] = (integral(t, x, p + e) - integral(t, x, p - e)) / (2 * step)
-        return dx, dp
-
-    (dx1, dp1), (dx2, dp2) = grad(t1), grad(t2)
-    return float(dx1 @ dp2 - dp1 @ dx2)
-
-
 def flat_probe_pair():
     return model_form_pair(FormKind.TWO_D_POLAR_PLUS,
                            ModelFormParams(f=ScalarFunction1D((1.0,), (0.0, 1.0)),
                                            lam_const=1.0))
 
 
-BRACKET_CASES = {
-    "flat-probe": (flat_probe_pair, [0.1, -0.2], [0.3, 0.4], 0.3, 0.7),
-    "constant-l": (lambda: pair_with_constant_l(np.array([1.0, 3.0])), [0.1, 0.2],
-                   [0.5, -0.3], 0.0, 2.5),
-    "three-d-axial": (lambda: standard_pair("three_d_axial"), [0.1, -0.2, 0.15],
-                      [0.3, 0.4, -0.2], 0.3, 0.7),
-}
+def bracket_phase_points(pair):
+    """Five seeded phase points and parameter pairs ``(x, p, t1, t2)``."""
+    rng = np.random.default_rng(5)
+    for x in pair.chart.sample(rng, 5, shrink=0.8):
+        p = rng.normal(size=pair.dim)
+        t1, t2 = rng.uniform(-1.0, 3.0, size=2)
+        yield x, p, t1, t2
 
 
-@pytest.mark.parametrize("build, x, p, t1, t2", BRACKET_CASES.values(),
-                         ids=BRACKET_CASES.keys())
-def test_the_stacked_bracket_equals_the_per_axis_integral_loop(build, x, p, t1, t2):
-    pair = build()
-    got = poisson_bracket_fd(pair, x, p, t1, t2)
-    assert got == bracket_by_axis(pair, x, p, t1, t2)
+def bracket_gradients_reference(pair, x, p, ts):
+    """The gradients ``(n, T)`` of the integrals in position and in momentum, built
+    by hand: the position part from the centre and the points ``x +- h_k e_k`` at
+    fixed ``p``, stacked centre first, each metric evaluated once on them and the
+    integrals read off the squared frame coordinates ``V^T p`` of ``v = g^-1 p``;
+    the momentum part in closed form at the centre, ``2 V (c(t) * V^T p)``."""
+    n = pair.dim
+    h = FD_STEP * pair.chart.widths
+    xs = np.concatenate([x[None], x + np.stack([np.diag(h), -np.diag(h)], axis=1).reshape(2 * n, n)])
+    mu, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
+    values = _integrals(mu, (p @ vecs) ** 2, ts)
+    dx = (values[1::2] - values[2::2]) / (2.0 * h)[:, None]
+    c = _integrals(mu[0], np.eye(n), ts)  # c_i(t) = prod_{j != i} (mu_j - t)
+    return dx, 2.0 * vecs[0] @ (c * (p @ vecs[0])[:, None])
 
 
 def bracket_by_phase_stencil(pair, x, p, t1, t2, step=1e-5):
-    """The reference: the phase stencil built by hand, ``(x +- h e_k, p)``
-    then ``(x, p +- h e_k)`` without the centre, both metrics and the frame
-    weights evaluated once on it."""
+    """The former bracket: central differences of absolute step ``step`` in every
+    phase coordinate, ``(x +- h e_k, p)`` then ``(x, p +- h e_k)``, both metrics and
+    the frame weights evaluated once on that stencil."""
     x, p, n = np.asarray(x, dtype=float), np.asarray(p, dtype=float), pair.dim
     shift = step * np.eye(n)
     xs = np.concatenate([x + shift, x - shift, np.broadcast_to(x, (2 * n, n))])
@@ -640,13 +627,42 @@ def bracket_by_phase_stencil(pair, x, p, t1, t2, step=1e-5):
 
 
 @pytest.mark.parametrize("name", STANDARD_FAMILIES)
-def test_the_bracket_equals_a_hand_built_phase_stencil(name):
+def test_the_bracket_is_the_stencil_position_gradient_and_the_exact_momentum_gradient(name):
     pair = standard_pair(name)
-    rng = np.random.default_rng(5)
-    for x in pair.chart.sample(rng, 5, shrink=0.8):
-        p = rng.normal(size=pair.dim)
-        t1, t2 = rng.uniform(-1.0, 3.0, size=2)
-        assert poisson_bracket_fd(pair, x, p, t1, t2) == bracket_by_phase_stencil(pair, x, p, t1, t2)
+    for x, p, t1, t2 in bracket_phase_points(pair):
+        (dx1, dx2), (dp1, dp2) = (d.T for d in bracket_gradients_reference(
+            pair, x, p, np.array([t1, t2])))
+        assert poisson_bracket_fd(pair, x, p, t1, t2) == float(dx1 @ dp2 - dp1 @ dx2)
+
+
+@pytest.mark.parametrize("name", STANDARD_FAMILIES)
+def test_the_closed_form_momentum_gradient_is_a_central_difference_in_p(name):
+    # I_t is quadratic in p, so its central difference is exact up to rounding.
+    pair = standard_pair(name)
+    n, step = pair.dim, 1e-3
+    for x, p, t1, t2 in bracket_phase_points(pair):
+        ts = np.array([t1, t2])
+        g = pair.g.eval(x[None])[0]
+        fd = np.stack([(integral_at(pair, x, np.linalg.solve(g, p + step * e), ts)
+                        - integral_at(pair, x, np.linalg.solve(g, p - step * e), ts)) / (2 * step)
+                       for e in np.eye(n)])
+        exact = bracket_gradients_reference(pair, x, p, ts)[1]
+        assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), name
+
+
+@pytest.mark.parametrize("name", EQUIVALENT_FAMILIES)
+def test_the_integrals_of_an_equivalent_pair_commute(name):
+    pair = standard_pair(name)
+    for x, p, t1, t2 in bracket_phase_points(pair):
+        assert abs(poisson_bracket_fd(pair, x, p, t1, t2)) < 1e-7, name
+
+
+@pytest.mark.parametrize("name", CONTROL_FAMILIES)
+def test_the_bracket_of_a_control_agrees_with_the_former_phase_stencil(name):
+    pair = standard_pair(name)
+    for x, p, t1, t2 in bracket_phase_points(pair):
+        former = bracket_by_phase_stencil(pair, x, p, t1, t2)
+        assert poisson_bracket_fd(pair, x, p, t1, t2) == pytest.approx(former, rel=1e-6)
 
 
 def test_the_bracket_vanishes_on_the_flat_probe():
@@ -657,19 +673,22 @@ def test_the_bracket_vanishes_on_the_flat_probe():
 @pytest.mark.parametrize("name", ["lc_nd", "three_d_axial", "product_s1_s2"])
 def test_torsion_and_bracket_evaluate_each_metric_once(name):
     pair = standard_pair(name)
-    log = []
-    pair = dataclasses.replace(pair, g=counted(pair.g, log, "g"),
-                               gbar=counted(pair.gbar, log, "gbar"))
+    log, points = [], []
+    g = counted(pair.g, log, "g")
+    pair = dataclasses.replace(
+        pair, g=dataclasses.replace(g, eval=lambda xs: points.append(xs) or g.eval(xs)),
+        gbar=counted(pair.gbar, log, "gbar"))
     n = pair.dim
     x = pair.chart.sample(np.random.default_rng(16), 1, shrink=0.8)[0]
     nijenhuis_at(pair, x)
-    # The centre and the stencil.
-    assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
-    log.clear()
     poisson_bracket_fd(pair, x, np.ones(n), 0.3, 0.7)
-    # The phase point's x, then its shifts along each of the n position axes;
-    # the momentum shifts share the centre's x.
-    assert log == [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
+    # Each call evaluates each metric once, on the centre and the chart's
+    # stencil: the bracket's momentum gradient is exact, and its position
+    # gradient differences at fixed p.
+    assert log == 2 * [("g", "eval", 2 * n + 1), ("gbar", "eval", 2 * n + 1)]
+    stencil = x + pair.chart._fd_stencil[0]
+    assert len(points) == 2  # the torsion reads a batch of one point, the bracket one point
+    assert all(np.array_equal(xs.reshape(stencil.shape), stencil) for xs in points)
 
 
 NON_FINITE = {"nan-diagonal": (np.nan, 0), "nan-off-diagonal": (np.nan, -1),

@@ -265,6 +265,15 @@ def test_interlacing_scan_is_clean():
     assert report.violations == 0
 
 
+def test_a_one_dimensional_pair_interlaces_vacuously():
+    # One eigenvalue and no root: every sample holds, and no maximum is taken
+    # of an empty array.
+    report = check_interlacing(lc_pair((0.5, 0.2)), n_points=7, n_vectors=3, seed=12)
+    assert report.samples == 21
+    assert report.violations == 0
+    assert report.max_excess == report.max_pin_deviation == 0.0
+
+
 def test_interlacing_pins_roots_at_a_coincidence_point():
     pair = model_form_pair(FormKind.TWO_D_POLAR_PLUS, ModelFormParams(
         f=ScalarFunction1D((1.0, 1.0 / 3.0), (0.0, 1.0)), lam_const=1.0))
