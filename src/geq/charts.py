@@ -184,17 +184,23 @@ def metric_at(field: MetricField, x: Array) -> Array:
     return m
 
 
-def _central_differences(fn: Callable, x: Array, chart: Chart) -> tuple[Array, Array]:
+def _central_differences(fn: Callable, x: Array, chart: Chart) -> tuple:
     """``fn`` at the points ``x`` ``(..., m)`` of ``chart`` and its central difference
     quotients along every axis, axis leading, from one call of ``fn`` on the chart's
     stencil ``x + offsets`` (:attr:`Chart._fd_stencil`) and one subtraction of its
     ``(+, -)`` pairs.
 
-    The unshifted points lead the stack, so their row is ``fn(x)``."""
+    ``fn`` returns an array or a tuple of arrays; for a tuple, both results are
+    tuples, member by member, so no caller packs what it computes.  The unshifted
+    points lead the stack, so their row is ``fn(x)``."""
     offsets, divisors = chart._fd_stencil
     values = fn(x + offsets.reshape(offsets.shape[:1] + (1,) * (x.ndim - 1) + offsets.shape[1:]))
-    return values[0], ((values[1::2] - values[2::2])
-                       / divisors.reshape((-1,) + (1,) * (values.ndim - 1)))
+
+    def differenced(a: Array) -> tuple[Array, Array]:
+        return a[0], (a[1::2] - a[2::2]) / divisors.reshape((-1,) + (1,) * (a.ndim - 1))
+    if isinstance(values, tuple):
+        return tuple(zip(*map(differenced, values)))
+    return differenced(values)
 
 
 def fd_partials(field: MetricField, x: Array) -> Array:

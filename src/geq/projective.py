@@ -202,7 +202,9 @@ def _char_scale(b: Array) -> tuple[Array, Array]:
     one is ``det B = det g / det gb`` (not positive: :class:`SingularMetric`).  They come
     from the Faddeev-LeVerrier recursion, which keeps only its current matrix and, ``B``
     being symmetric, takes each trace as an entry sum: ``n - 2`` matmuls, no adjugates.
-    The powers of ``ratio`` are a running product."""
+    The powers of ``ratio`` are a running product.  For the symmetric ``B``, those of
+    ``det(B - t I) = prod (nu_i - t)`` alternate strictly in sign exactly when ``B``,
+    so the base metric, is positive definite; else :class:`NotPositiveDefinite`."""
     n = b.shape[-1]
     c = np.empty(b.shape[:-2] + (n + 1,))
     c[..., n] = 1.0
@@ -216,6 +218,8 @@ def _char_scale(b: Array) -> tuple[Array, Array]:
     c *= (-1.0) ** n  # now those of det(B - t I)
     if not np.all(c[..., 0] > 0.0):
         raise SingularMetric("a metric determinant is not positive")
+    if not np.all(c[..., 1:n] * (-1.0) ** np.arange(1, n) > 0.0):
+        raise NotPositiveDefinite("base metric is not positive definite")
     ratio = c[..., 0] ** (-1.0 / (n + 1))
     power = ratio
     for j in range(n - 1, -1, -1):
@@ -377,21 +381,19 @@ def poisson_bracket_fd(pair: MetricPair, x: Array, p: Array, t1: float, t2: floa
     ``c_i(t) = prod_{j != i} (mu_j - t)``, and no solve is needed.  The momentum
     gradient ``2 V (c(t) * V^T p)`` is exact; the position gradient at fixed ``p``
     is one central difference on the chart's stencil
-    (:func:`~geq.charts._central_differences`), both metrics and the eigenframe
-    evaluated once on its ``2 n + 1`` rows.  The point must clear the stencil's
-    margin, as in :func:`nijenhuis_at`."""
+    (:func:`~geq.charts._central_differences`) of the tuple of the integrals, the
+    eigenvalues and the frame, both metrics evaluated once on its ``2 n + 1`` rows;
+    the centre row's frame gives the momentum gradient.  The point must clear the
+    stencil's margin, as in :func:`nijenhuis_at`."""
     x = expect_instance(pair, MetricPair, "pair").chart.point(x, margin=2.0 * FD_STEP)
     p = expect_vector(p, x.shape, "p")
     ts = np.array([expect_number(t1, "t1"), expect_number(t2, "t2")])
-    n = pair.dim
 
-    def integrals(xs: Array) -> Array:  # both integrals, then the eigenvalues and the frame
+    def integrals(xs: Array) -> tuple[Array, Array, Array]:
         mu, vecs = _l_frame(pair.g.eval(xs), pair.gbar.eval(xs))
-        values = _integrals(mu, (p @ vecs) ** 2, ts)
-        return np.concatenate([values, mu, vecs.reshape(-1, n * n)], axis=-1)
+        return _integrals(mu, (p @ vecs) ** 2, ts), mu, vecs
 
-    centre, d = _central_differences(integrals, x, pair.chart)
-    mu, vecs = centre[2:n + 2], centre[n + 2:].reshape(n, n)
-    dp = 2.0 * vecs @ (_integrals(mu, np.eye(n), ts) * (p @ vecs)[:, None])  # (k, t)
-    (dx1, dx2), (dp1, dp2) = d[:, :2].T, dp.T
+    (_, mu, vecs), (d, _, _) = _central_differences(integrals, x, pair.chart)
+    dp = 2.0 * vecs @ (_integrals(mu, np.eye(pair.dim), ts) * (p @ vecs)[:, None])  # (k, t)
+    (dx1, dx2), (dp1, dp2) = d.T, dp.T
     return float(dx1 @ dp2 - dp1 @ dx2)

@@ -327,10 +327,13 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
     is picked here, once (:func:`_factor_source`): the closed form of ``L`` its
     triple carries (:attr:`EquivTriple.closed_l`, which a sphere factor of
     :mod:`geq.constructions` has), or else one congruence (:func:`_factor_pass`).
-    Both fields carry a ``jet``: each factor's quantities are differenced on the
-    factor's own ``2k + 1``-point stencil, whose steps are the product chart's on
-    those axes, and the blocks' partials follow by the product rule; the jet's
-    value reads the same source with the same code as ``eval``, so the same bits.
+    Both fields carry a ``jet``: each factor's coefficients and terms
+    (:func:`_field_terms`) are differenced as they are on the factor's own
+    ``2k + 1``-point stencil, whose steps are the product chart's on those axes,
+    and the blocks' partials follow by the product rule; the jet's value reads
+    the same source with the same code as ``eval``, so the same bits.  A factor
+    read by congruence whose base metric is not positive definite makes every read
+    raise :class:`~geq.errors.NotPositiveDefinite` (:func:`~geq.projective._char_scale`).
     """
     lo1, hi1 = expect_instance(factor1, EquivTriple, "factor1").eigen_range
     lo2, hi2 = expect_instance(factor2, EquivTriple, "factor2").eigen_range
@@ -357,17 +360,10 @@ def glue_pair(factor1: EquivTriple, factor2: EquivTriple) -> EquivTriple:
 
     def jet(which: int, xs: Array) -> tuple[Array, Array]:
         xs = np.asarray(xs, dtype=float)
-        values, diffs = [], []
-        for p, source, axes, powers, negate in factors:
-            k = p.dim
-
-            def packed(ys: Array) -> Array:  # coefficients, then the flattened terms
-                coeffs, terms = _field_terms(which, source(ys), powers, negate)
-                return np.concatenate([coeffs, terms.reshape(terms.shape[:-3] + (-1,))], -1)
-
-            for out, a in zip((values, diffs),
-                              _central_differences(packed, xs[..., axes], p.chart)):
-                out.append((a[..., :k + 1], a[..., k + 1:].reshape(a.shape[:-1] + (-1, k, k))))
+        values, diffs = zip(*(
+            _central_differences(lambda ys: _field_terms(which, source(ys), powers, negate),
+                                 xs[..., axes], p.chart)
+            for p, source, axes, powers, negate in factors))
         (c1, t1), (c2, t2) = values
         (dc1, dt1), (dc2, dt2) = diffs  # differentiation axis leading
         d = np.concatenate([_block_diagonal(_combine(c2, dt1), _combine(dc1, t2)),  # along x_1

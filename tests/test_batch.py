@@ -229,33 +229,66 @@ def test_the_glue_path_calls_no_lapack_routine():
     """Neither a glued field (``eval`` or ``jet``) nor the Beltrami companion,
     nor any package function they call, reaches ``np.linalg``: the glue path
     stays on the batch kernel, off per-matrix LAPACK, and a sphere factor's closed
-    form of ``L`` (its ``read``) takes its eigenframe from when it is built."""
-    defs = {}
+    form of ``L`` (its ``read``) takes its eigenframe from when it is built.
+
+    A module-level function or a method is found by its name from anywhere; a
+    function nested in another only from inside the function that defines it, as
+    Python scopes it, and it is reached as ``outer.inner``."""
+    defs, methods, nested, scopes, every = {}, {}, {}, {}, []
     for path in sorted(Path(geq.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        scopes[path.name] = parents
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                defs.setdefault(node.name, []).append((path.name, node))
-    todo = [entry for name, module in [("glue_pair", "split_glue.py"),
-                                       ("gbar_eval", "constructions.py")]
-            for entry in defs[name] if entry[0] == module]
-    seen, offenders = set(), []
+                outer = parents[node]
+                while outer in parents and not isinstance(outer, ast.FunctionDef):
+                    outer = parents[outer]
+                if isinstance(outer, ast.FunctionDef):
+                    entry = (path.name, f"{outer.name}.{node.name}", node)
+                    nested.setdefault(outer, {}).setdefault(node.name, []).append(entry)
+                else:
+                    entry = (path.name, node.name, node)
+                    defs.setdefault(node.name, []).append(entry)
+                    if isinstance(parents[node], ast.ClassDef):
+                        methods.setdefault(node.name, []).append(entry)
+                every.append(entry)
+
+    def resolve(module: str, node: ast.AST, name: str) -> list:
+        """The functions ``name`` means at ``node``: those nested in the innermost
+        function around ``node`` that defines one so named, else the module-level
+        ones and methods."""
+        parents = scopes[module]
+        while node in parents:
+            node = parents[node]
+            if name in nested.get(node, {}):
+                return nested[node][name]
+        return defs.get(name, [])
+
+    todo = [entry for entry in every if entry[:2] in {("split_glue.py", "glue_pair"),
+                                                      ("constructions.py",
+                                                       "beltrami_pair.gbar_eval")}]
+    seen, reached, offenders = set(), set(), []
     while todo:
-        module, function = todo.pop()
-        if (module, function.lineno) in seen:
+        module, qualified, function = todo.pop()
+        if function in seen:
             continue
-        seen.add((module, function.lineno))
+        seen.add(function)
+        reached.add(qualified)
         arguments = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
         for node in ast.walk(function):
             if isinstance(node, ast.Attribute) and node.attr == "linalg":
-                offenders.append(f"{module}:{node.lineno} ({function.name})")
-            # Functions it names (called or passed on) and methods it calls; a
-            # parameter, such as a callback, is bound by the caller.
+                offenders.append(f"{module}:{node.lineno} ({qualified})")
+            # Functions it names (called or passed on), functions it calls as
+            # attributes, and methods it names (as the glue passes a closed form's
+            # bound ``read`` on); a parameter, such as a callback, is bound by the
+            # caller.
             if isinstance(node, ast.Name) and node.id not in arguments:
-                todo += defs.get(node.id, [])
+                todo += resolve(module, node, node.id)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 todo += defs.get(node.func.attr, [])
-    reached = {name for name, entries in defs.items() for module, function in entries
-               if (module, function.lineno) in seen}
+            if isinstance(node, ast.Attribute):
+                todo += methods.get(node.attr, [])
     assert {"_factor_pass", "_field_terms", "_congruent", "_char_scale", "_central_differences",
             "cholesky_inverse", "_unreflected", "_gl_powers", "_gram_companion", "read"} <= reached
     assert offenders == []

@@ -16,6 +16,7 @@ from geq.charts import (
     ChartMap,
     MetricField,
     PhasePoint,
+    _central_differences,
     _diagonal,
     _geodesic_rhs,
     _metric_and_partials,
@@ -502,6 +503,24 @@ def test_the_package_has_one_difference_quotient():
                     or (in_charts and isinstance(a, ast.FunctionDef) and a.name == "_fd_stencil"))):
                 offenders.append(f"{where} {name}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+def test_a_tuple_is_differenced_member_by_member(batch):
+    """For a function returning a tuple, ``_central_differences`` gives each
+    member's centre value and quotients bitwise as a call on that member alone."""
+    field = standard_pair("three_d_axial").g
+    x = field.chart.sample(np.random.default_rng(3), 7, shrink=0.9)
+    x = x if batch else x[0]
+    members = (field.eval, lambda xs: np.sin(xs).sum(axis=-1),
+               lambda xs: xs[..., :, None] * xs[..., None, :])
+    centres, quotients = _central_differences(lambda xs: tuple(f(xs) for f in members),
+                                              x, field.chart)
+    assert len(centres) == len(quotients) == len(members)
+    for f, centre, quotient in zip(members, centres, quotients):
+        alone = _central_differences(f, x, field.chart)
+        assert centre.shape == alone[0].shape and quotient.shape == alone[1].shape
+        assert np.array_equal(centre, alone[0]) and np.array_equal(quotient, alone[1])
 
 
 def glued_factors(monkeypatch) -> list:

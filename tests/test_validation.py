@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 import geq
-from geq import (FormKind, LeviCivitaData, LinearMap, ModelFormParams, ScalarFunction1D,
-                 SphereChart, beltrami_pair, check_conservation, check_equivalence,
-                 check_interlacing, circle_planarity, eigen_range, frame_weights,
-                 integral_roots_many, integrate_geodesics, l_tensor, max_eigen_multiplicity,
-                 model_eigenvalues, model_form_pair, oplus, poisson_bracket_fd,
-                 random_levi_civita_data, sphere_chart, split_pair, split_tensors,
-                 spheres_product, standard_form_spec, standard_pair)
+from geq import (EquivTriple, FormKind, LeviCivitaData, LinearMap, ModelFormParams,
+                 ScalarFunction1D, SphereChart, beltrami_pair, check_conservation,
+                 check_equivalence, check_interlacing, circle_planarity, eigen_range,
+                 frame_weights, glue_pair, integral_roots_many, integrate_geodesics, l_tensor,
+                 max_eigen_multiplicity, model_eigenvalues, model_form_pair, oplus,
+                 poisson_bracket_fd, random_levi_civita_data, sphere_chart, split_pair,
+                 split_tensors, spheres_product, standard_form_spec, standard_pair)
 from geq._validate import expect_number, expect_numbers
 from geq.charts import Chart, MetricField, PhasePoint, christoffel, fd_partials
 from geq.errors import GeqError, NotPositive, NotPositiveDefinite, OutOfChart, SchemaError
@@ -178,9 +178,38 @@ def test_bad_input_raises_a_named_error(lc_nd, name, call):
     assert str(info.value).startswith(f"{name}: ")
 
 
+def constant_factor(g, gbar, eigen_range) -> EquivTriple:
+    """A factor triple whose metrics are the constant matrices ``g`` and ``gbar``."""
+    g, gbar = np.asarray(g, dtype=float), np.asarray(gbar, dtype=float)
+    chart = Chart(len(g), (INTERVAL,) * len(g))
+
+    def field(m):
+        return MetricField(chart=chart, eval=lambda xs: np.broadcast_to(
+            m, np.shape(xs)[:-1] + m.shape).copy())
+
+    return EquivTriple(pair=MetricPair(g=field(g), gbar=field(gbar)), eigen_range=eigen_range)
+
+
+# A 2-D factor whose base metric diag(-1, -2) has a positive determinant, glued
+# below or above a 1-D one: l_tensor and make_triple refuse it too, and the glue
+# reads the signs of its characteristic coefficients.
+INDEFINITE = functools.partial(constant_factor, np.diag([-1.0, -2.0]), np.eye(2))
+LINE = functools.partial(constant_factor, [[1.0]], [[1.0]])
+
+
+def glued_base_at_origin(factor1, factor2):
+    return glue_pair(factor1, factor2).pair.g.eval(np.zeros(3))
+
+
 # Refusals of a value that is well formed but out of its family's range: a
 # named error other than SchemaError, with its whole message.
 NAMED_CASES = {
+    "glue-indefinite-base-below": (
+        NotPositiveDefinite, "base metric is not positive definite",
+        lambda: glued_base_at_origin(INDEFINITE((0.5, 0.6)), LINE((1.0, 1.0)))),
+    "glue-indefinite-base-above": (
+        NotPositiveDefinite, "base metric is not positive definite",
+        lambda: glued_base_at_origin(LINE((1.0, 1.0)), INDEFINITE((2.0, 3.0)))),
     "model-form-full-zero-c": (NotPositive, "the angular constant must be positive",
                                lambda: model_form_pair(FormKind.THREE_D_FULL,
                                                        ModelFormParams(lam=LAM, c=0.0))),
